@@ -49,6 +49,13 @@ def _load(path: str):
         raise InputError(f"cannot parse {path}: {exc}") from exc
 
 
+def _max_level(args, default: int) -> int:
+    N = default if args.N is None else args.N
+    if N < 0:
+        raise InputError(f"-N must be nonnegative, got {N}")
+    return N
+
+
 def _cache_dir(args) -> Path | None:
     if getattr(args, "no_cache", False):
         return None
@@ -176,7 +183,13 @@ _BUILDERS = {
 
 def cmd_module_build(args) -> int:
     H, simples = _load(args.algebra)
-    N = args.N if args.N is not None else (2 if args.which in ("rt", "rtc") else 3)
+    N = _max_level(args, 2 if args.which in ("rt", "rtc") else 3)
+    if args.which == "rcyclic":
+        if not simples:
+            raise InputError("rcyclic needs a data file with simples")
+        if not 0 <= args.simple < len(simples):
+            raise InputError(f"--simple {args.simple} is out of range: the file has "
+                             f"{len(simples)} simples")
     cache_dir = _cache_dir(args)
     cached = False
     module = None
@@ -198,8 +211,6 @@ def cmd_module_build(args) -> int:
             if args.which in _BUILDERS:
                 module = _BUILDERS[args.which](data, N)
             elif args.which == "rcyclic":
-                if not simples:
-                    raise InputError("rcyclic needs a data file with simples")
                 para = build_paracyclic(coend_coalgebra_object(data), N)
                 module, scalar, r = r_cyclic_from_simple(para, simples[args.simple])
                 payload["twist_scalar"] = repr(scalar)
@@ -240,7 +251,7 @@ def cmd_module_build(args) -> int:
 
 def cmd_homology(args) -> int:
     H, simples = _load(args.algebra)
-    N = args.N if args.N is not None else 3
+    N = _max_level(args, 3)
     data = build_coend_hopf(H, simples or None)
     if args.chirality == "cocyclic":
         module = cocyclic_module_from_coalgebra(coend_coalgebra_object(data), N + 1)
@@ -260,7 +271,7 @@ def cmd_homology(args) -> int:
 
 def cmd_tqft_verify(args) -> int:
     H, simples = _load(args.algebra)
-    N = args.N if args.N is not None else 2
+    N = _max_level(args, 2)
     try:
         data = build_coend_hopf(H, simples or None)
         rt = build_rt_cocyclic(data, N)

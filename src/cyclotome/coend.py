@@ -64,21 +64,6 @@ def coev_right(V: ModuleData) -> LinearMap:
     return LinearMap(H.field, UNIT, V.shape * V.shape, entries)
 
 
-def ev_right(V: ModuleData) -> LinearMap:
-    """V (x) V* -> 1, (v, phi) |-> phi(g v)."""
-    H = V.algebra
-    from .hopf import pivot_element
-    g = V.rho_of(pivot_element(H))
-    d = V.dim
-    entries = {}
-    for a in range(d):
-        for b in range(d):
-            v = g.entry(b, a)
-            if not v.is_zero():
-                entries[(0, a * d + b)] = v
-    return LinearMap(H.field, V.shape * V.shape, UNIT, entries)
-
-
 def dinatural_component(H: HopfAlgebraData, V: ModuleData,
                         carrier: ModuleData | None = None) -> LinearMap:
     """i_V : V* (x) V -> C sending phi (x) v to the matrix coefficient phi((.) v)."""

@@ -17,7 +17,7 @@ from .cyclic_cat import (
     CYCLIC, PARACYCLIC, CategoryVariant, CyclicMap, GeneratorWord, RCyclic,
     Token, normal_form, relation_instances, simplicial_word,
 )
-from .coend import CoendData
+from .coend import CoendData, _is_intertwiner
 from .fields import Scalar
 from .hopf import (
     HopfAlgebraData, ModuleData, Vector, hom_space, module_power,
@@ -25,7 +25,7 @@ from .hopf import (
     single_slot_right_action, trivial_module, twist,
 )
 from .linalg import (
-    LinearMap, SubspaceBasis, TensorShape, UNIT, invert, permute_factors,
+    LinearMap, SubspaceBasis, TensorShape, UNIT, invert, permute_factors, whisker,
 )
 from .reports import CheckReport
 
@@ -103,6 +103,11 @@ class CyclicModuleData:
     def __post_init__(self):
         if self.chirality not in ("cyclic", "cocyclic"):
             raise CyclicModuleError(f"unknown chirality {self.chirality!r}")
+        # the well-definedness gate: a generator whose ambient map does not
+        # restrict to the level spaces arrives as None (SubspaceBasis.restrict)
+        for key, g in self.gen.items():
+            if g is None:
+                raise CyclicModuleError(f"{key}: image leaves the invariant subspace")
 
     def dim(self, n: int) -> int:
         return self.spaces[n].dim
@@ -189,27 +194,6 @@ def check_relations(M: CyclicModuleData, N: int | None = None) -> CheckReport:
     return rep
 
 
-# -- restriction helper ------------------------------------------------------------------
-
-
-def _restrict(ambient: LinearMap, src: SubspaceBasis, tgt: SubspaceBasis,
-              what: str) -> LinearMap:
-    """Express an ambient-space map as a matrix between subspace bases; the image
-    must land in the target span (the well-definedness gate)."""
-    F = ambient.field
-    entries = {}
-    for c, vec in enumerate(src.vectors):
-        w = ambient.apply(vec)
-        coords = tgt.coordinates(w)
-        if coords is None:
-            raise CyclicModuleError(
-                f"{what}: image leaves the invariant subspace (column {c})")
-        for r, v in enumerate(coords):
-            if not v.is_zero():
-                entries[(r, c)] = v
-    return LinearMap(F, TensorShape([src.dim]), TensorShape([tgt.dim]), entries)
-
-
 # -- the explicit model on invariant tensors ------------------------------------------------
 
 
@@ -238,53 +222,6 @@ def _slotwise_action(H: HopfAlgebraData, y: Vector, n: int) -> LinearMap:
             term = cache[k] if term is None else term.tensor(cache[k])
         out = out + term.scaled(coeff)
     return out
-
-
-def _multiply_slots(H: HopfAlgebraData, total: int, i: int) -> LinearMap:
-    """id^i (x) m (x) id^(total-2-i): H^(x)total -> H^(x)(total-1)."""
-    F = H.field
-    parts = []
-    if i > 0:
-        parts.append(LinearMap.identity(F, H.power_shape(i)))
-    parts.append(H.m)
-    if total - 2 - i > 0:
-        parts.append(LinearMap.identity(F, H.power_shape(total - 2 - i)))
-    out = parts[0]
-    for p in parts[1:]:
-        out = out.tensor(p)
-    return out.reshaped(H.power_shape(total), H.power_shape(total - 1))
-
-
-def _insert_unit(H: HopfAlgebraData, total: int, pos: int) -> LinearMap:
-    """Insert 1_H so that it becomes factor pos of the output: H^(x)total -> H^(x)(total+1)."""
-    F = H.field
-    u_map = LinearMap.from_function(F, UNIT, H.shape, lambda c: enumerate(H.u))
-    parts = []
-    if pos > 0:
-        parts.append(LinearMap.identity(F, H.power_shape(pos)))
-    parts.append(u_map)
-    if total - pos > 0:
-        parts.append(LinearMap.identity(F, H.power_shape(total - pos)))
-    out = parts[0]
-    for p in parts[1:]:
-        out = out.tensor(p)
-    return out.reshaped(H.power_shape(total), H.power_shape(total + 1))
-
-
-def _apply_slot(H: HopfAlgebraData, op: LinearMap, total: int, pos: int) -> LinearMap:
-    """Apply a map H -> H^(x)k at slot pos of H^(x)total."""
-    F = H.field
-    k = len(op.codomain.factors) if op.codomain.factors else 0
-    parts = []
-    if pos > 0:
-        parts.append(LinearMap.identity(F, H.power_shape(pos)))
-    parts.append(op)
-    if total - pos - 1 > 0:
-        parts.append(LinearMap.identity(F, H.power_shape(total - pos - 1)))
-    out = parts[0]
-    for p in parts[1:]:
-        out = out.tensor(p)
-    return out.reshaped(H.power_shape(total), H.power_shape(total - 1 + k))
 
 
 def _rotate_last_front(H: HopfAlgebraData, total: int) -> LinearMap:
@@ -337,24 +274,22 @@ def explicit_coend_cyclic(H: HopfAlgebraData, N: int) -> CyclicModuleData:
     degeneracies insert the unit, the cyclic operator is the braided rotation."""
     if H.R is None or H.theta is None:
         raise CyclicModuleError("the explicit cyclic model needs ribbon data")
+    u_map = LinearMap.from_function(H.field, UNIT, H.shape, lambda c: enumerate(H.u))
     spaces = {n: invariant_tensor_basis(H, n + 1) for n in range(N + 1)}
     gen: dict[tuple, LinearMap] = {}
     for n in range(N + 1):
         t_amb = explicit_cyclic_rotation(H, n)
-        gen[("tau", n)] = _restrict(t_amb, spaces[n], spaces[n], f"t_{n}")
+        gen[("tau", n)] = spaces[n].restrict(t_amb, spaces[n])
         if n >= 1:
             for i in range(n):
-                amb = _multiply_slots(H, n + 1, i)
-                gen[("delta", n, i)] = _restrict(amb, spaces[n], spaces[n - 1],
-                                                 f"d_{i}^{n}")
-            amb_last = _multiply_slots(H, n + 1, 0).compose(t_amb)
-            gen[("delta", n, n)] = _restrict(amb_last, spaces[n], spaces[n - 1],
-                                             f"d_{n}^{n}")
+                amb = whisker(H.m, H.power_shape(i), H.power_shape(n - 1 - i))
+                gen[("delta", n, i)] = spaces[n].restrict(amb, spaces[n - 1])
+            amb_last = whisker(H.m, UNIT, H.power_shape(n - 1)).compose(t_amb)
+            gen[("delta", n, n)] = spaces[n].restrict(amb_last, spaces[n - 1])
         if n + 1 <= N:
             for j in range(n + 1):
-                amb = _insert_unit(H, n + 1, j + 1)
-                gen[("sigma", n, j)] = _restrict(amb, spaces[n], spaces[n + 1],
-                                                 f"s_{j}^{n}")
+                amb = whisker(u_map, H.power_shape(j + 1), H.power_shape(n - j))
+                gen[("sigma", n, j)] = spaces[n].restrict(amb, spaces[n + 1])
     return CyclicModuleData(CYCLIC, "cyclic", N, spaces, gen,
                             provenance=f"explicit coend cyclic of {H.name}")
 
@@ -378,18 +313,17 @@ def explicit_coend_cocyclic(H: HopfAlgebraData, N: int,
     gen: dict[tuple, LinearMap] = {}
     for n in range(N + 1):
         tau_amb = explicit_cocyclic_rotation(H, n)
-        gen[("tau", n)] = _restrict(tau_amb, spaces[n], spaces[n], f"tau_{n}")
+        gen[("tau", n)] = spaces[n].restrict(tau_amb, spaces[n])
         if n >= 1:
             for i in range(n):
-                amb = _apply_slot(H, db, n, i)
-                gen[("delta", n, i)] = _restrict(amb, spaces[n - 1], spaces[n],
-                                                 f"delta_{i}^{n}")
+                amb = whisker(db, H.power_shape(i), H.power_shape(n - 1 - i))
+                gen[("delta", n, i)] = spaces[n - 1].restrict(amb, spaces[n])
             # wrapping coface: braided coproduct at slot 0, then one leg moves
             # to the back through the inverse braiding
             total = n + 1
             rot = _rotate_front_last(H, total)
             amb_last = LinearMap.zero(F, H.power_shape(n), H.power_shape(total))
-            first = _apply_slot(H, db, n, 0)
+            first = whisker(db, UNIT, H.power_shape(n - 1))
             if braided_order == "one-two":
                 flip01 = permute_factors(F, H.power_shape(total),
                                          [1, 0] + list(range(2, total)))
@@ -401,13 +335,11 @@ def explicit_coend_cocyclic(H: HopfAlgebraData, N: int,
                 term = bulk.tensor(moved).reshaped(
                     H.power_shape(total), H.power_shape(total)).compose(rot)
                 amb_last = amb_last + term.compose(first).scaled(coeff)
-            gen[("delta", n, n)] = _restrict(amb_last, spaces[n - 1], spaces[n],
-                                             f"delta_{n}^{n}")
+            gen[("delta", n, n)] = spaces[n - 1].restrict(amb_last, spaces[n])
         if n + 1 <= N:
             for j in range(n + 1):
-                amb = _apply_slot(H, H.epsilon, n + 2, j + 1)
-                gen[("sigma", n, j)] = _restrict(amb, spaces[n + 1], spaces[n],
-                                                 f"sigma_{j}^{n}")
+                amb = whisker(H.epsilon, H.power_shape(j + 1), H.power_shape(n - j))
+                gen[("sigma", n, j)] = spaces[n + 1].restrict(amb, spaces[n])
     return CyclicModuleData(CYCLIC, "cocyclic", N, spaces, gen,
                             provenance=f"explicit coend cocyclic of {H.name}")
 
@@ -433,13 +365,14 @@ class CoalgebraObject:
         co = self.comultiplication.reshaped(V.shape, V.shape * V.shape)
         eps = self.counit.reshaped(V.shape, UNIT)
         rep.check("coassociativity",
-                  co.tensor(eye).compose(co) == eye.tensor(co).compose(co))
-        rep.check("counit", eps.tensor(eye).compose(co) == eye
-                  and eye.tensor(eps).compose(co) == eye)
+                  whisker(co, UNIT, V.shape).compose(co)
+                  == whisker(co, V.shape, UNIT).compose(co))
+        rep.check("counit", whisker(eps, UNIT, V.shape).compose(co) == eye
+                  and whisker(eps, V.shape, UNIT).compose(co) == eye)
         rep.check("comultiplication is equivariant",
-                  _equivariant(co, V, module_power(V, 2)))
+                  _is_intertwiner(co, V, module_power(V, 2)))
         rep.check("counit is equivariant",
-                  _equivariant(eps, V, trivial_module(V.algebra)))
+                  _is_intertwiner(eps, V, trivial_module(V.algebra)))
         return rep
 
 
@@ -466,23 +399,15 @@ class AlgebraObject:
         m = self.multiplication.reshaped(V.shape * V.shape, V.shape)
         u = self.unit_map()
         rep.check("associativity",
-                  m.compose(m.tensor(eye)) == m.compose(eye.tensor(m)))
-        rep.check("unit", m.compose(u.tensor(eye)) == eye
-                  and m.compose(eye.tensor(u)) == eye)
+                  m.compose(whisker(m, UNIT, V.shape))
+                  == m.compose(whisker(m, V.shape, UNIT)))
+        rep.check("unit", m.compose(whisker(u, UNIT, V.shape)) == eye
+                  and m.compose(whisker(u, V.shape, UNIT)) == eye)
         rep.check("multiplication is equivariant",
-                  _equivariant(m, module_power(V, 2), V))
+                  _is_intertwiner(m, module_power(V, 2), V))
         rep.check("unit is invariant",
-                  _equivariant(u, trivial_module(V.algebra), V))
+                  _is_intertwiner(u, trivial_module(V.algebra), V))
         return rep
-
-
-def _equivariant(T: LinearMap, V: ModuleData, W: ModuleData) -> bool:
-    for k in range(V.algebra.dim):
-        lhs = T.compose(V.rho(k).reshaped(T.domain, T.domain))
-        rhs = W.rho(k).reshaped(T.codomain, T.codomain).compose(T)
-        if lhs != rhs:
-            return False
-    return True
 
 
 def coend_coalgebra_object(data: CoendData) -> CoalgebraObject:
@@ -499,25 +424,11 @@ def _object_paracyclic_maps(obj: CoalgebraObject, N: int):
     """Object-level faces (counit contractions), degeneracies (comultiplication
     insertions), and the pinned braided rotations, on V^(x)(n+1)."""
     V = obj.module
-    H = V.algebra
-    F = H.field
     eps = obj.counit.reshaped(V.shape, UNIT)
     co = obj.comultiplication.reshaped(V.shape, V.shape * V.shape)
 
     def vshape(k):
         return TensorShape([V.dim] * k)
-
-    def at_slot(op, total, pos, out_factors):
-        parts = []
-        if pos > 0:
-            parts.append(LinearMap.identity(F, vshape(pos)))
-        parts.append(op)
-        if total - pos - 1 > 0:
-            parts.append(LinearMap.identity(F, vshape(total - pos - 1)))
-        out = parts[0]
-        for p in parts[1:]:
-            out = out.tensor(p)
-        return out.reshaped(vshape(total), vshape(total - 1 + out_factors))
 
     faces = {}
     degens = {}
@@ -528,9 +439,9 @@ def _object_paracyclic_maps(obj: CoalgebraObject, N: int):
         rotations[n] = rot.reshaped(vshape(total), vshape(total))
         if n >= 1:
             for i in range(total):
-                faces[(n, i)] = at_slot(eps, total, i, 0)
+                faces[(n, i)] = whisker(eps, vshape(i), vshape(n - i))
         for j in range(total):
-            degens[(n, j)] = at_slot(co, total, j, 2)
+            degens[(n, j)] = whisker(co, vshape(j), vshape(n - j))
     return faces, degens, rotations
 
 
@@ -546,18 +457,15 @@ def cocyclic_module_from_coalgebra(obj: CoalgebraObject, N: int) -> CyclicModule
     spaces = {n: invariant_functional_basis(powers[n]) for n in range(N + 1)}
     gen: dict[tuple, LinearMap] = {}
     for n in range(N + 1):
-        gen[("tau", n)] = _restrict(rotations[n].transpose(), spaces[n], spaces[n],
-                                    f"tau_{n}")
+        gen[("tau", n)] = spaces[n].restrict(rotations[n].transpose(), spaces[n])
         if n >= 1:
             for i in range(n + 1):
-                gen[("delta", n, i)] = _restrict(faces[(n, i)].transpose(),
-                                                 spaces[n - 1], spaces[n],
-                                                 f"delta_{i}^{n}")
+                gen[("delta", n, i)] = spaces[n - 1].restrict(
+                    faces[(n, i)].transpose(), spaces[n])
         if n + 1 <= N:
             for j in range(n + 1):
-                gen[("sigma", n, j)] = _restrict(degens[(n, j)].transpose(),
-                                                 spaces[n + 1], spaces[n],
-                                                 f"sigma_{j}^{n}")
+                gen[("sigma", n, j)] = spaces[n + 1].restrict(
+                    degens[(n, j)].transpose(), spaces[n])
     M = CyclicModuleData(CYCLIC, "cocyclic", N, spaces, gen,
                          provenance=f"cocyclic module of {obj.name}",
                          level_modules=powers)
@@ -567,26 +475,11 @@ def cocyclic_module_from_coalgebra(obj: CoalgebraObject, N: int) -> CyclicModule
 
 def _object_paracocyclic_maps(obj: AlgebraObject, N: int):
     V = obj.module
-    H = V.algebra
-    F = H.field
     m = obj.multiplication.reshaped(V.shape * V.shape, V.shape)
     u = obj.unit_map()
 
     def vshape(k):
         return TensorShape([V.dim] * k)
-
-    def at_slot(op, total, pos, in_factors, out_factors):
-        parts = []
-        if pos > 0:
-            parts.append(LinearMap.identity(F, vshape(pos)))
-        parts.append(op)
-        rest = total - pos - in_factors
-        if rest > 0:
-            parts.append(LinearMap.identity(F, vshape(rest)))
-        out = parts[0]
-        for p in parts[1:]:
-            out = out.tensor(p)
-        return out.reshaped(vshape(total), vshape(total - in_factors + out_factors))
 
     cofaces = {}
     codegens = {}
@@ -597,9 +490,9 @@ def _object_paracocyclic_maps(obj: AlgebraObject, N: int):
         rotations[n] = rot.reshaped(vshape(total), vshape(total))
         if n >= 1:
             for i in range(total):
-                cofaces[(n, i)] = at_slot(u, n, i, 0, 1)
+                cofaces[(n, i)] = whisker(u, vshape(i), vshape(n - i))
         for j in range(total):
-            codegens[(n, j)] = at_slot(m, total + 1, j, 2, 1)
+            codegens[(n, j)] = whisker(m, vshape(j), vshape(n - j))
     return cofaces, codegens, rotations
 
 
@@ -615,18 +508,15 @@ def cyclic_module_from_algebra(obj: AlgebraObject, N: int) -> CyclicModuleData:
     spaces = {n: invariant_functional_basis(powers[n]) for n in range(N + 1)}
     gen: dict[tuple, LinearMap] = {}
     for n in range(N + 1):
-        gen[("tau", n)] = _restrict(rotations[n].transpose(), spaces[n], spaces[n],
-                                    f"t_{n}")
+        gen[("tau", n)] = spaces[n].restrict(rotations[n].transpose(), spaces[n])
         if n >= 1:
             for i in range(n + 1):
-                gen[("delta", n, i)] = _restrict(cofaces[(n, i)].transpose(),
-                                                 spaces[n], spaces[n - 1],
-                                                 f"d_{i}^{n}")
+                gen[("delta", n, i)] = spaces[n].restrict(
+                    cofaces[(n, i)].transpose(), spaces[n - 1])
         if n + 1 <= N:
             for j in range(n + 1):
-                gen[("sigma", n, j)] = _restrict(codegens[(n, j)].transpose(),
-                                                 spaces[n], spaces[n + 1],
-                                                 f"s_{j}^{n}")
+                gen[("sigma", n, j)] = spaces[n].restrict(
+                    codegens[(n, j)].transpose(), spaces[n + 1])
     M = CyclicModuleData(CYCLIC, "cyclic", N, spaces, gen,
                          provenance=f"cyclic module of {obj.name}",
                          level_modules=powers)
@@ -746,9 +636,11 @@ def contracting_homotopy(obj: CoalgebraObject, M: CyclicModuleData,
         return TensorShape([V.dim] * k)
 
     def h(n: int) -> LinearMap:
-        ins = alpha_map.tensor(LinearMap.identity(F, vshape(n))) \
-            .reshaped(vshape(n), vshape(n + 1))
-        return _restrict(ins.transpose(), M.spaces[n], M.spaces[n - 1], f"h_{n}")
+        ins = whisker(alpha_map, UNIT, vshape(n))
+        out = M.spaces[n].restrict(ins.transpose(), M.spaces[n - 1])
+        if out is None:
+            raise CyclicModuleError(f"h_{n}: image leaves the invariant subspace")
+        return out
 
     def beta(n: int) -> LinearMap:
         out = None
@@ -765,7 +657,9 @@ def contracting_homotopy(obj: CoalgebraObject, M: CyclicModuleData,
                   lhs == LinearMap.identity(F, TensorShape([M.dim(n)])))
     # level zero: h_1 beta_1 + (alpha eps)^* = id
     ae = alpha_map.compose(obj.counit.reshaped(V.shape, UNIT))
-    ae_star = _restrict(ae.transpose(), M.spaces[0], M.spaces[0], "alpha-eps")
+    ae_star = M.spaces[0].restrict(ae.transpose(), M.spaces[0])
+    if ae_star is None:
+        raise CyclicModuleError("alpha-eps: image leaves the invariant subspace")
     lhs = h(1).compose(beta(1)) + ae_star
     rep.check("homotopy identity at level 0",
               lhs == LinearMap.identity(F, TensorShape([M.dim(0)])))

@@ -426,23 +426,3 @@ class Scalar:
 
     def __repr__(self):
         return self.field.render(self.payload)
-
-
-def field_arithmetic(a: Scalar, b: Scalar | None, op: str):
-    """Single-entry dispatcher over the scalar operations.
-
-    ``op`` is one of ``+ - * / inverse equality``; ``inverse`` ignores ``b``.
-    """
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op in ("*", "x"):
-        return a * b
-    if op == "/":
-        return a / b
-    if op == "inverse":
-        return a.inverse()
-    if op == "equality":
-        return a == b
-    raise FieldError(f"unknown scalar operation {op!r}")

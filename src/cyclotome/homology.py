@@ -11,10 +11,10 @@ actual induced maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 from .cyclic_modules import CyclicModuleData
-from .linalg import LinearMap, SubspaceBasis, TensorShape, kernel_and_rank
+from .linalg import LinearMap, SubspaceBasis, TensorShape, kernel_and_rank, rank
 from .reports import CheckReport
 
 
@@ -109,17 +109,11 @@ def hochschild_ranks(M: CyclicModuleData, maxN: int) -> list[int]:
         raise HomologyError(f"need levels <= {maxN + 1} built")
     dims = []
     for n in range(maxN + 1):
-        if M.chirality == "cocyclic":
-            out_rank = kernel_and_rank(hochschild_differential(M, n + 1))
-            ker_dim = M.dim(n) - out_rank[1]
-            in_rank = 0 if n == 0 else kernel_and_rank(hochschild_differential(M, n))[1]
-        else:
-            ker_dim = (M.dim(0) if n == 0
-                       else M.dim(n) - kernel_and_rank(hochschild_differential(M, n))[1] + 0)
-            if n > 0:
-                ker_dim = len(kernel_and_rank(hochschild_differential(M, n))[0])
-            in_rank = kernel_and_rank(hochschild_differential(M, n + 1))[1]
-        dims.append(ker_dim - in_rank)
+        # levels of the differentials leaving and entering degree n
+        out_n, in_n = (n + 1, n) if M.chirality == "cocyclic" else (n, n + 1)
+        ker_dim = M.dim(n) - (rank(hochschild_differential(M, out_n)) if out_n else 0)
+        im_rank = rank(hochschild_differential(M, in_n)) if in_n else 0
+        dims.append(ker_dim - im_rank)
     return dims
 
 
@@ -157,21 +151,6 @@ def _normalized_spaces(M: CyclicModuleData) -> dict[int, SubspaceBasis]:
     return out
 
 
-def _restrict_to(map_amb: LinearMap, src: SubspaceBasis, tgt: SubspaceBasis,
-                 what: str) -> LinearMap:
-    entries = {}
-    F = map_amb.field
-    for c, vec in enumerate(src.vectors):
-        w = map_amb.apply(vec)
-        coords = tgt.coordinates(w)
-        if coords is None:
-            raise HomologyError(f"{what} does not preserve the normalized subcomplex")
-        for r, v in enumerate(coords):
-            if not v.is_zero():
-                entries[(r, c)] = v
-    return LinearMap(F, TensorShape([src.dim]), TensorShape([tgt.dim]), entries)
-
-
 def mixed_complex(M: CyclicModuleData, normalized: bool | None = None) -> MixedComplexData:
     """Assemble b and B, on the normalized subcomplex for cochain modules."""
     if M.variant.kind == "paracyclic":
@@ -191,18 +170,14 @@ def mixed_complex(M: CyclicModuleData, normalized: bool | None = None) -> MixedC
     B = {}
     for n in range(1, N + 1):
         amb = hochschild_differential(M, n)
-        if M.chirality == "cocyclic":
-            b[n] = _restrict_to(amb, spaces[n - 1], spaces[n], f"b_{n}") \
-                if normalized else amb
-        else:
-            b[n] = amb
+        b[n] = spaces[n - 1].restrict(amb, spaces[n]) if normalized else amb
+        if b[n] is None:
+            raise HomologyError(f"b_{n} does not preserve the normalized subcomplex")
     for n in range(0, N):
         amb = connes_B(M, n)
-        if M.chirality == "cocyclic":
-            B[n] = _restrict_to(amb, spaces[n + 1], spaces[n], f"B_{n}") \
-                if normalized else amb
-        else:
-            B[n] = amb
+        B[n] = spaces[n + 1].restrict(amb, spaces[n]) if normalized else amb
+        if B[n] is None:
+            raise HomologyError(f"B_{n} does not preserve the normalized subcomplex")
     data = MixedComplexData(M, normalized, spaces, b, B, rep)
     # the defining identities, on the stored complex
     for n in range(2, N + 1):
@@ -273,8 +248,11 @@ def _total_complex(mc: MixedComplexData, top: int):
 
 def cyclic_ranks(M: CyclicModuleData, maxN: int,
                  normalized: bool | None = None) -> list[int]:
-    """Dimensions of HC^0..HC^maxN from the total complex of the bicomplex.
+    """Dimensions of HC^0..HC^maxN (cochain) or HC_0..HC_maxN (chain) from the
+    total complex of the bicomplex.
 
+    A chain module runs through the cochain total complex of its transposed
+    mixed complex (b^T, B^T): over a field dim H_m(C) = dim H^m(C*).
     Truncation is safe because columns beyond the requested degree only
     contribute in higher total degrees.
     """
@@ -282,7 +260,8 @@ def cyclic_ranks(M: CyclicModuleData, maxN: int,
         raise HomologyError(f"need levels <= {maxN + 1} built for HC up to {maxN}")
     mc = mixed_complex(M, normalized)
     if M.chirality == "cyclic":
-        return _cyclic_ranks_chain(mc, maxN)
+        mc = replace(mc, b={n: m.transpose() for n, m in mc.b.items()},
+                     B={n: m.transpose() for n, m in mc.B.items()})
     top = maxN + 1
     comps, tot_dim, diffs = _total_complex(mc, top)
     out = []
@@ -294,69 +273,12 @@ def cyclic_ranks(M: CyclicModuleData, maxN: int,
     return out
 
 
-def _cyclic_ranks_chain(mc: MixedComplexData, maxN: int) -> list[int]:
-    """Chain-side total complex: Tot_m = (+) D_(m-2j), differential b + B into
-    degree m - 1."""
-    M = mc.source
-    F = M.tau(0).field
-    top = maxN + 1
-    comps = {m: [m - 2 * j for j in range(m // 2 + 1) if m - 2 * j >= 0]
-             for m in range(top + 1)}
-
-    def tot_dim(m):
-        return sum(mc.dim(k) for k in comps[m])
-
-    diffs = {}
-    for m in range(1, top + 1):
-        entries = {}
-        src_off = []
-        off = 0
-        for k in comps[m]:
-            src_off.append(off)
-            off += mc.dim(k)
-        tgt_off = []
-        off = 0
-        for k in comps[m - 1]:
-            tgt_off.append(off)
-            off += mc.dim(k)
-        for j, k in enumerate(comps[m]):
-            if k >= 1 and j < len(comps[m - 1]) and comps[m - 1][j] == k - 1:
-                bmat = mc.b.get(k)
-                if bmat is not None:
-                    for (r, c), v in bmat.entries.items():
-                        entries[(tgt_off[j] + r, src_off[j] + c)] = v
-            if j + 1 < len(comps[m - 1]) and comps[m - 1][j + 1] == k + 1:
-                Bmat = mc.B.get(k)
-                if Bmat is not None:
-                    for (r, c), v in Bmat.entries.items():
-                        key = (tgt_off[j + 1] + r, src_off[j] + c)
-                        entries[key] = entries.get(key, F.zero()) + v
-        diffs[m] = LinearMap(F, TensorShape([max(tot_dim(m), 0)]),
-                             TensorShape([max(tot_dim(m - 1), 0)]), entries)
-    out = []
-    for m in range(maxN + 1):
-        ker_dim = tot_dim(m) - diffs_rank(diffs, m) if m >= 1 else tot_dim(0)
-        im_rank = diffs_rank(diffs, m + 1)
-        out.append(ker_dim - im_rank)
-    return out
-
-
-def diffs_rank(diffs, m):
-    if m not in diffs:
-        return 0
-    return kernel_and_rank(diffs[m])[1]
-
-
 # -- the long exact sequence -------------------------------------------------------------------
 
 
-def _induced_rank(f_entries: list[list], src_cocycles: list[list], target_im: LinearMap,
-                  field, tgt_dim: int) -> int:
-    """Rank of a chain map induced on cohomology: image of the cocycles modulo
-    the coboundaries of the target."""
-    cols = []
-    for z in src_cocycles:
-        cols.append(z)
+def _induced_rank(cols: list[list], target_im: LinearMap, field, tgt_dim: int) -> int:
+    """Rank of a chain map induced on cohomology: the images cols of the
+    cocycles modulo the coboundaries of the target."""
     base_rank = kernel_and_rank(target_im)[1]
     entries = dict(target_im.entries)
     ncols = target_im.domain.dim
@@ -381,11 +303,7 @@ def sbi_consistency(M: CyclicModuleData, maxN: int) -> CheckReport:
     comps, tot_dim, diffs = _total_complex(mc, top)
 
     def cocycles(m):
-        if m == 0:
-            basis, _ = kernel_and_rank(diffs[0])
-            return basis
-        basis, _ = kernel_and_rank(diffs[m])
-        return basis
+        return kernel_and_rank(diffs[m])[0]
 
     def boundaries_map(m):
         return diffs[m - 1] if m >= 1 else LinearMap.zero(
@@ -437,7 +355,7 @@ def sbi_consistency(M: CyclicModuleData, maxN: int) -> CheckReport:
         if m >= 2:
             inc = inclusion(m)
             zs = cocycles(m - 2)
-            s_rank = _induced_rank(None, [inc.apply(z) for z in zs],
+            s_rank = _induced_rank([inc.apply(z) for z in zs],
                                    boundaries_map(m), F, tot_dim(m))
         else:
             s_rank = 0
@@ -446,10 +364,8 @@ def sbi_consistency(M: CyclicModuleData, maxN: int) -> CheckReport:
         zs_tot = cocycles(m)
         bmap = mc.b[m] if m >= 1 else LinearMap.zero(F, TensorShape([0]),
                                                      TensorShape([mc.dim(0)]))
-        i_rank = _induced_rank(None, [proj.apply(z) for z in zs_tot],
-                               bmap, F, mc.dim(m))
+        i_rank = _induced_rank([proj.apply(z) for z in zs_tot], bmap, F, mc.dim(m))
         # induced connecting B: HH^m -> HC^(m-1): lift to column, apply B
-        hh_cocycles = []
         bm1 = mc.b.get(m + 1)
         if bm1 is not None:
             basis, _ = kernel_and_rank(bm1)
@@ -464,8 +380,7 @@ def sbi_consistency(M: CyclicModuleData, maxN: int) -> CheckReport:
                 w = Bm.apply(z)
                 tot_vec = list(w) + [F.zero()] * (tot_dim(m - 1) - len(w))
                 images.append(tot_vec)
-            conn_rank = _induced_rank(None, images, boundaries_map(m - 1),
-                                      F, tot_dim(m - 1))
+            conn_rank = _induced_rank(images, boundaries_map(m - 1), F, tot_dim(m - 1))
         rep.check(f"exactness at HC^{m}: rank S + rank I = dim HC^{m}",
                   s_rank + i_rank == hc_dim(m))
         rep.check(f"exactness at HH^{m}: rank I + rank B = dim HH^{m}",

@@ -32,10 +32,6 @@ class HopfError(ValueError):
 Vector = list  # dense list of Scalars
 
 
-def _unit_shape() -> TensorShape:
-    return UNIT
-
-
 class HopfAlgebraData:
     """Structure constants of a finite-dimensional (optionally ribbon) Hopf algebra.
 
@@ -579,10 +575,6 @@ def twist_inverse(V: ModuleData) -> LinearMap:
     return V.rho_of(H.theta)
 
 
-def braiding_and_twist(V: ModuleData, W: ModuleData) -> tuple[LinearMap, LinearMap]:
-    return braiding(V, W), twist(V)
-
-
 def rotate_last_to_front(V: ModuleData, n: int) -> LinearMap:
     """The braided rotation V^(x)n (x) V -> V (x) V^(x)n: the last factor moves to
     the front through an inverse braiding and picks up one twist."""
@@ -1002,9 +994,3 @@ def algebra_from_json(obj: dict) -> tuple[HopfAlgebraData, list[ModuleData]]:
 def load_algebra(path) -> tuple[HopfAlgebraData, list[ModuleData]]:
     with open(path, "r", encoding="utf-8") as fh:
         return algebra_from_json(json.load(fh))
-
-
-def save_algebra(path, H: HopfAlgebraData, simples=None):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(algebra_to_json(H, simples), fh, indent=1, sort_keys=True)
-        fh.write("\n")

@@ -3,7 +3,8 @@
 A LinearMap carries its domain and codomain as TensorShapes (ordered factor
 dimensions); composition, tensor product, factor permutation, transpose and
 exact kernel/rank/solve are provided.  Vectors are plain dense lists of
-Scalars.  Everything is immutable after construction and exact.
+Scalars.  TensorShape and LinearMap are immutable after construction; all
+arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -71,10 +72,6 @@ class TensorShape:
 
 
 UNIT = TensorShape(())
-
-
-def scalar_shape() -> TensorShape:
-    return UNIT
 
 
 class LinearMap:
@@ -245,14 +242,18 @@ class LinearMap:
                 f"{len(self.entries)} nonzero)")
 
 
-def compose_tensor(*maps: LinearMap, op: str = "compose") -> LinearMap:
-    """Fold maps by composition (left after right) or by tensor product."""
-    if not maps:
-        raise ShapeError("need at least one map")
-    out = maps[0]
-    for m in maps[1:]:
-        out = out.compose(m) if op == "compose" else out.tensor(m)
-    return out
+def whisker(op: LinearMap, left: TensorShape, right: TensorShape) -> LinearMap:
+    """id_left (x) op (x) id_right, placed by index arithmetic: no identity
+    factor is built and no entry is multiplied."""
+    od, ocd, rd = op.domain.dim, op.codomain.dim, right.dim
+    entries = {}
+    for (r, c), v in op.entries.items():
+        for a in range(left.dim):
+            row, col = (a * ocd + r) * rd, (a * od + c) * rd
+            for b in range(rd):
+                entries[(row + b, col + b)] = v
+    return LinearMap(op.field, left * op.domain * right, left * op.codomain * right,
+                     entries)
 
 
 def permute_factors(field, shape: TensorShape, perm: Sequence[int]) -> LinearMap:
@@ -416,8 +417,6 @@ def solve(m: LinearMap, b: Sequence[Scalar]) -> list[Scalar] | None:
     for i, row in enumerate(rows):
         if i not in used and row and set(row) == {aug}:
             return None
-        if i not in used and row and all(c == aug for c in row):
-            return None
     zero = m.field.zero()
     sol = [zero] * ncols
     for col in sorted(pivots, reverse=True):
@@ -514,6 +513,20 @@ class SubspaceBasis:
                 return coords
             return None
         return solve(self._matrix, list(vec))
+
+    def restrict(self, ambient: LinearMap, target: "SubspaceBasis") -> LinearMap | None:
+        """The matrix of an ambient-space map from this basis to the target
+        basis, or None if the image of some basis vector leaves the target span."""
+        entries = {}
+        for c, vec in enumerate(self.vectors):
+            coords = target.coordinates(ambient.apply(vec))
+            if coords is None:
+                return None
+            for r, v in enumerate(coords):
+                if not v.is_zero():
+                    entries[(r, c)] = v
+        return LinearMap(ambient.field, TensorShape([self.dim]),
+                         TensorShape([target.dim]), entries)
 
     def matrix(self) -> LinearMap:
         """Inclusion of the subspace into the ambient space (columns = basis vectors)."""

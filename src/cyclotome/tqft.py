@@ -17,11 +17,11 @@ from dataclasses import dataclass, field as dc_field
 from .coend import CoendData
 from .cyclic_cat import CYCLIC
 from .cyclic_modules import (
-    CyclicModuleData, apply_cyclic_duality, apply_reindexing,
-    cocyclic_module_from_coalgebra, cyclic_module_from_algebra,
+    CyclicModuleData, _source_level, _target_level, apply_cyclic_duality,
+    apply_reindexing, cocyclic_module_from_coalgebra, cyclic_module_from_algebra,
     coend_algebra_object, coend_coalgebra_object, invariant_tensor_basis,
 )
-from .linalg import LinearMap, SubspaceBasis, TensorShape, UNIT, invert
+from .linalg import LinearMap, SubspaceBasis, TensorShape, UNIT, invert, whisker
 from .reports import CheckReport
 
 
@@ -88,22 +88,12 @@ def _omega_level_maps(data: CoendData, states: dict[int, SubspaceBasis],
                       functionals: dict[int, SubspaceBasis], N: int,
                       levels=None):
     """omega^n : Hom(1, C^(x)(n+1)) -> Hom(C^(x)(n+1), 1) via the onion pairing."""
-    F = data.field
     omega = {}
     omega_inv = {}
     for n in (range(N + 1) if levels is None else levels):
-        Wmat = nested_pairing_matrix(data, n)
-        entries = {}
-        for c, f in enumerate(states[n].vectors):
-            func = Wmat.transpose().apply(f)
-            coords = functionals[n].coordinates(func)
-            if coords is None:
-                raise TqftError(f"omega^{n} image leaves the functional space")
-            for r, v in enumerate(coords):
-                if not v.is_zero():
-                    entries[(r, c)] = v
-        om = LinearMap(F, TensorShape([states[n].dim]),
-                       TensorShape([functionals[n].dim]), entries)
+        om = states[n].restrict(nested_pairing_matrix(data, n).transpose(), functionals[n])
+        if om is None:
+            raise TqftError(f"omega^{n} image leaves the functional space")
         inv = invert(om)
         if inv is None:
             raise TqftError(f"omega^{n} is singular; the base is not factorizable")
@@ -139,108 +129,82 @@ def _gate(data: CoendData):
         raise TqftError("the base is not modular")
 
 
-def build_rt_cocyclic(data: CoendData, N: int) -> RTModuleData:
-    """The cocyclic state module: generator maps conjugate the reindexed coend
-    cocyclic module through omega; the relation suite runs as a sanity gate."""
+def _conjugated(M: CyclicModuleData, omega: dict[int, LinearMap],
+                omega_inv: dict[int, LinearMap]) -> dict[tuple, LinearMap]:
+    """Every generator g of M carried through the pairing isomorphisms:
+    omega_inv[target] o g o omega[source]."""
+    return {key: omega_inv[_target_level(M, key)].compose(g)
+            .compose(omega[_source_level(M, key)])
+            for key, g in M.gen.items()}
+
+
+def _build_rt(data: CoendData, N: int, chirality: str) -> RTModuleData:
+    """The state module: generator maps conjugate the reindexed coend module of
+    the given chirality through omega."""
     _gate(data)
-    base = cocyclic_module_from_coalgebra(coend_coalgebra_object(data), N)
+    if chirality == "cocyclic":
+        base = cocyclic_module_from_coalgebra(coend_coalgebra_object(data), N)
+    else:
+        base = cyclic_module_from_algebra(coend_algebra_object(data), N)
     reindexed = apply_reindexing(base)
     states = {n: rt_state_space(data, n) for n in range(N + 1)}
     omega, omega_inv = _omega_level_maps(data, states, reindexed.spaces, N)
-    gen = {}
-    for n in range(N + 1):
-        gen[("tau", n)] = omega_inv[n].compose(reindexed.tau(n)).compose(omega[n])
-        if n >= 1:
-            for i in range(n + 1):
-                gen[("delta", n, i)] = omega_inv[n].compose(
-                    reindexed.coface(n, i)).compose(omega[n - 1])
-        if n + 1 <= N:
-            for j in range(n + 1):
-                gen[("sigma", n, j)] = omega_inv[n].compose(
-                    reindexed.codegeneracy(n, j)).compose(omega[n + 1])
-    module = CyclicModuleData(CYCLIC, "cocyclic", N, states, gen,
-                              provenance=f"state cocyclic module of {data.algebra.name}")
-    rep = CheckReport(f"rt cocyclic module of {data.algebra.name}")
-    return RTModuleData(data, "cocyclic", module, omega, omega_inv, reindexed, rep)
+    module = CyclicModuleData(CYCLIC, chirality, N, states,
+                              _conjugated(reindexed, omega, omega_inv),
+                              provenance=f"state {chirality} module of {data.algebra.name}")
+    rep = CheckReport(f"rt {chirality} module of {data.algebra.name}")
+    return RTModuleData(data, chirality, module, omega, omega_inv, reindexed, rep)
+
+
+def build_rt_cocyclic(data: CoendData, N: int) -> RTModuleData:
+    """The cocyclic state module; the relation suite runs as a sanity gate."""
+    return _build_rt(data, N, "cocyclic")
 
 
 def build_rt_cyclic(data: CoendData, N: int) -> RTModuleData:
-    _gate(data)
-    base = cyclic_module_from_algebra(coend_algebra_object(data), N)
-    reindexed = apply_reindexing(base)
-    states = {n: rt_state_space(data, n) for n in range(N + 1)}
-    omega, omega_inv = _omega_level_maps(data, states, reindexed.spaces, N)
-    gen = {}
-    for n in range(N + 1):
-        gen[("tau", n)] = omega_inv[n].compose(reindexed.tau(n)).compose(omega[n])
-        if n >= 1:
-            for i in range(n + 1):
-                gen[("delta", n, i)] = omega_inv[n - 1].compose(
-                    reindexed.coface(n, i)).compose(omega[n])
-        if n + 1 <= N:
-            for j in range(n + 1):
-                gen[("sigma", n, j)] = omega_inv[n + 1].compose(
-                    reindexed.codegeneracy(n, j)).compose(omega[n])
-    module = CyclicModuleData(CYCLIC, "cyclic", N, states, gen,
-                              provenance=f"state cyclic module of {data.algebra.name}")
-    rep = CheckReport(f"rt cyclic module of {data.algebra.name}")
-    return RTModuleData(data, "cyclic", module, omega, omega_inv, reindexed, rep)
+    return _build_rt(data, N, "cyclic")
 
 
 # -- independent generator values ------------------------------------------------------------
 
 
-def _postcompose_on_states(data: CoendData, states, n_src: int, n_tgt: int,
-                           amb: LinearMap) -> LinearMap:
-    """Hom(1, C^a) -> Hom(1, C^b) induced by postcomposition with an ambient map."""
-    F = data.field
-    entries = {}
-    for c, f in enumerate(states[n_src].vectors):
-        w = amb.apply(f)
-        coords = states[n_tgt].coordinates(w)
-        if coords is None:
+def _closed_form_generators(rt: RTModuleData) -> dict[tuple, LinearMap]:
+    """The (co)faces and (co)degeneracies of the state module whose diagram
+    values are known in closed form, as postcomposition maps on the states:
+    unit insertions and products (cocyclic), counit contractions and coproduct
+    insertions (cyclic)."""
+    data = rt.base
+    M = rt.module
+    d = TensorShape([data.dim])
+    if rt.chirality == "cocyclic":
+        ops = {"delta": LinearMap.from_function(data.field, UNIT, d,
+                                                lambda c: enumerate(data.unit)),
+               "sigma": data.m.reshaped(d * d, d)}
+    else:
+        ops = {"delta": data.counit.reshaped(d, UNIT),
+               "sigma": data.Delta.reshaped(d, d * d)}
+    out = {}
+    for key in M.gen:
+        if key[0] == "tau":
+            continue
+        op, pos = ops[key[0]], key[2]
+        src, tgt = _source_level(M, key), _target_level(M, key)
+        rest = src + 1 - pos - len(op.domain.factors)
+        amb = whisker(op, TensorShape([data.dim] * pos), TensorShape([data.dim] * rest))
+        out[key] = M.spaces[src].restrict(amb, M.spaces[tgt])
+        if out[key] is None:
             raise TqftError("postcomposition leaves the invariant subspace")
-        for r, v in enumerate(coords):
-            if not v.is_zero():
-                entries[(r, c)] = v
-    return LinearMap(F, TensorShape([states[n_src].dim]),
-                     TensorShape([states[n_tgt].dim]), entries)
+    return out
 
 
-def _slot_map(data: CoendData, op: LinearMap, total: int, pos: int) -> LinearMap:
-    """Apply a structure map of the coend at slot pos of C^(x)total; the number
-    of consumed factors is read off the shape of op."""
-    F = data.field
-    d = data.dim
-    in_k = len(op.domain.factors)
-    parts = []
-    if pos > 0:
-        parts.append(LinearMap.identity(F, TensorShape([d] * pos)))
-    parts.append(op)
-    rest = total - pos - in_k
-    if rest > 0:
-        parts.append(LinearMap.identity(F, TensorShape([d] * rest)))
-    out = parts[0]
-    for p in parts[1:]:
-        out = out.tensor(p)
-    return out.reshaped(TensorShape([d ** total]), TensorShape([out.codomain.dim]))
-
-
-def _insert_unit_map(data: CoendData, total: int, pos: int) -> LinearMap:
-    F = data.field
-    d = data.dim
-    u_map = LinearMap.from_function(F, UNIT, TensorShape([d]),
-                                    lambda c: enumerate(data.unit))
-    parts = []
-    if pos > 0:
-        parts.append(LinearMap.identity(F, TensorShape([d] * pos)))
-    parts.append(u_map)
-    if total - pos > 0:
-        parts.append(LinearMap.identity(F, TensorShape([d] * (total - pos))))
-    out = parts[0]
-    for p in parts[1:]:
-        out = out.tensor(p)
-    return out.reshaped(TensorShape([d ** total]), TensorShape([d ** (total + 1)]))
+# chirality -> (face word, its closed form, the wrapping face's plain form,
+#               degeneracy word, its closed form)
+_SHAPE_NAMES = {
+    "cocyclic": ("coface", "the unit insertion", "plain insertion",
+                 "codegeneracy", "the product"),
+    "cyclic": ("face", "the counit contraction", "plain counit",
+               "degeneracy", "the coproduct insertion"),
+}
 
 
 def shape_checks(rt: RTModuleData) -> CheckReport:
@@ -251,54 +215,18 @@ def shape_checks(rt: RTModuleData) -> CheckReport:
     The inner cofaces/faces are required to match; the wrapping ones are
     reported informationally (their diagrams have no closed textual form).
     """
-    data = rt.base
     M = rt.module
-    states = M.spaces
-    N = M.max_level
     rep = CheckReport(f"shape checks for {M.provenance}")
-    if rt.chirality == "cocyclic":
-        for n in range(1, N + 1):
-            for i in range(n + 1):
-                amb = _insert_unit_map(data, n, i)
-                expected = _postcompose_on_states(data, states, n - 1, n, amb)
-                ok = expected.entries == M.coface(n, i).entries
-                if 1 <= i <= n - 1:
-                    rep.check(f"coface {i} at level {n} is the unit insertion", ok)
-                else:
-                    rep.check(f"[info] wrapping coface {i} at level {n} "
-                              f"{'matches' if ok else 'differs from'} plain insertion",
-                              True)
-        for n in range(N):
-            m_C = data.m.reshaped(TensorShape([data.dim ** 2]),
-                                  TensorShape([data.dim]))
-            for j in range(n + 1):
-                amb = _slot_map(data, m_C.reshaped(
-                    TensorShape([data.dim, data.dim]), TensorShape([data.dim])),
-                    n + 2, j)
-                expected = _postcompose_on_states(data, states, n + 1, n, amb)
-                rep.check(f"codegeneracy {j} at level {n} is the product",
-                          expected.entries == M.codegeneracy(n, j).entries)
-    else:
-        eps = data.counit.reshaped(TensorShape([data.dim]), UNIT)
-        for n in range(1, N + 1):
-            for i in range(n + 1):
-                amb = _slot_map(data, eps, n + 1, i)
-                expected = _postcompose_on_states(data, states, n, n - 1, amb)
-                ok = expected.entries == M.coface(n, i).entries
-                if 1 <= i <= n - 1:
-                    rep.check(f"face {i} at level {n} is the counit contraction", ok)
-                else:
-                    rep.check(f"[info] wrapping face {i} at level {n} "
-                              f"{'matches' if ok else 'differs from'} plain counit",
-                              True)
-        co = data.Delta.reshaped(TensorShape([data.dim]),
-                                 TensorShape([data.dim, data.dim]))
-        for n in range(N):
-            for j in range(n + 1):
-                amb = _slot_map(data, co, n + 1, j)
-                expected = _postcompose_on_states(data, states, n, n + 1, amb)
-                rep.check(f"degeneracy {j} at level {n} is the coproduct insertion",
-                          expected.entries == M.codegeneracy(n, j).entries)
+    face, face_value, plain, degen, degen_value = _SHAPE_NAMES[rt.chirality]
+    for (kind, n, i), expected in _closed_form_generators(rt).items():
+        ok = expected.entries == M.gen[(kind, n, i)].entries
+        if kind == "sigma":
+            rep.check(f"{degen} {i} at level {n} is {degen_value}", ok)
+        elif 1 <= i <= n - 1:
+            rep.check(f"{face} {i} at level {n} is {face_value}", ok)
+        else:
+            rep.check(f"[info] wrapping {face} {i} at level {n} "
+                      f"{'matches' if ok else 'differs from'} {plain}", True)
     return rep
 
 
@@ -319,7 +247,6 @@ def verify_main_theorem(data: CoendData, N: int,
     rt = rt or build_rt_cocyclic(data, N)
     M = rt.module
     reT = rt.reindexed_coend
-    states = M.spaces
 
     rel = check_relations(M)
     rep.check("state module satisfies every cocyclic relation", rel.ok)
@@ -328,24 +255,15 @@ def verify_main_theorem(data: CoendData, N: int,
 
     # (ii) independent naturality squares: omega o (known generator) =
     # (reindexed coend generator) o omega, for the non-wrapping generators
-    for n in range(1, N + 1):
-        for i in range(1, n):
-            amb = _insert_unit_map(data, n, i)
-            known = _postcompose_on_states(data, states, n - 1, n, amb)
-            lhs = rt.omega_maps[n].compose(known)
-            rhs = reT.coface(n, i).compose(rt.omega_maps[n - 1])
-            rep.check(f"naturality square for coface {i} at level {n}",
-                      lhs.entries == rhs.entries)
-    for n in range(N):
-        for j in range(n + 1):
-            m_C = data.m.reshaped(TensorShape([data.dim, data.dim]),
-                                  TensorShape([data.dim]))
-            amb = _slot_map(data, m_C, n + 2, j)
-            known = _postcompose_on_states(data, states, n + 1, n, amb)
-            lhs = rt.omega_maps[n].compose(known)
-            rhs = reT.codegeneracy(n, j).compose(rt.omega_maps[n + 1])
-            rep.check(f"naturality square for codegeneracy {j} at level {n}",
-                      lhs.entries == rhs.entries)
+    face, _, _, degen, _ = _SHAPE_NAMES[rt.chirality]
+    for key, known in _closed_form_generators(rt).items():
+        kind, n, i = key
+        if kind == "delta" and not 1 <= i <= n - 1:
+            continue
+        lhs = rt.omega_maps[_target_level(M, key)].compose(known)
+        rhs = reT.gen[key].compose(rt.omega_maps[_source_level(M, key)])
+        rep.check(f"naturality square for {face if kind == 'delta' else degen} {i} "
+                  f"at level {n}", lhs.entries == rhs.entries)
     for n in range(N + 1):
         lhs = rt.omega_maps[n].compose(M.tau(n))
         rhs = reT.tau(n).compose(rt.omega_maps[n])
@@ -363,17 +281,9 @@ def verify_main_theorem(data: CoendData, N: int,
     base = cocyclic_module_from_coalgebra(coend_coalgebra_object(data), N)
     rhs_dual = apply_cyclic_duality(base)
     ok = True
-    for key in rhs_dual.gen:
-        kind = key[0]
-        n = key[1]
-        if kind == "tau":
-            src = tgt = n
-        elif kind == "delta":  # faces of the duals: level n -> n-1
-            src, tgt = n, n - 1
-        else:
-            src, tgt = n, n + 1
-        lhs = rt.omega_maps[tgt].compose(lhs_dual.gen[key])
-        rhs = rhs_dual.gen[key].compose(rt.omega_maps[src])
+    for key, g in rhs_dual.gen.items():
+        lhs = rt.omega_maps[_target_level(rhs_dual, key)].compose(lhs_dual.gen[key])
+        rhs = g.compose(rt.omega_maps[_source_level(rhs_dual, key)])
         if lhs.entries != rhs.entries:
             ok = False
             rep.check(f"dual comparison fails at {key}", False)

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from cyclotome.cli import main
 
-DATA = Path(__file__).resolve().parents[1] / "src" / "cyclotome" / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
+DATA = SRC / "cyclotome" / "data"
 
 
 def run(capsys, *argv):
@@ -38,6 +44,26 @@ def test_missing_file_is_input_error(capsys):
     code, _, err = run(capsys, "hopf", "verify", "--algebra", "nope.json")
     assert code == 2
     assert "no such file" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("module", "build", "--which", "rtc", "-N", "-1"),
+    ("module", "build", "--which", "W", "-N", "-1"),
+    ("homology", "-N", "-2"),
+    ("module", "build", "--which", "rcyclic", "--simple", "9"),
+])
+def test_bad_level_or_simple_is_input_error(argv):
+    # a separate interpreter, so that an uncaught exception shows as a traceback
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cyclotome.cli", *argv, "--no-cache",
+         "--algebra", str(DATA / "double_z2.json")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("input error:")
+    assert len(proc.stderr.strip().splitlines()) == 1
 
 
 def test_coend_build_flags(capsys):

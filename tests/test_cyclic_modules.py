@@ -246,7 +246,6 @@ def test_dual_formulas_independent_implementation(coends):
     co = cd.Delta.reshaped(V.shape, V.shape * V.shape)
     eye = LinearMap.identity(F, V.shape)
     d = V.dim
-    from cyclotome.cyclic_modules import _restrict
     for n in range(1, N + 1):
         for i in range(n):
             parts = []
@@ -259,8 +258,7 @@ def test_dual_formulas_independent_implementation(coends):
             for p in parts[1:]:
                 ins = p if ins is None else ins.tensor(p)
             ins = ins.reshaped(TensorShape([d ** n]), TensorShape([d ** (n + 1)]))
-            direct = _restrict(ins.transpose(), M.spaces[n], M.spaces[n - 1],
-                               "direct face")
+            direct = M.spaces[n].restrict(ins.transpose(), M.spaces[n - 1])
             assert direct.entries == dual.coface(n, i).entries, (n, i)
 
 

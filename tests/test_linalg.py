@@ -2,11 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cyclotome.fields import PrimeField, Rationals
+from cyclotome.fields import Cyclotomic, PrimeField, Rationals
 from cyclotome.linalg import (
     LinearMap, ShapeError, TensorShape, block_flip, invert, kernel_and_rank,
-    solve, swap_factors, SubspaceBasis,
+    solve, swap_factors, SubspaceBasis, whisker,
 )
 
 Q = Rationals()
@@ -149,3 +150,33 @@ def test_subspace_coordinates():
     coords = basis.coordinates([Q.from_int(2), Q.from_int(3), Q.from_int(5)])
     assert coords == [Q.from_int(2), Q.from_int(3)]
     assert basis.coordinates([Q.one(), Q.zero(), Q.zero()]) is None
+
+
+def test_subspace_restrict():
+    vs = [[Q.one(), Q.zero(), Q.one()], [Q.zero(), Q.one(), Q.one()]]
+    basis = SubspaceBasis(Q, 3, vs)
+    swap01 = LinearMap(Q, TensorShape([3]), TensorShape([3]),
+                       {(1, 0): Q.one(), (0, 1): Q.one(), (2, 2): Q.one()})
+    assert basis.restrict(swap01, basis).entries == {(1, 0): Q.one(), (0, 1): Q.one()}
+    # e0 + e2 |-> e0 leaves the span: the restriction does not exist
+    first = LinearMap(Q, TensorShape([3]), TensorShape([3]), {(0, 0): Q.one()})
+    assert basis.restrict(first, basis) is None
+
+
+WHISKER_FIELDS = (Q, PrimeField(7), Cyclotomic(4))
+factor_lists = st.lists(st.integers(1, 3), max_size=2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(WHISKER_FIELDS), factor_lists, factor_lists, factor_lists,
+       factor_lists, st.data())
+def test_whisker_matches_kronecker_with_identities(F, left, right, dom, cod, data):
+    left, right, dom, cod = map(TensorShape, (left, right, dom, cod))
+    zeta = F.generator() if F.kind == F.CYCLOTOMIC else F.from_int(2)
+    cells = st.tuples(st.integers(0, cod.dim - 1), st.integers(0, dom.dim - 1))
+    raw = data.draw(st.dictionaries(cells, st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                                    max_size=dom.dim * cod.dim))
+    op = LinearMap(F, dom, cod, {k: F.from_int(a) + F.from_int(b) * zeta
+                                 for k, (a, b) in raw.items()})
+    reference = LinearMap.identity(F, left).tensor(op).tensor(LinearMap.identity(F, right))
+    assert whisker(op, left, right) == reference
