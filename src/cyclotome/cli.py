@@ -13,9 +13,10 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
-from . import cyclic_cat as cc
+from . import __version__, cyclic_cat as cc
 from .coend import CoendError, build_coend_hopf, end_and_drinfeld
 from .cyclic_modules import (
     CyclicModuleError, build_paracyclic,
@@ -70,8 +71,40 @@ def _cache_dir(args) -> Path | None:
 def _cache_key(path: str, *params) -> str:
     h = hashlib.sha256()
     h.update(Path(path).read_bytes())
-    h.update(repr(params).encode())
+    h.update(repr((__version__, SCHEMA, *params)).encode())
     return h.hexdigest()
+
+
+# what a truncated, edited or foreign cache file can raise while it is parsed
+# and rebuilt into maps; any of them makes the entry a miss
+_DAMAGED_CACHE = (OSError, ValueError, LookupError, TypeError, AttributeError,
+                  ArithmeticError, RecursionError)
+
+
+def _read_cache(path: Path, load):
+    """load(the file's JSON), or None when the entry is missing, damaged, or
+    rejected by load returning None.
+
+    The gates are not re-run on what load returns."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return load(json.load(fh))
+    except _DAMAGED_CACHE:
+        return None
+
+
+def _write_cache(path: Path, obj: dict):
+    """Write through a temporary file in the same directory and os.replace, so
+    that a reader never sees a partly written entry."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh, sort_keys=True)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _emit(args, payload: dict, ok: bool) -> int:
@@ -132,24 +165,19 @@ def cmd_coend_build(args) -> int:
 
     H, simples = _load(args.algebra)
     cache_dir = _cache_dir(args)
-    cached = False
+    cache_file = None
     data = None
-    key = None
     if cache_dir is not None:
-        key = _cache_key(args.algebra, "coend")
-        cache_file = cache_dir / f"coend-{key}.json"
-        if cache_file.exists():
-            with open(cache_file, "r", encoding="utf-8") as fh:
-                data = coend_from_json(H, json.load(fh))
-            if simples:
-                data.caches["simples"] = simples
-            cached = True
-    if data is None:
+        cache_file = cache_dir / f"coend-{_cache_key(args.algebra, 'coend')}.json"
+        data = _read_cache(cache_file, lambda obj: coend_from_json(H, obj)
+                           if obj["dim"] == H.dim else None)
+    cached = data is not None
+    if not cached:
         data = build_coend_hopf(H, simples or None)
-        if cache_dir is not None:
-            cache_dir.mkdir(parents=True, exist_ok=True)
-            with open(cache_dir / f"coend-{key}.json", "w", encoding="utf-8") as fh:
-                json.dump(coend_to_json(data), fh, sort_keys=True)
+        if cache_file is not None:
+            _write_cache(cache_file, coend_to_json(data))
+    elif simples:
+        data.caches["simples"] = simples
     payload = {
         "algebra": H.name,
         "carrier_dim": data.dim,
@@ -191,16 +219,13 @@ def cmd_module_build(args) -> int:
             raise InputError(f"--simple {args.simple} is out of range: the file has "
                              f"{len(simples)} simples")
     cache_dir = _cache_dir(args)
-    cached = False
+    cache_file = None
     module = None
-    key = None
     if cache_dir is not None and args.which in _BUILDERS:
-        key = _cache_key(args.algebra, args.which, N)
-        cache_file = cache_dir / f"module-{key}.json"
-        if cache_file.exists():
-            with open(cache_file, "r", encoding="utf-8") as fh:
-                module = module_from_json(json.load(fh))
-            cached = True
+        cache_file = cache_dir / f"module-{_cache_key(args.algebra, args.which, N)}.json"
+        module = _read_cache(cache_file, lambda obj: module_from_json(obj)
+                             if obj["max_level"] == N else None)
+    cached = module is not None
 
     extra_reports = []
     payload = {"algebra": H.name, "which": args.which, "max_level": N,
@@ -233,10 +258,8 @@ def cmd_module_build(args) -> int:
         _emit(args, payload, False)
         return 1
 
-    if cache_dir is not None and key is not None and not cached:
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        with open(cache_dir / f"module-{key}.json", "w", encoding="utf-8") as fh:
-            json.dump(module_to_json(module), fh, sort_keys=True)
+    if cache_file is not None and not cached:
+        _write_cache(cache_file, module_to_json(module))
 
     rel = check_relations(module)
     payload["levels"] = {str(n): module.dim(n) for n in range(N + 1)}

@@ -16,11 +16,13 @@ from dataclasses import dataclass, field as dc_field
 from .fields import Scalar
 from .hopf import (
     HopfAlgebraData, ModuleData, Vector, braiding, coadjoint_module,
-    dual_module, invariants, modular_data, module_power, pivot_inverse, qdim,
-    regular_module, rotate_last_to_front, tensor_module, twist, trivial_module,
+    dual_module, invariance_blocks, invariants, modular_data, module_power,
+    pivot_inverse, qdim, regular_module, rotate_last_to_front, tensor_module, twist,
+    trivial_module,
 )
 from .linalg import (
-    LinearMap, TensorShape, UNIT, block_flip, invert, kernel_and_rank,
+    LinearMap, TensorShape, UNIT, block_flip, invert, kernel_and_rank, rank, stack,
+    whisker,
 )
 from .reports import CheckReport
 
@@ -221,7 +223,7 @@ def build_coend_hopf(H: HopfAlgebraData,
     i_H = dinatural_component(H, Hreg, C)
 
     # surjectivity of i_H and the section property
-    _, rk = kernel_and_rank(i_H)
+    rk = rank(i_H)
     rep.check("dinatural component of the regular module is surjective", rk == d)
     s = coend_section(H)
     rep.check("section property i_H o s = id", i_H.compose(s) == LinearMap.identity(F, C.shape))
@@ -326,7 +328,6 @@ def _solve_antipode(F, d, m_C, unit, Delta_C, eps_C) -> LinearMap:
     """Solve m(S (x) id)Delta = u eps = m(id (x) S)Delta for S by linear algebra."""
     # unknowns S[r][c]; build the two convolution constraints stacked
     shape = TensorShape([d])
-    eye = LinearMap.identity(F, shape)
     u_map = LinearMap.from_function(F, UNIT, shape, lambda c: enumerate(unit))
     target = u_map.compose(eps_C)
     rows = {}
@@ -435,28 +436,14 @@ def _solve_integrals(data: CoendData, rep: CheckReport):
     C = data.carrier
     m, Delta, eps = data.m, data.Delta, data.counit
 
+    def basis_map(k):  # e_k : 1 -> C
+        return LinearMap(F, UNIT, C.shape, {(k, 0): F.one()})
+
     # right integral: m(Lambda (x) c) = eps(c) Lambda for all c, Lambda invariant
-    rows = {}
-    row = 0
-    for c in range(d):
-        eps_c = eps.entry(0, c)
-        for out in range(d):
-            for lam in range(d):
-                v = m.entry(out, lam * d + c) - (eps_c if lam == out else F.zero())
-                if not v.is_zero():
-                    rows[(row, lam)] = rows.get((row, lam), F.zero()) + v
-            row += 1
-    for k in range(data.algebra.dim):
-        rho = C.rho(k)
-        eps_k = data.algebra.epsilon.entry(0, k)
-        for r in range(d):
-            for cc in range(d):
-                v = rho.entry(r, cc) - (eps_k if r == cc else F.zero())
-                if not v.is_zero():
-                    rows[(row, cc)] = rows.get((row, cc), F.zero()) + v
-            row += 1
-    sys_map = LinearMap(F, C.shape, TensorShape([max(row, 1)]), rows)
-    basis, _ = kernel_and_rank(sys_map)
+    blocks = invariance_blocks(
+        lambda c: m.compose(whisker(basis_map(c), C.shape, UNIT)), eps)
+    blocks += invariance_blocks(C.rho, data.algebra.epsilon)
+    basis, _ = kernel_and_rank(stack(blocks))
     data.caches["integral_space_dim"] = len(basis)
     if len(basis) != 1:
         if data.pairing_nondegenerate:
@@ -465,39 +452,15 @@ def _solve_integrals(data: CoendData, rep: CheckReport):
         return  # no invariant integral (the underlying algebra is not unimodular)
     Lambda = basis[0]
 
-    # left cointegral: (id (x) lam)Delta = u lam, lam an invariant functional
-    rows = {}
-    row = 0
-    for inp in range(d):
-        for out in range(d):
-            # sum_b Delta[(out,b),inp] lam[b] - unit[out] lam[inp] = 0
-            coeffs = {}
-            for b in range(d):
-                v = Delta.entry(out * d + b, inp)
-                if not v.is_zero():
-                    coeffs[b] = coeffs.get(b, F.zero()) + v
-            coeffs[inp] = coeffs.get(inp, F.zero()) - data.unit[out]
-            for b, v in coeffs.items():
-                if not v.is_zero():
-                    rows[(row, b)] = v
-            row += 1
-    for k in range(data.algebra.dim):
-        rho = C.rho(k)
-        eps_k = data.algebra.epsilon.entry(0, k)
-        # functional invariance: lam o rho(k) = eps(k) lam
-        for cc in range(d):
-            coeffs = {}
-            for r in range(d):
-                v = rho.entry(r, cc)
-                if not v.is_zero():
-                    coeffs[r] = coeffs.get(r, F.zero()) + v
-            coeffs[cc] = coeffs.get(cc, F.zero()) - eps_k
-            for b, v in coeffs.items():
-                if not v.is_zero():
-                    rows[(row, b)] = v
-            row += 1
-    sys_map = LinearMap(F, C.shape, TensorShape([max(row, 1)]), rows)
-    basis, _ = kernel_and_rank(sys_map)
+    # left cointegral: (id (x) lam)Delta = u lam, lam an invariant functional; as
+    # equations on lam these are the transposes of (e_k^* (x) id)Delta - u_k id
+    # and of rho(k) - eps(k) id
+    blocks = invariance_blocks(
+        lambda k: whisker(basis_map(k).transpose(), UNIT, C.shape).compose(
+            Delta).transpose(),
+        data.unit_map().transpose())
+    blocks += invariance_blocks(lambda k: C.rho(k).transpose(), data.algebra.epsilon)
+    basis, _ = kernel_and_rank(stack(blocks))
     data.caches["cointegral_space_dim"] = len(basis)
     if len(basis) != 1:
         if data.pairing_nondegenerate:
@@ -560,7 +523,6 @@ def _solve_pairing_inverse(data: CoendData, rep: CheckReport):
     Omega = [F.zero()] * (d * d)
     for (a, b), v in Winv.entries.items():
         Omega[a * d + b] = v
-    eye = LinearMap.identity(F, data.carrier.shape)
     omega_map = data.pairing
 
     def contract_left(Om):
@@ -798,7 +760,7 @@ def characters_span_check(data: CoendData) -> CheckReport:
             if not v.is_zero():
                 entries[(r, c)] = v
     mat = LinearMap(F, TensorShape([len(chis)]), data.carrier.shape, entries)
-    _, rk = kernel_and_rank(mat)
+    rk = rank(mat)
     rep.check("characters are linearly independent", rk == len(chis))
     rep.check("characters span Hom(1, C)", rk == len(inv))
     return rep
@@ -876,7 +838,7 @@ def end_and_drinfeld(data: CoendData) -> tuple[EndData, LinearMap, dict]:
               D.tensor(D).compose(data.Delta.reshaped(TensorShape([d]),
                                                       TensorShape([d, d]))))
 
-    _, rk = kernel_and_rank(Wmat)
+    rk = rank(Wmat)
     flags = {
         "pairing_nondegenerate": rk == d,
         "drinfeld_invertible": invert(D) is not None,

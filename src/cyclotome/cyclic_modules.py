@@ -20,12 +20,13 @@ from .cyclic_cat import (
 from .coend import CoendData, _is_intertwiner
 from .fields import Scalar
 from .hopf import (
-    HopfAlgebraData, ModuleData, Vector, hom_space, module_power,
+    HopfAlgebraData, ModuleData, Vector, hom_space, invariance_blocks, module_power,
     right_coadjoint_power, rotate_front_to_last, rotate_last_to_front,
     single_slot_right_action, trivial_module, twist,
 )
 from .linalg import (
-    LinearMap, SubspaceBasis, TensorShape, UNIT, invert, permute_factors, whisker,
+    LinearMap, SubspaceBasis, TensorShape, UNIT, invert, permute_factors, stack,
+    whisker,
 )
 from .reports import CheckReport
 
@@ -44,43 +45,19 @@ def invariant_tensor_basis(H: HopfAlgebraData, n: int) -> SubspaceBasis:
         raise CyclicModuleError("invariant tensors need n >= 1")
     F = H.field
     act = right_coadjoint_power(H, n)
-    dim = H.dim ** n
-    rows = {}
-    row = 0
-    for k in range(H.dim):
-        eps_k = H.epsilon.entry(0, k)
-        # constraint (X <| e_k) - eps(e_k) X = 0
-        for (r, c), v in act.entries.items():
-            cc, kk = divmod(c, H.dim)
-            if kk == k:
-                rows[(row + r, cc)] = rows.get((row + r, cc), F.zero()) + v
-        for i in range(dim):
-            key = (row + i, i)
-            rows[key] = rows.get(key, F.zero()) - eps_k
-        row += dim
-    system = LinearMap(F, TensorShape([dim]), TensorShape([max(row, 1)]),
-                       {k: v for k, v in rows.items() if not v.is_zero()})
-    return SubspaceBasis.from_kernel(F, system)
+    shape = H.power_shape(n)
+    # X <| e_k is act o (id (x) e_k), with e_k : 1 -> H
+    blocks = invariance_blocks(
+        lambda k: act.compose(whisker(LinearMap(F, UNIT, H.shape, {(k, 0): F.one()}),
+                                      shape, UNIT)),
+        H.epsilon)
+    return SubspaceBasis.from_kernel(F, stack(blocks))
 
 
 def invariant_functional_basis(V: ModuleData) -> SubspaceBasis:
     """Basis of Hom(V, 1) as functional coordinate vectors."""
-    H = V.algebra
-    F = H.field
-    rows = {}
-    row = 0
-    for k in range(H.dim):
-        rho_t = V.rho(k).transpose()
-        eps_k = H.epsilon.entry(0, k)
-        for (r, c), v in rho_t.entries.items():
-            rows[(row + r, c)] = rows.get((row + r, c), F.zero()) + v
-        for i in range(V.dim):
-            key = (row + i, i)
-            rows[key] = rows.get(key, F.zero()) - eps_k
-        row += V.dim
-    system = LinearMap(F, V.shape, TensorShape([max(row, 1)]),
-                       {k: v for k, v in rows.items() if not v.is_zero()})
-    return SubspaceBasis.from_kernel(F, system)
+    blocks = invariance_blocks(lambda k: V.rho(k).transpose(), V.algebra.epsilon)
+    return SubspaceBasis.from_kernel(V.algebra.field, stack(blocks))
 
 
 # -- the carrier type ------------------------------------------------------------------
@@ -775,15 +752,12 @@ def r_cyclic_from_simple(M: CyclicModuleData, simple: ModuleData,
 
     N = M.max_level
     spaces = {}
-    homs = {}
     for n in range(N + 1):
         W = M.level_modules.get(n)
         if W is None:
             raise CyclicModuleError("r-cyclic restriction needs object-level modules")
-        basis = hom_space(W, simple)
-        homs[n] = basis
         vecs = []
-        for T in basis:
+        for T in hom_space(W, simple):
             vec = [F.zero()] * (simple.dim * W.dim)
             for (rr, cc), v in T.entries.items():
                 vec[rr * W.dim + cc] = v
@@ -791,21 +765,14 @@ def r_cyclic_from_simple(M: CyclicModuleData, simple: ModuleData,
         spaces[n] = SubspaceBasis(F, simple.dim * W.dim, vecs)
 
     def postcompose(a: int, b: int) -> Callable[[LinearMap], LinearMap]:
-        """Hom(W_b, i) -> Hom(W_a, i) induced by an object map W_a -> W_b."""
+        """Hom(W_b, i) -> Hom(W_a, i) induced by an object map f : W_a -> W_b; on
+        T flattened as a vector of i (x) W_b, T o f is (id_i (x) f^T) T."""
         def build(obj_map: LinearMap) -> LinearMap:
-            entries = {}
-            amb = obj_map.reshaped(TensorShape([obj_map.domain.dim]),
-                                   TensorShape([obj_map.codomain.dim]))
-            for c, T in enumerate(homs[b]):
-                comp = T.reshaped(amb.codomain, T.codomain).compose(amb)
-                coords = _hom_coordinates(comp, homs[a], F)
-                if coords is None:
-                    raise CyclicModuleError("postcomposition leaves the hom space")
-                for rr, v in enumerate(coords):
-                    if not v.is_zero():
-                        entries[(rr, c)] = v
-            return LinearMap(F, TensorShape([len(homs[b])]),
-                             TensorShape([len(homs[a])]), entries)
+            out = spaces[b].restrict(whisker(obj_map.transpose(), simple.shape, UNIT),
+                                     spaces[a])
+            if out is None:
+                raise CyclicModuleError("postcomposition leaves the hom space")
+            return out
         return build
 
     # Hom(-, i) is contravariant: the same generator keys carry over, with the
@@ -955,17 +922,3 @@ def module_from_json(obj: dict) -> CyclicModuleData:
                              TensorShape([mdata["tgt"]]), entries)
     return CyclicModuleData(variant, obj["chirality"], obj["max_level"],
                             spaces, gen, provenance=obj.get("provenance", ""))
-
-
-def _hom_coordinates(T: LinearMap, basis: list[LinearMap], F):
-    """Coordinates of an intertwiner in a hom-space basis, by solving on entries."""
-    if not basis:
-        return [] if not T.entries else None
-    keys = sorted({k for B in basis for k in B.entries} | set(T.entries))
-    from .linalg import solve as lin_solve
-    mat = LinearMap(F, TensorShape([len(basis)]), TensorShape([max(len(keys), 1)]),
-                    {(r, c): B.entries[k]
-                     for r, k in enumerate(keys)
-                     for c, B in enumerate(basis) if k in B.entries})
-    rhs = [T.entries.get(k, F.zero()) for k in keys]
-    return lin_solve(mat, rhs)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field, replace
 
 from .cyclic_modules import CyclicModuleData
-from .linalg import LinearMap, SubspaceBasis, TensorShape, kernel_and_rank, rank
+from .linalg import LinearMap, SubspaceBasis, TensorShape, kernel_and_rank, rank, stack
 from .reports import CheckReport
 
 
@@ -138,16 +138,8 @@ def _normalized_spaces(M: CyclicModuleData) -> dict[int, SubspaceBasis]:
     F = M.tau(0).field
     out = {0: SubspaceBasis.standard(F, M.dim(0))}
     for n in range(1, M.max_level + 1):
-        rows = {}
-        row = 0
-        for j in range(n):
-            sigma = M.codegeneracy(n - 1, j)
-            for (r, c), v in sigma.entries.items():
-                rows[(row + r, c)] = v
-            row += sigma.codomain.dim
-        system = LinearMap(F, TensorShape([M.dim(n)]), TensorShape([max(row, 1)]),
-                           rows)
-        out[n] = SubspaceBasis.from_kernel(F, system)
+        out[n] = SubspaceBasis.from_kernel(
+            F, stack([M.codegeneracy(n - 1, j) for j in range(n)]))
     return out
 
 
@@ -266,9 +258,9 @@ def cyclic_ranks(M: CyclicModuleData, maxN: int,
     comps, tot_dim, diffs = _total_complex(mc, top)
     out = []
     for m in range(maxN + 1):
-        ker_dim = tot_dim(m) - kernel_and_rank(diffs[m])[1] if m in diffs \
+        ker_dim = tot_dim(m) - rank(diffs[m]) if m in diffs \
             else tot_dim(m)
-        im_rank = kernel_and_rank(diffs[m - 1])[1] if m >= 1 else 0
+        im_rank = rank(diffs[m - 1]) if m >= 1 else 0
         out.append(ker_dim - im_rank)
     return out
 
@@ -279,7 +271,7 @@ def cyclic_ranks(M: CyclicModuleData, maxN: int,
 def _induced_rank(cols: list[list], target_im: LinearMap, field, tgt_dim: int) -> int:
     """Rank of a chain map induced on cohomology: the images cols of the
     cocycles modulo the coboundaries of the target."""
-    base_rank = kernel_and_rank(target_im)[1]
+    base_rank = rank(target_im)
     entries = dict(target_im.entries)
     ncols = target_im.domain.dim
     for add_c, vec in enumerate(cols):
@@ -288,7 +280,7 @@ def _induced_rank(cols: list[list], target_im: LinearMap, field, tgt_dim: int) -
                 entries[(r, ncols + add_c)] = v
     big = LinearMap(field, TensorShape([ncols + len(cols)]),
                     TensorShape([tgt_dim]), entries)
-    return kernel_and_rank(big)[1] - base_rank
+    return rank(big) - base_rank
 
 
 def sbi_consistency(M: CyclicModuleData, maxN: int) -> CheckReport:
@@ -312,14 +304,14 @@ def sbi_consistency(M: CyclicModuleData, maxN: int) -> CheckReport:
     def hc_dim(m):
         if m < 0:
             return 0
-        k = tot_dim(m) - (kernel_and_rank(diffs[m])[1] if m in diffs else 0)
-        return k - (kernel_and_rank(diffs[m - 1])[1] if m >= 1 else 0)
+        k = tot_dim(m) - (rank(diffs[m]) if m in diffs else 0)
+        return k - (rank(diffs[m - 1]) if m >= 1 else 0)
 
     # HH from the quotient complex (the j = 0 column with differential b)
     def hh_dim(m):
         bm1 = mc.b.get(m + 1)
-        ker = mc.dim(m) - (kernel_and_rank(bm1)[1] if bm1 is not None else 0)
-        im = kernel_and_rank(mc.b[m])[1] if m >= 1 else 0
+        ker = mc.dim(m) - (rank(bm1) if bm1 is not None else 0)
+        im = rank(mc.b[m]) if m >= 1 else 0
         return ker - im
 
     rep = CheckReport(f"periodicity sequence bookkeeping for {M.provenance}")

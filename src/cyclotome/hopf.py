@@ -15,12 +15,12 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .fields import FieldSpec, Scalar
 from .linalg import (
     LinearMap, TensorShape, UNIT, block_flip, invert, kernel_and_rank,
-    permute_factors, solve,
+    permute_factors, solve, stack, whisker,
 )
 from .reports import CheckReport
 
@@ -248,7 +248,6 @@ def verify_quasitriangular_ribbon(H: HopfAlgebraData) -> CheckReport:
         raise HopfError("R, R_inv, theta, theta_inv must all be present")
     F = H.field
     pairs = H.r_pairs()
-    inv_pairs = H.r_inv_pairs()
 
     one2 = H.unit_power(2)
     rep.check("R invertible (left)", H.multiply(H.R_inv, H.R, 2) == one2)
@@ -475,60 +474,42 @@ def single_slot_right_action(H: HopfAlgebraData, h: Vector) -> LinearMap:
 # -- hom spaces ----------------------------------------------------------------------
 
 
+def invariance_blocks(rho: Callable[[int], LinearMap], eps: LinearMap) -> list[LinearMap]:
+    """The blocks rho(k) - eps(e_k) id, one per basis element e_k of the source
+    of the functional eps: the kernel of their stack is
+    {x : rho(k) x = eps(e_k) x for every k}.  Transposed blocks cut out the
+    functionals f with f o rho(k) = eps(e_k) f."""
+    blocks = []
+    for k in range(eps.domain.dim):
+        r, e = rho(k), eps.entry(0, k)
+        blocks.append(r - LinearMap(r.field, r.domain, r.codomain,
+                                    {(i, i): e for i in range(r.domain.dim)}))
+    return blocks
+
+
 def hom_space(V: ModuleData, W: ModuleData) -> list[LinearMap]:
     """Basis of the intertwiners {T : V -> W with T rho_V(h) = rho_W(h) T}."""
     if V.algebra is not W.algebra and V.algebra != W.algebra:
         raise HopfError("modules over different algebras")
     H = V.algebra
-    F = H.field
-    n_unknowns = W.dim * V.dim  # T[r][c], row-major index r * V.dim + c
-    rows: dict[tuple[int, int], Scalar] = {}
-    row_no = 0
-    for k in range(H.dim):
-        rv = V.rho(k)
-        rw = W.rho(k)
-        # constraint: sum_c T[r][c] rv[c][j] - sum_i rw[r][i] T[i][j] = 0 for all r, j
-        for r in range(W.dim):
-            for j in range(V.dim):
-                for (c, jj), val in ((kk, vv) for kk, vv in rv.entries.items()):
-                    if jj == j:
-                        key = (row_no, r * V.dim + c)
-                        rows[key] = rows.get(key, F.zero()) + val
-                for (rr, i), val in ((kk, vv) for kk, vv in rw.entries.items()):
-                    if rr == r:
-                        key = (row_no, i * V.dim + j)
-                        rows[key] = rows.get(key, F.zero()) - val
-                row_no += 1
-    system = LinearMap(F, TensorShape([n_unknowns]), TensorShape([max(row_no, 1)]), rows)
-    basis, _ = kernel_and_rank(system)
+    # T is unknown as a vector of W (x) V, entry T[r][c] at r * V.dim + c, where
+    # T rho_V(k) is (id_W (x) rho_V(k)^T) T and rho_W(k) T is (rho_W(k) (x) id_V) T
+    blocks = [whisker(V.rho(k).transpose(), W.shape, UNIT)
+              - whisker(W.rho(k), UNIT, V.shape) for k in range(H.dim)]
+    basis, _ = kernel_and_rank(stack(blocks))
     out = []
     for vec in basis:
         entries = {}
         for idx, val in enumerate(vec):
             if not val.is_zero():
                 entries[divmod(idx, V.dim)] = val
-        out.append(LinearMap(F, V.shape, W.shape, entries))
+        out.append(LinearMap(H.field, V.shape, W.shape, entries))
     return out
 
 
 def invariants(V: ModuleData) -> list[Vector]:
     """Basis of {x in V : h x = eps(h) x}, i.e. Hom(1, V) as vectors."""
-    H = V.algebra
-    F = H.field
-    rows = {}
-    row = 0
-    for k in range(H.dim):
-        rho = V.rho(k)
-        eps_k = H.epsilon.entry(0, k)
-        for r in range(V.dim):
-            for c in range(V.dim):
-                val = rho.entry(r, c) - (eps_k if r == c else F.zero())
-                if not val.is_zero():
-                    rows[(row, c)] = val
-            row += 1
-    system = LinearMap(F, V.shape, TensorShape([max(row, 1)]), rows)
-    basis, _ = kernel_and_rank(system)
-    return basis
+    return kernel_and_rank(stack(invariance_blocks(V.rho, V.algebra.epsilon)))[0]
 
 
 # -- braiding, twist, traces ----------------------------------------------------------
@@ -552,7 +533,6 @@ def braiding_inverse(V: ModuleData, W: ModuleData) -> LinearMap:
     if H.R_inv is None:
         raise HopfError("inverse braiding needs R_inv")
     F = H.field
-    out = LinearMap.zero(F, W.shape * V.shape, V.shape * W.shape)
     flip = block_flip(F, W.shape, V.shape)
     r_act = LinearMap.zero(F, V.shape * W.shape, V.shape * W.shape)
     for a, b, coeff in H.r_inv_pairs():

@@ -202,8 +202,6 @@ class LinearMap:
         return LinearMap(self.field, self.codomain, self.domain,
                          {(c, r): v for (r, c), v in self.entries.items()})
 
-    dual = transpose
-
     def reshaped(self, domain: TensorShape, codomain: TensorShape) -> "LinearMap":
         """Reinterpret factor structure without touching coordinates."""
         if domain.dim != self.domain.dim or codomain.dim != self.codomain.dim:
@@ -291,21 +289,52 @@ def block_flip(field, left: TensorShape, right: TensorShape) -> LinearMap:
 # -- exact elimination -------------------------------------------------------------
 
 
-def _sparse_rows(m: LinearMap) -> list[dict[int, Scalar]]:
+def stack(blocks: Sequence[LinearMap]) -> LinearMap:
+    """The maps out of one space stacked into a single map to the direct sum of
+    their codomains; its kernel is the intersection of their kernels."""
+    domain = blocks[0].domain
+    entries = {}
+    offset = 0
+    for block in blocks:
+        if block.domain.dim != domain.dim:
+            raise ShapeError(f"cannot stack a map out of {block.domain} under maps "
+                             f"out of {domain}")
+        for (r, c), v in block.entries.items():
+            entries[(offset + r, c)] = v
+        offset += block.codomain.dim
+    return LinearMap(blocks[0].field, domain, TensorShape([offset]), entries)
+
+
+def _subtract(row: dict[int, Scalar], factor: Scalar, pivot: dict[int, Scalar]):
+    """row -= factor * pivot, dropping the entries that cancel."""
+    for c, v in pivot.items():
+        cur = row.get(c)
+        nv = -(factor * v) if cur is None else cur - factor * v
+        if nv.is_zero():
+            row.pop(c)
+        else:
+            row[c] = nv
+
+
+def _reduce(m: LinearMap, extra: LinearMap | None = None, back: bool = True,
+            should_cancel: Callable[[], bool] | None = None):
+    """Sparse Gaussian elimination of the rows of m, each extended on the right
+    by the same row of extra when given.
+
+    Pivots are taken among the columns of m only and scaled to 1.  Returns
+    (rows, pivots), pivots mapping each pivot column, in increasing order, to
+    the index of its row in rows.  With back=True every pivot column is also
+    cleared above its pivot, which gives the reduced echelon form: it depends
+    only on the row space and the column order, not on the order or the
+    multiplicity of the rows, nor on the pivot choices made on the way.
+    """
+    ncols = m.domain.dim
     rows: list[dict[int, Scalar]] = [dict() for _ in range(m.codomain.dim)]
     for (r, c), v in m.entries.items():
         rows[r][c] = v
-    return rows
-
-
-def _eliminate(rows: list[dict[int, Scalar]], ncols: int,
-               should_cancel: Callable[[], bool] | None = None):
-    """In-place sparse Gaussian elimination.
-
-    Returns (pivots, row_order) where pivots maps pivot column -> index into
-    rows of the (scaled) pivot row.  Rows are reduced to echelon form with
-    pivot entries normalized to 1.
-    """
+    if extra is not None:
+        for (r, c), v in extra.entries.items():
+            rows[r][ncols + c] = v
     pivots: dict[int, int] = {}
     work = [i for i, row in enumerate(rows) if row]
     for col in range(ncols):
@@ -325,20 +354,21 @@ def _eliminate(rows: list[dict[int, Scalar]], ncols: int,
         pivots[col] = best
         work.remove(best)
         for i in list(work):
-            row = rows[i]
-            factor = row.get(col)
-            if factor is None:
-                continue
-            for c, v in piv.items():
-                cur = row.get(c)
-                nv = (cur - factor * v) if cur is not None else -(factor * v)
-                if nv.is_zero():
-                    row.pop(c, None)
-                else:
-                    row[c] = nv
-            if not row:
-                work.remove(i)
-    return pivots
+            factor = rows[i].get(col)
+            if factor is not None:
+                _subtract(rows[i], factor, piv)
+                if not rows[i]:
+                    work.remove(i)
+    if back:
+        piv_cols = list(pivots)
+        for idx in range(len(piv_cols) - 1, 0, -1):
+            col = piv_cols[idx]
+            piv = rows[pivots[col]]
+            for earlier in piv_cols[:idx]:
+                factor = rows[pivots[earlier]].get(col)
+                if factor is not None:
+                    _subtract(rows[pivots[earlier]], factor, piv)
+    return rows, pivots
 
 
 def kernel_with_free_columns(m: LinearMap,
@@ -349,111 +379,70 @@ def kernel_with_free_columns(m: LinearMap,
     The k-th basis vector has coordinate 1 at the k-th free column and 0 at
     every other free column, so coordinates in this basis can be read off.
     """
-    basis, free_cols, rank = _kernel_impl(m, should_cancel)
-    return basis, free_cols, rank
+    return _kernel(m, should_cancel)
 
 
 def kernel_and_rank(m: LinearMap,
                     should_cancel: Callable[[], bool] | None = None
                     ) -> tuple[list[list[Scalar]], int]:
     """Exact kernel basis and rank; rank + kernel dim = domain dim."""
-    basis, _, rank = _kernel_impl(m, should_cancel)
+    basis, _, rank = _kernel(m, should_cancel)
     return basis, rank
 
 
-def _kernel_impl(m: LinearMap, should_cancel=None):
-    rows = _sparse_rows(m)
+def _kernel(m: LinearMap, should_cancel=None):
+    rows, pivots = _reduce(m, should_cancel=should_cancel)
     ncols = m.domain.dim
-    pivots = _eliminate(rows, ncols, should_cancel)
-    rank = len(pivots)
-    # back substitution to reduced echelon form
-    piv_cols = sorted(pivots)
-    for idx in range(len(piv_cols) - 1, -1, -1):
-        col = piv_cols[idx]
-        piv = rows[pivots[col]]
-        for earlier in piv_cols[:idx]:
-            row = rows[pivots[earlier]]
-            factor = row.get(col)
-            if factor is None:
-                continue
-            for c, v in piv.items():
-                cur = row.get(c)
-                nv = (cur - factor * v) if cur is not None else -(factor * v)
-                if nv.is_zero():
-                    row.pop(c, None)
-                else:
-                    row[c] = nv
     zero, one = m.field.zero(), m.field.one()
     free_cols = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free_cols:
         vec = [zero] * ncols
         vec[fc] = one
-        for col in piv_cols:
-            v = rows[pivots[col]].get(fc)
+        for col, i in pivots.items():
+            v = rows[i].get(fc)
             if v is not None:
                 vec[col] = -v
         basis.append(vec)
-    return basis, free_cols, rank
+    return basis, free_cols, len(pivots)
 
 
 def rank(m: LinearMap) -> int:
-    return kernel_and_rank(m)[1]
+    """Rank by forward elimination alone: no back substitution, no kernel basis."""
+    return len(_reduce(m, back=False)[1])
+
+
+def _solve_columns(m: LinearMap, rhs: LinearMap) -> LinearMap | None:
+    """X with m X = rhs, read off the reduced echelon form of [m | rhs] with
+    every free coordinate 0, or None when there is none.  The identity
+    m X = rhs is checked exactly, so an inconsistent system cannot pass."""
+    rows, pivots = _reduce(m, rhs)
+    n = m.domain.dim
+    entries = {}
+    for col, i in pivots.items():
+        for c, v in rows[i].items():
+            if c >= n:
+                entries[(col, c - n)] = v
+    x = LinearMap(m.field, rhs.domain, m.domain, entries)
+    return x if m.compose(x) == rhs else None
 
 
 def solve(m: LinearMap, b: Sequence[Scalar]) -> list[Scalar] | None:
     """A particular solution of m x = b, or None if inconsistent."""
     if len(b) != m.codomain.dim:
         raise ShapeError("right-hand side length mismatch")
-    rows = _sparse_rows(m)
-    ncols = m.domain.dim
-    aug = ncols  # extra column for b
-    for r in range(m.codomain.dim):
-        if not b[r].is_zero():
-            rows[r][aug] = b[r]
-    pivots = _eliminate(rows, ncols)
-    # inconsistent iff a nonzero augmented entry survives in a pivotless row
-    used = set(pivots.values())
-    for i, row in enumerate(rows):
-        if i not in used and row and set(row) == {aug}:
-            return None
-    zero = m.field.zero()
-    sol = [zero] * ncols
-    for col in sorted(pivots, reverse=True):
-        row = rows[pivots[col]]
-        acc = row.get(aug, zero)
-        for c, v in row.items():
-            if c != col and c != aug:
-                acc = acc - v * sol[c]
-        sol[col] = acc
-    # verify (cheap relative to elimination, and makes inconsistency exact)
-    out = m.apply(sol)
-    for r in range(m.codomain.dim):
-        if out[r] != b[r]:
-            return None
-    return sol
+    rhs = LinearMap(m.field, UNIT, m.codomain, {(r, 0): v for r, v in enumerate(b)})
+    x = _solve_columns(m, rhs)
+    return None if x is None else [x.entry(c, 0) for c in range(m.domain.dim)]
 
 
 def invert(m: LinearMap) -> LinearMap | None:
-    """Exact two-sided inverse, or None if singular (requires square shape dims)."""
+    """Exact two-sided inverse, or None if singular (requires square shape dims).
+
+    One reduction of [m | I]; the result is certified by m X = I."""
     if m.domain.dim != m.codomain.dim:
         raise ShapeError("only square maps can be inverted")
-    n = m.domain.dim
-    cols = []
-    zero, one = m.field.zero(), m.field.one()
-    for j in range(n):
-        e = [zero] * n
-        e[j] = one
-        x = solve(m, e)
-        if x is None:
-            return None
-        cols.append(x)
-    entries = {}
-    for j, col in enumerate(cols):
-        for i, v in enumerate(col):
-            if not v.is_zero():
-                entries[(i, j)] = v
-    return LinearMap(m.field, m.codomain, m.domain, entries)
+    return _solve_columns(m, LinearMap.identity(m.field, m.codomain))
 
 
 class SubspaceBasis:

@@ -21,16 +21,3 @@ class CheckReport:
     @property
     def failures(self) -> list[str]:
         return [name for name, ok in self.entries if not ok]
-
-    def merged(self, other: "CheckReport") -> "CheckReport":
-        out = CheckReport(self.title)
-        out.entries = list(self.entries) + [(f"{other.title}: {n}", ok)
-                                            for n, ok in other.entries]
-        return out
-
-    def lines(self) -> list[str]:
-        return [f"[{'PASS' if ok else 'FAIL'}] {name}" for name, ok in self.entries]
-
-    def to_json(self):
-        return {"title": self.title, "ok": self.ok,
-                "checks": [{"name": n, "ok": ok} for n, ok in sorted(self.entries)]}

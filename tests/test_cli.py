@@ -46,6 +46,15 @@ def test_missing_file_is_input_error(capsys):
     assert "no such file" in err
 
 
+def run_child(*argv):
+    """The command line in a separate interpreter, so that an uncaught exception
+    shows as a traceback on stderr."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, "-m", "cyclotome.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 @pytest.mark.parametrize("argv", [
     ("module", "build", "--which", "rtc", "-N", "-1"),
     ("module", "build", "--which", "W", "-N", "-1"),
@@ -53,17 +62,37 @@ def test_missing_file_is_input_error(capsys):
     ("module", "build", "--which", "rcyclic", "--simple", "9"),
 ])
 def test_bad_level_or_simple_is_input_error(argv):
-    # a separate interpreter, so that an uncaught exception shows as a traceback
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "cyclotome.cli", *argv, "--no-cache",
-         "--algebra", str(DATA / "double_z2.json")],
-        capture_output=True, text=True, env=env, timeout=120)
+    proc = run_child(*argv, "--no-cache", "--algebra", str(DATA / "double_z2.json"))
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("input error:")
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+DAMAGE = {"truncated": lambda text: text[:len(text) // 2],
+          "schema-only": lambda text: '{"schema": 1}',
+          "deeply-nested": lambda text: "[" * 100000 + "]" * 100000}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGE))
+@pytest.mark.parametrize("argv", [
+    ("coend", "build"),
+    ("module", "build", "--which", "W", "-N", "1"),
+], ids=["coend", "module"])
+def test_damaged_cache_entry_is_rebuilt(tmp_path, argv, damage):
+    def cached():
+        proc = run_child(*argv, "--cache", str(tmp_path), "--format", "json",
+                         "--algebra", str(DATA / "z2_trivial.json"))
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        return json.loads(proc.stdout)["cached"]
+
+    assert cached() is False
+    [entry] = tmp_path.glob("*.json")
+    text = entry.read_text(encoding="utf-8")
+    entry.write_text(DAMAGE[damage](text), encoding="utf-8")
+    assert cached() is False
+    assert cached() is True
 
 
 def test_coend_build_flags(capsys):

@@ -136,6 +136,17 @@ def test_hom_space_examples(bundled):
             [HS.epsilon.entry(0, k) * v for v in L]
 
 
+def test_hom_space_of_regular_module(bundled):
+    """End_H(H) is the right multiplications, one per basis element; every basis
+    map is an intertwiner, also on the non-semisimple sweedler_h4."""
+    from cyclotome.coend import _is_intertwiner
+    for name, (H, _) in bundled.items():
+        Hreg = regular_module(H)
+        maps = hom_space(Hreg, Hreg)
+        assert len(maps) == H.dim, name
+        assert all(_is_intertwiner(T, Hreg, Hreg) for T in maps), name
+
+
 def test_braiding_naturality():
     HS = sweedler_h4(Q)
     V = regular_module(HS)

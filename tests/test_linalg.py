@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from cyclotome.fields import Cyclotomic, PrimeField, Rationals
 from cyclotome.linalg import (
     LinearMap, ShapeError, TensorShape, block_flip, invert, kernel_and_rank,
-    solve, swap_factors, SubspaceBasis, whisker,
+    kernel_with_free_columns, rank, solve, stack, swap_factors, SubspaceBasis, whisker,
 )
 
 Q = Rationals()
@@ -39,23 +39,6 @@ def test_sum_map_kernel():
     assert len(basis) == 1
     v = basis[0]
     assert v[0] * Q.from_int(-1) == v[1] or v[1] * Q.from_int(-1) == v[0]
-
-
-def test_rank_equals_dual_rank():
-    for _ in range(12):
-        dom = TensorShape([rng.randint(1, 4)])
-        cod = TensorShape([rng.randint(1, 4)])
-        m = rand_map(dom, cod)
-        assert kernel_and_rank(m)[1] == kernel_and_rank(m.transpose())[1]
-
-
-def test_kernel_vectors_annihilate():
-    for _ in range(8):
-        m = rand_map(TensorShape([5]), TensorShape([3]))
-        basis, rk = kernel_and_rank(m)
-        assert rk + len(basis) == 5
-        for v in basis:
-            assert all(x.is_zero() for x in m.apply(v))
 
 
 def test_level_exchange():
@@ -180,3 +163,114 @@ def test_whisker_matches_kronecker_with_identities(F, left, right, dom, cod, dat
                                  for k, (a, b) in raw.items()})
     reference = LinearMap.identity(F, left).tensor(op).tensor(LinearMap.identity(F, right))
     assert whisker(op, left, right) == reference
+
+
+# -- the elimination engine, over Q, F_7 and Q(zeta_4) ----------------------------------
+
+ELIM_FIELDS = (Q, PrimeField(7), Cyclotomic(4))
+
+
+def _scalar(F, a, b):
+    zeta = F.generator() if F.kind == F.CYCLOTOMIC else F.from_int(3)
+    return F.from_int(a) + F.from_int(b) * zeta
+
+
+@st.composite
+def matrices(draw, rows=None, cols=None):
+    """A sparse matrix with small entries; sometimes a product through a
+    narrower space, so that rank-deficient squares are common."""
+    F = draw(st.sampled_from(ELIM_FIELDS))
+    rows = rows or draw(st.integers(1, 5))
+    cols = cols or draw(st.integers(1, 5))
+    entry = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+
+    def raw(r, c):
+        cells = st.tuples(st.integers(0, r - 1), st.integers(0, c - 1))
+        found = draw(st.dictionaries(cells, entry, max_size=r * c))
+        return LinearMap(F, TensorShape([c]), TensorShape([r]),
+                         {k: _scalar(F, a, b) for k, (a, b) in found.items()})
+
+    if draw(st.booleans()):
+        mid = draw(st.integers(1, max(1, min(rows, cols) - 1)))
+        return raw(rows, mid).compose(raw(mid, cols))
+    return raw(rows, cols)
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(1, 5))
+    return draw(matrices(rows=n, cols=n))
+
+
+@settings(max_examples=120, deadline=None)
+@given(square_matrices())
+def test_invert_exactly_when_full_rank(A):
+    n = A.domain.dim
+    inv = invert(A)
+    assert (inv is None) == (rank(A) < n)
+    if inv is not None:
+        eye = LinearMap.identity(A.field, A.domain)
+        assert A.compose(inv) == eye and inv.compose(A) == eye
+
+
+@settings(max_examples=120, deadline=None)
+@given(matrices())
+def test_kernel_vectors_annihilate(A):
+    basis, free_cols, rk = kernel_with_free_columns(A)
+    assert kernel_and_rank(A) == (basis, rk)
+    assert rk == rank(A)
+    assert rk + len(basis) == A.domain.dim
+    for k, v in enumerate(basis):
+        assert all(x.is_zero() for x in A.apply(v))
+        # 1 at its own free column and 0 at the others: with the span, this
+        # pins the basis uniquely
+        assert [v[c] for c in free_cols] == [A.field.one() if j == k else A.field.zero()
+                                            for j in range(len(free_cols))]
+
+
+@settings(max_examples=120, deadline=None)
+@given(matrices())
+def test_rank_equals_dual_rank(A):
+    assert rank(A) == rank(A.transpose())
+
+
+@settings(max_examples=120, deadline=None)
+@given(matrices(), st.data())
+def test_solve_consistent_and_inconsistent(A, data):
+    F = A.field
+    coeffs = data.draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                                min_size=A.domain.dim, max_size=A.domain.dim))
+    b = A.apply([_scalar(F, a, c) for a, c in coeffs])
+    y = solve(A, b)
+    assert y is not None and A.apply(y) == b
+    # a left null vector z gives z . (A x) = 0 for every x, so a right-hand
+    # side with z . b != 0 lies outside the column space
+    left_null = kernel_and_rank(A.transpose())[0]
+    if left_null:
+        z = left_null[0]
+        i = next(i for i, v in enumerate(z) if not v.is_zero())
+        e = [F.one() if r == i else F.zero() for r in range(A.codomain.dim)]
+        assert solve(A, e) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.data())
+def test_kernel_basis_independent_of_row_order(A, data):
+    """The basis is read off the reduced echelon form, which depends only on the
+    row space and the column order: shuffled, duplicated and re-stacked rows
+    give the identical basis and free columns."""
+    rows = [LinearMap(A.field, A.domain, TensorShape([1]),
+                      {(0, c): v for (r, c), v in A.entries.items() if r == i})
+            for i in range(A.codomain.dim)]
+    order = data.draw(st.permutations(range(len(rows))))
+    dups = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=4))
+    cut = data.draw(st.integers(1, len(rows)))
+    shuffled = [rows[i] for i in order] + [rows[i] for i in dups]
+    restacked = stack([stack(shuffled[:cut])] + shuffled[cut:])
+    assert kernel_with_free_columns(restacked) == kernel_with_free_columns(A)
+
+
+def test_stack_rejects_mismatched_domains():
+    with pytest.raises(ShapeError):
+        stack([LinearMap.identity(Q, TensorShape([2])),
+               LinearMap.identity(Q, TensorShape([3]))])
