@@ -27,8 +27,8 @@ from .cyclic_modules import (
     twisted_cyclicity_check,
 )
 from .homology import cyclic_ranks, hochschild_ranks, mixed_identities
-from .hopf import HopfError, load_algebra, modular_data, verify_axioms, \
-    verify_quasitriangular_ribbon
+from .hopf import HopfError, coadjoint_module, load_algebra, modular_data, \
+    module_power, verify_axioms, verify_quasitriangular_ribbon
 from .reports import CheckReport
 from .tqft import TqftError, build_rt_cocyclic, build_rt_cyclic, shape_checks, \
     verify_main_theorem
@@ -231,8 +231,9 @@ def cmd_module_build(args) -> int:
     payload = {"algebra": H.name, "which": args.which, "max_level": N,
                "cached": cached}
     try:
-        data = build_coend_hopf(H, simples or None)
         if module is None:
+            # a hit needs no coend
+            data = build_coend_hopf(H, simples or None)
             if args.which in _BUILDERS:
                 module = _BUILDERS[args.which](data, N)
             elif args.which == "rcyclic":
@@ -251,6 +252,11 @@ def cmd_module_build(args) -> int:
                 extra_reports.append(shape_checks(rt))
             else:
                 raise InputError(f"unknown builder {args.which!r}")
+        elif args.which in ("para", "paraco"):
+            # the cache holds only matrices; the twisted cyclicity check also
+            # needs the tensor powers of the coend's carrier, H* coadjoint
+            C = coadjoint_module(H)
+            module.level_modules = {n: module_power(C, n + 1) for n in range(N + 1)}
         if args.which in ("para", "paraco"):
             extra_reports.append(twisted_cyclicity_check(module))
     except (CoendError, CyclicModuleError, TqftError) as exc:

@@ -484,8 +484,8 @@ def _solve_integrals(data: CoendData, rep: CheckReport):
     lam_L = sum((a * b for a, b in zip(lam, Lambda)), F.zero())
     rep.check("cointegral of integral is 1", lam_L == F.one())
     if data.dim_B is not None:
-        eps_L = sum((data.counit.entry(0, k) * Lambda[k] for k in range(d)), F.zero())
-        rep.check("counit of integral equals dim(B)", eps_L == data.dim_B)
+        rep.check("counit of integral equals dim(B)",
+                  _counit_of(data, Lambda) == data.dim_B)
         # cross-check against the universal integral: Lambda ~ sum qdim(i) chi_i
         simples = data.caches.get("simples")
         if simples:
@@ -613,9 +613,16 @@ def coend_to_json(data: CoendData) -> dict:
     }
 
 
+def _counit_of(data: CoendData, v: Vector) -> Scalar:
+    eps = data.counit
+    return sum((eps.entry(0, k) * x for k, x in enumerate(v)), data.field.zero())
+
+
 def coend_from_json(H: HopfAlgebraData, obj: dict) -> CoendData:
-    """Rehydrate a cached coend; gates are not re-run (the cache key covers the
-    input file, so the stored maps were verified when first built)."""
+    """Rehydrate a cached coend.  The gates are not re-run (the cache key covers
+    the input file, so the stored maps were verified when first built), except
+    the one that costs d multiplications: the counit of the integral must equal
+    dim(B), and a CoendError is raised when it does not."""
     F = H.field
     carrier = coadjoint_module(H)
 
@@ -651,6 +658,9 @@ def coend_from_json(H: HopfAlgebraData, obj: dict) -> CoendData:
         anomaly_free=obj["anomaly_free"],
         modular=obj["modular"],
     )
+    if data.dim_B is not None and data.integral is not None \
+            and _counit_of(data, data.integral) != data.dim_B:
+        raise CoendError("the cached dim(B) is not the counit of the cached integral")
     return data
 
 

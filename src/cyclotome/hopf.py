@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 from .fields import FieldSpec, Scalar
 from .linalg import (
-    LinearMap, TensorShape, UNIT, block_flip, invert, kernel_and_rank,
+    LinearMap, ShapeError, TensorShape, UNIT, block_flip, invert, kernel_and_rank,
     permute_factors, solve, stack, whisker,
 )
 from .reports import CheckReport
@@ -87,12 +87,18 @@ class HopfAlgebraData:
         return v
 
     def tensor_vectors(self, *vecs: Vector) -> Vector:
+        """The Kronecker product; a product with a zero factor is not formed."""
+        zero = self.field.zero()
         out = vecs[0]
         for v in vecs[1:]:
-            nxt = []
-            for x in out:
-                for y in v:
-                    nxt.append(x * y)
+            support = [(j, y) for j, y in enumerate(v) if not y.is_zero()]
+            nxt = [zero] * (len(out) * len(v))
+            for i, x in enumerate(out):
+                if x.is_zero():
+                    continue
+                base = i * len(v)
+                for j, y in support:
+                    nxt[base + j] = x * y
             out = nxt
         return out
 
@@ -312,7 +318,7 @@ class ModuleData:
             rep = self.verify()
             if not rep.ok:
                 raise HopfError(f"module axioms fail for {name}: {rep.failures}")
-        self._rho_cache: dict[int, LinearMap] = {}
+        self._rho: list[LinearMap] | None = None
 
     def verify(self) -> CheckReport:
         rep = CheckReport(f"module axioms for {self.name}")
@@ -328,20 +334,29 @@ class ModuleData:
         return rep
 
     def rho(self, k: int) -> LinearMap:
-        """Matrix of the k-th basis element acting on V."""
-        if k not in self._rho_cache:
-            self._rho_cache[k] = self.rho_of(self.algebra.basis_vector(k))
-        return self._rho_cache[k]
+        """Matrix of the k-th basis element acting on V.  The first call slices
+        all dim H matrices out of the action: the entry at column k * dim V + c
+        is entry (r, c) of rho(k)."""
+        if self._rho is None:
+            parts = [{} for _ in range(self.algebra.dim)]
+            for (r, col), v in self.action.entries.items():
+                j, c = divmod(col, self.dim)
+                parts[j][(r, c)] = v
+            self._rho = [LinearMap(self.algebra.field, self.shape, self.shape, e)
+                         for e in parts]
+        return self._rho[k]
 
     def rho_of(self, h: Sequence[Scalar]) -> LinearMap:
+        """Matrix of the element h acting on V: sum_k h_k rho(k) over the nonzero h_k."""
+        if len(h) != self.algebra.dim:
+            raise ShapeError(f"element length {len(h)} != algebra dim {self.algebra.dim}")
         entries = {}
-        for c in range(self.dim):
-            x = [self.algebra.field.zero()] * self.dim
-            x[c] = self.algebra.field.one()
-            w = self.action.apply(self.algebra.tensor_vectors(list(h), x))
-            for r, v in enumerate(w):
-                if not v.is_zero():
-                    entries[(r, c)] = v
+        for k, x in enumerate(h):
+            if x.is_zero():
+                continue
+            for key, v in self.rho(k).entries.items():
+                prod = v * x
+                entries[key] = entries[key] + prod if key in entries else prod
         return LinearMap(self.algebra.field, self.shape, self.shape, entries)
 
     def __repr__(self):

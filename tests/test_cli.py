@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from cyclotome import cli
 from cyclotome.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -93,6 +94,46 @@ def test_damaged_cache_entry_is_rebuilt(tmp_path, argv, damage):
     entry.write_text(DAMAGE[damage](text), encoding="utf-8")
     assert cached() is False
     assert cached() is True
+
+
+def test_edited_dim_b_in_coend_cache_is_rebuilt(tmp_path):
+    """An entry whose dim(B) is not the counit of its integral is a miss."""
+    def build():
+        proc = run_child("coend", "build", "--cache", str(tmp_path), "--format", "json",
+                         "--algebra", str(DATA / "double_z2.json"))
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        return json.loads(proc.stdout)
+
+    assert build()["cached"] is False
+    [entry] = tmp_path.glob("*.json")
+    obj = json.loads(entry.read_text(encoding="utf-8"))
+    assert obj["dim_B"] == "4"
+    obj["dim_B"] = "5"
+    entry.write_text(json.dumps(obj), encoding="utf-8")
+    rebuilt = build()
+    assert rebuilt["cached"] is False
+    assert rebuilt["dim_B"] == "4"
+    assert build()["cached"] is True
+
+
+@pytest.mark.parametrize("which", ["W", "para"])
+def test_module_cache_hit_skips_the_coend(tmp_path, capsys, monkeypatch, which):
+    args = ("module", "build", "--algebra", str(DATA / "z2_trivial.json"),
+            "--which", which, "-N", "1", "--cache", str(tmp_path),
+            "--format", "json")
+    code, out1, _ = run(capsys, *args)
+    assert code == 0
+
+    def no_coend(*_):
+        raise AssertionError("a module cache hit built the coend")
+
+    monkeypatch.setattr(cli, "build_coend_hopf", no_coend)
+    code, out2, _ = run(capsys, *args)
+    assert code == 0
+    p1, p2 = json.loads(out1), json.loads(out2)
+    assert (p1.pop("cached"), p2.pop("cached")) == (False, True)
+    assert p1 == p2
 
 
 def test_coend_build_flags(capsys):

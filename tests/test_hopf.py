@@ -2,8 +2,9 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cyclotome.fields import Cyclotomic, Rationals
+from cyclotome.fields import Cyclotomic, FieldSpec, Rationals
 from cyclotome.hopf import (
     HopfError, LinearMap, braiding, coadjoint_module, drinfeld_double_of_cyclic,
     drinfeld_element, dual_module, group_algebra, group_algebra_simples, hom_space,
@@ -12,7 +13,7 @@ from cyclotome.hopf import (
     sweedler_h4, tensor_module, trivial_module, twist, verify_axioms,
     verify_quasitriangular_ribbon,
 )
-from cyclotome.linalg import TensorShape, kernel_and_rank
+from cyclotome.linalg import ShapeError, TensorShape, kernel_and_rank
 
 Q = Rationals()
 K4 = Cyclotomic(4)
@@ -294,3 +295,94 @@ def test_module_power_dims():
     C = coadjoint_module(H)
     assert module_power(C, 3).dim == 64
     assert module_power(C, 0).dim == 1
+
+
+# -- the sparse module action against dense references ---------------------------------
+
+
+@pytest.fixture(scope="module")
+def acting_modules(bundled):
+    """(algebra, module) for the regular, coadjoint, dual and C (x) C modules of
+    every bundle."""
+    out = []
+    for H, _ in bundled.values():
+        C = coadjoint_module(H)
+        for V in (regular_module(H), C, dual_module(C), module_power(C, 2)):
+            out.append((H, V))
+    return out
+
+
+def _scalars(F: FieldSpec, data, n: int) -> list:
+    """n small scalars, many of them zero; a + b i over Q(i)."""
+    gen = F.generator() if F.kind == F.CYCLOTOMIC else F.from_int(3)
+    pairs = st.one_of(st.just((0, 0)), st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+    return [F.from_int(a) + F.from_int(b) * gen
+            for a, b in data.draw(st.lists(pairs, min_size=n, max_size=n))]
+
+
+def _dense_rho(V, h) -> LinearMap:
+    """The dense reference: the whole action applied to h (x) e_c, column by column."""
+    F = V.algebra.field
+    entries = {}
+    for c in range(V.dim):
+        e_c = [F.one() if i == c else F.zero() for i in range(V.dim)]
+        w = V.action.apply([x * y for x in h for y in e_c])
+        for r, v in enumerate(w):
+            if not v.is_zero():
+                entries[(r, c)] = v
+    return LinearMap(F, V.shape, V.shape, entries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_rho_of_matches_dense_action(acting_modules, data):
+    H, V = data.draw(st.sampled_from(acting_modules))
+    h = _scalars(H.field, data, H.dim)
+    assert V.rho_of(h) == _dense_rho(V, h)
+
+
+def test_rho_is_rho_of_basis_vector(acting_modules):
+    for H, V in acting_modules:
+        for k in range(H.dim):
+            assert V.rho(k) == V.rho_of(H.basis_vector(k)) == _dense_rho(
+                V, H.basis_vector(k)), (H.name, V.name, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_tensor_vectors_matches_kronecker(bundled, data):
+    H, _ = bundled[data.draw(st.sampled_from(sorted(bundled)))]
+    lengths = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    vecs = [_scalars(H.field, data, n) for n in lengths]
+    expected = vecs[0]
+    for v in vecs[1:]:
+        expected = [x * y for x in expected for y in v]
+    assert H.tensor_vectors(*vecs) == expected
+
+
+def test_rho_of_rejects_wrong_length(acting_modules):
+    for H, V in acting_modules:
+        for n in (H.dim - 1, H.dim + 1):
+            with pytest.raises(ShapeError):
+                V.rho_of([H.field.one()] * n)
+
+
+def test_rho_of_multiplies_only_nonzero_entries(monkeypatch):
+    """One rho_of(h) costs at most one product per nonzero entry of the rho(k)
+    with h_k != 0; forming h (x) e_c for every column costs dim H * dim V^2."""
+    H = sweedler_h4(Q)
+    V = module_power(coadjoint_module(H), 3)
+    assert V.dim == 64
+    h = [Q.zero(), Q.from_int(2), Q.zero(), Q.from_int(-3)]
+    calls = []
+    mul = FieldSpec._mul
+
+    def counted(self, a, b):
+        calls.append(1)
+        return mul(self, a, b)
+
+    monkeypatch.setattr(FieldSpec, "_mul", counted)
+    V.rho_of(h)
+    count = len(calls)
+    bound = sum(len(V.rho(k).entries) for k, x in enumerate(h) if not x.is_zero())
+    assert 0 < count <= bound
