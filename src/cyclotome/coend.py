@@ -15,10 +15,10 @@ from dataclasses import dataclass, field as dc_field
 
 from .fields import Scalar
 from .hopf import (
-    HopfAlgebraData, ModuleData, Vector, braiding, coadjoint_module,
-    dual_module, invariance_blocks, invariants, modular_data, module_power,
-    pivot_inverse, qdim, regular_module, rotate_last_to_front, tensor_module, twist,
-    trivial_module,
+    HopfAlgebraData, ModuleData, Vector, braiding, coadjoint_action,
+    coadjoint_module, dual_module, invariance_blocks, invariants, modular_data,
+    module_power, pivot_inverse, qdim, regular_module, rotate_last_to_front,
+    tensor_module, twist, trivial_module,
 )
 from .linalg import (
     LinearMap, TensorShape, UNIT, block_flip, invert, kernel_and_rank, rank, stack,
@@ -189,20 +189,11 @@ def braided_coproduct(H: HopfAlgebraData) -> LinearMap:
     """The coproduct of the braided counterpart of H:
     h |-> sum h_(2) a_i (x) S((b_i)_(1)) h_(1) (b_i)_(2)."""
     F = H.field
-    d = H.dim
     out = LinearMap.zero(F, H.shape, H.shape * H.shape)
-    flip = block_flip(F, H.shape, H.shape)
-    cop = flip.compose(H.Delta)  # h -> h2 (x) h1
+    cop = block_flip(F, H.shape, H.shape).compose(H.Delta)  # h -> h2 (x) h1
     for a, b, coeff in H.r_pairs():
-        db = H.sweedler_iterate(b, 2)
-        for idx, c2 in enumerate(db):
-            if c2.is_zero():
-                continue
-            p, q = divmod(idx, d)
-            left = H.right_multiplication(a)
-            right = H.right_multiplication(H.basis_vector(q)).compose(
-                H.left_multiplication(H.antipode_vec(H.basis_vector(p))))
-            out = out + left.tensor(right).compose(cop).scaled(coeff * c2)
+        term = H.right_multiplication(a).tensor(coadjoint_action(H, b, 1))
+        out = out + term.compose(cop).scaled(coeff)
     return out
 
 

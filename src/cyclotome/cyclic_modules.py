@@ -20,9 +20,9 @@ from .cyclic_cat import (
 from .coend import CoendData, _is_intertwiner
 from .fields import Scalar
 from .hopf import (
-    HopfAlgebraData, ModuleData, Vector, hom_space, invariance_blocks, module_power,
-    right_coadjoint_power, rotate_front_to_last, rotate_last_to_front,
-    single_slot_right_action, trivial_module, twist,
+    HopfAlgebraData, ModuleData, Vector, coadjoint_action, coadjoint_blocks,
+    hom_space, invariance_blocks, module_power, rotate_front_to_last,
+    rotate_last_to_front, trivial_module, twist,
 )
 from .linalg import (
     LinearMap, SubspaceBasis, TensorShape, UNIT, invert, permute_factors, stack,
@@ -40,18 +40,12 @@ class CyclicModuleError(ValueError):
 
 def invariant_tensor_basis(H: HopfAlgebraData, n: int) -> SubspaceBasis:
     """Basis of the twisted-conjugation invariants
-    {X in H^(x)n : X <| h = eps(h) X for all h}."""
+    {X in H^(x)n : X <| h = eps(h) X for all h}: the kernel of the stacked
+    blocks ad_n(e_k) - eps(e_k) id."""
     if n < 1:
         raise CyclicModuleError("invariant tensors need n >= 1")
-    F = H.field
-    act = right_coadjoint_power(H, n)
-    shape = H.power_shape(n)
-    # X <| e_k is act o (id (x) e_k), with e_k : 1 -> H
-    blocks = invariance_blocks(
-        lambda k: act.compose(whisker(LinearMap(F, UNIT, H.shape, {(k, 0): F.one()}),
-                                      shape, UNIT)),
-        H.epsilon)
-    return SubspaceBasis.from_kernel(F, stack(blocks))
+    blocks = invariance_blocks(coadjoint_blocks(H, n).__getitem__, H.epsilon)
+    return SubspaceBasis.from_kernel(H.field, stack(blocks))
 
 
 def invariant_functional_basis(V: ModuleData) -> SubspaceBasis:
@@ -174,43 +168,12 @@ def check_relations(M: CyclicModuleData, N: int | None = None) -> CheckReport:
 # -- the explicit model on invariant tensors ------------------------------------------------
 
 
-def _slotwise_action(H: HopfAlgebraData, y: Vector, n: int) -> LinearMap:
-    """X |-> X <| spread(y): act with the n Sweedler components of y slotwise."""
-    F = H.field
-    d = H.dim
-    if n == 0:
-        return LinearMap.identity(F, UNIT).scaled(H.counit_value(y))
-    sw = H.sweedler_iterate(y, n)
-    out = LinearMap.zero(F, H.power_shape(n), H.power_shape(n))
-    cache: dict[int, LinearMap] = {}
-    for idx, coeff in enumerate(sw):
-        if coeff.is_zero():
-            continue
-        digits = []
-        rest = idx
-        for _ in range(n):
-            digits.append(rest % d)
-            rest //= d
-        digits.reverse()
-        term = None
-        for k in digits:
-            if k not in cache:
-                cache[k] = single_slot_right_action(H, H.basis_vector(k))
-            term = cache[k] if term is None else term.tensor(cache[k])
-        out = out + term.scaled(coeff)
-    return out
-
-
 def _rotate_last_front(H: HopfAlgebraData, total: int) -> LinearMap:
-    perm = [total - 1] + list(range(total - 1))
-    return permute_factors(H.field, H.power_shape(total), perm) \
-        .reshaped(H.power_shape(total), H.power_shape(total))
+    return permute_factors(H.field, H.power_shape(total), [total - 1] + list(range(total - 1)))
 
 
 def _rotate_front_last(H: HopfAlgebraData, total: int) -> LinearMap:
-    perm = list(range(1, total)) + [0]
-    return permute_factors(H.field, H.power_shape(total), perm) \
-        .reshaped(H.power_shape(total), H.power_shape(total))
+    return permute_factors(H.field, H.power_shape(total), list(range(1, total)) + [0])
 
 
 def explicit_cyclic_rotation(H: HopfAlgebraData, n: int) -> LinearMap:
@@ -221,10 +184,9 @@ def explicit_cyclic_rotation(H: HopfAlgebraData, n: int) -> LinearMap:
     out = LinearMap.zero(F, H.power_shape(total), H.power_shape(total))
     rot = _rotate_last_front(H, total)
     for a, b, coeff in H.r_pairs():
-        moved = single_slot_right_action(H, H.multiply(a, H.theta))
-        bulk = _slotwise_action(H, b, n)
-        term = rot.compose(bulk.tensor(moved).reshaped(
-            H.power_shape(total), H.power_shape(total)))
+        moved = coadjoint_action(H, H.multiply(a, H.theta), 1)
+        bulk = coadjoint_action(H, b, n)
+        term = rot.compose(bulk.tensor(moved))
         out = out + term.scaled(coeff)
     return out
 
@@ -237,10 +199,9 @@ def explicit_cocyclic_rotation(H: HopfAlgebraData, n: int) -> LinearMap:
     out = LinearMap.zero(F, H.power_shape(total), H.power_shape(total))
     rot = _rotate_front_last(H, total)
     for alpha, beta, coeff in H.r_inv_pairs():
-        moved = single_slot_right_action(H, H.multiply(alpha, H.theta_inv))
-        bulk = _slotwise_action(H, beta, n)
-        term = bulk.tensor(moved).reshaped(
-            H.power_shape(total), H.power_shape(total)).compose(rot)
+        moved = coadjoint_action(H, H.multiply(alpha, H.theta_inv), 1)
+        bulk = coadjoint_action(H, beta, n)
+        term = bulk.tensor(moved).compose(rot)
         out = out + term.scaled(coeff)
     return out
 
@@ -295,24 +256,14 @@ def explicit_coend_cocyclic(H: HopfAlgebraData, N: int,
             for i in range(n):
                 amb = whisker(db, H.power_shape(i), H.power_shape(n - 1 - i))
                 gen[("delta", n, i)] = spaces[n - 1].restrict(amb, spaces[n])
-            # wrapping coface: braided coproduct at slot 0, then one leg moves
-            # to the back through the inverse braiding
+            # wrapping coface: braided coproduct at slot 0, then the cocyclic
+            # rotation moves one leg to the back through the inverse braiding
             total = n + 1
-            rot = _rotate_front_last(H, total)
-            amb_last = LinearMap.zero(F, H.power_shape(n), H.power_shape(total))
             first = whisker(db, UNIT, H.power_shape(n - 1))
             if braided_order == "one-two":
-                flip01 = permute_factors(F, H.power_shape(total),
-                                         [1, 0] + list(range(2, total)))
-                first = flip01.reshaped(H.power_shape(total),
-                                        H.power_shape(total)).compose(first)
-            for alpha, beta, coeff in H.r_inv_pairs():
-                moved = single_slot_right_action(H, H.multiply(alpha, H.theta_inv))
-                bulk = _slotwise_action(H, beta, n)
-                term = bulk.tensor(moved).reshaped(
-                    H.power_shape(total), H.power_shape(total)).compose(rot)
-                amb_last = amb_last + term.compose(first).scaled(coeff)
-            gen[("delta", n, n)] = spaces[n - 1].restrict(amb_last, spaces[n])
+                first = permute_factors(F, H.power_shape(total),
+                                        [1, 0] + list(range(2, total))).compose(first)
+            gen[("delta", n, n)] = spaces[n - 1].restrict(tau_amb.compose(first), spaces[n])
         if n + 1 <= N:
             for j in range(n + 1):
                 amb = whisker(H.epsilon, H.power_shape(j + 1), H.power_shape(n - j))

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 from .fields import FieldSpec, Scalar
 from .linalg import (
     LinearMap, ShapeError, TensorShape, UNIT, block_flip, invert, kernel_and_rank,
-    permute_factors, solve, stack, whisker,
+    solve, stack, whisker,
 )
 from .reports import CheckReport
 
@@ -69,7 +69,8 @@ class HopfAlgebraData:
         self.theta = list(theta) if theta is not None else None
         self.theta_inv = list(theta_inv) if theta_inv is not None else None
         self._shape = d
-        self._mul_cache: dict[int, LinearMap] = {}
+        # caches, each kept with the data it was computed from
+        self._prods = self._coadjoint = self._pivot = None
 
     # -- shapes and element helpers ------------------------------------------------
 
@@ -102,29 +103,50 @@ class HopfAlgebraData:
             out = nxt
         return out
 
-    def power_multiplication(self, n: int) -> LinearMap:
-        """Multiplication of the algebra H^(x)n as a map H^(x)2n -> H^(x)n."""
-        if n in self._mul_cache:
-            return self._mul_cache[n]
-        if n == 1:
-            out = self.m
-        else:
-            # interleave (a_1..a_n, b_1..b_n) -> (a_1, b_1, ..., a_n, b_n), then m each pair
-            shape = self.power_shape(2 * n)
-            perm = []
-            for i in range(n):
-                perm.extend([i, n + i])
-            inter = permute_factors(self.field, shape, perm)
-            mm = self.m
-            for _ in range(n - 1):
-                mm = mm.tensor(self.m)
-            out = mm.compose(inter)
-        self._mul_cache[n] = out
-        return out
+    def _coproduct_terms(self) -> list[list[tuple[int, int, Scalar]]]:
+        """For every k, the nonzero entries of Delta(e_k) as (p, q, coefficient)."""
+        terms = [[] for _ in range(self.dim)]
+        for (row, k), c in self.Delta.entries.items():
+            terms[k].append((*divmod(row, self.dim), c))
+        return terms
+
+    def _products(self) -> list[list[tuple[int, Scalar | None]]]:
+        """For every i * d + j, the nonzero entries of m(e_i (x) e_j) as (r, c),
+        with c None where it is 1."""
+        if self._prods is None or self._prods[0] is not self.m:
+            one = self.field.one()
+            prods = [[] for _ in range(self.dim * self.dim)]
+            for (r, col), c in self.m.entries.items():
+                prods[col].append((r, None if c == one else c))
+            self._prods = (self.m, prods)
+        return self._prods[1]
 
     def multiply(self, a: Vector, b: Vector, n: int = 1) -> Vector:
-        """Product of two elements of H^(x)n."""
-        return self.power_multiplication(n).apply(self.tensor_vectors(a, b))
+        """Product of two elements of H^(x)n, slot by slot: nonzero entries a_I
+        and b_J contribute a_I b_J m(e_I1 e_J1) (x) ... (x) m(e_In e_Jn), which
+        takes n structure-constant lookups."""
+        d, size = self.dim, self.dim ** n
+        if len(a) != size or len(b) != size:
+            raise ShapeError(f"factor lengths {len(a)}, {len(b)} != dim H^(x){n} = {size}")
+        prods = self._products()
+
+        def support(v):
+            return [([i // d ** (n - 1 - s) % d for s in range(n)], x)
+                    for i, x in enumerate(v) if not x.is_zero()]
+
+        out: dict[int, Scalar] = {}
+        sb = support(b)
+        for ia, x in support(a):
+            for jb, y in sb:
+                terms = [(0, x * y)]
+                for i, j in zip(ia, jb):
+                    col = prods[i * d + j]
+                    terms = [(idx * d + r, v if c is None else v * c)
+                             for idx, v in terms for r, c in col]
+                for idx, v in terms:
+                    out[idx] = out[idx] + v if idx in out else v
+        zero = self.field.zero()
+        return [out.get(i, zero) for i in range(size)]
 
     def unit_power(self, n: int) -> Vector:
         out = self.u
@@ -136,16 +158,26 @@ class HopfAlgebraData:
         return self.epsilon.apply(a)[0]
 
     def sweedler_iterate(self, x: Vector, n: int) -> Vector:
-        """The (n-1)-fold coproduct of x as an element of H^(x)n; n = 1 returns x."""
+        """The (n-1)-fold coproduct of x as an element of H^(x)n; n = 1 returns x.
+        Each step expands the last slot of every nonzero entry: index i * d + k
+        becomes (i * d + p) * d + q with coefficient Delta(e_k)_pq."""
         if n < 1:
             raise HopfError("sweedler_iterate needs n >= 1")
-        out = list(x)
-        for k in range(1, n):
-            # apply Delta to the last tensor slot
-            step = LinearMap.identity(self.field, self.power_shape(k - 1)).tensor(self.Delta) \
-                if k > 1 else self.Delta
-            out = step.apply(out)
-        return out
+        if len(x) != self.dim:
+            raise ShapeError(f"element length {len(x)} != algebra dim {self.dim}")
+        d = self.dim
+        terms = self._coproduct_terms()
+        support = {i: v for i, v in enumerate(x) if not v.is_zero()}
+        for _ in range(n - 1):
+            nxt: dict[int, Scalar] = {}
+            for i, v in support.items():
+                head, k = divmod(i, d)
+                for p, q, c in terms[k]:
+                    key, prod = (head * d + p) * d + q, v * c
+                    nxt[key] = nxt[key] + prod if key in nxt else prod
+            support = nxt
+        zero = self.field.zero()
+        return [support.get(i, zero) for i in range(d ** n)]
 
     def left_multiplication(self, a: Vector) -> LinearMap:
         """x |-> a x as a matrix."""
@@ -359,6 +391,21 @@ class ModuleData:
                 entries[key] = entries[key] + prod if key in entries else prod
         return LinearMap(self.algebra.field, self.shape, self.shape, entries)
 
+    @classmethod
+    def from_blocks(cls, algebra: HopfAlgebraData, blocks: Sequence[LinearMap],
+                    name: str, check: bool = False) -> "ModuleData":
+        """The module on which e_k acts by blocks[k]; entry (r, c) of blocks[k]
+        is the action's entry at column k * dim V + c."""
+        shape = blocks[0].domain
+        entries = {}
+        for k, block in enumerate(blocks):
+            for (r, c), v in block.entries.items():
+                entries[(r, k * shape.dim + c)] = v
+        action = LinearMap(algebra.field, algebra.shape * shape, shape, entries)
+        V = cls(algebra, shape.dim, action, name=name, check=check)
+        V._rho = list(blocks)
+        return V
+
     def __repr__(self):
         return f"ModuleData({self.name}, dim={self.dim} over {self.algebra.name})"
 
@@ -374,22 +421,41 @@ def regular_module(H: HopfAlgebraData) -> ModuleData:
     return ModuleData(H, H.dim, H.m, name=f"{H.name}_reg")
 
 
+def coproduct_action(H: HopfAlgebraData, left: Sequence[LinearMap],
+                     right: Sequence[LinearMap], shape: TensorShape) -> list[LinearMap]:
+    """The action of every e_k on X (x) Y from the actions on X and Y:
+    rho(k) = sum over the nonzero Delta(e_k)_pq of Delta(e_k)_pq left[p] (x) right[q],
+    placed by index arithmetic on the nonzero entries, with no identity factor
+    or flip.  shape is the domain given to the blocks (the product of the
+    factors' dimensions)."""
+    one = H.field.one()
+    n = right[0].domain.dim
+    rights = [list(r.entries.items()) for r in right]
+    out = []
+    for terms in H._coproduct_terms():
+        entries: dict[tuple[int, int], Scalar] = {}
+        for p, q, c in terms:
+            rq = rights[q]
+            if not rq:
+                continue
+            unit = c == one
+            for (r1, c1), v1 in left[p].entries.items():
+                x = v1 if unit else c * v1
+                r0, c0 = r1 * n, c1 * n
+                for (r2, c2), v2 in rq:
+                    key, prod = (r0 + r2, c0 + c2), x * v2
+                    entries[key] = entries[key] + prod if key in entries else prod
+        out.append(LinearMap(H.field, shape, shape, entries))
+    return out
+
+
 def tensor_module(V: ModuleData, W: ModuleData, name: str | None = None) -> ModuleData:
     """V (x) W with the coproduct action."""
     H = V.algebra
-    F = H.field
-    eye = LinearMap.identity
-    # action = (act_V (x) act_W) o (id_H (x) flip_{H,V} (x) id_W) o (Delta (x) id_V (x) id_W)
-    step1 = H.Delta.tensor(eye(F, V.shape)).tensor(eye(F, W.shape))
-    sh = H.shape
-    flip_hv = block_flip(F, sh, V.shape)
-    step2 = eye(F, sh).tensor(flip_hv).tensor(eye(F, W.shape))
-    step3 = V.action.tensor(W.action)
-    action = step3.compose(step2).compose(step1)
-    vw = TensorShape([V.dim * W.dim])
-    action = action.reshaped(H.shape * vw, vw)
-    return ModuleData(H, V.dim * W.dim, action,
-                      name=name or f"({V.name}(x){W.name})", check=False)
+    blocks = coproduct_action(H, [V.rho(k) for k in range(H.dim)],
+                              [W.rho(k) for k in range(H.dim)],
+                              TensorShape([V.dim * W.dim]))
+    return ModuleData.from_blocks(H, blocks, name or f"({V.name}(x){W.name})")
 
 
 def module_power(V: ModuleData, n: int) -> ModuleData:
@@ -404,86 +470,69 @@ def module_power(V: ModuleData, n: int) -> ModuleData:
 def dual_module(V: ModuleData, name: str | None = None) -> ModuleData:
     """V* with (h . f)(x) = f(S(h) x)."""
     H = V.algebra
-    entries = {}
-    for k in range(H.dim):
-        rho_star = V.rho_of(H.antipode_vec(H.basis_vector(k))).transpose()
-        for (r, c), val in rho_star.entries.items():
-            entries[(r, k * V.dim + c)] = val
-    action = LinearMap(H.field, H.shape * V.shape, V.shape, entries)
-    return ModuleData(H, V.dim, action, name=name or f"{V.name}*", check=False)
+    blocks = [V.rho_of(H.antipode_vec(H.basis_vector(k))).transpose() for k in range(H.dim)]
+    return ModuleData.from_blocks(H, blocks, name or f"{V.name}*")
 
 
 def coadjoint_module(H: HopfAlgebraData) -> ModuleData:
-    """H* with the coadjoint action (h . f)(x) = f(S(h_(1)) x h_(2))."""
-    d = H.dim
-    entries = {}
-    for k in range(d):
-        dh = H.sweedler_iterate(H.basis_vector(k), 2)
-        # conj(x) = S(h1) x h2, then rho = conj^T on the dual space
-        conj = LinearMap.zero(H.field, H.shape, H.shape)
-        for idx, coeff in enumerate(dh):
-            if coeff.is_zero():
-                continue
-            p, q = divmod(idx, d)
-            term = H.right_multiplication(H.basis_vector(q)).compose(
-                H.left_multiplication(H.antipode_vec(H.basis_vector(p))))
-            conj = conj + term.scaled(coeff)
-        rho = conj.transpose()
-        for (r, c), val in rho.entries.items():
-            entries[(r, k * d + c)] = val
-    action = LinearMap(H.field, H.shape * H.shape, H.shape, entries)
-    return ModuleData(H, d, action, name=f"{H.name}^*coad")
+    """H* with the coadjoint action (h . f)(x) = f(S(h_(1)) x h_(2)): e_k acts by
+    the transpose of ad_1(e_k)."""
+    blocks = [a.transpose() for a in coadjoint_blocks(H, 1)]
+    return ModuleData.from_blocks(H, blocks, f"{H.name}^*coad", check=True)
+
+
+def coadjoint_blocks(H: HopfAlgebraData, n: int) -> list[LinearMap]:
+    """ad_n(e_k) for every k: the right coadjoint action
+    X <| h = S(h_(1)) x_1 h_(2) (x) ... (x) S(h_(2n-1)) x_n h_(2n) on H^(x)n.
+    ad_0(e_k) = eps(e_k) on the unit, ad_1(e_k) = sum Delta(e_k)_pq R(e_q) L(S e_p)
+    with R and L right and left multiplication, and
+    ad_n = coproduct_action(ad_(n-1), ad_1).  The levels are cached on H while
+    m, Delta and S stay the same maps."""
+    if n < 0:
+        raise HopfError("the coadjoint action needs n >= 0")
+    maps = (H.m, H.Delta, H.S)
+    cached = H._coadjoint
+    if cached is None or any(a is not b for a, b in zip(cached[0], maps)):
+        F = H.field
+        ad0 = [LinearMap(F, UNIT, UNIT, {(0, 0): H.epsilon.entry(0, k)})
+               for k in range(H.dim)]
+        ad1 = []
+        for terms in H._coproduct_terms():
+            op = LinearMap.zero(F, H.shape, H.shape)
+            for p, q, c in terms:
+                op = op + H.right_multiplication(H.basis_vector(q)).compose(
+                    H.left_multiplication(H.antipode_vec(H.basis_vector(p)))).scaled(c)
+            ad1.append(op)
+        cached = H._coadjoint = (maps, [ad0, ad1])
+    levels = cached[1]
+    while len(levels) <= n:
+        levels.append(coproduct_action(H, levels[-1], levels[1],
+                                       H.power_shape(len(levels))))
+    return levels[n]
+
+
+def coadjoint_action(H: HopfAlgebraData, y: Vector, n: int) -> LinearMap:
+    """X |-> X <| y on H^(x)n: sum_k y_k ad_n(e_k) over the nonzero y_k."""
+    if len(y) != H.dim:
+        raise ShapeError(f"element length {len(y)} != algebra dim {H.dim}")
+    out = LinearMap.zero(H.field, H.power_shape(n), H.power_shape(n))
+    for a, x in zip(coadjoint_blocks(H, n), y):
+        if not x.is_zero():
+            out = out + a.scaled(x)
+    return out
 
 
 def right_coadjoint_power(H: HopfAlgebraData, n: int) -> LinearMap:
-    """The right action X <| h = S(h_(1)) x_1 h_(2) (x) ... (x) S(h_(2n-1)) x_n h_(2n)
-    as a LinearMap H^(x)n (x) H -> H^(x)n."""
+    """The right coadjoint action on H^(x)n as one LinearMap H^(x)n (x) H -> H^(x)n:
+    the blocks ad_n(e_k), entry (r, c) at column c * dim H + k."""
     if n < 1:
         raise HopfError("right_coadjoint_power needs n >= 1")
     d = H.dim
-    dom = H.power_shape(n) * H.shape
     entries = {}
-    ops_cache = {}
-    for k in range(d):
-        sw = H.sweedler_iterate(H.basis_vector(k), 2 * n)
-        op = LinearMap.zero(H.field, H.power_shape(n), H.power_shape(n))
-        for idx, coeff in enumerate(sw):
-            if coeff.is_zero():
-                continue
-            digits = []
-            rest = idx
-            for _ in range(2 * n):
-                digits.append(rest % d)
-                rest //= d
-            digits.reverse()
-            term = None
-            for slot in range(n):
-                p, q = digits[2 * slot], digits[2 * slot + 1]
-                key = (p, q)
-                if key not in ops_cache:
-                    ops_cache[key] = H.right_multiplication(H.basis_vector(q)).compose(
-                        H.left_multiplication(H.antipode_vec(H.basis_vector(p))))
-                slot_op = ops_cache[key]
-                term = slot_op if term is None else term.tensor(slot_op)
-            op = op + term.scaled(coeff)
-        for (r, c), val in op.entries.items():
-            entries[(r, c * d + k)] = val
-    return LinearMap(H.field, dom, H.power_shape(n), entries)
-
-
-def single_slot_right_action(H: HopfAlgebraData, h: Vector) -> LinearMap:
-    """x |-> S(h_(1)) x h_(2) for a fixed element h."""
-    d = H.dim
-    dh = H.sweedler_iterate(h, 2)
-    out = LinearMap.zero(H.field, H.shape, H.shape)
-    for idx, coeff in enumerate(dh):
-        if coeff.is_zero():
-            continue
-        p, q = divmod(idx, d)
-        term = H.right_multiplication(H.basis_vector(q)).compose(
-            H.left_multiplication(H.antipode_vec(H.basis_vector(p))))
-        out = out + term.scaled(coeff)
-    return out
+    for k, a in enumerate(coadjoint_blocks(H, n)):
+        for (r, c), v in a.entries.items():
+            entries[(r, c * d + k)] = v
+    return LinearMap(H.field, H.power_shape(n) * H.shape, H.power_shape(n), entries)
 
 
 # -- hom spaces ----------------------------------------------------------------------
@@ -604,10 +653,15 @@ def drinfeld_element(H: HopfAlgebraData) -> Vector:
 
 
 def pivot_element(H: HopfAlgebraData) -> Vector:
-    """g = u theta^{-1}; group-like for ribbon H, with S^2 = g (.) g^{-1}."""
+    """g = u theta^{-1}; group-like for ribbon H, with S^2 = g (.) g^{-1}.  Cached
+    on H while m, S, R, theta and theta_inv are unchanged (the element vectors
+    are compared by value, since they are lists that can be edited in place)."""
     if H.theta_inv is None:
         raise HopfError("pivot needs a ribbon element")
-    return H.multiply(drinfeld_element(H), H.theta_inv)
+    key = (H.m, H.S, tuple(H.R or ()), tuple(H.theta or ()), tuple(H.theta_inv))
+    if H._pivot is None or H._pivot[0] != key:
+        H._pivot = (key, H.multiply(drinfeld_element(H), H.theta_inv))
+    return list(H._pivot[1])
 
 
 def pivot_inverse(H: HopfAlgebraData) -> Vector:
@@ -766,6 +820,16 @@ def group_algebra(field: FieldSpec, orders: Sequence[int],
         else:
             raise HopfError(f"field {field} lacks a primitive {L}-th root of unity")
         scale = [L // n for n in orders]
+        if quad is None:
+            raise HopfError("a bicharacter needs a compatible quadratic form for theta")
+        # Delta(theta) = (R21 R)^{-1} (theta (x) theta) on characters s, t reads
+        # s.(Q + Q^T).t = -s.(M + M^T).t (mod L); check it on generators
+        for i in range(k):
+            for j in range(k):
+                if scale[i] * scale[j] * (quad[i][j] + quad[j][i] + bichar[i][j]
+                                          + bichar[j][i]) % L:
+                    raise HopfError(f"quadratic form and bicharacter violate the ribbon "
+                                    f"axiom at generators ({i}, {j})")
 
         def chi(s, a):
             """Value of the character s on the group element a."""
@@ -800,8 +864,6 @@ def group_algebra(field: FieldSpec, orders: Sequence[int],
 
         R = pair_element(+1)
         R_inv = pair_element(-1)
-        if quad is None:
-            raise HopfError("a bicharacter needs a compatible quadratic form for theta")
 
         def qform(s, sign=1):
             e = sum(s[i] * scale[i] * quad[i][j] * s[j] * scale[j]
@@ -903,46 +965,12 @@ def drinfeld_double_of_cyclic(field: FieldSpec, n: int) -> HopfAlgebraData:
     """The Drinfeld double of Z/n as the group algebra of Z/n x Z/n with the
     canonical pairing bicharacter and toric-code ribbon form."""
     bichar = [[0, 1], [0, 0]]
-    quad = [[0, 1], [0, 0]]
+    quad = [[0, -1], [0, 0]]
     return group_algebra(field, [n, n], bichar=bichar, quad=quad,
                          name=f"double_z{n}")
 
 
 # -- JSON schema --------------------------------------------------------------------------
-
-
-def _triplets(m: LinearMap) -> list:
-    items = sorted(m.entries.items())
-    return [[r, c, repr(v)] for (r, c), v in items]
-
-
-def _sparse_vec(v: Vector) -> list:
-    return [[i, repr(x)] for i, x in enumerate(v) if not x.is_zero()]
-
-
-def algebra_to_json(H: HopfAlgebraData, simples: list[ModuleData] | None = None) -> dict:
-    out = {
-        "field": H.field.to_json(),
-        "dim": H.dim,
-        "basis": H.basis_labels,
-        "name": H.name,
-        "m": _triplets(H.m),
-        "Delta": _triplets(H.Delta),
-        "S": _triplets(H.S),
-        "S_inv": _triplets(H.S_inv),
-        "u": _sparse_vec(H.u),
-        "epsilon": _sparse_vec([H.epsilon.entry(0, c) for c in range(H.dim)]),
-    }
-    if H.R is not None:
-        out["R"] = _sparse_vec(H.R)
-        out["R_inv"] = _sparse_vec(H.R_inv)
-    if H.theta is not None:
-        out["theta"] = _sparse_vec(H.theta)
-        out["theta_inv"] = _sparse_vec(H.theta_inv)
-    if simples:
-        out["simples"] = [{"dim": V.dim, "name": V.name, "action": _triplets(V.action)}
-                          for V in simples]
-    return out
 
 
 def algebra_from_json(obj: dict) -> tuple[HopfAlgebraData, list[ModuleData]]:

@@ -449,8 +449,8 @@ class SubspaceBasis:
     """A basis of a subspace of a based space, with exact membership tests.
 
     When the basis comes from kernel_with_free_columns, coordinates are read
-    off at the indicator columns and verified by reconstruction; otherwise a
-    linear solve is used.
+    off at the indicator columns and verified by reconstruction on the
+    nonzero entries; otherwise a linear solve is used.
     """
 
     def __init__(self, field, ambient_dim: int, vectors: list[list[Scalar]],
@@ -459,11 +459,9 @@ class SubspaceBasis:
         self.ambient_dim = ambient_dim
         self.vectors = vectors
         self.indicator_cols = indicator_cols
-        entries = {}
-        for c, vec in enumerate(vectors):
-            for r, v in enumerate(vec):
-                if not v.is_zero():
-                    entries[(r, c)] = v
+        self._sparse = [{r: v for r, v in enumerate(vec) if not v.is_zero()}
+                        for vec in vectors]
+        entries = {(r, c): v for c, vec in enumerate(self._sparse) for r, v in vec.items()}
         self._matrix = LinearMap(field, TensorShape([len(vectors)]),
                                  TensorShape([ambient_dim]), entries)
 
@@ -487,28 +485,47 @@ class SubspaceBasis:
 
     def coordinates(self, vec: Sequence[Scalar]) -> list[Scalar] | None:
         """Coordinates of vec in this basis, or None if vec lies outside the span."""
-        if not self.vectors:
-            return [] if all(x.is_zero() for x in vec) else None
-        if self.indicator_cols is not None:
-            coords = [vec[c] for c in self.indicator_cols]
-            recon = [self.field.zero()] * self.ambient_dim
-            for k, c in enumerate(coords):
-                if c.is_zero():
-                    continue
-                for r, v in enumerate(self.vectors[k]):
-                    if not v.is_zero():
-                        recon[r] = recon[r] + c * v
-            if all(a == b for a, b in zip(recon, vec)):
-                return coords
-            return None
-        return solve(self._matrix, list(vec))
+        if len(vec) != self.ambient_dim:
+            raise ShapeError(f"vector length {len(vec)} != ambient dim {self.ambient_dim}")
+        return self._sparse_coordinates({r: v for r, v in enumerate(vec) if not v.is_zero()})
+
+    def _sparse_coordinates(self, vec: dict[int, Scalar]) -> list[Scalar] | None:
+        """coordinates() of the vector with the given nonzero entries; read at
+        the indicator columns, they must reconstruct it exactly."""
+        zero = self.field.zero()
+        if self.indicator_cols is None and self.vectors:
+            return solve(self._matrix, [vec.get(r, zero) for r in range(self.ambient_dim)])
+        coords = [vec.get(c, zero) for c in self.indicator_cols or ()]
+        recon: dict[int, Scalar] = {}
+        for k, c in enumerate(coords):
+            if c.is_zero():
+                continue
+            for r, v in self._sparse[k].items():
+                prod = c * v
+                recon[r] = recon[r] + prod if r in recon else prod
+        recon = {r: v for r, v in recon.items() if not v.is_zero()}
+        return coords if recon == vec else None
 
     def restrict(self, ambient: LinearMap, target: "SubspaceBasis") -> LinearMap | None:
         """The matrix of an ambient-space map from this basis to the target
-        basis, or None if the image of some basis vector leaves the target span."""
+        basis, or None if the image of some basis vector leaves the target span.
+        Each image is formed from the columns of ambient at the basis vector's
+        nonzero entries."""
+        if ambient.domain.dim != self.ambient_dim or ambient.codomain.dim != target.ambient_dim:
+            raise ShapeError(f"cannot restrict a map {ambient.domain}->{ambient.codomain} "
+                             f"to subspaces of {self.ambient_dim} and {target.ambient_dim}")
+        columns: dict[int, list[tuple[int, Scalar]]] = {}
+        for (r, c), v in ambient.entries.items():
+            columns.setdefault(c, []).append((r, v))
         entries = {}
-        for c, vec in enumerate(self.vectors):
-            coords = target.coordinates(ambient.apply(vec))
+        for c, vec in enumerate(self._sparse):
+            image: dict[int, Scalar] = {}
+            for j, x in vec.items():
+                for r, v in columns.get(j, ()):
+                    prod = v * x
+                    image[r] = image[r] + prod if r in image else prod
+            coords = target._sparse_coordinates(
+                {r: v for r, v in image.items() if not v.is_zero()})
             if coords is None:
                 return None
             for r, v in enumerate(coords):

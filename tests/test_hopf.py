@@ -6,14 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from cyclotome.fields import Cyclotomic, FieldSpec, Rationals
 from cyclotome.hopf import (
-    HopfError, LinearMap, braiding, coadjoint_module, drinfeld_double_of_cyclic,
-    drinfeld_element, dual_module, group_algebra, group_algebra_simples, hom_space,
-    invariants, load_algebra, modular_data, module_power, pivot_element, qdim,
-    regular_module, right_coadjoint_power, single_slot_right_action,
+    HopfError, LinearMap, braiding, coadjoint_action, coadjoint_blocks, coadjoint_module,
+    drinfeld_double_of_cyclic, drinfeld_element, dual_module, group_algebra,
+    group_algebra_simples, hom_space, invariants, load_algebra, modular_data,
+    module_power, pivot_element, qdim, regular_module, right_coadjoint_power,
     sweedler_h4, tensor_module, trivial_module, twist, verify_axioms,
     verify_quasitriangular_ribbon,
 )
-from cyclotome.linalg import ShapeError, TensorShape, kernel_and_rank
+from cyclotome.linalg import (
+    ShapeError, TensorShape, block_flip, kernel_and_rank, permute_factors,
+)
 
 Q = Rationals()
 K4 = Cyclotomic(4)
@@ -116,7 +118,7 @@ def test_right_coadjoint_power_is_right_action():
 def test_right_action_collapses_for_commutative(bundled):
     H, _ = bundled["double_z2"]
     for k in range(H.dim):
-        op = single_slot_right_action(H, H.basis_vector(k))
+        op = coadjoint_action(H, H.basis_vector(k), 1)
         eps = H.epsilon.entry(0, k)
         assert op == LinearMap.identity(H.field, H.shape).scaled(eps)
 
@@ -386,3 +388,192 @@ def test_rho_of_multiplies_only_nonzero_entries(monkeypatch):
     count = len(calls)
     bound = sum(len(V.rho(k).entries) for k, x in enumerate(h) if not x.is_zero())
     assert 0 < count <= bound
+
+
+# -- actions on tensor powers against the composite references ----------------------
+
+
+def _kron(a, b):
+    return [x * y for x in a for y in b]
+
+
+def _iterated_coproduct(H, x, n):
+    """The reference iterate: id^(k-1) (x) Delta applied as whole maps."""
+    out = list(x)
+    for k in range(1, n):
+        step = LinearMap.identity(H.field, H.power_shape(k - 1)).tensor(H.Delta)
+        out = step.apply(out)
+    return out
+
+
+def _three_map_action(V, W):
+    """The action of V (x) W as (act_V (x) act_W) o (id (x) flip_{H,V} (x) id_W)
+    o (Delta (x) id_V (x) id_W)."""
+    H, F = V.algebra, V.algebra.field
+    eye = LinearMap.identity
+    step1 = H.Delta.tensor(eye(F, V.shape)).tensor(eye(F, W.shape))
+    step2 = eye(F, H.shape).tensor(block_flip(F, H.shape, V.shape)).tensor(eye(F, W.shape))
+    vw = TensorShape([V.dim * W.dim])
+    return V.action.tensor(W.action).compose(step2).compose(step1).reshaped(H.shape * vw, vw)
+
+
+def _digit_coadjoint(H, k, n):
+    """ad_n(e_k) from the (2n-1)-fold coproduct: slot s is acted by
+    x |-> S(e_p) x e_q for the digits (p, q) at positions 2s, 2s + 1, and the
+    slots' operators are Kronecker multiplied."""
+    F, d = H.field, H.dim
+    sw = _iterated_coproduct(H, H.basis_vector(k), 2 * n)
+    out = LinearMap.zero(F, H.power_shape(n), H.power_shape(n))
+    for idx, coeff in enumerate(sw):
+        if coeff.is_zero():
+            continue
+        digits = [idx // d ** (2 * n - 1 - i) % d for i in range(2 * n)]
+        term = None
+        for s in range(n):
+            sp = H.S.apply(H.basis_vector(digits[2 * s]))
+            cols = {}
+            for c in range(d):
+                w = H.m.apply(_kron(H.m.apply(_kron(sp, H.basis_vector(c))),
+                                    H.basis_vector(digits[2 * s + 1])))
+                cols.update({(r, c): v for r, v in enumerate(w) if not v.is_zero()})
+            op = LinearMap(F, H.shape, H.shape, cols)
+            term = op if term is None else term.tensor(op)
+        out = out + term.scaled(coeff)
+    return out
+
+
+def test_tensor_module_matches_three_map_composite(bundled):
+    for name, (H, simples) in bundled.items():
+        mods = [regular_module(H), coadjoint_module(H)] + list(simples)
+        for V in mods:
+            for W in mods:
+                VW = tensor_module(V, W)
+                assert VW.action == _three_map_action(V, W), (name, V.name, W.name)
+                for k in range(H.dim):
+                    assert VW.rho(k) == _dense_rho(VW, H.basis_vector(k)), (name, k)
+
+
+def test_coadjoint_blocks_match_digit_reference(bundled):
+    for name, (H, _) in bundled.items():
+        for n in (1, 2, 3):
+            blocks = coadjoint_blocks(H, n)
+            for k in range(H.dim):
+                assert blocks[k] == _digit_coadjoint(H, k, n), (name, n, k)
+        act = right_coadjoint_power(H, 2)
+        for k in range(H.dim):
+            for c in range(H.dim ** 2):
+                x = [H.field.one() if i == c else H.field.zero() for i in range(H.dim ** 2)]
+                assert act.apply(_kron(x, H.basis_vector(k))) == \
+                    coadjoint_blocks(H, 2)[k].apply(x), (name, k, c)
+
+
+def test_coadjoint_action_is_sum_of_blocks(bundled):
+    H, _ = bundled["sweedler_h4"]
+    y = [Q.from_int(2), Q.zero(), Q.from_int(-1), Q.from_int(3)]
+    for n in (0, 1, 2):
+        expected = LinearMap.zero(Q, H.power_shape(n), H.power_shape(n))
+        for k, a in enumerate(coadjoint_blocks(H, n)):
+            expected = expected + a.scaled(y[k])
+        assert coadjoint_action(H, y, n) == expected
+    # level 0 is the counit on the unit
+    assert coadjoint_action(H, y, 0).entry(0, 0) == H.counit_value(y)
+
+
+@pytest.fixture(scope="module")
+def power_multiplications(bundled):
+    """m^(x)n composed with the permutation interleaving (a_1..a_n, b_1..b_n)."""
+    out = {}
+    for name, (H, _) in bundled.items():
+        for n in (1, 2, 3):
+            perm = [i for s in range(n) for i in (s, n + s)]
+            mm = H.m
+            for _ in range(n - 1):
+                mm = mm.tensor(H.m)
+            inter = permute_factors(H.field, H.power_shape(2 * n), perm)
+            out[name, n] = mm.compose(inter)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_multiply_matches_interleaved_power_of_m(bundled, power_multiplications, data):
+    name = data.draw(st.sampled_from(sorted(bundled)))
+    n = data.draw(st.integers(1, 3))
+    H, _ = bundled[name]
+    a = _scalars(H.field, data, H.dim ** n)
+    b = _scalars(H.field, data, H.dim ** n)
+    assert H.multiply(a, b, n) == power_multiplications[name, n].apply(_kron(a, b))
+
+
+def test_multiply_rejects_wrong_length(bundled):
+    H, _ = bundled["sweedler_h4"]
+    with pytest.raises(ShapeError):
+        H.multiply(H.u, H.unit_power(2), 2)
+    with pytest.raises(ShapeError):
+        H.multiply(H.u + [Q.zero()], H.u)
+
+
+def test_sweedler_iterate_matches_whole_map_iterate(bundled):
+    for name, (H, _) in bundled.items():
+        rand = [H.field.from_int(rng.randint(-2, 2)) for _ in range(H.dim)]
+        for x in [H.basis_vector(k) for k in range(H.dim)] + [rand]:
+            for n in range(1, 5):
+                assert H.sweedler_iterate(x, n) == _iterated_coproduct(H, x, n), (name, n)
+
+
+# -- ribbon data of the doubles and the pivot cache -----------------------------------------
+
+
+def test_double_of_z3_passes_ribbon_axioms():
+    K3 = Cyclotomic(3)
+    H = drinfeld_double_of_cyclic(K3, 3)
+    rep = verify_quasitriangular_ribbon(H)
+    assert rep.ok, rep.failures
+    md = modular_data(H, group_algebra_simples(H, [3, 3]))
+    assert md.modular and md.anomaly_free
+    assert md.delta_plus == md.delta_minus == K3.from_int(3)
+    assert md.dim_B == md.delta_plus * md.delta_minus == K3.from_int(9)
+
+
+def test_incompatible_quadratic_form_rejected():
+    # the quadratic form the double of Z/3 used to be built with
+    with pytest.raises(HopfError, match="ribbon axiom"):
+        group_algebra(Cyclotomic(3), [3, 3], bichar=[[0, 1], [0, 0]],
+                      quad=[[0, 1], [0, 0]])
+    with pytest.raises(HopfError, match="ribbon axiom"):
+        group_algebra(K4, [4], bichar=[[1]], quad=[[0]])
+
+
+def test_order_two_ribbon_data_unchanged():
+    # at n = 2 the sign of the quadratic form cannot be seen
+    H = drinfeld_double_of_cyclic(Q, 2)
+    old = group_algebra(Q, [2, 2], bichar=[[0, 1], [0, 0]], quad=[[0, 1], [0, 0]])
+    assert (H.R, H.R_inv, H.theta, H.theta_inv) == (old.R, old.R_inv, old.theta,
+                                                    old.theta_inv)
+    semion = group_algebra(K4, [4], bichar=[[1]], quad=[[-1]], name="z2_semion")
+    assert verify_quasitriangular_ribbon(semion).ok
+
+
+def test_pivot_cached_until_ribbon_data_change(bundled, monkeypatch):
+    import cyclotome.hopf as hopf
+    H = drinfeld_double_of_cyclic(K4, 2)
+    calls = []
+    real = hopf.drinfeld_element
+
+    def counted(H_):
+        calls.append(1)
+        return real(H_)
+
+    monkeypatch.setattr(hopf, "drinfeld_element", counted)
+    g = pivot_element(H)
+    for _ in range(3):
+        assert pivot_element(H) == g
+    assert len(calls) == 1
+    # a new theta_inv, then an in-place edit of it, each give a fresh pivot
+    H.theta_inv = list(H.u)
+    assert pivot_element(H) == H.multiply(real(H), H.u)
+    H.theta_inv[0] = K4.from_int(2)
+    assert pivot_element(H) == H.multiply(real(H), H.theta_inv)
+    H.R = list(H.unit_power(2))
+    assert pivot_element(H) == H.multiply(real(H), H.theta_inv)
+    assert len(calls) == 4

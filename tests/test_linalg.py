@@ -146,6 +146,27 @@ def test_subspace_restrict():
     assert basis.restrict(first, basis) is None
 
 
+def test_restrict_checks_every_nonzero_of_the_image():
+    # kernel of x0 = x2, x1 = 0: the basis vector (1, 0, 1), indicator column 2
+    m = LinearMap.from_rows(Q, TensorShape([3]), TensorShape([2]),
+                            [[Q.one(), Q.zero(), -Q.one()], [Q.zero(), Q.one(), Q.zero()]])
+    basis = SubspaceBasis.from_kernel(Q, m)
+    assert basis.indicator_cols == [2]
+    three = Q.from_int(3)
+    scale = LinearMap.identity(Q, TensorShape([3])).scaled(three)
+    assert basis.restrict(scale, basis).entries == {(0, 0): three}
+    # images that agree with 3 (1, 0, 1) at the indicator column but not elsewhere
+    for image in ({(2, 0): three, (2, 2): three},
+                  {(0, 0): three, (1, 0): Q.one(), (2, 2): three},
+                  {(0, 0): Q.one(), (2, 2): three}):
+        ambient = LinearMap(Q, TensorShape([3]), TensorShape([3]), image)
+        assert basis.restrict(ambient, basis) is None, image
+        vec = ambient.apply([Q.one(), Q.zero(), Q.one()])
+        assert basis.coordinates(vec) is None, image
+    with pytest.raises(ShapeError):
+        basis.restrict(LinearMap.identity(Q, TensorShape([2])), basis)
+
+
 WHISKER_FIELDS = (Q, PrimeField(7), Cyclotomic(4))
 factor_lists = st.lists(st.integers(1, 3), max_size=2)
 
