@@ -11,7 +11,7 @@ Their agreement pins every braiding and twist convention.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Callable
+from typing import Sequence
 
 from .cyclic_cat import (
     CYCLIC, PARACYCLIC, CategoryVariant, CyclicMap, GeneratorWord, RCyclic,
@@ -165,6 +165,59 @@ def check_relations(M: CyclicModuleData, N: int | None = None) -> CheckReport:
     return rep
 
 
+# -- the generator table ----------------------------------------------------------------
+
+
+def generator_keys(N: int) -> list[tuple]:
+    """The generator keys of a module built to level N, level by level: the
+    rotation ("tau", n), the (co)faces ("delta", n, i) for n >= 1 and the
+    (co)degeneracies ("sigma", n, j) for n < N."""
+    keys = []
+    for n in range(N + 1):
+        keys.append(("tau", n))
+        if n:
+            keys += [("delta", n, i) for i in range(n + 1)]
+        if n < N:
+            keys += [("sigma", n, j) for j in range(n + 1)]
+    return keys
+
+
+def generator_levels(chirality: str, key: tuple) -> tuple[int, int]:
+    """(source, target) level of a generator: on the cyclic side faces lower
+    the level and degeneracies raise it, on the cocyclic side the reverse."""
+    kind, n = key[0], key[1]
+    src, tgt = {"tau": (n, n), "delta": (n, n - 1), "sigma": (n, n + 1)}[kind]
+    return (src, tgt) if chirality == "cyclic" else (tgt, src)
+
+
+def _flip(chirality: str) -> str:
+    return "cocyclic" if chirality == "cyclic" else "cyclic"
+
+
+def _restricted(variant: CategoryVariant, chirality: str, N: int,
+                spaces: dict[int, SubspaceBasis], ambient: dict[tuple, LinearMap],
+                provenance: str, level_modules: dict | None = None) -> CyclicModuleData:
+    """The module whose generators are the ambient maps restricted to the level
+    spaces; an image leaving its level space is rejected by CyclicModuleData."""
+    gen = {}
+    for key, amb in ambient.items():
+        src, tgt = generator_levels(chirality, key)
+        gen[key] = spaces[src].restrict(amb, spaces[tgt])
+    return CyclicModuleData(variant, chirality, N, spaces, gen, provenance=provenance,
+                            level_modules=level_modules or {})
+
+
+def _hom_module(variant: CategoryVariant, chirality: str, gen: dict[tuple, LinearMap],
+                N: int, spaces: dict[int, SubspaceBasis], target: TensorShape,
+                provenance: str, level_modules: dict | None = None) -> CyclicModuleData:
+    """Hom(-, X) of an object-level module with generators gen: on T flattened
+    as a vector of X (x) W, T o f is (id_X (x) f^T) T.  Hom is contravariant,
+    so the chirality flips."""
+    ambient = {key: whisker(f.transpose(), target, UNIT) for key, f in gen.items()}
+    return _restricted(variant, _flip(chirality), N, spaces, ambient, provenance,
+                       level_modules)
+
+
 # -- the explicit model on invariant tensors ------------------------------------------------
 
 
@@ -206,6 +259,29 @@ def explicit_cocyclic_rotation(H: HopfAlgebraData, n: int) -> LinearMap:
     return out
 
 
+def _explicit(H: HopfAlgebraData, N: int, chirality: str, face: LinearMap,
+              degen: LinearMap, rotation) -> CyclicModuleData:
+    """The explicit model on the invariant tensors V_(n+1): (co)face i applies
+    face at slot i, (co)degeneracy j applies degen after slot j, and the
+    wrapping (co)face n is (co)face 0 through the rotation."""
+    ambient: dict[tuple, LinearMap] = {}
+    for key in generator_keys(N):
+        kind, n, i = key[0], key[1], key[-1]
+        if kind == "tau":
+            ambient[key] = rotation(H, n)
+        elif kind == "sigma":
+            ambient[key] = whisker(degen, H.power_shape(i + 1), H.power_shape(n - i))
+        elif i < n:
+            ambient[key] = whisker(face, H.power_shape(i), H.power_shape(n - 1 - i))
+        else:
+            first, tau = ambient[("delta", n, 0)], ambient[("tau", n)]
+            ambient[key] = (first.compose(tau) if chirality == "cyclic"
+                            else tau.compose(first))
+    spaces = {n: invariant_tensor_basis(H, n + 1) for n in range(N + 1)}
+    return _restricted(CYCLIC, chirality, N, spaces, ambient,
+                       f"explicit coend {chirality} of {H.name}")
+
+
 def explicit_coend_cyclic(H: HopfAlgebraData, N: int) -> CyclicModuleData:
     """The cyclic module on the invariant tensors V_(n+1): faces multiply adjacent
     slots (the last one wraps through the R-matrix and the ribbon element),
@@ -213,63 +289,18 @@ def explicit_coend_cyclic(H: HopfAlgebraData, N: int) -> CyclicModuleData:
     if H.R is None or H.theta is None:
         raise CyclicModuleError("the explicit cyclic model needs ribbon data")
     u_map = LinearMap.from_function(H.field, UNIT, H.shape, lambda c: enumerate(H.u))
-    spaces = {n: invariant_tensor_basis(H, n + 1) for n in range(N + 1)}
-    gen: dict[tuple, LinearMap] = {}
-    for n in range(N + 1):
-        t_amb = explicit_cyclic_rotation(H, n)
-        gen[("tau", n)] = spaces[n].restrict(t_amb, spaces[n])
-        if n >= 1:
-            for i in range(n):
-                amb = whisker(H.m, H.power_shape(i), H.power_shape(n - 1 - i))
-                gen[("delta", n, i)] = spaces[n].restrict(amb, spaces[n - 1])
-            amb_last = whisker(H.m, UNIT, H.power_shape(n - 1)).compose(t_amb)
-            gen[("delta", n, n)] = spaces[n].restrict(amb_last, spaces[n - 1])
-        if n + 1 <= N:
-            for j in range(n + 1):
-                amb = whisker(u_map, H.power_shape(j + 1), H.power_shape(n - j))
-                gen[("sigma", n, j)] = spaces[n].restrict(amb, spaces[n + 1])
-    return CyclicModuleData(CYCLIC, "cyclic", N, spaces, gen,
-                            provenance=f"explicit coend cyclic of {H.name}")
+    return _explicit(H, N, "cyclic", H.m, u_map, explicit_cyclic_rotation)
 
 
-def explicit_coend_cocyclic(H: HopfAlgebraData, N: int,
-                            braided_order: str = "two-one") -> CyclicModuleData:
+def explicit_coend_cocyclic(H: HopfAlgebraData, N: int) -> CyclicModuleData:
     """The cocyclic counterpart: cofaces apply the braided coproduct, the last
-    coface and the cocyclic operator wrap through the inverse R-matrix.
-
-    braided_order fixes which braided-coproduct leg stays in front in the
-    wrapping coface ("two-one" keeps the second leg in front).  The relation
-    suite arbitrates the choice; on algebras whose braided coproduct is
-    cocommutative the two orderings coincide.
-    """
+    coface and the cocyclic operator wrap through the inverse R-matrix; in the
+    wrapping coface the second leg of the braided coproduct stays in front."""
     if H.R is None or H.theta is None:
         raise CyclicModuleError("the explicit cocyclic model needs ribbon data")
     from .coend import braided_coproduct
-    F = H.field
-    db = braided_coproduct(H)
-    spaces = {n: invariant_tensor_basis(H, n + 1) for n in range(N + 1)}
-    gen: dict[tuple, LinearMap] = {}
-    for n in range(N + 1):
-        tau_amb = explicit_cocyclic_rotation(H, n)
-        gen[("tau", n)] = spaces[n].restrict(tau_amb, spaces[n])
-        if n >= 1:
-            for i in range(n):
-                amb = whisker(db, H.power_shape(i), H.power_shape(n - 1 - i))
-                gen[("delta", n, i)] = spaces[n - 1].restrict(amb, spaces[n])
-            # wrapping coface: braided coproduct at slot 0, then the cocyclic
-            # rotation moves one leg to the back through the inverse braiding
-            total = n + 1
-            first = whisker(db, UNIT, H.power_shape(n - 1))
-            if braided_order == "one-two":
-                first = permute_factors(F, H.power_shape(total),
-                                        [1, 0] + list(range(2, total))).compose(first)
-            gen[("delta", n, n)] = spaces[n - 1].restrict(tau_amb.compose(first), spaces[n])
-        if n + 1 <= N:
-            for j in range(n + 1):
-                amb = whisker(H.epsilon, H.power_shape(j + 1), H.power_shape(n - j))
-                gen[("sigma", n, j)] = spaces[n + 1].restrict(amb, spaces[n])
-    return CyclicModuleData(CYCLIC, "cocyclic", N, spaces, gen,
-                            provenance=f"explicit coend cocyclic of {H.name}")
+    return _explicit(H, N, "cocyclic", braided_coproduct(H), H.epsilon,
+                     explicit_cocyclic_rotation)
 
 
 # -- generic constructions from (co)algebra objects -----------------------------------------
@@ -348,114 +379,63 @@ def coend_algebra_object(data: CoendData) -> AlgebraObject:
                          name=f"coend({data.algebra.name})")
 
 
-def _object_paracyclic_maps(obj: CoalgebraObject, N: int):
-    """Object-level faces (counit contractions), degeneracies (comultiplication
-    insertions), and the pinned braided rotations, on V^(x)(n+1)."""
+def _object_generators(obj: CoalgebraObject | AlgebraObject, N: int
+                       ) -> tuple[str, dict[tuple, LinearMap]]:
+    """The chirality and generators on V^(x)(n+1) of the object-level module of
+    a (co)algebra object, after its axioms pass.  A coalgebra gives a
+    paracyclic module: face i contracts slot i by the counit, degeneracy j
+    comultiplies slot j, t_n brings the last factor to the front through the
+    inverse braiding.  An algebra gives a paracocyclic one: coface i inserts
+    the unit at slot i, codegeneracy j multiplies slots j and j + 1, tau_n
+    moves the first factor to the back."""
     V = obj.module
-    eps = obj.counit.reshaped(V.shape, UNIT)
-    co = obj.comultiplication.reshaped(V.shape, V.shape * V.shape)
-
-    def vshape(k):
-        return TensorShape([V.dim] * k)
-
-    faces = {}
-    degens = {}
-    rotations = {}
-    for n in range(N + 1):
-        total = n + 1
-        rot = rotate_last_to_front(V, n)
-        rotations[n] = rot.reshaped(vshape(total), vshape(total))
-        if n >= 1:
-            for i in range(total):
-                faces[(n, i)] = whisker(eps, vshape(i), vshape(n - i))
-        for j in range(total):
-            degens[(n, j)] = whisker(co, vshape(j), vshape(n - j))
-    return faces, degens, rotations
-
-
-def cocyclic_module_from_coalgebra(obj: CoalgebraObject, N: int) -> CyclicModuleData:
-    """The cocyclic module on the invariant functionals Hom(V^(x)(n+1), 1):
-    generators act by precomposition with the object-level paracyclic maps."""
+    if isinstance(obj, CoalgebraObject):
+        what, chirality, rotate = "coalgebra", "cyclic", rotate_last_to_front
+        face = obj.counit.reshaped(V.shape, UNIT)
+        degen = obj.comultiplication.reshaped(V.shape, V.shape * V.shape)
+    else:
+        what, chirality, rotate = "algebra", "cocyclic", rotate_front_to_last
+        face = obj.unit_map()
+        degen = obj.multiplication.reshaped(V.shape * V.shape, V.shape)
     rep = obj.verify()
     if not rep.ok:
-        raise CyclicModuleError(f"coalgebra axioms fail: {rep.failures}")
-    V = obj.module
-    faces, degens, rotations = _object_paracyclic_maps(obj, N)
-    powers = {n: module_power(V, n + 1) for n in range(N + 1)}
+        raise CyclicModuleError(f"{what} axioms fail: {rep.failures}")
+    gen = {}
+    for key in generator_keys(N):
+        kind, n, i = key[0], key[1], key[-1]
+        if kind == "tau":
+            gen[key] = rotate(V, n)
+        else:
+            gen[key] = whisker(face if kind == "delta" else degen,
+                               TensorShape([V.dim] * i), TensorShape([V.dim] * (n - i)))
+    return chirality, gen
+
+
+def _hom_of_object(obj: CoalgebraObject | AlgebraObject, N: int) -> CyclicModuleData:
+    """Hom(-, 1) of the object-level module, on the invariant functionals
+    Hom(V^(x)(n+1), 1); the level-zero rotation must be the identity."""
+    chirality, gen = _object_generators(obj, N)
+    powers = {n: module_power(obj.module, n + 1) for n in range(N + 1)}
     spaces = {n: invariant_functional_basis(powers[n]) for n in range(N + 1)}
-    gen: dict[tuple, LinearMap] = {}
-    for n in range(N + 1):
-        gen[("tau", n)] = spaces[n].restrict(rotations[n].transpose(), spaces[n])
-        if n >= 1:
-            for i in range(n + 1):
-                gen[("delta", n, i)] = spaces[n - 1].restrict(
-                    faces[(n, i)].transpose(), spaces[n])
-        if n + 1 <= N:
-            for j in range(n + 1):
-                gen[("sigma", n, j)] = spaces[n + 1].restrict(
-                    degens[(n, j)].transpose(), spaces[n])
-    M = CyclicModuleData(CYCLIC, "cocyclic", N, spaces, gen,
-                         provenance=f"cocyclic module of {obj.name}",
-                         level_modules=powers)
-    _assert_level_zero_identity(M)
-    return M
-
-
-def _object_paracocyclic_maps(obj: AlgebraObject, N: int):
-    V = obj.module
-    m = obj.multiplication.reshaped(V.shape * V.shape, V.shape)
-    u = obj.unit_map()
-
-    def vshape(k):
-        return TensorShape([V.dim] * k)
-
-    cofaces = {}
-    codegens = {}
-    rotations = {}
-    for n in range(N + 1):
-        total = n + 1
-        rot = rotate_front_to_last(V, n)
-        rotations[n] = rot.reshaped(vshape(total), vshape(total))
-        if n >= 1:
-            for i in range(total):
-                cofaces[(n, i)] = whisker(u, vshape(i), vshape(n - i))
-        for j in range(total):
-            codegens[(n, j)] = whisker(m, vshape(j), vshape(n - j))
-    return cofaces, codegens, rotations
-
-
-def cyclic_module_from_algebra(obj: AlgebraObject, N: int) -> CyclicModuleData:
-    """The cyclic module on Hom(V^(x)(n+1), 1): faces insert the unit, degeneracies
-    multiply adjacent slots, the cyclic operator is the inverse braided rotation."""
-    rep = obj.verify()
-    if not rep.ok:
-        raise CyclicModuleError(f"algebra axioms fail: {rep.failures}")
-    V = obj.module
-    cofaces, codegens, rotations = _object_paracocyclic_maps(obj, N)
-    powers = {n: module_power(V, n + 1) for n in range(N + 1)}
-    spaces = {n: invariant_functional_basis(powers[n]) for n in range(N + 1)}
-    gen: dict[tuple, LinearMap] = {}
-    for n in range(N + 1):
-        gen[("tau", n)] = spaces[n].restrict(rotations[n].transpose(), spaces[n])
-        if n >= 1:
-            for i in range(n + 1):
-                gen[("delta", n, i)] = spaces[n].restrict(
-                    cofaces[(n, i)].transpose(), spaces[n - 1])
-        if n + 1 <= N:
-            for j in range(n + 1):
-                gen[("sigma", n, j)] = spaces[n].restrict(
-                    codegens[(n, j)].transpose(), spaces[n + 1])
-    M = CyclicModuleData(CYCLIC, "cyclic", N, spaces, gen,
-                         provenance=f"cyclic module of {obj.name}",
-                         level_modules=powers)
-    _assert_level_zero_identity(M)
-    return M
-
-
-def _assert_level_zero_identity(M: CyclicModuleData):
+    M = _hom_module(CYCLIC, chirality, gen, N, spaces, UNIT,
+                    f"{_flip(chirality)} module of {obj.name}", powers)
     t0 = M.tau(0)
     if t0 != LinearMap.identity(t0.field, t0.domain):
         raise CyclicModuleError("the level-zero cyclic operator is not the identity")
+    return M
+
+
+def cocyclic_module_from_coalgebra(obj: CoalgebraObject, N: int) -> CyclicModuleData:
+    """The cocyclic module Hom(-, 1) of a coalgebra object's paracyclic module:
+    generators act on Hom(V^(x)(n+1), 1) by precomposition with the object maps."""
+    return _hom_of_object(obj, N)
+
+
+def cyclic_module_from_algebra(obj: AlgebraObject, N: int) -> CyclicModuleData:
+    """The cyclic module Hom(-, 1) of an algebra object's paracocyclic module:
+    faces insert the unit, degeneracies multiply adjacent slots, the cyclic
+    operator is the inverse braided rotation."""
+    return _hom_of_object(obj, N)
 
 
 # -- duality and reindexing -------------------------------------------------------------
@@ -467,30 +447,20 @@ def apply_cyclic_duality(M: CyclicModuleData) -> CyclicModuleData:
     if M.variant.kind not in ("cyclic", "paracyclic", "rcyclic"):
         raise CyclicModuleError("cyclic duality needs rotations")
     gen: dict[tuple, LinearMap] = {}
-    out_chirality = "cyclic" if M.chirality == "cocyclic" else "cocyclic"
-    N = M.max_level
-    for n in range(N + 1):
-        t_inv = M.tau_power(n, -1)
-        gen[("tau", n)] = t_inv
-        if n >= 1:
-            for i in range(n + 1):
-                if M.chirality == "cocyclic":
-                    # face d_i -> sigma_i^{n-1}, with d_n wrapping through tau^{-1}
-                    if i < n:
-                        gen[("delta", n, i)] = M.codegeneracy(n - 1, i)
-                    else:
-                        gen[("delta", n, n)] = M.codegeneracy(n - 1, 0).compose(t_inv)
-                else:
-                    # coface delta_i -> s_i^{n-1}, the last one through t^{-1}
-                    if i < n:
-                        gen[("delta", n, i)] = M.codegeneracy(n - 1, i)
-                    else:
-                        gen[("delta", n, n)] = t_inv.compose(M.codegeneracy(n - 1, 0))
-        if n + 1 <= N:
-            for j in range(n + 1):
-                gen[("sigma", n, j)] = M.coface(n + 1, j + 1)
-    return CyclicModuleData(M.variant, out_chirality, N, dict(M.spaces), gen,
-                            provenance=f"cyclic dual of {M.provenance}",
+    for key in generator_keys(M.max_level):
+        kind, n, i = key[0], key[1], key[-1]
+        if kind == "tau":
+            gen[key] = M.tau_power(n, -1)
+        elif kind == "sigma":
+            gen[key] = M.coface(n + 1, i + 1)
+        elif i < n:
+            gen[key] = M.codegeneracy(n - 1, i)
+        else:
+            # the wrapping (co)face goes through the inverse rotation
+            s, t_inv = M.codegeneracy(n - 1, 0), gen[("tau", n)]
+            gen[key] = s.compose(t_inv) if M.chirality == "cocyclic" else t_inv.compose(s)
+    return CyclicModuleData(M.variant, _flip(M.chirality), M.max_level, dict(M.spaces),
+                            gen, provenance=f"cyclic dual of {M.provenance}",
                             level_modules=dict(M.level_modules))
 
 
@@ -502,41 +472,31 @@ def apply_cyclic_duality_inverse(M: CyclicModuleData) -> CyclicModuleData:
     invertibility is what can be verified on the nose.
     """
     gen: dict[tuple, LinearMap] = {}
-    out_chirality = "cyclic" if M.chirality == "cocyclic" else "cocyclic"
-    N = M.max_level
-    for n in range(N + 1):
-        gen[("tau", n)] = M.tau_power(n, -1)
-    for m in range(N):
-        for i in range(m + 1):
-            gen[("sigma", m, i)] = M.coface(m + 1, i)
-    for m in range(1, N + 1):
-        for i in range(1, m + 1):
-            if m - 1 <= N - 1:
-                gen[("delta", m, i)] = M.codegeneracy(m - 1, i - 1)
-        if M.chirality == "cyclic":
+    for key in generator_keys(M.max_level):
+        kind, m, i = key[0], key[1], key[-1]
+        if kind == "tau":
+            gen[key] = M.tau_power(m, -1)
+        elif kind == "sigma":
+            gen[key] = M.coface(m + 1, i)
+        elif i:
+            gen[key] = M.codegeneracy(m - 1, i - 1)
+        elif M.chirality == "cyclic":
             # recovering a cocyclic module: delta_0 = tau^{-1} delta_m
-            gen[("delta", m, 0)] = M.tau(m).compose(M.codegeneracy(m - 1, m - 1))
+            gen[key] = M.tau(m).compose(M.codegeneracy(m - 1, m - 1))
         else:
             # recovering a cyclic module: d_0 = d_m t^{-1}
-            gen[("delta", m, 0)] = M.codegeneracy(m - 1, m - 1).compose(M.tau(m))
-    return CyclicModuleData(M.variant, out_chirality, N, dict(M.spaces), gen,
-                            provenance=f"inverse cyclic dual of {M.provenance}",
+            gen[key] = M.codegeneracy(m - 1, m - 1).compose(M.tau(m))
+    return CyclicModuleData(M.variant, _flip(M.chirality), M.max_level, dict(M.spaces),
+                            gen, provenance=f"inverse cyclic dual of {M.provenance}",
                             level_modules=dict(M.level_modules))
 
 
 def apply_reindexing(M: CyclicModuleData) -> CyclicModuleData:
     """The involutive reindexing transport: indices reflect, rotations invert."""
-    gen: dict[tuple, LinearMap] = {}
-    N = M.max_level
-    for n in range(N + 1):
-        gen[("tau", n)] = M.tau_power(n, -1)
-        if n >= 1:
-            for i in range(n + 1):
-                gen[("delta", n, i)] = M.coface(n, n - i)
-        if n + 1 <= N:
-            for j in range(n + 1):
-                gen[("sigma", n, j)] = M.codegeneracy(n, n - j)
-    return CyclicModuleData(M.variant, M.chirality, N, dict(M.spaces), gen,
+    gen = {key: M.tau_power(key[1], -1) if key[0] == "tau"
+           else M.gen[(key[0], key[1], key[1] - key[2])]
+           for key in generator_keys(M.max_level)}
+    return CyclicModuleData(M.variant, M.chirality, M.max_level, dict(M.spaces), gen,
                             provenance=f"reindexing of {M.provenance}",
                             level_modules=dict(M.level_modules))
 
@@ -548,6 +508,7 @@ def contracting_homotopy(obj: CoalgebraObject, M: CyclicModuleData,
                          alpha: Vector, N: int | None = None) -> CheckReport:
     """The degree-lowering homotopy h_n(F) = F o (alpha (x) id^n) against the
     alternating coface differential; both defining identities are asserted."""
+    from .homology import hochschild_differential as beta
     V = obj.module
     H = V.algebra
     F = H.field
@@ -570,17 +531,8 @@ def contracting_homotopy(obj: CoalgebraObject, M: CyclicModuleData,
             raise CyclicModuleError(f"h_{n}: image leaves the invariant subspace")
         return out
 
-    def beta(n: int) -> LinearMap:
-        out = None
-        for i in range(n + 1):
-            term = M.coface(n, i)
-            if i % 2:
-                term = term.scaled(F.from_int(-1))
-            out = term if out is None else out + term
-        return out
-
     for n in range(1, N):
-        lhs = beta(n).compose(h(n)) + h(n + 1).compose(beta(n + 1))
+        lhs = beta(M, n).compose(h(n)) + h(n + 1).compose(beta(M, n + 1))
         rep.check(f"homotopy identity at level {n}",
                   lhs == LinearMap.identity(F, TensorShape([M.dim(n)])))
     # level zero: h_1 beta_1 + (alpha eps)^* = id
@@ -588,7 +540,7 @@ def contracting_homotopy(obj: CoalgebraObject, M: CyclicModuleData,
     ae_star = M.spaces[0].restrict(ae.transpose(), M.spaces[0])
     if ae_star is None:
         raise CyclicModuleError("alpha-eps: image leaves the invariant subspace")
-    lhs = h(1).compose(beta(1)) + ae_star
+    lhs = h(1).compose(beta(M, 1)) + ae_star
     rep.check("homotopy identity at level 0",
               lhs == LinearMap.identity(F, TensorShape([M.dim(0)])))
     return rep
@@ -597,58 +549,28 @@ def contracting_homotopy(obj: CoalgebraObject, M: CyclicModuleData,
 # -- object-level paracyclic modules ----------------------------------------------------------
 
 
+def _para_module(obj: CoalgebraObject | AlgebraObject, N: int) -> CyclicModuleData:
+    """The object-level module itself, on the whole of V^(x)(n+1)."""
+    chirality, gen = _object_generators(obj, N)
+    V = obj.module
+    spaces = {n: SubspaceBasis.standard(V.algebra.field, V.dim ** (n + 1))
+              for n in range(N + 1)}
+    flat = {key: g.reshaped(TensorShape([g.domain.dim]), TensorShape([g.codomain.dim]))
+            for key, g in gen.items()}
+    return CyclicModuleData(PARACYCLIC, chirality, N, spaces, flat,
+                            provenance=f"para{chirality} module of {obj.name}",
+                            level_modules={n: module_power(V, n + 1) for n in range(N + 1)})
+
+
 def build_paracyclic(obj: CoalgebraObject, N: int) -> CyclicModuleData:
     """The object-level paracyclic module on V^(x)(n+1); no Hom is taken, so the
     rotations satisfy only the twisted cyclicity, not cyclicity itself."""
-    rep = obj.verify()
-    if not rep.ok:
-        raise CyclicModuleError(f"coalgebra axioms fail: {rep.failures}")
-    V = obj.module
-    F = V.algebra.field
-    faces, degens, rotations = _object_paracyclic_maps(obj, N)
-    spaces = {n: SubspaceBasis.standard(F, V.dim ** (n + 1)) for n in range(N + 1)}
-    powers = {n: module_power(V, n + 1) for n in range(N + 1)}
-    gen: dict[tuple, LinearMap] = {}
-    for n in range(N + 1):
-        gen[("tau", n)] = rotations[n].reshaped(TensorShape([V.dim ** (n + 1)]),
-                                                TensorShape([V.dim ** (n + 1)]))
-        if n >= 1:
-            for i in range(n + 1):
-                gen[("delta", n, i)] = faces[(n, i)].reshaped(
-                    TensorShape([V.dim ** (n + 1)]), TensorShape([V.dim ** n]))
-        if n + 1 <= N:
-            for j in range(n + 1):
-                gen[("sigma", n, j)] = degens[(n, j)].reshaped(
-                    TensorShape([V.dim ** (n + 1)]), TensorShape([V.dim ** (n + 2)]))
-    return CyclicModuleData(PARACYCLIC, "cyclic", N, spaces, gen,
-                            provenance=f"paracyclic module of {obj.name}",
-                            level_modules=powers)
+    return _para_module(obj, N)
 
 
 def build_paracocyclic(obj: AlgebraObject, N: int) -> CyclicModuleData:
-    rep = obj.verify()
-    if not rep.ok:
-        raise CyclicModuleError(f"algebra axioms fail: {rep.failures}")
-    V = obj.module
-    F = V.algebra.field
-    cofaces, codegens, rotations = _object_paracocyclic_maps(obj, N)
-    spaces = {n: SubspaceBasis.standard(F, V.dim ** (n + 1)) for n in range(N + 1)}
-    powers = {n: module_power(V, n + 1) for n in range(N + 1)}
-    gen: dict[tuple, LinearMap] = {}
-    for n in range(N + 1):
-        gen[("tau", n)] = rotations[n].reshaped(TensorShape([V.dim ** (n + 1)]),
-                                                TensorShape([V.dim ** (n + 1)]))
-        if n >= 1:
-            for i in range(n + 1):
-                gen[("delta", n, i)] = cofaces[(n, i)].reshaped(
-                    TensorShape([V.dim ** n]), TensorShape([V.dim ** (n + 1)]))
-        if n + 1 <= N:
-            for j in range(n + 1):
-                gen[("sigma", n, j)] = codegens[(n, j)].reshaped(
-                    TensorShape([V.dim ** (n + 2)]), TensorShape([V.dim ** (n + 1)]))
-    return CyclicModuleData(PARACYCLIC, "cocyclic", N, spaces, gen,
-                            provenance=f"paracocyclic module of {obj.name}",
-                            level_modules=powers)
+    """The object-level paracocyclic module of an algebra object on V^(x)(n+1)."""
+    return _para_module(obj, N)
 
 
 def twisted_cyclicity_check(M: CyclicModuleData) -> CheckReport:
@@ -674,8 +596,11 @@ def twisted_cyclicity_check(M: CyclicModuleData) -> CheckReport:
 # -- r-cyclic modules from simple objects ------------------------------------------------------
 
 
-def r_cyclic_from_simple(M: CyclicModuleData, simple: ModuleData,
-                         max_order: int = 64) -> tuple[CyclicModuleData, Scalar, int]:
+MAX_TWIST_ORDER = 64   # r_cyclic_from_simple looks for the twist's order up to this
+
+
+def r_cyclic_from_simple(M: CyclicModuleData, simple: ModuleData
+                         ) -> tuple[CyclicModuleData, Scalar, int]:
     """Compose an object-level para(co)cyclic module with Hom(-, simple).
 
     The twist acts on the simple by a scalar whose multiplicative order r makes
@@ -692,14 +617,14 @@ def r_cyclic_from_simple(M: CyclicModuleData, simple: ModuleData,
         raise CyclicModuleError("twist does not act by a scalar on the simple")
     power = F.one()
     r = None
-    for k in range(1, max_order + 1):
+    for k in range(1, MAX_TWIST_ORDER + 1):
         power = power * scalar
         if power == F.one():
             r = k
             break
     if r is None:
         raise CyclicModuleError(
-            f"twist scalar has order > {max_order}; no finite r found")
+            f"twist scalar has order > {MAX_TWIST_ORDER}; no finite r found")
 
     N = M.max_level
     spaces = {}
@@ -714,39 +639,8 @@ def r_cyclic_from_simple(M: CyclicModuleData, simple: ModuleData,
                 vec[rr * W.dim + cc] = v
             vecs.append(vec)
         spaces[n] = SubspaceBasis(F, simple.dim * W.dim, vecs)
-
-    def postcompose(a: int, b: int) -> Callable[[LinearMap], LinearMap]:
-        """Hom(W_b, i) -> Hom(W_a, i) induced by an object map f : W_a -> W_b; on
-        T flattened as a vector of i (x) W_b, T o f is (id_i (x) f^T) T."""
-        def build(obj_map: LinearMap) -> LinearMap:
-            out = spaces[b].restrict(whisker(obj_map.transpose(), simple.shape, UNIT),
-                                     spaces[a])
-            if out is None:
-                raise CyclicModuleError("postcomposition leaves the hom space")
-            return out
-        return build
-
-    # Hom(-, i) is contravariant: the same generator keys carry over, with the
-    # underlying object map postcomposed, and the chirality flips.
-    gen: dict[tuple, LinearMap] = {}
-    out_chirality = "cocyclic" if M.chirality == "cyclic" else "cyclic"
-    for n in range(N + 1):
-        gen[("tau", n)] = postcompose(n, n)(M.tau(n))
-        if n >= 1:
-            for i in range(n + 1):
-                if M.chirality == "cyclic":
-                    gen[("delta", n, i)] = postcompose(n, n - 1)(M.coface(n, i))
-                else:
-                    gen[("delta", n, i)] = postcompose(n - 1, n)(M.coface(n, i))
-        if n + 1 <= N:
-            for j in range(n + 1):
-                if M.chirality == "cyclic":
-                    gen[("sigma", n, j)] = postcompose(n, n + 1)(M.codegeneracy(n, j))
-                else:
-                    gen[("sigma", n, j)] = postcompose(n + 1, n)(M.codegeneracy(n, j))
-    out = CyclicModuleData(RCyclic(r), out_chirality, N, spaces, gen,
-                           provenance=f"{r}-cyclic restriction of {M.provenance} "
-                                      f"along {simple.name}")
+    out = _hom_module(RCyclic(r), M.chirality, M.gen, N, spaces, simple.shape,
+                      f"{r}-cyclic restriction of {M.provenance} along {simple.name}")
     return out, scalar, r
 
 
@@ -763,8 +657,7 @@ def pretty_generator(M: CyclicModuleData, kind: str, n: int, i: int | None = Non
         {"delta": "delta", "face": "delta", "coface": "delta",
          "sigma": "sigma", "degeneracy": "sigma", "codegeneracy": "sigma"}[kind], n, i)
     mat = M.gen[key]
-    src = M.spaces[_source_level(M, key)]
-    tgt = M.spaces[_target_level(M, key)]
+    src, tgt = (M.spaces[n] for n in generator_levels(M.chirality, key))
 
     def vec_name(basis: SubspaceBasis, idx: int) -> str:
         return _label_vector(basis.vectors[idx], basis.ambient_dim, labels)
@@ -781,24 +674,6 @@ def pretty_generator(M: CyclicModuleData, kind: str, n: int, i: int | None = Non
         rhs = " + ".join(terms) if terms else "0"
         lines.append(f"  [{vec_name(src, c)}] -> {rhs}")
     return "\n".join(lines)
-
-
-def _source_level(M: CyclicModuleData, key) -> int:
-    kind, n = key[0], key[1]
-    if kind == "tau":
-        return n
-    if kind == "delta":
-        return n if M.chirality == "cyclic" else n - 1
-    return n + 1 if M.chirality == "cocyclic" else n
-
-
-def _target_level(M: CyclicModuleData, key) -> int:
-    kind, n = key[0], key[1]
-    if kind == "tau":
-        return n
-    if kind == "delta":
-        return n - 1 if M.chirality == "cyclic" else n
-    return n if M.chirality == "cocyclic" else n + 1
 
 
 def _label_vector(vec, ambient_dim: int, labels=None) -> str:

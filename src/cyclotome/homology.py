@@ -12,6 +12,7 @@ actual induced maps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, replace
+from functools import cache, partial
 
 from .cyclic_modules import CyclicModuleData
 from .linalg import LinearMap, SubspaceBasis, TensorShape, kernel_and_rank, rank, stack
@@ -77,29 +78,27 @@ def connes_B(M: CyclicModuleData, n: int) -> LinearMap:
     return (one_top - lam_top).compose(extra).compose(norm)
 
 
+def _check_mixed(rep: CheckReport, chirality: str, b, B, N: int):
+    """Check b b = 0, B B = 0 and b B + B b = 0 up to level N on b(n) and B(n)."""
+    def composite(f, g):
+        """f o g on the cochain side, g o f on the chain side."""
+        return f.compose(g) if chirality == "cocyclic" else g.compose(f)
+
+    for n in range(2, N + 1):
+        rep.check(f"b b = 0 at level {n}", composite(b(n), b(n - 1)).is_zero())
+    for n in range(0, N - 1):
+        rep.check(f"B B = 0 at level {n}", composite(B(n), B(n + 1)).is_zero())
+    for n in range(1, N):
+        anti = composite(b(n), B(n - 1)) + composite(B(n), b(n + 1))
+        rep.check(f"b B + B b = 0 at level {n}", anti.is_zero())
+
+
 def mixed_identities(M: CyclicModuleData, N: int | None = None) -> CheckReport:
     """b b = 0, B B = 0 and b B + B b = 0 at every built level."""
     N = M.max_level if N is None else min(N, M.max_level)
     rep = CheckReport(f"mixed complex identities for {M.provenance}")
-    for n in range(2, N + 1):
-        b2 = (hochschild_differential(M, n).compose(hochschild_differential(M, n - 1))
-              if M.chirality == "cocyclic"
-              else hochschild_differential(M, n - 1).compose(hochschild_differential(M, n)))
-        rep.check(f"b b = 0 at level {n}", b2.is_zero())
-    for n in range(0, N - 1):
-        if M.chirality == "cocyclic":
-            BB = connes_B(M, n).compose(connes_B(M, n + 1))
-        else:
-            BB = connes_B(M, n + 1).compose(connes_B(M, n))
-        rep.check(f"B B = 0 at level {n}", BB.is_zero())
-    for n in range(1, N):
-        if M.chirality == "cocyclic":
-            anti = hochschild_differential(M, n).compose(connes_B(M, n - 1)) + \
-                connes_B(M, n).compose(hochschild_differential(M, n + 1))
-        else:
-            anti = connes_B(M, n - 1).compose(hochschild_differential(M, n)) + \
-                hochschild_differential(M, n + 1).compose(connes_B(M, n))
-        rep.check(f"b B + B b = 0 at level {n}", anti.is_zero())
+    _check_mixed(rep, M.chirality, cache(partial(hochschild_differential, M)),
+                 cache(partial(connes_B, M)), N)
     return rep
 
 
@@ -171,22 +170,7 @@ def mixed_complex(M: CyclicModuleData, normalized: bool | None = None) -> MixedC
         if B[n] is None:
             raise HomologyError(f"B_{n} does not preserve the normalized subcomplex")
     data = MixedComplexData(M, normalized, spaces, b, B, rep)
-    # the defining identities, on the stored complex
-    for n in range(2, N + 1):
-        if M.chirality == "cocyclic":
-            rep.check(f"b b = 0 at {n}", b[n].compose(b[n - 1]).is_zero())
-        else:
-            rep.check(f"b b = 0 at {n}", b[n - 1].compose(b[n]).is_zero())
-    for n in range(0, N - 1):
-        BB = B[n].compose(B[n + 1]) if M.chirality == "cocyclic" \
-            else B[n + 1].compose(B[n])
-        rep.check(f"B B = 0 at {n}", BB.is_zero())
-    for n in range(1, N):
-        if M.chirality == "cocyclic":
-            anti = b[n].compose(B[n - 1]) + B[n].compose(b[n + 1])
-        else:
-            anti = B[n - 1].compose(b[n]) + b[n + 1].compose(B[n])
-        rep.check(f"b B + B b = 0 at {n}", anti.is_zero())
+    _check_mixed(rep, M.chirality, b.__getitem__, B.__getitem__, N)
     if not rep.ok:
         raise HomologyError(f"mixed complex identities fail: {rep.failures}")
     return data

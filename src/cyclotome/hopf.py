@@ -203,26 +203,16 @@ class HopfAlgebraData:
 
     def r_pairs(self) -> list[tuple[Vector, Vector, Scalar]]:
         """R written as a list of (basis a, basis b, coefficient) summands."""
-        if self.R is None:
-            raise HopfError("no R-matrix present")
-        out = []
-        for idx, coeff in enumerate(self.R):
-            if coeff.is_zero():
-                continue
-            p, q = divmod(idx, self.dim)
-            out.append((self.basis_vector(p), self.basis_vector(q), coeff))
-        return out
+        return self._pairs(self.R, "no R-matrix present")
 
     def r_inv_pairs(self) -> list[tuple[Vector, Vector, Scalar]]:
-        if self.R_inv is None:
-            raise HopfError("no inverse R-matrix present")
-        out = []
-        for idx, coeff in enumerate(self.R_inv):
-            if coeff.is_zero():
-                continue
-            p, q = divmod(idx, self.dim)
-            out.append((self.basis_vector(p), self.basis_vector(q), coeff))
-        return out
+        return self._pairs(self.R_inv, "no inverse R-matrix present")
+
+    def _pairs(self, vec: Vector | None, missing: str) -> list[tuple[Vector, Vector, Scalar]]:
+        if vec is None:
+            raise HopfError(missing)
+        return [(self.basis_vector(idx // self.dim), self.basis_vector(idx % self.dim), c)
+                for idx, c in enumerate(vec) if not c.is_zero()]
 
     def __repr__(self):
         return f"HopfAlgebraData({self.name}, dim={self.dim}, field={self.field})"
@@ -261,21 +251,27 @@ def verify_axioms(H: HopfAlgebraData) -> CheckReport:
     return rep
 
 
-def _embed(H: HopfAlgebraData, pairs, slots: tuple[int, int], n: int) -> Vector:
-    """sum (a in slot s0) (x) (b in slot s1) (x) units elsewhere, inside H^(x)n."""
-    out = [H.field.zero()] * H.dim ** n
-    for a, b, coeff in pairs:
-        parts = []
+def _embed(H: HopfAlgebraData, R: Vector, slots: tuple[int, int], n: int) -> Vector:
+    """R_pq e_p in slot s0, e_q in slot s1 and u in every other slot, summed
+    inside H^(x)n by index arithmetic over the nonzero entries of R and u."""
+    d = H.dim
+    unit = [(k, x) for k, x in enumerate(H.u) if not x.is_zero()]
+    out: dict[int, Scalar] = {}
+    for idx, c in enumerate(R):
+        if c.is_zero():
+            continue
+        p, q = divmod(idx, d)
+        terms = [(0, c)]
         for s in range(n):
-            if s == slots[0]:
-                parts.append(a)
-            elif s == slots[1]:
-                parts.append(b)
+            if s in slots:
+                k = p if s == slots[0] else q
+                terms = [(i * d + k, v) for i, v in terms]
             else:
-                parts.append(H.u)
-        v = H.tensor_vectors(*parts)
-        out = [x + coeff * y for x, y in zip(out, v)]
-    return out
+                terms = [(i * d + k, v * x) for i, v in terms for k, x in unit]
+        for i, v in terms:
+            out[i] = out[i] + v if i in out else v
+    zero = H.field.zero()
+    return [out.get(i, zero) for i in range(d ** n)]
 
 
 def verify_quasitriangular_ribbon(H: HopfAlgebraData) -> CheckReport:
@@ -285,8 +281,6 @@ def verify_quasitriangular_ribbon(H: HopfAlgebraData) -> CheckReport:
     if H.R is None or H.R_inv is None or H.theta is None or H.theta_inv is None:
         raise HopfError("R, R_inv, theta, theta_inv must all be present")
     F = H.field
-    pairs = H.r_pairs()
-
     one2 = H.unit_power(2)
     rep.check("R invertible (left)", H.multiply(H.R_inv, H.R, 2) == one2)
     rep.check("R invertible (right)", H.multiply(H.R, H.R_inv, 2) == one2)
@@ -304,9 +298,9 @@ def verify_quasitriangular_ribbon(H: HopfAlgebraData) -> CheckReport:
     # hexagons: (Delta (x) id)(R) = R13 R23 and (id (x) Delta)(R) = R13 R12
     eye = LinearMap.identity(F, H.shape)
     dR = H.Delta.tensor(eye).apply(H.R)
-    r13 = _embed(H, pairs, (0, 2), 3)
-    r23 = _embed(H, pairs, (1, 2), 3)
-    r12 = _embed(H, pairs, (0, 1), 3)
+    r13 = _embed(H, H.R, (0, 2), 3)
+    r23 = _embed(H, H.R, (1, 2), 3)
+    r12 = _embed(H, H.R, (0, 1), 3)
     rep.check("hexagon (Delta x id)R = R13 R23", dR == H.multiply(r13, r23, 3))
     idR = eye.tensor(H.Delta).apply(H.R)
     rep.check("hexagon (id x Delta)R = R13 R12", idR == H.multiply(r13, r12, 3))
@@ -759,6 +753,23 @@ def _group_elements(orders: Sequence[int]) -> list[tuple[int, ...]]:
     return elems
 
 
+def _root_of_unity(field: FieldSpec, orders: Sequence[int]
+                   ) -> tuple[int, Scalar, list[int]]:
+    """L = lcm of the orders, a primitive L-th root of unity zeta_L in the field
+    (a power of the cyclotomic generator, or -1, or 1), and the index scalings
+    L / n_i that carry characters of the factors Z/n_i to powers of zeta_L."""
+    L = math.lcm(*orders)
+    if field.kind == FieldSpec.CYCLOTOMIC and field.param % L == 0:
+        zeta = field.root_of_unity(field.param // L)
+    elif L == 2:
+        zeta = field.from_int(-1)
+    elif L == 1:
+        zeta = field.one()
+    else:
+        raise HopfError(f"field {field} lacks a primitive {L}-th root of unity")
+    return L, zeta, [L // n for n in orders]
+
+
 def group_algebra(field: FieldSpec, orders: Sequence[int],
                   bichar: Sequence[Sequence[int]] | None = None,
                   quad: Sequence[Sequence[int]] | None = None,
@@ -809,17 +820,7 @@ def group_algebra(field: FieldSpec, orders: Sequence[int],
         theta = list(u)
         theta_inv = list(u)
     else:
-
-        L = math.lcm(*orders)
-        if field.kind == FieldSpec.CYCLOTOMIC and field.param % L == 0:
-            zeta = field.root_of_unity(field.param // L)
-        elif L == 2:
-            zeta = field.from_int(-1)
-        elif L == 1:
-            zeta = field.one()
-        else:
-            raise HopfError(f"field {field} lacks a primitive {L}-th root of unity")
-        scale = [L // n for n in orders]
+        L, zeta, scale = _root_of_unity(field, orders)
         if quad is None:
             raise HopfError("a bicharacter needs a compatible quadratic form for theta")
         # Delta(theta) = (R21 R)^{-1} (theta (x) theta) on characters s, t reads
@@ -884,16 +885,7 @@ def group_algebra_simples(H: HopfAlgebraData, orders: Sequence[int]) -> list[Mod
     elems = _group_elements(orders)
     k = len(orders)
 
-    L = math.lcm(*orders)
-    if field.kind == FieldSpec.CYCLOTOMIC and field.param % L == 0:
-        zeta = field.root_of_unity(field.param // L)
-    elif L == 2:
-        zeta = field.from_int(-1)
-    elif L == 1:
-        zeta = field.one()
-    else:
-        raise HopfError(f"field {field} lacks a primitive {L}-th root of unity")
-    scale = [L // n for n in orders]
+    L, zeta, scale = _root_of_unity(field, orders)
     out = []
     for s in elems:
         entries = {}

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field as dc_field
 from .coend import CoendData
 from .cyclic_cat import CYCLIC
 from .cyclic_modules import (
-    CyclicModuleData, _source_level, _target_level, apply_cyclic_duality,
-    apply_reindexing, cocyclic_module_from_coalgebra, cyclic_module_from_algebra,
-    coend_algebra_object, coend_coalgebra_object, invariant_tensor_basis,
+    CyclicModuleData, apply_cyclic_duality, apply_reindexing,
+    cocyclic_module_from_coalgebra, cyclic_module_from_algebra, coend_algebra_object,
+    coend_coalgebra_object, generator_levels, invariant_tensor_basis,
 )
 from .linalg import LinearMap, SubspaceBasis, TensorShape, UNIT, invert, whisker
 from .reports import CheckReport
@@ -133,9 +133,11 @@ def _conjugated(M: CyclicModuleData, omega: dict[int, LinearMap],
                 omega_inv: dict[int, LinearMap]) -> dict[tuple, LinearMap]:
     """Every generator g of M carried through the pairing isomorphisms:
     omega_inv[target] o g o omega[source]."""
-    return {key: omega_inv[_target_level(M, key)].compose(g)
-            .compose(omega[_source_level(M, key)])
-            for key, g in M.gen.items()}
+    out = {}
+    for key, g in M.gen.items():
+        src, tgt = generator_levels(M.chirality, key)
+        out[key] = omega_inv[tgt].compose(g).compose(omega[src])
+    return out
 
 
 def _build_rt(data: CoendData, N: int, chirality: str) -> RTModuleData:
@@ -188,7 +190,7 @@ def _closed_form_generators(rt: RTModuleData) -> dict[tuple, LinearMap]:
         if key[0] == "tau":
             continue
         op, pos = ops[key[0]], key[2]
-        src, tgt = _source_level(M, key), _target_level(M, key)
+        src, tgt = generator_levels(M.chirality, key)
         rest = src + 1 - pos - len(op.domain.factors)
         amb = whisker(op, TensorShape([data.dim] * pos), TensorShape([data.dim] * rest))
         out[key] = M.spaces[src].restrict(amb, M.spaces[tgt])
@@ -260,8 +262,9 @@ def verify_main_theorem(data: CoendData, N: int,
         kind, n, i = key
         if kind == "delta" and not 1 <= i <= n - 1:
             continue
-        lhs = rt.omega_maps[_target_level(M, key)].compose(known)
-        rhs = reT.gen[key].compose(rt.omega_maps[_source_level(M, key)])
+        src, tgt = generator_levels(M.chirality, key)
+        lhs = rt.omega_maps[tgt].compose(known)
+        rhs = reT.gen[key].compose(rt.omega_maps[src])
         rep.check(f"naturality square for {face if kind == 'delta' else degen} {i} "
                   f"at level {n}", lhs.entries == rhs.entries)
     for n in range(N + 1):
@@ -282,8 +285,9 @@ def verify_main_theorem(data: CoendData, N: int,
     rhs_dual = apply_cyclic_duality(base)
     ok = True
     for key, g in rhs_dual.gen.items():
-        lhs = rt.omega_maps[_target_level(rhs_dual, key)].compose(lhs_dual.gen[key])
-        rhs = g.compose(rt.omega_maps[_source_level(rhs_dual, key)])
+        src, tgt = generator_levels(rhs_dual.chirality, key)
+        lhs = rt.omega_maps[tgt].compose(lhs_dual.gen[key])
+        rhs = g.compose(rt.omega_maps[src])
         if lhs.entries != rhs.entries:
             ok = False
             rep.check(f"dual comparison fails at {key}", False)

@@ -12,6 +12,7 @@ from cyclotome.cyclic_modules import (
     build_paracyclic, check_relations, coend_algebra_object,
     coend_coalgebra_object, contracting_homotopy, cocyclic_module_from_coalgebra,
     cyclic_module_from_algebra, explicit_coend_cocyclic, explicit_coend_cyclic,
+    explicit_cocyclic_rotation, generator_keys, generator_levels,
     invariant_tensor_basis, r_cyclic_from_simple, twisted_cyclicity_check,
 )
 from cyclotome.fields import Cyclotomic, Rationals
@@ -407,14 +408,71 @@ def test_pretty_generator(algebras):
 
 
 def test_braided_ordering_degenerate_on_bundled(algebras):
-    # both orderings of the wrapping coface coincide on every bundled algebra
+    # the wrapping coface that keeps the first braided-coproduct leg in front
+    # ("one-two") equals the built one ("two-one") on every bundled algebra
     # because their braided coproducts are cocommutative; the relation suite
     # therefore cannot distinguish them here (recorded as a known degeneracy)
     H, _ = algebras["sweedler_h4"]
-    from cyclotome.linalg import block_flip
+    from cyclotome.linalg import UNIT, block_flip, whisker
     db = braided_coproduct(H)
     assert block_flip(Q, H.shape, H.shape).compose(db) == db
-    W1 = explicit_coend_cocyclic(H, 2)
-    W2 = explicit_coend_cocyclic(H, 2, braided_order="one-two")
-    for key in W1.gen:
-        assert W1.gen[key].entries == W2.gen[key].entries
+    Wco = explicit_coend_cocyclic(H, 2)
+    for n in (1, 2):
+        swap = permute_factors(Q, H.power_shape(n + 1), [1, 0] + list(range(2, n + 1)))
+        one_two = explicit_cocyclic_rotation(H, n).compose(swap).compose(
+            whisker(db, UNIT, H.power_shape(n - 1)))
+        restricted = Wco.spaces[n - 1].restrict(one_two, Wco.spaces[n])
+        assert restricted == Wco.coface(n, n), n
+
+
+# -- the generator table ------------------------------------------------------------------
+
+
+def test_every_builder_has_the_generator_table(algebras, coends):
+    N = 2
+    keys = set(generator_keys(N))
+    for name, (H, simples) in algebras.items():
+        cd = coends[name]
+        coalg, alg = coend_coalgebra_object(cd), coend_algebra_object(cd)
+        P = build_paracyclic(coalg, N)
+        built = {"W": explicit_coend_cyclic(H, N), "Wco": explicit_coend_cocyclic(H, N),
+                 "generic": cyclic_module_from_algebra(alg, N),
+                 "genericco": cocyclic_module_from_coalgebra(coalg, N),
+                 "para": P, "paraco": build_paracocyclic(alg, N)}
+        for i, simple in enumerate(simples):
+            built[f"rcyclic{i}"] = r_cyclic_from_simple(P, simple)[0]
+        for which, M in built.items():
+            assert set(M.gen) == keys, (name, which)
+    from cyclotome.tqft import build_rt_cocyclic, build_rt_cyclic
+    for build in (build_rt_cocyclic, build_rt_cyclic):
+        assert set(build(coends["double_z2"], 1).module.gen) == set(generator_keys(1))
+
+
+def test_generator_levels_agree_with_tokens():
+    from cyclotome.cyclic_cat import Token
+    kinds = {"delta": "coface", "sigma": "codegeneracy", "tau": "tau"}
+    for N in range(5):
+        for key in generator_keys(N):
+            tok = Token(kinds[key[0]], key[1], key[2] if len(key) > 2 else 1)
+            covariant = (tok.source_level, tok.target_level)
+            assert generator_levels("cocyclic", key) == covariant, key
+            assert generator_levels("cyclic", key) == covariant[::-1], key
+
+
+def test_r_cyclic_image_outside_hom_space_is_rejected(coends):
+    # replace t_0 by the object map e_b |-> e_a, with T(e_a) != 0 for some
+    # invariant functional T and e_b^* not invariant: T o t_0 = T(e_a) e_b^*
+    # leaves Hom(V, 1), which the module's gate must reject
+    from cyclotome.hopf import trivial_module
+    cd = coends["sweedler_h4"]
+    P = build_paracyclic(coend_coalgebra_object(cd), 0)
+    unit = trivial_module(cd.algebra)
+    M, _, _ = r_cyclic_from_simple(P, unit)
+    hom = M.spaces[0]
+    d = cd.dim
+    a = next(k for k in range(d) if any(not T[k].is_zero() for T in hom.vectors))
+    b = next(k for k in range(d)
+             if hom.coordinates([Q.one() if j == k else Q.zero() for j in range(d)]) is None)
+    P.gen = {("tau", 0): LinearMap(Q, P.tau(0).domain, P.tau(0).codomain, {(a, b): Q.one()})}
+    with pytest.raises(CyclicModuleError, match=r"\('tau', 0\): image leaves"):
+        r_cyclic_from_simple(P, unit)

@@ -554,6 +554,42 @@ def test_order_two_ribbon_data_unchanged():
     assert verify_quasitriangular_ribbon(semion).ok
 
 
+@pytest.mark.parametrize("n", [4, 6])
+def test_old_double_data_rejected_at_higher_order(n):
+    # bichar = quad = [[0, 1], [0, 0]] broke the ribbon axiom for n > 2; the
+    # check runs before R is built
+    with pytest.raises(HopfError, match="ribbon axiom"):
+        group_algebra(Cyclotomic(n), [n, n], bichar=[[0, 1], [0, 0]],
+                      quad=[[0, 1], [0, 0]])
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_cyclic_group_ribbon_data_at_higher_order(n):
+    H = group_algebra(Cyclotomic(n), [n], [[1]], [[-1]])
+    rep = verify_quasitriangular_ribbon(H)
+    assert rep.ok, rep.failures
+
+
+def _dense_embed(H, slots, n):
+    """sum R_pq e_p (slot s0) (x) e_q (slot s1) (x) u elsewhere, as dense
+    Kronecker products of whole vectors."""
+    out = [H.field.zero()] * H.dim ** n
+    for a, b, coeff in H.r_pairs():
+        parts = [a if s == slots[0] else b if s == slots[1] else H.u for s in range(n)]
+        out = [x + coeff * y for x, y in zip(out, H.tensor_vectors(*parts))]
+    return out
+
+
+def test_embed_matches_dense_kronecker(bundled):
+    from cyclotome.hopf import _embed
+    algebras = [H for H, _ in bundled.values()]
+    algebras.append(drinfeld_double_of_cyclic(Cyclotomic(3), 3))
+    for H in algebras:
+        for slots in ((0, 1), (0, 2), (1, 2), (2, 0)):
+            assert _embed(H, H.R, slots, 3) == _dense_embed(H, slots, 3), (H.name, slots)
+        assert _embed(H, H.R, (0, 1), 2) == H.R, H.name
+
+
 def test_pivot_cached_until_ribbon_data_change(bundled, monkeypatch):
     import cyclotome.hopf as hopf
     H = drinfeld_double_of_cyclic(K4, 2)

@@ -1,11 +1,14 @@
 """A stdlib lint run as a test: no function in the package assigns a local
-variable that it never reads.  Such a local is either dead work (a map built
-and dropped) or a typo that silently discards a value.
+variable that it never reads, and no module imports a name that it never
+reads.  Such a local is either dead work (a map built and dropped) or a typo
+that silently discards a value; such an import is left over from code that
+is gone.
 
 Only single-name targets count; names bound by tuple unpacking, loop targets,
 `_`, and names declared global or nonlocal are exempt.  A read anywhere in the
 function, nested functions included, keeps the name alive, since closures read
-their enclosing locals."""
+their enclosing locals.  For imports, `from __future__` and names listed in
+`__all__` are exempt."""
 
 import ast
 from pathlib import Path
@@ -69,4 +72,45 @@ def test_no_unread_locals_in_package():
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         found += unread_locals(path.read_text(encoding="utf-8"), path.name)
+    assert not found, "\n".join(found)
+
+
+def unread_imports(source: str, filename: str = "<string>") -> list[str]:
+    tree = ast.parse(source, filename)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound.setdefault(name, node.lineno)
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported |= {e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant)}
+    return [f"{filename}:{line} {name}" for name, line in sorted(bound.items(), key=lambda kv: kv[1])
+            if name not in read and name not in exported]
+
+
+def test_lint_flags_unread_imports():
+    src = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from typing import Callable, Sequence\n"
+        "from .x import y as z, w\n"
+        "def f(a: Sequence):\n"
+        "    from .v import u\n"
+        "    return os.path.join(a, w), u\n"
+    )
+    assert [s.split()[-1] for s in unread_imports(src)] == ["Callable", "z"]
+
+
+def test_no_unread_imports_in_package():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += unread_imports(path.read_text(encoding="utf-8"), path.name)
     assert not found, "\n".join(found)
