@@ -228,15 +228,14 @@ def build_coend_hopf(H: HopfAlgebraData,
     XY_star = block_flip(F, Hreg.shape, Hreg.shape)  # X* (x) Y* -> (Y(x)X)* index flip
     YX = tensor_module(Hreg, Hreg)
     i_YX = dinatural_component(H, YX, C)
-    eyeH = LinearMap.identity(F, Hreg.shape)
-    step = eyeH.tensor(c_mid)  # X* X Y* Y -> X* (Y* Y) X
-    regroup = XY_star.tensor(LinearMap.identity(F, Hreg.shape * Hreg.shape))
+    step = whisker(c_mid, Hreg.shape, UNIT)  # X* X Y* Y -> X* (Y* Y) X
+    regroup = whisker(XY_star, UNIT, Hreg.shape * Hreg.shape)
     m_rhs = i_YX.reshaped(TensorShape([d] * 4), C.shape).compose(
         regroup.reshaped(step.codomain, TensorShape([d] * 4))).compose(step)
     m_C = factor_through_coend(H, m_rhs.reshaped(TensorShape([d] * 4), C.shape), 2, C)
 
     # comultiplication: Delta o i_X = (i_X (x) i_X)(id (x) coev_X (x) id)
-    ins = eyeH.tensor(coev_left(Hreg)).tensor(eyeH)
+    ins = whisker(coev_left(Hreg), Hreg.shape, Hreg.shape)
     d_rhs = i_H.tensor(i_H).compose(
         ins.reshaped(TensorShape([d, d]), TensorShape([d] * 4)))
     Delta_C = factor_through_coend(H, d_rhs, 1, C)
@@ -247,7 +246,7 @@ def build_coend_hopf(H: HopfAlgebraData,
 
     # pairing: omega(i_X (x) i_Y) = (ev_X (x) ev_Y)(id (x) monodromy (x) id)
     mono = braiding(Hdual, Hreg).compose(braiding(Hreg, Hdual))
-    w_step = eyeH.tensor(mono).tensor(eyeH)
+    w_step = whisker(mono, Hreg.shape, Hreg.shape)
     w_rhs = ev_left(Hreg).tensor(ev_left(Hreg)).compose(
         w_step.reshaped(TensorShape([d] * 4), TensorShape([d] * 4)))
     omega = factor_through_coend(H, w_rhs, 2, C)
@@ -288,9 +287,8 @@ def build_coend_hopf(H: HopfAlgebraData,
 
     rep.check("antipode squared equals the twist of the carrier",
               S_C.compose(S_C) == theta_C)
-    eye = LinearMap.identity(F, C.shape)
-    rep.check("pairing is antipode-balanced",
-              omega.compose(S_C.tensor(eye)) == omega.compose(eye.tensor(S_C)))
+    rep.check("pairing is antipode-balanced", omega.compose(whisker(S_C, UNIT, C.shape))
+              == omega.compose(whisker(S_C, C.shape, UNIT)))
 
     if not rep.ok:
         raise CoendError(f"coend gates failed: {rep.failures}")
@@ -367,22 +365,21 @@ def _solve_antipode(F, d, m_C, unit, Delta_C, eps_C) -> LinearMap:
 
 
 def _check_braided_hopf_axioms(data: CoendData, rep: CheckReport):
-    F = data.field
-    C = data.carrier
-    eye = LinearMap.identity(F, C.shape)
+    c = data.carrier.shape
+    eye = LinearMap.identity(data.field, c)
     m, Delta, eps, S = data.m, data.Delta, data.counit, data.antipode
     u_map = data.unit_map()
-    c_CC = braiding(C, C)
+    c_CC = braiding(data.carrier, data.carrier)
 
     rep.check("braided: associativity",
-              m.compose(m.tensor(eye)) == m.compose(eye.tensor(m)))
-    rep.check("braided: unit", m.compose(u_map.tensor(eye)) == eye
-              and m.compose(eye.tensor(u_map)) == eye)
-    rep.check("braided: coassociativity",
-              Delta.tensor(eye).compose(Delta) == eye.tensor(Delta).compose(Delta))
-    rep.check("braided: counit", eps.tensor(eye).compose(Delta) == eye
-              and eye.tensor(eps).compose(Delta) == eye)
-    mid = eye.tensor(c_CC.reshaped(C.shape * C.shape, C.shape * C.shape)).tensor(eye)
+              m.compose(whisker(m, UNIT, c)) == m.compose(whisker(m, c, UNIT)))
+    rep.check("braided: unit", m.compose(whisker(u_map, UNIT, c)) == eye
+              and m.compose(whisker(u_map, c, UNIT)) == eye)
+    rep.check("braided: coassociativity", whisker(Delta, UNIT, c).compose(Delta)
+              == whisker(Delta, c, UNIT).compose(Delta))
+    rep.check("braided: counit", whisker(eps, UNIT, c).compose(Delta) == eye
+              and whisker(eps, c, UNIT).compose(Delta) == eye)
+    mid = whisker(c_CC.reshaped(c * c, c * c), c, c)
     rep.check("braided: bialgebra compatibility with the braiding",
               Delta.compose(m) == m.tensor(m).compose(mid).compose(Delta.tensor(Delta)))
     rep.check("braided: counit multiplicative", eps.compose(m) == eps.tensor(eps))
@@ -390,25 +387,21 @@ def _check_braided_hopf_axioms(data: CoendData, rep: CheckReport):
               Delta.compose(u_map) == u_map.tensor(u_map))
     ue = u_map.compose(eps)
     rep.check("braided: antipode axiom",
-              m.compose(S.tensor(eye)).compose(Delta) == ue
-              and m.compose(eye.tensor(S)).compose(Delta) == ue)
+              m.compose(whisker(S, UNIT, c)).compose(Delta) == ue
+              and m.compose(whisker(S, c, UNIT)).compose(Delta) == ue)
 
 
 def _check_pairing_axioms(data: CoendData, rep: CheckReport):
-    F = data.field
-    C = data.carrier
-    eye = LinearMap.identity(F, C.shape)
+    c = data.carrier.shape
     m, Delta, eps, w = data.m, data.Delta, data.counit, data.pairing
     u_map = data.unit_map()
-    eye2 = eye.tensor(eye)
-    lhs = w.compose(m.tensor(eye))
-    rhs = w.compose(eye.tensor(w).tensor(eye)).compose(eye2.tensor(Delta))
-    rep.check("pairing vs product (left)", lhs == rhs)
-    lhs = w.compose(eye.tensor(m))
-    rhs = w.compose(eye.tensor(w).tensor(eye)).compose(Delta.tensor(eye2))
-    rep.check("pairing vs product (right)", lhs == rhs)
-    rep.check("pairing vs unit (left)", w.compose(u_map.tensor(eye)) == eps)
-    rep.check("pairing vs unit (right)", w.compose(eye.tensor(u_map)) == eps)
+    middle = w.compose(whisker(w, c, c))
+    rep.check("pairing vs product (left)", w.compose(whisker(m, UNIT, c))
+              == middle.compose(whisker(Delta, c * c, UNIT)))
+    rep.check("pairing vs product (right)", w.compose(whisker(m, c, UNIT))
+              == middle.compose(whisker(Delta, UNIT, c * c)))
+    rep.check("pairing vs unit (left)", w.compose(whisker(u_map, UNIT, c)) == eps)
+    rep.check("pairing vs unit (right)", w.compose(whisker(u_map, c, UNIT)) == eps)
 
 
 def _pairing_matrix(data: CoendData) -> LinearMap:
@@ -807,22 +800,23 @@ def end_and_drinfeld(data: CoendData) -> tuple[EndData, LinearMap, dict]:
               _is_intertwiner(m_A, module_power(A, 2), A))
     rep.check("end comultiplication is equivariant",
               _is_intertwiner(Delta_A, A, module_power(A, 2)))
-    eyeA = LinearMap.identity(F, A.shape)
-    u_A_map = LinearMap.from_function(F, UNIT, A.shape, lambda c: enumerate(u_A))
+    a = A.shape
+    eyeA = LinearMap.identity(F, a)
+    u_A_map = LinearMap.from_function(F, UNIT, a, lambda c: enumerate(u_A))
     rep.check("end associativity",
-              m_A.compose(m_A.tensor(eyeA)) == m_A.compose(eyeA.tensor(m_A)))
-    rep.check("end unit", m_A.compose(u_A_map.tensor(eyeA)) == eyeA)
-    rep.check("end coassociativity",
-              Delta_A.tensor(eyeA).compose(Delta_A) == eyeA.tensor(Delta_A).compose(Delta_A))
+              m_A.compose(whisker(m_A, UNIT, a)) == m_A.compose(whisker(m_A, a, UNIT)))
+    rep.check("end unit", m_A.compose(whisker(u_A_map, UNIT, a)) == eyeA)
+    rep.check("end coassociativity", whisker(Delta_A, UNIT, a).compose(Delta_A)
+              == whisker(Delta_A, a, UNIT).compose(Delta_A))
     c_AA = braiding(A, A)
-    mid = eyeA.tensor(c_AA.reshaped(A.shape * A.shape, A.shape * A.shape)).tensor(eyeA)
+    mid = whisker(c_AA.reshaped(a * a, a * a), a, a)
     rep.check("end bialgebra compatibility",
               Delta_A.compose(m_A) ==
               m_A.tensor(m_A).compose(mid).compose(Delta_A.tensor(Delta_A)))
     ueA = u_A_map.compose(eps_A)
     rep.check("end antipode axiom",
-              m_A.compose(S_A.tensor(eyeA)).compose(Delta_A) == ueA
-              and m_A.compose(eyeA.tensor(S_A)).compose(Delta_A) == ueA)
+              m_A.compose(whisker(S_A, UNIT, a)).compose(Delta_A) == ueA
+              and m_A.compose(whisker(S_A, a, UNIT)).compose(Delta_A) == ueA)
 
     # Drinfeld map: the left currying D(c) = omega(c (x) .)
     Wmat = _pairing_matrix(data)

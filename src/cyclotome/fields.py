@@ -159,10 +159,9 @@ class FieldSpec:
         if self.kind == self.PRIME:
             return (a + b) % self.param
         if self.kind == self.CYCLOTOMIC:
-            n = max(len(a), len(b))
-            out = [Fraction(0)] * n
-            for i, x in enumerate(a):
-                out[i] += x
+            if len(a) < len(b):
+                a, b = b, a
+            out = list(a)
             for i, x in enumerate(b):
                 out[i] += x
             return tuple(_poly_trim(out))
@@ -179,9 +178,16 @@ class FieldSpec:
         if self.kind == self.PRIME:
             return (a * b) % self.param
         if self.kind == self.CYCLOTOMIC:
+            # a constant operand (the unit above all) needs no reduction
+            if len(a) == 1:
+                return b if a[0] == 1 else tuple(a[0] * y for y in b)
+            if len(b) == 1:
+                return a if b[0] == 1 else tuple(x * b[0] for x in a)
             _, r = _poly_divmod(_poly_mul(list(a), list(b)), self._modulus)
             return tuple(r)
-        return a * b
+        if a == 1:
+            return b
+        return a if b == 1 else a * b
 
     def _inv(self, a):
         if self.kind == self.PRIME:
@@ -239,11 +245,14 @@ class FieldSpec:
     def parse(self, text: str) -> "Scalar":
         """Inverse of render, also accepting plain integer/fraction literals."""
         text = text.strip().replace(" ", "")
-        if self.kind == self.CYCLOTOMIC:
-            return self._parse_cyclotomic(text)
-        if self.kind == self.PRIME:
-            return self.from_int(int(text))
-        return self.from_fraction(Fraction(text))
+        try:
+            if self.kind == self.CYCLOTOMIC:
+                return self._parse_cyclotomic(text)
+            if self.kind == self.PRIME:
+                return self.from_int(int(text))
+            return self.from_fraction(Fraction(text))
+        except ZeroDivisionError as exc:
+            raise FieldError(f"scalar literal {text!r} divides by zero") from exc
 
     def _parse_cyclotomic(self, text: str) -> "Scalar":
         if not text:

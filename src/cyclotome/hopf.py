@@ -227,17 +227,17 @@ def verify_axioms(H: HopfAlgebraData) -> CheckReport:
     F, d = H.field, H.shape
     eye = LinearMap.identity(F, d)
     m, Delta, eps, S = H.m, H.Delta, H.epsilon, H.S
-    flip = block_flip(F, d, d)
 
-    rep.check("associativity", m.compose(m.tensor(eye)) == m.compose(eye.tensor(m)))
+    rep.check("associativity",
+              m.compose(whisker(m, UNIT, d)) == m.compose(whisker(m, d, UNIT)))
     u_map = LinearMap.from_function(F, UNIT, d, lambda c: enumerate(H.u))
-    rep.check("left unit", m.compose(u_map.tensor(eye)) == eye)
-    rep.check("right unit", m.compose(eye.tensor(u_map)) == eye)
-    rep.check("coassociativity",
-              Delta.tensor(eye).compose(Delta) == eye.tensor(Delta).compose(Delta))
-    rep.check("left counit", eps.tensor(eye).compose(Delta) == eye)
-    rep.check("right counit", eye.tensor(eps).compose(Delta) == eye)
-    mid = eye.tensor(flip).tensor(eye)
+    rep.check("left unit", m.compose(whisker(u_map, UNIT, d)) == eye)
+    rep.check("right unit", m.compose(whisker(u_map, d, UNIT)) == eye)
+    rep.check("coassociativity", whisker(Delta, UNIT, d).compose(Delta) ==
+              whisker(Delta, d, UNIT).compose(Delta))
+    rep.check("left counit", whisker(eps, UNIT, d).compose(Delta) == eye)
+    rep.check("right counit", whisker(eps, d, UNIT).compose(Delta) == eye)
+    mid = whisker(block_flip(F, d, d), d, d)
     rep.check("bialgebra compatibility",
               Delta.compose(m) ==
               m.tensor(m).compose(mid).compose(Delta.tensor(Delta)))
@@ -245,8 +245,8 @@ def verify_axioms(H: HopfAlgebraData) -> CheckReport:
     rep.check("unit is coalgebra map", Delta.compose(u_map) == u_map.tensor(u_map))
     rep.check("counit of unit", H.counit_value(H.u) == F.one())
     ue = u_map.compose(eps)
-    rep.check("antipode left", m.compose(S.tensor(eye)).compose(Delta) == ue)
-    rep.check("antipode right", m.compose(eye.tensor(S)).compose(Delta) == ue)
+    rep.check("antipode left", m.compose(whisker(S, UNIT, d)).compose(Delta) == ue)
+    rep.check("antipode right", m.compose(whisker(S, d, UNIT)).compose(Delta) == ue)
     rep.check("antipode invertible", H.S_inv.compose(S) == eye and S.compose(H.S_inv) == eye)
     return rep
 
@@ -296,13 +296,12 @@ def verify_quasitriangular_ribbon(H: HopfAlgebraData) -> CheckReport:
             break
 
     # hexagons: (Delta (x) id)(R) = R13 R23 and (id (x) Delta)(R) = R13 R12
-    eye = LinearMap.identity(F, H.shape)
-    dR = H.Delta.tensor(eye).apply(H.R)
+    dR = whisker(H.Delta, UNIT, H.shape).apply(H.R)
     r13 = _embed(H, H.R, (0, 2), 3)
     r23 = _embed(H, H.R, (1, 2), 3)
     r12 = _embed(H, H.R, (0, 1), 3)
     rep.check("hexagon (Delta x id)R = R13 R23", dR == H.multiply(r13, r23, 3))
-    idR = eye.tensor(H.Delta).apply(H.R)
+    idR = whisker(H.Delta, H.shape, UNIT).apply(H.R)
     rep.check("hexagon (id x Delta)R = R13 R12", idR == H.multiply(r13, r12, 3))
 
     # ribbon element
@@ -352,11 +351,10 @@ class ModuleData:
         eye_v = LinearMap.identity(F, self.shape)
         u_map = LinearMap.from_function(F, UNIT, H.shape, lambda c: enumerate(H.u))
         rep.check("unit acts as identity",
-                  self.action.compose(u_map.tensor(eye_v)) == eye_v)
-        eye_h = LinearMap.identity(F, H.shape)
+                  self.action.compose(whisker(u_map, UNIT, self.shape)) == eye_v)
         rep.check("action associativity",
-                  self.action.compose(H.m.tensor(eye_v)) ==
-                  self.action.compose(eye_h.tensor(self.action)))
+                  self.action.compose(whisker(H.m, UNIT, self.shape)) ==
+                  self.action.compose(whisker(self.action, H.shape, UNIT)))
         return rep
 
     def rho(self, k: int) -> LinearMap:
@@ -575,27 +573,42 @@ def invariants(V: ModuleData) -> list[Vector]:
 
 def braiding(V: ModuleData, W: ModuleData) -> LinearMap:
     """c_{V,W} = flip o (action of R): V (x) W -> W (x) V."""
-    H = V.algebra
-    if H.R is None:
+    if V.algebra.R is None:
         raise HopfError("braiding needs an R-matrix")
-    F = H.field
-    r_act = LinearMap.zero(F, V.shape * W.shape, V.shape * W.shape)
-    for a, b, coeff in H.r_pairs():
-        r_act = r_act + V.rho_of(a).tensor(W.rho_of(b)).scaled(coeff)
-    return block_flip(F, V.shape, W.shape).compose(r_act)
+    return _flipped_r_action(V, W, V.algebra.R, inverse=False)
 
 
 def braiding_inverse(V: ModuleData, W: ModuleData) -> LinearMap:
     """c_{V,W}^{-1}: W (x) V -> V (x) W, from the inverse R-matrix."""
-    H = V.algebra
-    if H.R_inv is None:
+    if V.algebra.R_inv is None:
         raise HopfError("inverse braiding needs R_inv")
-    F = H.field
-    flip = block_flip(F, W.shape, V.shape)
-    r_act = LinearMap.zero(F, V.shape * W.shape, V.shape * W.shape)
-    for a, b, coeff in H.r_inv_pairs():
-        r_act = r_act + V.rho_of(a).tensor(W.rho_of(b)).scaled(coeff)
-    return r_act.compose(flip)
+    return _flipped_r_action(V, W, V.algebra.R_inv, inverse=True)
+
+
+def _flipped_r_action(V: ModuleData, W: ModuleData, R: Vector, inverse: bool) -> LinearMap:
+    """sum_ij R_ij rho_V(i) (x) rho_W(j) in one pass over the nonzero R_ij and the
+    nonzero entries of their actions, flipped by renumbering: the rows (braiding)
+    or the columns (inverse) are numbered in W (x) V instead of V (x) W."""
+    d, dv, dw = V.algebra.dim, V.dim, W.dim
+    entries: dict[tuple[int, int], Scalar] = {}
+    for idx, coeff in enumerate(R):
+        if coeff.is_zero():
+            continue
+        i, j = divmod(idx, d)
+        right = W.rho(j).entries.items()
+        if not right:
+            continue
+        for (r1, c1), v1 in V.rho(i).entries.items():
+            x = coeff * v1
+            for (r2, c2), v2 in right:
+                key = ((r1 * dw + r2, c2 * dv + c1) if inverse
+                       else (r2 * dv + r1, c1 * dw + c2))
+                prod = x * v2
+                entries[key] = entries[key] + prod if key in entries else prod
+    vw, wv = V.shape * W.shape, W.shape * V.shape
+    if inverse:
+        return LinearMap(V.algebra.field, wv, vw, entries)
+    return LinearMap(V.algebra.field, vw, wv, entries)
 
 
 def twist(V: ModuleData) -> LinearMap:
@@ -616,25 +629,19 @@ def twist_inverse(V: ModuleData) -> LinearMap:
 def rotate_last_to_front(V: ModuleData, n: int) -> LinearMap:
     """The braided rotation V^(x)n (x) V -> V (x) V^(x)n: the last factor moves to
     the front through an inverse braiding and picks up one twist."""
-    H = V.algebra
     if n == 0:
         return twist(V)
     Vpow = module_power(V, n)
-    move = braiding_inverse(V, Vpow)
-    eye = LinearMap.identity(H.field, Vpow.shape)
-    return twist(V).tensor(eye).compose(move)
+    return whisker(twist(V), UNIT, Vpow.shape).compose(braiding_inverse(V, Vpow))
 
 
 def rotate_front_to_last(V: ModuleData, n: int) -> LinearMap:
     """The braided rotation V (x) V^(x)n -> V^(x)n (x) V: the first factor moves to
     the back through the braiding and loses one twist; inverse to the above."""
-    H = V.algebra
     if n == 0:
         return twist_inverse(V)
     Vpow = module_power(V, n)
-    move = braiding(V, Vpow)
-    eye = LinearMap.identity(H.field, Vpow.shape)
-    return eye.tensor(twist_inverse(V)).compose(move)
+    return whisker(twist_inverse(V), Vpow.shape, UNIT).compose(braiding(V, Vpow))
 
 
 def drinfeld_element(H: HopfAlgebraData) -> Vector:

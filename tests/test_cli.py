@@ -70,6 +70,19 @@ def test_bad_level_or_simple_is_input_error(argv):
     assert len(proc.stderr.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("name", ["sweedler_h4", "z2_semion"])  # over Q and over Q(i)
+def test_zero_denominator_scalar_is_input_error(tmp_path, name):
+    src = json.loads((DATA / f"{name}.json").read_text())
+    src["m"][0][2] = "1/0"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(src))
+    proc = run_child("hopf", "verify", "--algebra", str(bad))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("input error:")
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
 DAMAGE = {"truncated": lambda text: text[:len(text) // 2],
           "schema-only": lambda text: '{"schema": 1}',
           "deeply-nested": lambda text: "[" * 100000 + "]" * 100000}

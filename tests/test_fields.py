@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cyclotome.fields import (
-    Cyclotomic, FieldError, PrimeField, Rationals,
+    Cyclotomic, FieldError, PrimeField, Rationals, _poly_divmod, _poly_mul, _poly_trim,
     cyclotomic_polynomial,
 )
 
@@ -96,3 +96,49 @@ def test_prime_field_fermat(a, b):
     x = F.from_int(a)
     assert x ** 13 == x
     assert F.from_int(a) * F.from_int(b) == F.from_int((a * b) % 13)
+
+
+# -- the fast paths of _mul and _add against the reference arithmetic -------------------
+
+CYCLOTOMIC_ORDERS = (1, 3, 4, 5, 8, 12)
+
+
+@st.composite
+def cyclotomic_elements(draw, K):
+    """Payloads of K: zero, +-1, other constants, and reduced polynomials."""
+    constant = st.one_of(st.sampled_from([1, -1]), fractions_st).map(lambda c: [c])
+    coeffs = draw(st.one_of(st.just([]), constant,
+                            st.lists(fractions_st, max_size=K.degree)))
+    return K._from_poly(coeffs).payload
+
+
+@st.composite
+def cyclotomic_pairs(draw):
+    K = Cyclotomic(draw(st.sampled_from(CYCLOTOMIC_ORDERS)))
+    return K, draw(cyclotomic_elements(K)), draw(cyclotomic_elements(K))
+
+
+def _canonical(payload):
+    """No trailing zero, so that == and hash on payloads stay syntactic."""
+    return isinstance(payload, tuple) and (not payload or payload[-1] != 0)
+
+
+@given(cyclotomic_pairs())
+def test_cyclotomic_mul_and_add_match_the_reference(case):
+    K, a, b = case
+    product = tuple(_poly_divmod(_poly_mul(list(a), list(b)), K._modulus)[1])
+    total = [Fraction(0)] * max(len(a), len(b))
+    for part in (a, b):
+        for i, x in enumerate(part):
+            total[i] += x
+    for out, ref in ((K._mul(a, b), product), (K._mul(b, a), product),
+                     (K._add(a, b), tuple(_poly_trim(total))),
+                     (K._add(b, a), tuple(_poly_trim(total)))):
+        assert out == ref and _canonical(out)
+
+
+@given(st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]), fractions_st),
+       st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]), fractions_st))
+def test_rational_mul_and_add_match_the_reference(a, b):
+    assert Q._mul(a, b) == a * b and Q._mul(b, a) == a * b
+    assert Q._add(a, b) == a + b

@@ -1,3 +1,4 @@
+import functools
 import random
 from pathlib import Path
 
@@ -6,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from cyclotome.fields import Cyclotomic, FieldSpec, Rationals
 from cyclotome.hopf import (
-    HopfError, LinearMap, braiding, coadjoint_action, coadjoint_blocks, coadjoint_module,
-    drinfeld_double_of_cyclic, drinfeld_element, dual_module, group_algebra,
+    HopfError, LinearMap, braiding, braiding_inverse, coadjoint_action, coadjoint_blocks,
+    coadjoint_module, drinfeld_double_of_cyclic, drinfeld_element, dual_module, group_algebra,
     group_algebra_simples, hom_space, invariants, load_algebra, modular_data,
     module_power, pivot_element, qdim, regular_module, right_coadjoint_power,
     sweedler_h4, tensor_module, trivial_module, twist, verify_axioms,
@@ -188,6 +189,63 @@ def test_twist_condition(bundled):
 def test_twist_of_trivial_module(bundled):
     for name, (H, _) in bundled.items():
         assert twist(trivial_module(H)) == LinearMap.identity(H.field, TensorShape([1]))
+
+
+# -- the one-pass braiding against the composite it replaced --------------------------
+
+BUNDLES = ("z2_trivial", "z2_semion", "sweedler_h4", "double_z2")
+
+
+@functools.cache
+def _bundle_modules(name):
+    """Regular, coadjoint, dual, C (x) C and simple modules of a bundle, built once."""
+    H, simples = load_algebra(DATA / f"{name}.json")
+    C = coadjoint_module(H)
+    return [regular_module(H), C, dual_module(C), tensor_module(C, C), *simples]
+
+
+def _composite_braiding(V, W, inverse):
+    """flip o sum coeff rho(a) (x) rho(b), or the sum after the flip for the inverse."""
+    H, F = V.algebra, V.algebra.field
+    r_act = LinearMap.zero(F, V.shape * W.shape, V.shape * W.shape)
+    for a, b, coeff in (H.r_inv_pairs() if inverse else H.r_pairs()):
+        r_act = r_act + V.rho_of(a).tensor(W.rho_of(b)).scaled(coeff)
+    if inverse:
+        return r_act.compose(block_flip(F, W.shape, V.shape))
+    return block_flip(F, V.shape, W.shape).compose(r_act)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(BUNDLES), i=st.integers(0, 7), j=st.integers(0, 7))
+def test_braiding_equals_the_composite(name, i, j):
+    mods = _bundle_modules(name)
+    V, W = mods[i % len(mods)], mods[j % len(mods)]
+    c, c_inv = braiding(V, W), braiding_inverse(V, W)
+    assert c == _composite_braiding(V, W, inverse=False)
+    assert c_inv == _composite_braiding(V, W, inverse=True)
+    assert c_inv.compose(c) == LinearMap.identity(V.algebra.field, V.shape * W.shape)
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_braiding_multiplies_only_nonzero_pairs(monkeypatch, inverse):
+    """At most two products per pair of nonzero entries of rho_V(i) and rho_W(j)
+    over the nonzero R_ij; the composite also multiplied by every 1 of the flip."""
+    H, _ = load_algebra(DATA / "z2_semion.json")
+    C = coadjoint_module(H)
+    V, W = tensor_module(C, C), C
+    R = H.R_inv if inverse else H.R
+    pairs = sum(len(V.rho(idx // H.dim).entries) * len(W.rho(idx % H.dim).entries)
+                for idx, x in enumerate(R) if not x.is_zero())
+    calls = []
+    mul = FieldSpec._mul
+
+    def counted(self, a, b):
+        calls.append(1)
+        return mul(self, a, b)
+
+    monkeypatch.setattr(FieldSpec, "_mul", counted)
+    (braiding_inverse if inverse else braiding)(V, W)
+    assert 0 < len(calls) <= 2 * pairs
 
 
 def test_s_squared_is_pivot_conjugation(bundled):

@@ -2,7 +2,8 @@
 variable that it never reads, and no module imports a name that it never
 reads.  Such a local is either dead work (a map built and dropped) or a typo
 that silently discards a value; such an import is left over from code that
-is gone.
+is gone.  A third rule keeps identity factors out of `LinearMap.tensor`:
+id (x) op (x) id is placed by `linalg.whisker`, which multiplies nothing.
 
 Only single-name targets count; names bound by tuple unpacking, loop targets,
 `_`, and names declared global or nonlocal are exempt.  A read anywhere in the
@@ -113,4 +114,52 @@ def test_no_unread_imports_in_package():
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         found += unread_imports(path.read_text(encoding="utf-8"), path.name)
+    assert not found, "\n".join(found)
+
+
+def _is_identity_call(node) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "identity" and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "LinearMap")
+
+
+def identity_tensors(source: str, filename: str = "<string>") -> list[str]:
+    """`.tensor(...)` calls whose receiver or argument is `LinearMap.identity(...)`
+    or a name bound to it in the same function."""
+    found = []
+    for fn in ast.walk(ast.parse(source, filename)):
+        if not isinstance(fn, FUNCTIONS):
+            continue
+        nodes = list(_own_nodes(fn))
+        eyes = {t.id for node in nodes if isinstance(node, ast.Assign)
+                and _is_identity_call(node.value)
+                for t in node.targets if isinstance(t, ast.Name)}
+        for node in nodes:
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "tensor"):
+                continue
+            if any(_is_identity_call(x) or isinstance(x, ast.Name) and x.id in eyes
+                   for x in [node.func.value, *node.args]):
+                found.append((node.lineno, f"{filename}:{node.lineno} {fn.name}"))
+    return [line for _, line in sorted(found)]
+
+
+def test_lint_flags_identity_tensor_factors():
+    src = (
+        "def f(F, s, op):\n"
+        "    eye = LinearMap.identity(F, s)\n"
+        "    a = eye.tensor(op)\n"
+        "    b = op.tensor(eye).tensor(op)\n"
+        "    c = LinearMap.identity(F, s).tensor(op)\n"
+        "    return a, b, c, op.tensor(op), eye\n"
+        "def g(eye, op):\n"
+        "    return eye.tensor(op)\n"
+    )
+    assert [s.split(":")[1] for s in identity_tensors(src)] == ["3 f", "4 f", "5 f"]
+
+
+def test_no_identity_tensor_factors_in_package():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += identity_tensors(path.read_text(encoding="utf-8"), path.name)
     assert not found, "\n".join(found)
