@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .fields import Scalar
 from .hopf import (
-    HopfAlgebraData, ModuleData, Vector, braiding, coadjoint_action,
+    HopfAlgebraData, ModuleData, Vector, braiding, coadjoint_blocks,
     coadjoint_module, dual_module, invariance_blocks, invariants, modular_data,
     module_power, pivot_inverse, qdim, regular_module, rotate_last_to_front,
     tensor_module, twist, trivial_module,
@@ -187,14 +187,36 @@ class CoendData:
 
 def braided_coproduct(H: HopfAlgebraData) -> LinearMap:
     """The coproduct of the braided counterpart of H:
-    h |-> sum h_(2) a_i (x) S((b_i)_(1)) h_(1) (b_i)_(2)."""
-    F = H.field
-    out = LinearMap.zero(F, H.shape, H.shape * H.shape)
-    cop = block_flip(F, H.shape, H.shape).compose(H.Delta)  # h -> h2 (x) h1
-    for a, b, coeff in H.r_pairs():
-        term = H.right_multiplication(a).tensor(coadjoint_action(H, b, 1))
-        out = out + term.compose(cop).scaled(coeff)
-    return out
+    h |-> sum h_(2) a_i (x) S((b_i)_(1)) h_(1) (b_i)_(2).  The summands of
+    R = sum R_ij e_i (x) e_j are grouped by j, as right multiplication by
+    x_j = sum_i R_ij e_i on the first leg and ad_1(e_j) on the second, and
+    both act on Delta(h) = sum Delta_pq e_p (x) e_q read with its legs
+    exchanged, one pass over the nonzero entries with no flip composed."""
+    if H.R is None:
+        raise CoendError("the braided coproduct needs an R-matrix")
+    F, d = H.field, H.dim
+    entries: dict[tuple[int, int], Scalar] = {}
+    for j, ad in enumerate(coadjoint_blocks(H, 1)):
+        x = [H.R[i * d + j] for i in range(d)]
+        if all(c.is_zero() for c in x):
+            continue
+        first, second = _columns(H.right_multiplication(x)), _columns(ad)
+        for (row, c), w in H.Delta.entries.items():
+            p, q = divmod(row, d)
+            for r1, v1 in first.get(q, ()):
+                y = w * v1
+                for r2, v2 in second.get(p, ()):
+                    key, prod = (r1 * d + r2, c), y * v2
+                    entries[key] = entries[key] + prod if key in entries else prod
+    return LinearMap(F, H.shape, H.shape * H.shape, entries)
+
+
+def _columns(m: LinearMap) -> dict[int, list[tuple[int, Scalar]]]:
+    """The nonzero entries of m as (row, value) lists by column."""
+    cols: dict[int, list[tuple[int, Scalar]]] = {}
+    for (r, c), v in m.entries.items():
+        cols.setdefault(c, []).append((r, v))
+    return cols
 
 
 def build_coend_hopf(H: HopfAlgebraData,

@@ -25,8 +25,7 @@ from .hopf import (
     rotate_last_to_front, trivial_module, twist,
 )
 from .linalg import (
-    LinearMap, SubspaceBasis, TensorShape, UNIT, invert, permute_factors, stack,
-    whisker,
+    LinearMap, SubspaceBasis, TensorShape, UNIT, _wrapped, invert, stack, whisker,
 )
 from .reports import CheckReport
 
@@ -221,42 +220,50 @@ def _hom_module(variant: CategoryVariant, chirality: str, gen: dict[tuple, Linea
 # -- the explicit model on invariant tensors ------------------------------------------------
 
 
-def _rotate_last_front(H: HopfAlgebraData, total: int) -> LinearMap:
-    return permute_factors(H.field, H.power_shape(total), [total - 1] + list(range(total - 1)))
-
-
-def _rotate_front_last(H: HopfAlgebraData, total: int) -> LinearMap:
-    return permute_factors(H.field, H.power_shape(total), list(range(1, total)) + [0])
+def _rotation(H: HopfAlgebraData, n: int, R: Vector, ribbon: Vector,
+              to_front: bool) -> LinearMap:
+    """sum over the summands R_ij e_i (x) e_j of R_ij rot(ad_n(e_j) (x) ad_1(e_i ribbon))
+    on H^(x)(n+1), grouped by j: ad_n(e_j) (x) ad_1(x_j ribbon) with
+    x_j = sum_i R_ij e_i, so each entry of ad_n(e_j) is multiplied once per
+    entry of the small second factor.  The rotation is applied by renumbering:
+    with to_front the rows are numbered with the last slot moved to the
+    front, otherwise the columns with the first slot moved to the back, which
+    precomposes the rotation of the first slot to the back."""
+    F = H.field
+    mul, add = F._mul, F._add
+    d, D = H.dim, H.dim ** n
+    acc = {}
+    for j, bulk in enumerate(coadjoint_blocks(H, n)):
+        x = [R[i * d + j] for i in range(d)]
+        if all(c.is_zero() for c in x):
+            continue
+        moved = [(r2, c2, v2.payload) for (r2, c2), v2 in
+                 coadjoint_action(H, H.multiply(x, ribbon), 1).entries.items()]
+        for (r1, c1), v1 in bulk.entries.items():
+            w = v1.payload
+            for r2, c2, v2 in moved:
+                key = ((r2 * D + r1, c1 * d + c2) if to_front
+                       else (r1 * d + r2, c2 * D + c1))
+                prod = mul(w, v2)
+                acc[key] = add(acc[key], prod) if key in acc else prod
+    shape = H.power_shape(n + 1)
+    return LinearMap(F, shape, shape, _wrapped(F, acc))
 
 
 def explicit_cyclic_rotation(H: HopfAlgebraData, n: int) -> LinearMap:
     """t_n on H^(x)(n+1): the last slot moves to the front acted by a_i theta,
     the remaining slots are acted by the Sweedler components of b_i."""
-    F = H.field
-    total = n + 1
-    out = LinearMap.zero(F, H.power_shape(total), H.power_shape(total))
-    rot = _rotate_last_front(H, total)
-    for a, b, coeff in H.r_pairs():
-        moved = coadjoint_action(H, H.multiply(a, H.theta), 1)
-        bulk = coadjoint_action(H, b, n)
-        term = rot.compose(bulk.tensor(moved))
-        out = out + term.scaled(coeff)
-    return out
+    if H.R is None:
+        raise CyclicModuleError("the cyclic rotation needs an R-matrix")
+    return _rotation(H, n, H.R, H.theta, to_front=True)
 
 
 def explicit_cocyclic_rotation(H: HopfAlgebraData, n: int) -> LinearMap:
     """tau_n on H^(x)(n+1): the first slot moves to the back acted by
     alpha_i theta^{-1}, the rest are acted by the components of beta_i."""
-    F = H.field
-    total = n + 1
-    out = LinearMap.zero(F, H.power_shape(total), H.power_shape(total))
-    rot = _rotate_front_last(H, total)
-    for alpha, beta, coeff in H.r_inv_pairs():
-        moved = coadjoint_action(H, H.multiply(alpha, H.theta_inv), 1)
-        bulk = coadjoint_action(H, beta, n)
-        term = bulk.tensor(moved).compose(rot)
-        out = out + term.scaled(coeff)
-    return out
+    if H.R_inv is None:
+        raise CyclicModuleError("the cocyclic rotation needs an inverse R-matrix")
+    return _rotation(H, n, H.R_inv, H.theta_inv, to_front=False)
 
 
 def _explicit(H: HopfAlgebraData, N: int, chirality: str, face: LinearMap,

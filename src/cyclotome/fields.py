@@ -214,9 +214,8 @@ class FieldSpec:
         return Fraction(1) / a
 
     def _is_zero(self, a):
-        if self.kind == self.CYCLOTOMIC:
-            return not a
-        return a == 0
+        # zero is the only falsy payload: Fraction(0), the residue 0, the empty tuple
+        return not a
 
     # -- rendering / parsing -------------------------------------------------------
 

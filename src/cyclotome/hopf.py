@@ -19,8 +19,8 @@ from typing import Callable, Sequence
 
 from .fields import FieldSpec, Scalar
 from .linalg import (
-    LinearMap, ShapeError, TensorShape, UNIT, block_flip, invert, kernel_and_rank,
-    solve, stack, whisker,
+    LinearMap, ShapeError, TensorShape, UNIT, _payloads, _wrapped, block_flip, invert,
+    kernel_and_rank, solve, stack, whisker,
 )
 from .reports import CheckReport
 
@@ -366,7 +366,7 @@ class ModuleData:
             for (r, col), v in self.action.entries.items():
                 j, c = divmod(col, self.dim)
                 parts[j][(r, c)] = v
-            self._rho = [LinearMap(self.algebra.field, self.shape, self.shape, e)
+            self._rho = [LinearMap._from_clean(self.algebra.field, self.shape, self.shape, e)
                          for e in parts]
         return self._rho[k]
 
@@ -374,14 +374,14 @@ class ModuleData:
         """Matrix of the element h acting on V: sum_k h_k rho(k) over the nonzero h_k."""
         if len(h) != self.algebra.dim:
             raise ShapeError(f"element length {len(h)} != algebra dim {self.algebra.dim}")
-        entries = {}
-        for k, x in enumerate(h):
-            if x.is_zero():
-                continue
+        F = self.algebra.field
+        mul, add = F._mul, F._add
+        acc = {}
+        for k, x in _payloads(F, h).items():
             for key, v in self.rho(k).entries.items():
-                prod = v * x
-                entries[key] = entries[key] + prod if key in entries else prod
-        return LinearMap(self.algebra.field, self.shape, self.shape, entries)
+                prod = mul(v.payload, x)
+                acc[key] = add(acc[key], prod) if key in acc else prod
+        return LinearMap._from_clean(F, self.shape, self.shape, _wrapped(F, acc))
 
     @classmethod
     def from_blocks(cls, algebra: HopfAlgebraData, blocks: Sequence[LinearMap],
@@ -391,9 +391,13 @@ class ModuleData:
         shape = blocks[0].domain
         entries = {}
         for k, block in enumerate(blocks):
+            if block.domain.dim != shape.dim or block.codomain.dim != shape.dim:
+                raise HopfError(f"block {k} of {name} is not an endomorphism of {shape}")
+            if block.field != algebra.field:
+                raise HopfError(f"block {k} of {name} is not over {algebra.field}")
             for (r, c), v in block.entries.items():
                 entries[(r, k * shape.dim + c)] = v
-        action = LinearMap(algebra.field, algebra.shape * shape, shape, entries)
+        action = LinearMap._from_clean(algebra.field, algebra.shape * shape, shape, entries)
         V = cls(algebra, shape.dim, action, name=name, check=check)
         V._rho = list(blocks)
         return V
@@ -420,24 +424,27 @@ def coproduct_action(H: HopfAlgebraData, left: Sequence[LinearMap],
     placed by index arithmetic on the nonzero entries, with no identity factor
     or flip.  shape is the domain given to the blocks (the product of the
     factors' dimensions)."""
-    one = H.field.one()
+    F = H.field
+    mul, add = F._mul, F._add
+    one = F.one()
     n = right[0].domain.dim
-    rights = [list(r.entries.items()) for r in right]
+    rights = [[(r2, c2, v2.payload) for (r2, c2), v2 in r.entries.items()] for r in right]
+    lefts = [[(r1 * n, c1 * n, v1.payload) for (r1, c1), v1 in a.entries.items()]
+             for a in left]
     out = []
     for terms in H._coproduct_terms():
-        entries: dict[tuple[int, int], Scalar] = {}
+        acc = {}
         for p, q, c in terms:
             rq = rights[q]
             if not rq:
                 continue
             unit = c == one
-            for (r1, c1), v1 in left[p].entries.items():
-                x = v1 if unit else c * v1
-                r0, c0 = r1 * n, c1 * n
-                for (r2, c2), v2 in rq:
-                    key, prod = (r0 + r2, c0 + c2), x * v2
-                    entries[key] = entries[key] + prod if key in entries else prod
-        out.append(LinearMap(H.field, shape, shape, entries))
+            for r0, c0, v1 in lefts[p]:
+                x = v1 if unit else mul(c.payload, v1)
+                for r2, c2, v2 in rq:
+                    key, prod = (r0 + r2, c0 + c2), mul(x, v2)
+                    acc[key] = add(acc[key], prod) if key in acc else prod
+        out.append(LinearMap._from_clean(F, shape, shape, _wrapped(F, acc)))
     return out
 
 
@@ -507,10 +514,11 @@ def coadjoint_action(H: HopfAlgebraData, y: Vector, n: int) -> LinearMap:
     """X |-> X <| y on H^(x)n: sum_k y_k ad_n(e_k) over the nonzero y_k."""
     if len(y) != H.dim:
         raise ShapeError(f"element length {len(y)} != algebra dim {H.dim}")
+    one = H.field.one()
     out = LinearMap.zero(H.field, H.power_shape(n), H.power_shape(n))
     for a, x in zip(coadjoint_blocks(H, n), y):
         if not x.is_zero():
-            out = out + a.scaled(x)
+            out = out + (a if x == one else a.scaled(x))
     return out
 
 
@@ -524,7 +532,8 @@ def right_coadjoint_power(H: HopfAlgebraData, n: int) -> LinearMap:
     for k, a in enumerate(coadjoint_blocks(H, n)):
         for (r, c), v in a.entries.items():
             entries[(r, c * d + k)] = v
-    return LinearMap(H.field, H.power_shape(n) * H.shape, H.power_shape(n), entries)
+    return LinearMap._from_clean(H.field, H.power_shape(n) * H.shape, H.power_shape(n),
+                                 entries)
 
 
 # -- hom spaces ----------------------------------------------------------------------
@@ -589,26 +598,26 @@ def _flipped_r_action(V: ModuleData, W: ModuleData, R: Vector, inverse: bool) ->
     """sum_ij R_ij rho_V(i) (x) rho_W(j) in one pass over the nonzero R_ij and the
     nonzero entries of their actions, flipped by renumbering: the rows (braiding)
     or the columns (inverse) are numbered in W (x) V instead of V (x) W."""
+    F = V.algebra.field
+    mul, add = F._mul, F._add
     d, dv, dw = V.algebra.dim, V.dim, W.dim
-    entries: dict[tuple[int, int], Scalar] = {}
-    for idx, coeff in enumerate(R):
-        if coeff.is_zero():
-            continue
+    acc = {}
+    for idx, coeff in _payloads(F, R).items():
         i, j = divmod(idx, d)
-        right = W.rho(j).entries.items()
+        right = [(r2, c2, v2.payload) for (r2, c2), v2 in W.rho(j).entries.items()]
         if not right:
             continue
         for (r1, c1), v1 in V.rho(i).entries.items():
-            x = coeff * v1
-            for (r2, c2), v2 in right:
+            x = mul(coeff, v1.payload)
+            for r2, c2, v2 in right:
                 key = ((r1 * dw + r2, c2 * dv + c1) if inverse
                        else (r2 * dv + r1, c1 * dw + c2))
-                prod = x * v2
-                entries[key] = entries[key] + prod if key in entries else prod
+                prod = mul(x, v2)
+                acc[key] = add(acc[key], prod) if key in acc else prod
     vw, wv = V.shape * W.shape, W.shape * V.shape
     if inverse:
-        return LinearMap(V.algebra.field, wv, vw, entries)
-    return LinearMap(V.algebra.field, vw, wv, entries)
+        return LinearMap._from_clean(F, wv, vw, _wrapped(F, acc))
+    return LinearMap._from_clean(F, vw, wv, _wrapped(F, acc))
 
 
 def twist(V: ModuleData) -> LinearMap:

@@ -2,16 +2,23 @@
 
 A LinearMap carries its domain and codomain as TensorShapes (ordered factor
 dimensions); composition, tensor product, factor permutation, transpose and
-exact kernel/rank/solve are provided.  Vectors are plain dense lists of
-Scalars.  TensorShape and LinearMap are immutable after construction; all
-arithmetic is exact.
+exact kernel/rank/solve are provided.  TensorShape and LinearMap are
+immutable after construction; all arithmetic is exact.
+
+A map's entries are nonzero Scalars of its field, and the API takes and
+returns vectors as dense lists of Scalars.  The inner loops run on the
+payloads under the Scalars (a Fraction, a residue, a coefficient tuple): the
+field's _mul, _add, _neg, _inv and _is_zero are bound once per call, sums are
+accumulated as payloads, and only the entries that do not cancel are wrapped
+again.  So a map never holds a zero, and LinearMap._from_clean, which checks
+nothing, is used only where that invariant already holds.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from .fields import FieldSpec, Scalar
+from .fields import FieldError, FieldSpec, Scalar
 
 
 class ShapeError(ValueError):
@@ -100,6 +107,18 @@ class LinearMap:
         object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "entries", clean)
 
+    @classmethod
+    def _from_clean(cls, field: FieldSpec, domain: TensorShape, codomain: TensorShape,
+                    entries: dict[tuple[int, int], Scalar]) -> "LinearMap":
+        """The map with these entries, which the caller knows to be nonzero
+        Scalars of field at positions inside the shapes; nothing is checked."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "field", field)
+        object.__setattr__(m, "domain", domain)
+        object.__setattr__(m, "codomain", codomain)
+        object.__setattr__(m, "entries", entries)
+        return m
+
     def __setattr__(self, *args):
         raise AttributeError("LinearMap is immutable")
 
@@ -107,12 +126,13 @@ class LinearMap:
 
     @staticmethod
     def zero(field, domain: TensorShape, codomain: TensorShape) -> "LinearMap":
-        return LinearMap(field, domain, codomain, {})
+        return LinearMap._from_clean(field, domain, codomain, {})
 
     @staticmethod
     def identity(field, shape: TensorShape) -> "LinearMap":
         one = field.one()
-        return LinearMap(field, shape, shape, {(i, i): one for i in range(shape.dim)})
+        return LinearMap._from_clean(field, shape, shape,
+                                     {(i, i): one for i in range(shape.dim)})
 
     @staticmethod
     def from_rows(field, domain: TensorShape, codomain: TensorShape,
@@ -141,17 +161,41 @@ class LinearMap:
 
     def __add__(self, other: "LinearMap") -> "LinearMap":
         self._check_same_shape(other)
+        F = self.field
+        add, is_zero = F._add, F._is_zero
         entries = dict(self.entries)
         for k, v in other.entries.items():
-            entries[k] = entries[k] + v if k in entries else v
-        return LinearMap(self.field, self.domain, self.codomain, entries)
+            cur = entries.get(k)
+            if cur is None:
+                entries[k] = v
+                continue
+            s = add(cur.payload, v.payload)
+            if is_zero(s):
+                del entries[k]
+            else:
+                entries[k] = Scalar(F, s)
+        return LinearMap._from_clean(F, self.domain, self.codomain, entries)
+
+    def __neg__(self) -> "LinearMap":
+        F = self.field
+        neg = F._neg
+        return LinearMap._from_clean(F, self.domain, self.codomain,
+                                     {k: Scalar(F, neg(v.payload))
+                                      for k, v in self.entries.items()})
 
     def __sub__(self, other: "LinearMap") -> "LinearMap":
-        return self + other.scaled(self.field.from_int(-1))
+        return self + (-other)
 
     def scaled(self, s: Scalar) -> "LinearMap":
-        return LinearMap(self.field, self.domain, self.codomain,
-                         {k: v * s for k, v in self.entries.items()})
+        F = self.field
+        if s.field != F:
+            raise FieldError(f"field mismatch: {F} vs {s.field}")
+        if F._is_zero(s.payload):
+            return LinearMap._from_clean(F, self.domain, self.codomain, {})
+        mul, x = F._mul, s.payload
+        return LinearMap._from_clean(F, self.domain, self.codomain,
+                                     {k: Scalar(F, mul(v.payload, x))
+                                      for k, v in self.entries.items()})
 
     def _check_same_shape(self, other):
         if self.field != other.field:
@@ -167,56 +211,70 @@ class LinearMap:
         if first.codomain.dim != self.domain.dim:
             raise ShapeError(f"cannot compose {self.domain}->{self.codomain} "
                              f"after {first.domain}->{first.codomain}")
-        by_col: dict[int, list[tuple[int, Scalar]]] = {}
+        F = self.field
+        mul, add, is_zero = F._mul, F._add, F._is_zero
+        by_col: dict[int, list[tuple[int, object]]] = {}
         for (r, c), v in first.entries.items():
-            by_col.setdefault(c, []).append((r, v))
-        by_mid: dict[int, list[tuple[int, Scalar]]] = {}
+            by_col.setdefault(c, []).append((r, v.payload))
+        by_mid: dict[int, list[tuple[int, object]]] = {}
         for (r, c), v in self.entries.items():
-            by_mid.setdefault(c, []).append((r, v))
+            by_mid.setdefault(c, []).append((r, v.payload))
         entries: dict[tuple[int, int], Scalar] = {}
         for c, mids in by_col.items():
-            for m, v1 in mids:
-                outs = by_mid.get(m)
-                if not outs:
-                    continue
-                for r, v2 in outs:
-                    key = (r, c)
-                    prod = v2 * v1
-                    entries[key] = entries[key] + prod if key in entries else prod
-        return LinearMap(self.field, first.domain, self.codomain, entries)
+            col: dict[int, object] = {}
+            for m, x in mids:
+                for r, y in by_mid.get(m, ()):
+                    p = mul(y, x)
+                    col[r] = add(col[r], p) if r in col else p
+            for r, p in col.items():
+                if not is_zero(p):
+                    entries[(r, c)] = Scalar(F, p)
+        return LinearMap._from_clean(F, first.domain, self.codomain, entries)
 
     def tensor(self, other: "LinearMap") -> "LinearMap":
+        """Kronecker product; a product of two nonzeros is nonzero, so every
+        product is an entry."""
         if self.field != other.field:
             raise ShapeError("field mismatch")
-        dom = self.domain * other.domain
-        cod = self.codomain * other.codomain
+        F = self.field
+        mul = F._mul
         od, ocd = other.domain.dim, other.codomain.dim
+        right = [(r2, c2, v2.payload) for (r2, c2), v2 in other.entries.items()]
         entries = {}
         for (r1, c1), v1 in self.entries.items():
-            for (r2, c2), v2 in other.entries.items():
-                entries[(r1 * ocd + r2, c1 * od + c2)] = v1 * v2
-        return LinearMap(self.field, dom, cod, entries)
+            x, r0, c0 = v1.payload, r1 * ocd, c1 * od
+            for r2, c2, y in right:
+                entries[(r0 + r2, c0 + c2)] = Scalar(F, mul(x, y))
+        return LinearMap._from_clean(F, self.domain * other.domain,
+                                     self.codomain * other.codomain, entries)
 
     def transpose(self) -> "LinearMap":
         """Plain transpose; the matrix of the dual map in dual bases."""
-        return LinearMap(self.field, self.codomain, self.domain,
-                         {(c, r): v for (r, c), v in self.entries.items()})
+        return LinearMap._from_clean(self.field, self.codomain, self.domain,
+                                     {(c, r): v for (r, c), v in self.entries.items()})
 
     def reshaped(self, domain: TensorShape, codomain: TensorShape) -> "LinearMap":
         """Reinterpret factor structure without touching coordinates."""
         if domain.dim != self.domain.dim or codomain.dim != self.codomain.dim:
             raise ShapeError("reshape must preserve total dimensions")
-        return LinearMap(self.field, domain, codomain, self.entries)
+        return LinearMap._from_clean(self.field, domain, codomain, self.entries)
 
     def apply(self, vec: Sequence[Scalar]) -> list[Scalar]:
         if len(vec) != self.domain.dim:
             raise ShapeError(f"vector length {len(vec)} != domain dim {self.domain.dim}")
-        zero = self.field.zero()
-        out = [zero] * self.codomain.dim
+        F = self.field
+        mul, add, is_zero = F._mul, F._add, F._is_zero
+        xs = _payloads(F, vec)
+        acc: dict[int, object] = {}
         for (r, c), v in self.entries.items():
-            x = vec[c]
-            if not x.is_zero():
-                out[r] = out[r] + v * x
+            x = xs.get(c)
+            if x is not None:
+                p = mul(v.payload, x)
+                acc[r] = add(acc[r], p) if r in acc else p
+        out = [F.zero()] * self.codomain.dim
+        for r, p in acc.items():
+            if not is_zero(p):
+                out[r] = Scalar(F, p)
         return out
 
     def entry(self, r: int, c: int) -> Scalar:
@@ -240,6 +298,25 @@ class LinearMap:
                 f"{len(self.entries)} nonzero)")
 
 
+def _payloads(F: FieldSpec, vec: Sequence[Scalar]) -> dict[int, object]:
+    """The nonzero payloads of a dense vector of Scalars of F, by position."""
+    is_zero = F._is_zero
+    out = {}
+    for i, x in enumerate(vec):
+        p = x.payload
+        if not is_zero(p):
+            if x.field is not F and x.field != F:
+                raise ShapeError(f"vector entry over {x.field}, expected {F}")
+            out[i] = p
+    return out
+
+
+def _wrapped(F: FieldSpec, acc: dict) -> dict:
+    """Accumulated payloads as Scalars of F, without the ones that cancelled."""
+    is_zero = F._is_zero
+    return {k: Scalar(F, p) for k, p in acc.items() if not is_zero(p)}
+
+
 def whisker(op: LinearMap, left: TensorShape, right: TensorShape) -> LinearMap:
     """id_left (x) op (x) id_right, placed by index arithmetic: no identity
     factor is built and no entry is multiplied."""
@@ -250,8 +327,8 @@ def whisker(op: LinearMap, left: TensorShape, right: TensorShape) -> LinearMap:
             row, col = (a * ocd + r) * rd, (a * od + c) * rd
             for b in range(rd):
                 entries[(row + b, col + b)] = v
-    return LinearMap(op.field, left * op.domain * right, left * op.codomain * right,
-                     entries)
+    return LinearMap._from_clean(op.field, left * op.domain * right,
+                                 left * op.codomain * right, entries)
 
 
 def permute_factors(field, shape: TensorShape, perm: Sequence[int]) -> LinearMap:
@@ -293,48 +370,61 @@ def stack(blocks: Sequence[LinearMap]) -> LinearMap:
     """The maps out of one space stacked into a single map to the direct sum of
     their codomains; its kernel is the intersection of their kernels."""
     domain = blocks[0].domain
+    field = blocks[0].field
     entries = {}
     offset = 0
     for block in blocks:
         if block.domain.dim != domain.dim:
             raise ShapeError(f"cannot stack a map out of {block.domain} under maps "
                              f"out of {domain}")
+        if block.field != field:
+            raise ShapeError("field mismatch")
         for (r, c), v in block.entries.items():
             entries[(offset + r, c)] = v
         offset += block.codomain.dim
-    return LinearMap(blocks[0].field, domain, TensorShape([offset]), entries)
+    return LinearMap._from_clean(field, domain, TensorShape([offset]), entries)
 
 
-def _subtract(row: dict[int, Scalar], factor: Scalar, pivot: dict[int, Scalar]):
-    """row -= factor * pivot, dropping the entries that cancel."""
+def _subtract(row: dict[int, object], factor, pivot: dict[int, object], mul, add, is_zero):
+    """row += factor * pivot on payloads, dropping the entries that cancel;
+    the caller passes the negated multiplier."""
     for c, v in pivot.items():
+        p = mul(factor, v)
         cur = row.get(c)
-        nv = -(factor * v) if cur is None else cur - factor * v
-        if nv.is_zero():
-            row.pop(c)
+        if cur is None:
+            row[c] = p
+            continue
+        s = add(cur, p)
+        if is_zero(s):
+            del row[c]
         else:
-            row[c] = nv
+            row[c] = s
 
 
 def _reduce(m: LinearMap, extra: LinearMap | None = None, back: bool = True,
             should_cancel: Callable[[], bool] | None = None):
     """Sparse Gaussian elimination of the rows of m, each extended on the right
-    by the same row of extra when given.
+    by the same row of extra when given, on the entries' payloads.
 
     Pivots are taken among the columns of m only and scaled to 1.  Returns
-    (rows, pivots), pivots mapping each pivot column, in increasing order, to
-    the index of its row in rows.  With back=True every pivot column is also
-    cleared above its pivot, which gives the reduced echelon form: it depends
-    only on the row space and the column order, not on the order or the
-    multiplicity of the rows, nor on the pivot choices made on the way.
+    (rows, pivots): rows as {column: nonzero payload}, and pivots mapping each
+    pivot column, in increasing order, to the index of its row in rows.  With
+    back=True every pivot column is also cleared above its pivot, which gives
+    the reduced echelon form: it depends only on the row space and the column
+    order, not on the order or the multiplicity of the rows, nor on the pivot
+    choices made on the way.
     """
+    F = m.field
+    mul, add, neg, inv, is_zero = F._mul, F._add, F._neg, F._inv, F._is_zero
     ncols = m.domain.dim
-    rows: list[dict[int, Scalar]] = [dict() for _ in range(m.codomain.dim)]
+    rows: list[dict[int, object]] = [dict() for _ in range(m.codomain.dim)]
     for (r, c), v in m.entries.items():
-        rows[r][c] = v
+        rows[r][c] = v.payload
     if extra is not None:
+        if extra.field != F:
+            raise ShapeError("field mismatch")
         for (r, c), v in extra.entries.items():
-            rows[r][ncols + c] = v
+            rows[r][ncols + c] = v.payload
     pivots: dict[int, int] = {}
     work = [i for i, row in enumerate(rows) if row]
     for col in range(ncols):
@@ -348,15 +438,15 @@ def _reduce(m: LinearMap, extra: LinearMap | None = None, back: bool = True,
         if best is None:
             continue
         piv = rows[best]
-        inv = piv[col].inverse()
+        scale = inv(piv[col])
         for c in list(piv):
-            piv[c] = piv[c] * inv
+            piv[c] = mul(piv[c], scale)
         pivots[col] = best
         work.remove(best)
         for i in list(work):
             factor = rows[i].get(col)
             if factor is not None:
-                _subtract(rows[i], factor, piv)
+                _subtract(rows[i], neg(factor), piv, mul, add, is_zero)
                 if not rows[i]:
                     work.remove(i)
     if back:
@@ -367,7 +457,7 @@ def _reduce(m: LinearMap, extra: LinearMap | None = None, back: bool = True,
             for earlier in piv_cols[:idx]:
                 factor = rows[pivots[earlier]].get(col)
                 if factor is not None:
-                    _subtract(rows[pivots[earlier]], factor, piv)
+                    _subtract(rows[pivots[earlier]], neg(factor), piv, mul, add, is_zero)
     return rows, pivots
 
 
@@ -392,8 +482,10 @@ def kernel_and_rank(m: LinearMap,
 
 def _kernel(m: LinearMap, should_cancel=None):
     rows, pivots = _reduce(m, should_cancel=should_cancel)
+    F = m.field
+    neg = F._neg
     ncols = m.domain.dim
-    zero, one = m.field.zero(), m.field.one()
+    zero, one = F.zero(), F.one()
     free_cols = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free_cols:
@@ -402,7 +494,7 @@ def _kernel(m: LinearMap, should_cancel=None):
         for col, i in pivots.items():
             v = rows[i].get(fc)
             if v is not None:
-                vec[col] = -v
+                vec[col] = Scalar(F, neg(v))
         basis.append(vec)
     return basis, free_cols, len(pivots)
 
@@ -417,13 +509,13 @@ def _solve_columns(m: LinearMap, rhs: LinearMap) -> LinearMap | None:
     every free coordinate 0, or None when there is none.  The identity
     m X = rhs is checked exactly, so an inconsistent system cannot pass."""
     rows, pivots = _reduce(m, rhs)
-    n = m.domain.dim
+    F, n = m.field, m.domain.dim
     entries = {}
     for col, i in pivots.items():
         for c, v in rows[i].items():
             if c >= n:
-                entries[(col, c - n)] = v
-    x = LinearMap(m.field, rhs.domain, m.domain, entries)
+                entries[(col, c - n)] = Scalar(F, v)
+    x = LinearMap._from_clean(F, rhs.domain, m.domain, entries)
     return x if m.compose(x) == rhs else None
 
 
@@ -448,9 +540,11 @@ def invert(m: LinearMap) -> LinearMap | None:
 class SubspaceBasis:
     """A basis of a subspace of a based space, with exact membership tests.
 
-    When the basis comes from kernel_with_free_columns, coordinates are read
-    off at the indicator columns and verified by reconstruction on the
-    nonzero entries; otherwise a linear solve is used.
+    When the basis comes from kernel_with_free_columns, the k-th vector is 1 at
+    the k-th indicator column and 0 at the others, so the coordinates of a
+    vector are its entries at those columns; they are accepted only when they
+    reconstruct the vector exactly.  Without indicator columns a linear solve
+    is used.
     """
 
     def __init__(self, field, ambient_dim: int, vectors: list[list[Scalar]],
@@ -459,11 +553,19 @@ class SubspaceBasis:
         self.ambient_dim = ambient_dim
         self.vectors = vectors
         self.indicator_cols = indicator_cols
-        self._sparse = [{r: v for r, v in enumerate(vec) if not v.is_zero()}
-                        for vec in vectors]
-        entries = {(r, c): v for c, vec in enumerate(self._sparse) for r, v in vec.items()}
-        self._matrix = LinearMap(field, TensorShape([len(vectors)]),
-                                 TensorShape([ambient_dim]), entries)
+        for vec in vectors:
+            if len(vec) != ambient_dim:
+                raise ShapeError(f"basis vector of length {len(vec)} in a space of "
+                                 f"dimension {ambient_dim}")
+        # the nonzero payloads of each basis vector, and each indicator
+        # column's slot in the basis
+        self._sparse = [_payloads(field, vec) for vec in vectors]
+        self._slot = (None if indicator_cols is None
+                      else {c: k for k, c in enumerate(indicator_cols)})
+        entries = {(r, c): vec[r] for c, (vec, nz) in enumerate(zip(vectors, self._sparse))
+                   for r in nz}
+        self._matrix = LinearMap._from_clean(field, TensorShape([len(vectors)]),
+                                             TensorShape([ambient_dim]), entries)
 
     @staticmethod
     def standard(field, ambient_dim: int) -> "SubspaceBasis":
@@ -487,24 +589,45 @@ class SubspaceBasis:
         """Coordinates of vec in this basis, or None if vec lies outside the span."""
         if len(vec) != self.ambient_dim:
             raise ShapeError(f"vector length {len(vec)} != ambient dim {self.ambient_dim}")
-        return self._sparse_coordinates({r: v for r, v in enumerate(vec) if not v.is_zero()})
+        F = self.field
+        coords = self._sparse_coordinates(_payloads(F, vec))
+        if coords is None:
+            return None
+        out = [F.zero()] * self.dim
+        for k, p in coords.items():
+            out[k] = Scalar(F, p)
+        return out
 
-    def _sparse_coordinates(self, vec: dict[int, Scalar]) -> list[Scalar] | None:
-        """coordinates() of the vector with the given nonzero entries; read at
-        the indicator columns, they must reconstruct it exactly."""
-        zero = self.field.zero()
-        if self.indicator_cols is None and self.vectors:
-            return solve(self._matrix, [vec.get(r, zero) for r in range(self.ambient_dim)])
-        coords = [vec.get(c, zero) for c in self.indicator_cols or ()]
-        recon: dict[int, Scalar] = {}
-        for k, c in enumerate(coords):
-            if c.is_zero():
-                continue
+    def _sparse_coordinates(self, vec: dict[int, object]) -> dict[int, object] | None:
+        """The nonzero coordinates {slot: payload} of the vector with the given
+        nonzero payloads, or None if it lies outside the span.  They are read
+        at the indicator columns present in vec, and accepted only when they
+        reconstruct every nonzero of vec and no other."""
+        F = self.field
+        if self._slot is None and self.vectors:
+            zero = F.zero()
+            sol = solve(self._matrix, [Scalar(F, vec[r]) if r in vec else zero
+                                       for r in range(self.ambient_dim)])
+            return None if sol is None else _payloads(F, sol)
+        mul, add, is_zero = F._mul, F._add, F._is_zero
+        slot = self._slot or {}
+        coords = {}
+        for r, p in vec.items():
+            k = slot.get(r)
+            if k is not None:
+                coords[k] = p
+        recon: dict[int, object] = {}
+        for k, x in coords.items():
             for r, v in self._sparse[k].items():
-                prod = c * v
-                recon[r] = recon[r] + prod if r in recon else prod
-        recon = {r: v for r, v in recon.items() if not v.is_zero()}
-        return coords if recon == vec else None
+                p = mul(x, v)
+                recon[r] = add(recon[r], p) if r in recon else p
+        count = 0
+        for r, p in recon.items():
+            if not is_zero(p):
+                if vec.get(r) != p:
+                    return None
+                count += 1
+        return coords if count == len(vec) else None
 
     def restrict(self, ambient: LinearMap, target: "SubspaceBasis") -> LinearMap | None:
         """The matrix of an ambient-space map from this basis to the target
@@ -514,25 +637,28 @@ class SubspaceBasis:
         if ambient.domain.dim != self.ambient_dim or ambient.codomain.dim != target.ambient_dim:
             raise ShapeError(f"cannot restrict a map {ambient.domain}->{ambient.codomain} "
                              f"to subspaces of {self.ambient_dim} and {target.ambient_dim}")
-        columns: dict[int, list[tuple[int, Scalar]]] = {}
+        F = ambient.field
+        if F != self.field or F != target.field:
+            raise ShapeError("field mismatch")
+        mul, add, is_zero = F._mul, F._add, F._is_zero
+        columns: dict[int, list[tuple[int, object]]] = {}
         for (r, c), v in ambient.entries.items():
-            columns.setdefault(c, []).append((r, v))
+            columns.setdefault(c, []).append((r, v.payload))
         entries = {}
         for c, vec in enumerate(self._sparse):
-            image: dict[int, Scalar] = {}
+            image: dict[int, object] = {}
             for j, x in vec.items():
                 for r, v in columns.get(j, ()):
-                    prod = v * x
-                    image[r] = image[r] + prod if r in image else prod
+                    p = mul(v, x)
+                    image[r] = add(image[r], p) if r in image else p
             coords = target._sparse_coordinates(
-                {r: v for r, v in image.items() if not v.is_zero()})
+                {r: p for r, p in image.items() if not is_zero(p)})
             if coords is None:
                 return None
-            for r, v in enumerate(coords):
-                if not v.is_zero():
-                    entries[(r, c)] = v
-        return LinearMap(ambient.field, TensorShape([self.dim]),
-                         TensorShape([target.dim]), entries)
+            for k, p in coords.items():
+                entries[(k, c)] = Scalar(F, p)
+        return LinearMap._from_clean(F, TensorShape([self.dim]),
+                                     TensorShape([target.dim]), entries)
 
     def matrix(self) -> LinearMap:
         """Inclusion of the subspace into the ambient space (columns = basis vectors)."""

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclotome.fields import Cyclotomic, PrimeField, Rationals
+from cyclotome.fields import Cyclotomic, FieldError, PrimeField, Rationals
 from cyclotome.linalg import (
     LinearMap, ShapeError, TensorShape, block_flip, invert, kernel_and_rank,
     kernel_with_free_columns, rank, solve, stack, swap_factors, SubspaceBasis, whisker,
@@ -295,3 +295,26 @@ def test_stack_rejects_mismatched_domains():
     with pytest.raises(ShapeError):
         stack([LinearMap.identity(Q, TensorShape([2])),
                LinearMap.identity(Q, TensorShape([3]))])
+
+
+def test_public_constructor_checks_every_entry_and_drops_zeros():
+    s2 = TensorShape([2])
+    with pytest.raises(ShapeError):
+        LinearMap(Q, s2, s2, {(0, 0): 1})
+    with pytest.raises(ShapeError):
+        LinearMap(Q, s2, s2, {(0, 0): PrimeField(7).one()})
+    for key in ((2, 0), (0, 2), (-1, 0)):
+        with pytest.raises(ShapeError):
+            LinearMap(Q, s2, s2, {key: Q.one()})
+    m = LinearMap(Q, s2, s2, {(0, 0): Q.zero(), (1, 0): Q.one()})
+    assert m.entries == {(1, 0): Q.one()}
+
+
+def test_scaled_rejects_a_scalar_of_another_field_and_empties_on_zero():
+    m = LinearMap.identity(Q, TensorShape([2]))
+    for other in (PrimeField(7).from_int(2), Cyclotomic(4).one()):
+        with pytest.raises(FieldError):
+            m.scaled(other)
+        with pytest.raises(FieldError):
+            LinearMap.zero(Q, m.domain, m.codomain).scaled(other)
+    assert m.scaled(Q.zero()).entries == {}

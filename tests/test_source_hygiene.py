@@ -3,7 +3,10 @@ variable that it never reads, and no module imports a name that it never
 reads.  Such a local is either dead work (a map built and dropped) or a typo
 that silently discards a value; such an import is left over from code that
 is gone.  A third rule keeps identity factors out of `LinearMap.tensor`:
-id (x) op (x) id is placed by `linalg.whisker`, which multiplies nothing.
+id (x) op (x) id is placed by `linalg.whisker`, which multiplies nothing.  A
+fourth keeps `LinearMap._from_clean`, which checks none of its entries, inside
+`linalg` and the `hopf` packers that only regroup or accumulate entries of
+maps that are already valid.
 
 Only single-name targets count; names bound by tuple unpacking, loop targets,
 `_`, and names declared global or nonlocal are exempt.  A read anywhere in the
@@ -162,4 +165,48 @@ def test_no_identity_tensor_factors_in_package():
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         found += identity_tensors(path.read_text(encoding="utf-8"), path.name)
+    assert not found, "\n".join(found)
+
+
+# where LinearMap._from_clean may be called: anywhere in these files, or in
+# these functions of these files
+UNCHECKED_FILES = {"linalg.py"}
+UNCHECKED_FUNCTIONS = {"hopf.py": {"rho", "rho_of", "from_blocks", "coproduct_action",
+                                   "right_coadjoint_power", "_flipped_r_action"}}
+
+
+def unchecked_constructions(source: str, filename: str = "<string>") -> list[str]:
+    """Calls of `._from_clean(...)` outside the files and functions allowed above."""
+    if filename in UNCHECKED_FILES:
+        return []
+    allowed = UNCHECKED_FUNCTIONS.get(filename, set())
+    tree = ast.parse(source, filename)
+    inside = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, FUNCTIONS) and fn.name in allowed:
+            inside |= {id(n) for n in ast.walk(fn)}
+    lines = sorted(node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                   and node.func.attr == "_from_clean" and id(node) not in inside)
+    return [f"{filename}:{line}" for line in lines]
+
+
+def test_lint_flags_unchecked_constructions_outside_the_packers():
+    src = (
+        "def from_blocks(F, s, e):\n"
+        "    return LinearMap._from_clean(F, s, s, e)\n"
+        "def other(F, s, e):\n"
+        "    return LinearMap._from_clean(F, s, s, e)\n"
+        "m = LinearMap._from_clean(F, s, s, {})\n"
+    )
+    assert unchecked_constructions(src, "hopf.py") == ["hopf.py:4", "hopf.py:5"]
+    assert unchecked_constructions(src, "coend.py") == ["coend.py:2", "coend.py:4",
+                                                        "coend.py:5"]
+    assert unchecked_constructions(src, "linalg.py") == []
+
+
+def test_unchecked_constructor_stays_in_linalg_and_the_hopf_packers():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += unchecked_constructions(path.read_text(encoding="utf-8"), path.name)
     assert not found, "\n".join(found)
