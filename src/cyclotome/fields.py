@@ -1,15 +1,28 @@
 """Exact scalar arithmetic over Q, prime fields F_p, and cyclotomic extensions Q(zeta_n).
 
-Every scalar is kept in a canonical reduced form, so equality is syntactic:
-reduced fractions for Q, least nonnegative residues for F_p, and polynomials
-in the generator z reduced modulo the n-th cyclotomic polynomial for Q(zeta_n).
-No floating point is used anywhere.
+Every scalar is kept in a canonical reduced form, so equality and hashing are
+syntactic.  The payloads under the Scalars are ints and tuples of ints:
+
+- Q: an int when the value is integral, otherwise the reduced pair
+  (num, den) with den > 1.  Zero is 0.
+- F_p: the least nonnegative residue.
+- Q(zeta_n): zero is ().  Any other value is (den, n_0, ..., n_k), the
+  polynomial (n_0 + n_1 z + ... + n_k z^k) / den in the generator z reduced
+  modulo the n-th cyclotomic polynomial Phi_n, with den > 0, n_k != 0 and
+  gcd(den, n_0, ..., n_k) = 1.  A product multiplies the integer numerators
+  and folds the high powers back with a table of z^j mod Phi_n, which holds
+  only integers since Phi_n is monic over Z.
+
+Zero is the only falsy payload.  Fraction is used only where scalars enter
+or leave (parse, from_fraction, _from_poly, render) and in the extended
+Euclid of a cyclotomic inverse.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 
 class FieldError(ValueError):
@@ -111,29 +124,31 @@ class FieldSpec:
         if kind == self.CYCLOTOMIC:
             self._modulus = list(cyclotomic_polynomial(param))
             self.degree = len(self._modulus) - 1
+            self._fold = _fold_table([int(c) for c in self._modulus])
         else:
             self._modulus = None
             self.degree = 1
+        self._zero = self.from_fraction(Fraction(0))
+        self._one = self.from_fraction(Fraction(1))
 
     # -- construction of scalars -------------------------------------------------
 
     def zero(self) -> "Scalar":
-        return self.from_fraction(Fraction(0))
+        return self._zero
 
     def one(self) -> "Scalar":
-        return self.from_fraction(Fraction(1))
+        return self._one
 
     def from_int(self, k: int) -> "Scalar":
         return self.from_fraction(Fraction(k))
 
     def from_fraction(self, q: Fraction) -> "Scalar":
+        num, den = q.numerator, q.denominator
         if self.kind == self.PRIME:
-            num = q.numerator % self.param
-            den = q.denominator % self.param
-            return Scalar(self, (num * pow(den, -1, self.param)) % self.param)
+            return Scalar(self, (num * pow(den % self.param, -1, self.param)) % self.param)
         if self.kind == self.CYCLOTOMIC:
-            return Scalar(self, (q,) if q != 0 else ())
-        return Scalar(self, q)
+            return Scalar(self, (den, num) if num else ())
+        return Scalar(self, num if den == 1 else (num, den))
 
     def generator(self) -> "Scalar":
         """The distinguished root of unity z of Q(zeta_n)."""
@@ -151,70 +166,153 @@ class FieldSpec:
 
     def _from_poly(self, coeffs) -> "Scalar":
         _, r = _poly_divmod([Fraction(c) for c in coeffs], self._modulus)
-        return Scalar(self, tuple(r))
+        return Scalar(self, _encode(r))
 
     # -- arithmetic on payloads ---------------------------------------------------
 
     def _add(self, a, b):
-        if self.kind == self.PRIME:
+        kind = self.kind
+        if kind == self.RATIONALS:
+            if a.__class__ is int:
+                if b.__class__ is int:
+                    return a + b
+                return (a * b[1] + b[0], b[1])
+            if b.__class__ is int:
+                return (a[0] + b * a[1], a[1])
+            # Fraction's addition on reduced pairs: only the last case can
+            # reach an integer, and a zero sum comes out as 0 // 1
+            n1, d1 = a
+            n2, d2 = b
+            g = gcd(d1, d2)
+            if g == 1:
+                return (n1 * d2 + n2 * d1, d1 * d2)
+            s = d1 // g
+            t = n1 * (d2 // g) + n2 * s
+            g2 = gcd(t, g)
+            if g2 == 1:
+                return (t, s * d2)
+            d = s * (d2 // g2)
+            return t // g2 if d == 1 else (t // g2, d)
+        if kind == self.PRIME:
             return (a + b) % self.param
-        if self.kind == self.CYCLOTOMIC:
+        if not a:
+            return b
+        if not b:
+            return a
+        da, db = a[0], b[0]
+        if da == db:
             if len(a) < len(b):
                 a, b = b, a
             out = list(a)
-            for i, x in enumerate(b):
-                out[i] += x
-            return tuple(_poly_trim(out))
-        return a + b
+            for i in range(1, len(b)):
+                out[i] += b[i]
+        else:
+            g = gcd(da, db)
+            sa, sb = db // g, da // g
+            out = [x * sa for x in a]
+            for i in range(1, len(b)):
+                if i < len(out):
+                    out[i] += b[i] * sb
+                else:
+                    out.append(b[i] * sb)
+        return _reduced(out)
 
     def _neg(self, a):
-        if self.kind == self.PRIME:
+        kind = self.kind
+        if kind == self.RATIONALS:
+            return -a if a.__class__ is int else (-a[0], a[1])
+        if kind == self.PRIME:
             return (-a) % self.param
-        if self.kind == self.CYCLOTOMIC:
-            return tuple(-x for x in a)
-        return -a
+        if not a:
+            return a
+        return (a[0], *[-x for x in a[1:]])
 
     def _mul(self, a, b):
-        if self.kind == self.PRIME:
+        kind = self.kind
+        if kind == self.RATIONALS:
+            if a.__class__ is int:
+                if b.__class__ is int:
+                    return a * b
+                a, b = b, a
+            elif b.__class__ is not int:
+                n1, d1 = a
+                n2, d2 = b
+                g1, g2 = gcd(n1, d2), gcd(n2, d1)
+                n, d = (n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1)
+                return n if d == 1 else (n, d)
+            # a pair times the integer b, zero included: gcd(0, d) = d
+            n, d = a
+            g = gcd(b, d)
+            if g == 1:
+                return (n * b, d)
+            return n * (b // g) if d == g else (n * (b // g), d // g)
+        if kind == self.PRIME:
             return (a * b) % self.param
-        if self.kind == self.CYCLOTOMIC:
-            # a constant operand (the unit above all) needs no reduction
-            if len(a) == 1:
-                return b if a[0] == 1 else tuple(a[0] * y for y in b)
-            if len(b) == 1:
-                return a if b[0] == 1 else tuple(x * b[0] for x in a)
-            _, r = _poly_divmod(_poly_mul(list(a), list(b)), self._modulus)
-            return tuple(r)
-        if a == 1:
-            return b
-        return a if b == 1 else a * b
+        if not a or not b:
+            return ()
+        # a constant operand (the unit above all) scales the other one
+        if len(a) == 2:
+            a, b = b, a
+        if len(b) == 2:
+            if b == (1, 1):
+                return a
+            out = [x * b[1] for x in a]
+            out[0] = a[0] * b[0]
+            return _reduced(out)
+        # schoolbook on the integer numerators, then z^j for j >= degree
+        # folded back through the table of z^j mod Phi_n
+        deg = self.degree
+        out = [0] * (len(a) + len(b) - 3)
+        for i in range(1, len(a)):
+            x = a[i]
+            if x:
+                for j in range(1, len(b)):
+                    out[i + j - 2] += x * b[j]
+        if len(out) > deg:
+            for row, c in zip(self._fold, out[deg:]):
+                if c:
+                    for j, t in row:
+                        out[j] += c * t
+            del out[deg:]
+        out.insert(0, a[0] * b[0])
+        return _reduced(out)
 
     def _inv(self, a):
-        if self.kind == self.PRIME:
+        kind = self.kind
+        if kind == self.RATIONALS:
+            if a.__class__ is int:
+                if not a:
+                    raise ZeroDivisionError("inverse of zero")
+                if a == 1 or a == -1:
+                    return a
+                return (1, a) if a > 0 else (-1, -a)
+            n, d = a
+            if n == 1 or n == -1:
+                return n * d
+            return (d, n) if n > 0 else (-d, -n)
+        if kind == self.PRIME:
             if a == 0:
                 raise ZeroDivisionError("inverse of zero")
             return pow(a, -1, self.param)
-        if self.kind == self.CYCLOTOMIC:
-            if not a:
-                raise ZeroDivisionError("inverse of zero")
-            # extended Euclid in Q[x] against the cyclotomic modulus
-            r0, r1 = self._modulus, list(a)
-            s0, s1 = [], [Fraction(1)]
-            while _poly_trim(r1):
-                q, r = _poly_divmod(r0, r1)
-                r0, r1 = r1, r
-                s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-            # r0 is the gcd, a nonzero constant since the modulus is irreducible
-            assert len(r0) == 1
-            c = Fraction(1) / r0[0]
-            _, out = _poly_divmod([x * c for x in s0], self._modulus)
-            return tuple(out)
-        if a == 0:
+        if not a:
             raise ZeroDivisionError("inverse of zero")
-        return Fraction(1) / a
+        if len(a) == 2:
+            return (a[1], a[0]) if a[1] > 0 else (-a[1], -a[0])
+        # extended Euclid in Q[x] against the cyclotomic modulus
+        r0, r1 = self._modulus, _decode(a)
+        s0, s1 = [], [Fraction(1)]
+        while _poly_trim(r1):
+            q, r = _poly_divmod(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
+        # r0 is the gcd, a nonzero constant since the modulus is irreducible
+        assert len(r0) == 1
+        c = Fraction(1) / r0[0]
+        _, out = _poly_divmod([x * c for x in s0], self._modulus)
+        return _encode(out)
 
     def _is_zero(self, a):
-        # zero is the only falsy payload: Fraction(0), the residue 0, the empty tuple
+        # zero is the only falsy payload: 0, the residue 0, the empty tuple
         return not a
 
     # -- rendering / parsing -------------------------------------------------------
@@ -226,7 +324,7 @@ class FieldSpec:
             if not a:
                 return "0"
             parts = []
-            for i, c in enumerate(a):
+            for i, c in enumerate(_decode(a)):
                 if c == 0:
                     continue
                 if i == 0:
@@ -239,7 +337,7 @@ class FieldSpec:
             for p in parts[1:]:
                 out += "+" + p if not p.startswith("-") else p
             return out
-        return str(a)
+        return str(a) if a.__class__ is int else f"{a[0]}/{a[1]}"
 
     def parse(self, text: str) -> "Scalar":
         """Inverse of render, also accepting plain integer/fraction literals."""
@@ -329,19 +427,68 @@ def _poly_sub(a, b):
     return _poly_trim(out)
 
 
+def _fold_table(phi):
+    """For j = deg, ..., 2 deg - 2, the nonzero (i, t) of z^j mod phi, a monic
+    integer polynomial of degree deg: the powers a product of two reduced
+    polynomials can reach."""
+    deg = len(phi) - 1
+    power = [-c for c in phi[:deg]]
+    rows = []
+    for _ in range(deg - 1):
+        rows.append(tuple((i, t) for i, t in enumerate(power) if t))
+        top = power[-1]
+        power = [0] + power[:-1]
+        for i in range(deg):
+            power[i] -= top * phi[i]
+    return rows
+
+
+def _reduced(out):
+    """The canonical Q(zeta_n) payload of the list [den, n_0, ..., n_k], den > 0."""
+    while len(out) > 1 and not out[-1]:
+        out.pop()
+    if len(out) == 1:
+        return ()
+    if out[0] != 1:
+        g = gcd(*out)
+        if g != 1:
+            return tuple([x // g for x in out])
+    return tuple(out)
+
+
+def _encode(coeffs):
+    """The Q(zeta_n) payload of trimmed Fraction coefficients, low degree first."""
+    if not coeffs:
+        return ()
+    den = lcm(*[c.denominator for c in coeffs])
+    return (den, *[c.numerator * (den // c.denominator) for c in coeffs])
+
+
+def _decode(a):
+    """The Fraction coefficients of a Q(zeta_n) payload, low degree first."""
+    return [Fraction(x, a[0]) for x in a[1:]]
+
+
 _INTERN: dict[tuple, FieldSpec] = {}
 
 
+def _interned(kind: str, param: int | None = None) -> FieldSpec:
+    spec = _INTERN.get((kind, param))
+    if spec is None:
+        spec = _INTERN[(kind, param)] = FieldSpec(kind, param)
+    return spec
+
+
 def Rationals() -> FieldSpec:
-    return _INTERN.setdefault(("rationals", None), FieldSpec(FieldSpec.RATIONALS))
+    return _interned(FieldSpec.RATIONALS)
 
 
 def PrimeField(p: int) -> FieldSpec:
-    return _INTERN.setdefault(("prime", p), FieldSpec(FieldSpec.PRIME, p))
+    return _interned(FieldSpec.PRIME, p)
 
 
 def Cyclotomic(n: int) -> FieldSpec:
-    return _INTERN.setdefault(("cyclotomic", n), FieldSpec(FieldSpec.CYCLOTOMIC, n))
+    return _interned(FieldSpec.CYCLOTOMIC, n)
 
 
 class Scalar:

@@ -7,11 +7,13 @@ immutable after construction; all arithmetic is exact.
 
 A map's entries are nonzero Scalars of its field, and the API takes and
 returns vectors as dense lists of Scalars.  The inner loops run on the
-payloads under the Scalars (a Fraction, a residue, a coefficient tuple): the
-field's _mul, _add, _neg, _inv and _is_zero are bound once per call, sums are
-accumulated as payloads, and only the entries that do not cancel are wrapped
-again.  So a map never holds a zero, and LinearMap._from_clean, which checks
-nothing, is used only where that invariant already holds.
+payloads under the Scalars, which are opaque here (ints and tuples of ints,
+laid out by fields): the field's _mul, _add, _neg, _inv and _is_zero are
+bound once per call, sums are accumulated as payloads, and only the entries
+that do not cancel are wrapped again.  So a map never holds a zero, and
+LinearMap._from_clean, which checks nothing, is used only where that
+invariant already holds.  A SubspaceBasis keeps its vectors as nonzero
+payloads by column and builds the dense vectors only when asked for them.
 """
 
 from __future__ import annotations
@@ -311,6 +313,14 @@ def _payloads(F: FieldSpec, vec: Sequence[Scalar]) -> dict[int, object]:
     return out
 
 
+def _dense(F: FieldSpec, n: int, vec: dict[int, object]) -> list[Scalar]:
+    """The dense vector of length n with the given nonzero payloads by position."""
+    out = [F.zero()] * n
+    for i, p in vec.items():
+        out[i] = Scalar(F, p)
+    return out
+
+
 def _wrapped(F: FieldSpec, acc: dict) -> dict:
     """Accumulated payloads as Scalars of F, without the ones that cancelled."""
     is_zero = F._is_zero
@@ -462,14 +472,20 @@ def _reduce(m: LinearMap, extra: LinearMap | None = None, back: bool = True,
 
 
 def kernel_with_free_columns(m: LinearMap,
-                             should_cancel: Callable[[], bool] | None = None
-                             ) -> tuple[list[list[Scalar]], list[int], int]:
+                             should_cancel: Callable[[], bool] | None = None,
+                             sparse: bool = False) -> tuple[list, list[int], int]:
     """Kernel basis, the free columns indexing it, and the rank.
 
     The k-th basis vector has coordinate 1 at the k-th free column and 0 at
     every other free column, so coordinates in this basis can be read off.
+    The vectors are dense lists of Scalars, or with sparse=True their nonzero
+    payloads {column: payload} in increasing column order, as SubspaceBasis
+    keeps them.
     """
-    return _kernel(m, should_cancel)
+    basis, free_cols, rank = _kernel(m, should_cancel)
+    if not sparse:
+        basis = [_dense(m.field, m.domain.dim, vec) for vec in basis]
+    return basis, free_cols, rank
 
 
 def kernel_and_rank(m: LinearMap,
@@ -477,24 +493,20 @@ def kernel_and_rank(m: LinearMap,
                     ) -> tuple[list[list[Scalar]], int]:
     """Exact kernel basis and rank; rank + kernel dim = domain dim."""
     basis, _, rank = _kernel(m, should_cancel)
-    return basis, rank
+    return [_dense(m.field, m.domain.dim, vec) for vec in basis], rank
 
 
 def _kernel(m: LinearMap, should_cancel=None):
+    """The kernel basis as nonzero payloads by column, the free columns and the rank."""
     rows, pivots = _reduce(m, should_cancel=should_cancel)
-    F = m.field
-    neg = F._neg
-    ncols = m.domain.dim
-    zero, one = F.zero(), F.one()
-    free_cols = [c for c in range(ncols) if c not in pivots]
+    neg, one = m.field._neg, m.field.one().payload
+    free_cols = [c for c in range(m.domain.dim) if c not in pivots]
     basis = []
     for fc in free_cols:
-        vec = [zero] * ncols
+        # a row of the reduced form has no entry left of its pivot, so the
+        # pivot columns met here precede fc and the keys come out in order
+        vec = {col: neg(rows[i][fc]) for col, i in pivots.items() if fc in rows[i]}
         vec[fc] = one
-        for col, i in pivots.items():
-            v = rows[i].get(fc)
-            if v is not None:
-                vec[col] = Scalar(F, neg(v))
         basis.append(vec)
     return basis, free_cols, len(pivots)
 
@@ -549,41 +561,57 @@ class SubspaceBasis:
 
     def __init__(self, field, ambient_dim: int, vectors: list[list[Scalar]],
                  indicator_cols: list[int] | None = None):
-        self.field = field
-        self.ambient_dim = ambient_dim
-        self.vectors = vectors
-        self.indicator_cols = indicator_cols
         for vec in vectors:
             if len(vec) != ambient_dim:
                 raise ShapeError(f"basis vector of length {len(vec)} in a space of "
                                  f"dimension {ambient_dim}")
+        self._setup(field, ambient_dim, [_payloads(field, vec) for vec in vectors],
+                    indicator_cols)
+        self._vectors = vectors
+
+    @classmethod
+    def _from_sparse(cls, field, ambient_dim: int, sparse: list[dict[int, object]],
+                     indicator_cols: list[int] | None) -> "SubspaceBasis":
+        """The basis whose vectors have these nonzero payloads by column."""
+        basis = object.__new__(cls)
+        basis._setup(field, ambient_dim, sparse, indicator_cols)
+        return basis
+
+    def _setup(self, field, ambient_dim, sparse, indicator_cols):
+        self.field = field
+        self.ambient_dim = ambient_dim
+        self.indicator_cols = indicator_cols
         # the nonzero payloads of each basis vector, and each indicator
-        # column's slot in the basis
-        self._sparse = [_payloads(field, vec) for vec in vectors]
+        # column's slot in the basis; the dense vectors and the inclusion
+        # matrix are built on first use
+        self._sparse = sparse
         self._slot = (None if indicator_cols is None
                       else {c: k for k, c in enumerate(indicator_cols)})
-        entries = {(r, c): vec[r] for c, (vec, nz) in enumerate(zip(vectors, self._sparse))
-                   for r in nz}
-        self._matrix = LinearMap._from_clean(field, TensorShape([len(vectors)]),
-                                             TensorShape([ambient_dim]), entries)
+        self._vectors = None
+        self._matrix = None
 
     @staticmethod
     def standard(field, ambient_dim: int) -> "SubspaceBasis":
-        one = field.one()
-        zero = field.zero()
-        vectors = [[one if r == c else zero for r in range(ambient_dim)]
-                   for c in range(ambient_dim)]
-        return SubspaceBasis(field, ambient_dim, vectors,
-                             indicator_cols=list(range(ambient_dim)))
+        one = field.one().payload
+        return SubspaceBasis._from_sparse(field, ambient_dim,
+                                          [{c: one} for c in range(ambient_dim)],
+                                          list(range(ambient_dim)))
 
     @staticmethod
     def from_kernel(field, m: LinearMap) -> "SubspaceBasis":
-        basis, free_cols, _ = kernel_with_free_columns(m)
-        return SubspaceBasis(field, m.domain.dim, basis, indicator_cols=free_cols)
+        basis, free_cols, _ = kernel_with_free_columns(m, sparse=True)
+        return SubspaceBasis._from_sparse(field, m.domain.dim, basis, free_cols)
+
+    @property
+    def vectors(self) -> list[list[Scalar]]:
+        """The basis vectors as dense lists of Scalars."""
+        if self._vectors is None:
+            self._vectors = [_dense(self.field, self.ambient_dim, vec) for vec in self._sparse]
+        return self._vectors
 
     @property
     def dim(self) -> int:
-        return len(self.vectors)
+        return len(self._sparse)
 
     def coordinates(self, vec: Sequence[Scalar]) -> list[Scalar] | None:
         """Coordinates of vec in this basis, or None if vec lies outside the span."""
@@ -591,12 +619,7 @@ class SubspaceBasis:
             raise ShapeError(f"vector length {len(vec)} != ambient dim {self.ambient_dim}")
         F = self.field
         coords = self._sparse_coordinates(_payloads(F, vec))
-        if coords is None:
-            return None
-        out = [F.zero()] * self.dim
-        for k, p in coords.items():
-            out[k] = Scalar(F, p)
-        return out
+        return None if coords is None else _dense(F, self.dim, coords)
 
     def _sparse_coordinates(self, vec: dict[int, object]) -> dict[int, object] | None:
         """The nonzero coordinates {slot: payload} of the vector with the given
@@ -604,10 +627,8 @@ class SubspaceBasis:
         at the indicator columns present in vec, and accepted only when they
         reconstruct every nonzero of vec and no other."""
         F = self.field
-        if self._slot is None and self.vectors:
-            zero = F.zero()
-            sol = solve(self._matrix, [Scalar(F, vec[r]) if r in vec else zero
-                                       for r in range(self.ambient_dim)])
+        if self._slot is None and self._sparse:
+            sol = solve(self.matrix(), _dense(F, self.ambient_dim, vec))
             return None if sol is None else _payloads(F, sol)
         mul, add, is_zero = F._mul, F._add, F._is_zero
         slot = self._slot or {}
@@ -662,4 +683,10 @@ class SubspaceBasis:
 
     def matrix(self) -> LinearMap:
         """Inclusion of the subspace into the ambient space (columns = basis vectors)."""
+        if self._matrix is None:
+            F = self.field
+            self._matrix = LinearMap._from_clean(
+                F, TensorShape([self.dim]), TensorShape([self.ambient_dim]),
+                {(r, c): Scalar(F, p) for c, vec in enumerate(self._sparse)
+                 for r, p in vec.items()})
         return self._matrix

@@ -1,11 +1,12 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
 from cyclotome.fields import (
-    Cyclotomic, FieldError, PrimeField, Rationals, _poly_divmod, _poly_mul, _poly_trim,
-    cyclotomic_polynomial,
+    Cyclotomic, FieldError, FieldSpec, PrimeField, Rationals, Scalar, _poly_divmod,
+    _poly_mul, _poly_trim, cyclotomic_polynomial,
 )
 
 Q = Rationals()
@@ -98,18 +99,70 @@ def test_prime_field_fermat(a, b):
     assert F.from_int(a) * F.from_int(b) == F.from_int((a * b) % 13)
 
 
-# -- the fast paths of _mul and _add against the reference arithmetic -------------------
+# -- the payload arithmetic against the Fraction reference ------------------------------
 
 CYCLOTOMIC_ORDERS = (1, 3, 4, 5, 8, 12)
+EDGES = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)])
+rationals_st = st.one_of(EDGES, st.integers(-50, 50).map(Fraction), fractions_st)
+
+
+def _rational(payload):
+    """The Fraction value of a Q payload: an int or a reduced pair (num, den)."""
+    return Fraction(payload) if isinstance(payload, int) else Fraction(*payload)
+
+
+def _coefficients(payload):
+    """The Fraction coefficients of a Q(zeta_n) payload (den, n_0, ..., n_k)."""
+    return [Fraction(x, payload[0]) for x in payload[1:]]
+
+
+def _canonical_rational(payload):
+    """An int exactly when the value is integral, otherwise a reduced pair."""
+    if type(payload) is int:
+        return True
+    return (type(payload) is tuple and len(payload) == 2
+            and all(type(x) is int for x in payload)
+            and payload[1] > 1 and gcd(*payload) == 1)
+
+
+def _canonical_cyclotomic(K, payload):
+    """() for zero, otherwise (den, n_0, ..., n_k): ints, den > 0, n_k != 0,
+    k below the degree and gcd(den, n_0, ..., n_k) = 1."""
+    return type(payload) is tuple and (not payload or (
+        all(type(x) is int for x in payload) and 2 <= len(payload) <= K.degree + 1
+        and payload[0] > 0 and payload[-1] != 0 and gcd(*payload) == 1))
+
+
+def _reference_render(coeffs):
+    """The rendering of Fraction coefficients, low degree first."""
+    parts = []
+    for i, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        if i == 0:
+            parts.append(str(c))
+        elif abs(c) == 1:
+            parts.append(("z" if c > 0 else "-z") + (f"^{i}" if i > 1 else ""))
+        else:
+            parts.append(f"{c}*z" + (f"^{i}" if i > 1 else ""))
+    if not parts:
+        return "0"
+    return parts[0] + "".join(p if p.startswith("-") else "+" + p for p in parts[1:])
+
+
+@st.composite
+def cyclotomic_coefficients(draw, K):
+    """Coefficients of zero, +-1, other constants, and polynomials of degree
+    up to twice K's, so that the reduction modulo Phi_n is exercised too."""
+    constant = st.one_of(st.sampled_from([1, -1]), fractions_st).map(lambda c: [c])
+    return [Fraction(c) for c in draw(st.one_of(
+        st.just([]), constant, st.lists(fractions_st, max_size=2 * K.degree)))]
 
 
 @st.composite
 def cyclotomic_elements(draw, K):
     """Payloads of K: zero, +-1, other constants, and reduced polynomials."""
-    constant = st.one_of(st.sampled_from([1, -1]), fractions_st).map(lambda c: [c])
-    coeffs = draw(st.one_of(st.just([]), constant,
-                            st.lists(fractions_st, max_size=K.degree)))
-    return K._from_poly(coeffs).payload
+    return K._from_poly(draw(cyclotomic_coefficients(K))).payload
 
 
 @st.composite
@@ -118,27 +171,128 @@ def cyclotomic_pairs(draw):
     return K, draw(cyclotomic_elements(K)), draw(cyclotomic_elements(K))
 
 
-def _canonical(payload):
-    """No trailing zero, so that == and hash on payloads stay syntactic."""
-    return isinstance(payload, tuple) and (not payload or payload[-1] != 0)
-
-
 @given(cyclotomic_pairs())
 def test_cyclotomic_mul_and_add_match_the_reference(case):
     K, a, b = case
-    product = tuple(_poly_divmod(_poly_mul(list(a), list(b)), K._modulus)[1])
-    total = [Fraction(0)] * max(len(a), len(b))
-    for part in (a, b):
+    fa, fb = _coefficients(a), _coefficients(b)
+    product = _poly_divmod(_poly_mul(fa, fb), K._modulus)[1]
+    total = [Fraction(0)] * max(len(fa), len(fb))
+    for part in (fa, fb):
         for i, x in enumerate(part):
             total[i] += x
     for out, ref in ((K._mul(a, b), product), (K._mul(b, a), product),
-                     (K._add(a, b), tuple(_poly_trim(total))),
-                     (K._add(b, a), tuple(_poly_trim(total)))):
-        assert out == ref and _canonical(out)
+                     (K._add(a, b), _poly_trim(total)),
+                     (K._add(b, a), _poly_trim(total))):
+        assert _coefficients(out) == ref and _canonical_cyclotomic(K, out)
 
 
-@given(st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]), fractions_st),
-       st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]), fractions_st))
+@given(rationals_st, rationals_st)
 def test_rational_mul_and_add_match_the_reference(a, b):
-    assert Q._mul(a, b) == a * b and Q._mul(b, a) == a * b
-    assert Q._add(a, b) == a + b
+    pa, pb = Q.from_fraction(a).payload, Q.from_fraction(b).payload
+    for out, ref in ((Q._mul(pa, pb), a * b), (Q._mul(pb, pa), a * b),
+                     (Q._add(pa, pb), a + b), (Q._add(pb, pa), a + b)):
+        assert _rational(out) == ref and _canonical_rational(out)
+
+
+# -- the canonical form, rendering and equality ---------------------------------------------
+
+
+@given(rationals_st, rationals_st)
+def test_rational_results_are_canonical(a, b):
+    x, y = Q.from_fraction(a), Q.from_fraction(b)
+    results = [x + y, x - y, x * y, -x, Q.parse(str(a)), Q.from_int(a.numerator)]
+    if b:
+        results.append(x / y)
+    for r in results:
+        assert _canonical_rational(r.payload)
+        assert isinstance(r.payload, int) == (_rational(r.payload).denominator == 1)
+    assert not Q.zero().payload and Q.zero().payload == 0
+
+
+@given(cyclotomic_pairs())
+def test_cyclotomic_results_are_canonical(case):
+    K, a, b = case
+    x, y = Scalar(K, a), Scalar(K, b)
+    results = [x + y, x - y, x * y, -x, K.parse(repr(x))]
+    if b:
+        results.append(x / y)
+    for r in results:
+        assert _canonical_cyclotomic(K, r.payload)
+    assert K.zero().payload == ()
+
+
+@given(rationals_st)
+def test_rational_render_parse_roundtrip(a):
+    x = Q.from_fraction(a)
+    assert repr(x) == str(a)
+    assert Q.parse(repr(x)) == x
+
+
+@given(st.sampled_from(CYCLOTOMIC_ORDERS).flatmap(
+    lambda n: st.tuples(st.just(Cyclotomic(n)), cyclotomic_coefficients(Cyclotomic(n)))))
+def test_cyclotomic_render_parse_roundtrip(case):
+    K, coeffs = case
+    x = K._from_poly(coeffs)
+    reduced = _poly_divmod(coeffs, K._modulus)[1]
+    assert repr(x) == _reference_render(reduced)
+    assert K.parse(repr(x)) == x
+
+
+@given(rationals_st)
+def test_rational_inverse(a):
+    if a:
+        x = Q.from_fraction(a)
+        assert x * x.inverse() == Q.one() and x.inverse() * x == Q.one()
+        assert _rational(x.inverse().payload) == 1 / a
+
+
+@given(cyclotomic_pairs())
+def test_cyclotomic_inverse(case):
+    K, a, _ = case
+    if a:
+        x = Scalar(K, a)
+        assert x * x.inverse() == K.one()
+        assert _canonical_cyclotomic(K, x.inverse().payload)
+
+
+@given(rationals_st, rationals_st)
+def test_rational_value_has_one_form(a, b):
+    """from_fraction, parse and arithmetic give one value == and hash alike."""
+    built = [Q.from_fraction(a), Q.parse(str(a)),
+             Q.from_int(a.numerator) / Q.from_int(a.denominator),
+             (Q.from_fraction(a) + Q.from_fraction(b)) - Q.from_fraction(b)]
+    if b:
+        built.append(Q.from_fraction(a * b) / Q.from_fraction(b))
+    assert all(x == built[0] and hash(x) == hash(built[0]) for x in built)
+
+
+@given(st.sampled_from(CYCLOTOMIC_ORDERS).flatmap(
+    lambda n: st.tuples(st.just(Cyclotomic(n)), cyclotomic_coefficients(Cyclotomic(n)),
+                        cyclotomic_elements(Cyclotomic(n)))))
+def test_cyclotomic_value_has_one_form(case):
+    """The same element by parse, by _from_poly, by from_fraction and
+    arithmetic in z, and by a detour through a product: one == and hash."""
+    K, coeffs, b = case
+    z, y = K.generator(), Scalar(K, b)
+    by_arithmetic = K.zero()
+    for i, c in enumerate(coeffs):
+        by_arithmetic = by_arithmetic + K.from_fraction(c) * z ** i
+    x = K._from_poly(coeffs)
+    built = [x, by_arithmetic, K.parse(_reference_render(coeffs)),
+             (x + y) - y]
+    if b:
+        built.append((x * y) / y)
+    assert all(v == x and hash(v) == hash(x) for v in built)
+
+
+def test_fields_are_built_only_on_a_miss(monkeypatch):
+    fields = (Rationals(), PrimeField(7), Cyclotomic(5))
+
+    def refuse(self, *args):
+        raise AssertionError("FieldSpec built for an interned key")
+
+    monkeypatch.setattr(FieldSpec, "__init__", refuse)
+    assert (Rationals(), PrimeField(7), Cyclotomic(5)) == fields
+    assert all(a is b for a, b in zip((Rationals(), PrimeField(7), Cyclotomic(5)), fields))
+    with pytest.raises(AssertionError):
+        Cyclotomic(9973)

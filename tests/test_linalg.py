@@ -251,6 +251,24 @@ def test_kernel_vectors_annihilate(A):
 
 @settings(max_examples=120, deadline=None)
 @given(matrices())
+def test_from_kernel_keeps_the_sparse_kernel_rows(A):
+    """The basis takes the kernel's payload rows as they are; its dense
+    vectors and inclusion matrix, built on first use, are the kernel's."""
+    basis = SubspaceBasis.from_kernel(A.field, A)
+    assert basis._vectors is None and basis._matrix is None
+    vecs, free_cols, _ = kernel_with_free_columns(A)
+    sparse, sparse_cols, _ = kernel_with_free_columns(A, sparse=True)
+    assert sparse_cols == free_cols == basis.indicator_cols and basis.dim == len(vecs)
+    assert sparse == [{i: x.payload for i, x in enumerate(v) if not x.is_zero()}
+                      for v in vecs]
+    assert all(list(row) == sorted(row) for row in sparse)
+    assert basis.vectors == vecs
+    plain = SubspaceBasis(A.field, A.domain.dim, vecs, indicator_cols=free_cols)
+    assert basis.matrix() == plain.matrix()
+
+
+@settings(max_examples=120, deadline=None)
+@given(matrices())
 def test_rank_equals_dual_rank(A):
     assert rank(A) == rank(A.transpose())
 

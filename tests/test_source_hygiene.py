@@ -6,7 +6,10 @@ is gone.  A third rule keeps identity factors out of `LinearMap.tensor`:
 id (x) op (x) id is placed by `linalg.whisker`, which multiplies nothing.  A
 fourth keeps `LinearMap._from_clean`, which checks none of its entries, inside
 `linalg` and the `hopf` packers that only regroup or accumulate entries of
-maps that are already valid.
+maps that are already valid.  A fifth keeps the payload under a Scalar
+opaque: no module but `fields` subscripts, unpacks or iterates a `.payload`,
+or a name bound to one in the same function, so a change of representation
+stays inside `fields`.
 
 Only single-name targets count; names bound by tuple unpacking, loop targets,
 `_`, and names declared global or nonlocal are exempt.  A read anywhere in the
@@ -209,4 +212,69 @@ def test_unchecked_constructor_stays_in_linalg_and_the_hopf_packers():
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         found += unchecked_constructions(path.read_text(encoding="utf-8"), path.name)
+    assert not found, "\n".join(found)
+
+
+# -- the payload under a Scalar is private to fields.py ---------------------------------
+
+
+def _is_payload(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "payload"
+
+
+def payload_structure_reads(source: str, filename: str = "<string>") -> list[str]:
+    """Subscripts, unpackings and iterations of `.payload`, or of a name bound
+    to one in the same function, outside fields.py."""
+    if filename == "fields.py":
+        return []
+    tree = ast.parse(source, filename)
+    found = set()
+    top = [node for stmt in tree.body if not isinstance(stmt, FUNCTIONS + (ast.ClassDef,))
+           for node in ast.walk(stmt)]
+    scopes = [top] + [list(_own_nodes(fn)) for fn in ast.walk(tree)
+                      if isinstance(fn, FUNCTIONS)]
+    for nodes in scopes:
+        bound = {t.id for node in nodes if isinstance(node, ast.Assign)
+                 and _is_payload(node.value)
+                 for t in node.targets if isinstance(t, ast.Name)}
+
+        def payload(x):
+            return _is_payload(x) or isinstance(x, ast.Name) and x.id in bound
+
+        for node in nodes:
+            if isinstance(node, ast.Subscript) and payload(node.value):
+                found.add(node.lineno)
+            elif isinstance(node, ast.Starred) and payload(node.value):
+                found.add(node.lineno)
+            elif (isinstance(node, (ast.Assign, ast.AnnAssign)) and payload(node.value)
+                  and any(isinstance(t, (ast.Tuple, ast.List)) for t in (
+                      node.targets if isinstance(node, ast.Assign) else [node.target]))):
+                found.add(node.lineno)
+            elif isinstance(node, (ast.For, ast.comprehension)) and payload(node.iter):
+                found.add(node.iter.lineno)
+    return [f"{filename}:{line}" for line in sorted(found)]
+
+
+def test_lint_flags_payload_structure_outside_fields():
+    src = (
+        "def f(s, t, u):\n"
+        "    a = s.payload[0]\n"
+        "    num, den = t.payload\n"
+        "    p = u.payload\n"
+        "    head = p[1:]\n"
+        "    g(*s.payload)\n"
+        "    xs = [x for x in t.payload]\n"
+        "    return F._mul(s.payload, p), len(head), a, num, den, xs\n"
+        "def h(p):\n"
+        "    return p[0]\n"
+    )
+    assert payload_structure_reads(src, "linalg.py") == [
+        "linalg.py:2", "linalg.py:3", "linalg.py:5", "linalg.py:6", "linalg.py:7"]
+    assert payload_structure_reads(src, "fields.py") == []
+
+
+def test_payload_stays_opaque_outside_fields():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += payload_structure_reads(path.read_text(encoding="utf-8"), path.name)
     assert not found, "\n".join(found)
