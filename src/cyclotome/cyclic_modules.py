@@ -92,45 +92,34 @@ class CyclicModuleData:
     def tau(self, n: int) -> LinearMap:
         return self.gen[("tau", n)]
 
-    def tau_power(self, n: int, e: int, powers: dict | None = None) -> LinearMap:
-        """t_n^e: t_n or its inverse (inverted once) composed |e| - 1 times.
-        powers, when given, keeps every power made under its (n, e) and is
-        read first, so that the calls sharing it reuse them."""
-        powers = {} if powers is None else powers
-        out = powers.get((n, e))
-        if out is not None:
-            return out
+    def tau_power(self, n: int, e: int) -> LinearMap:
+        """t_n^e: t_n, or its inverse for e < 0, composed |e| - 1 times."""
         t = self.tau(n)
         if e == 0:
-            out = LinearMap.identity(t.field, t.domain)
-        elif e == 1:
-            out = t
-        elif e == -1:
-            out = invert(t)
-            if out is None:
+            return LinearMap.identity(t.field, t.domain)
+        if e < 0:
+            t = invert(t)
+            if t is None:
                 raise CyclicModuleError(f"cyclic operator at level {n} is singular")
-        else:
-            step = 1 if e > 0 else -1
-            out = self.tau_power(n, step, powers).compose(self.tau_power(n, e - step, powers))
-        powers[(n, e)] = out
+        out = t
+        for _ in range(abs(e) - 1):
+            out = t.compose(out)
         return out
 
-    def token_matrix(self, tok: Token, powers: dict | None = None) -> LinearMap:
+    def token_matrix(self, tok: Token) -> LinearMap:
         if tok.kind == "coface":
             return self.coface(tok.level, tok.index)
         if tok.kind == "codegeneracy":
             return self.codegeneracy(tok.level, tok.index)
-        return self.tau_power(tok.level, tok.index, powers)
+        return self.tau_power(tok.level, tok.index)
 
-    def evaluate_word(self, word: GeneratorWord, level: int | None = None,
-                      powers: dict | None = None) -> LinearMap:
-        """The image of a covariant generator word under the module; powers
-        is handed to tau_power."""
+    def evaluate_word(self, word: GeneratorWord, level: int | None = None) -> LinearMap:
+        """The image of a covariant generator word under the module."""
         if not word.tokens:
             if level is None:
                 raise CyclicModuleError("empty word needs a level")
             return LinearMap.identity(self._field(), TensorShape([self.dim(level)]))
-        mats = [self.token_matrix(t, powers) for t in word.tokens]
+        mats = [self.token_matrix(t) for t in word.tokens]
         if self.chirality == "cocyclic":
             out = mats[-1]
             for m in reversed(mats[:-1]):
@@ -164,14 +153,13 @@ def check_relations(M: CyclicModuleData, N: int | None = None) -> CheckReport:
     N = M.max_level if N is None else min(N, M.max_level)
     rep = CheckReport(f"relations for {M.provenance or 'module'} "
                       f"({M.variant}, {M.chirality}, N={N})")
-    powers: dict = {}
     for inst in relation_instances(N, M.variant):
-        lhs = M.evaluate_word(inst.lhs, level=inst.identity_level, powers=powers)
+        lhs = M.evaluate_word(inst.lhs, level=inst.identity_level)
         if inst.identity_level is not None:
             rhs = LinearMap.identity(lhs.field,
                                      TensorShape([M.dim(inst.identity_level)]))
         else:
-            rhs = M.evaluate_word(inst.rhs, powers=powers)
+            rhs = M.evaluate_word(inst.rhs)
         rep.check(f"{inst.name}@{inst.level}"
                   f"[{inst.lhs!r} = {inst.rhs!r}]",
                   lhs.entries == rhs.entries)

@@ -472,20 +472,15 @@ def _reduce(m: LinearMap, extra: LinearMap | None = None, back: bool = True,
 
 
 def kernel_with_free_columns(m: LinearMap,
-                             should_cancel: Callable[[], bool] | None = None,
-                             sparse: bool = False) -> tuple[list, list[int], int]:
+                             should_cancel: Callable[[], bool] | None = None
+                             ) -> tuple[list[list[Scalar]], list[int], int]:
     """Kernel basis, the free columns indexing it, and the rank.
 
     The k-th basis vector has coordinate 1 at the k-th free column and 0 at
     every other free column, so coordinates in this basis can be read off.
-    The vectors are dense lists of Scalars, or with sparse=True their nonzero
-    payloads {column: payload} in increasing column order, as SubspaceBasis
-    keeps them.
     """
     basis, free_cols, rank = _kernel(m, should_cancel)
-    if not sparse:
-        basis = [_dense(m.field, m.domain.dim, vec) for vec in basis]
-    return basis, free_cols, rank
+    return [_dense(m.field, m.domain.dim, vec) for vec in basis], free_cols, rank
 
 
 def kernel_and_rank(m: LinearMap,
@@ -552,7 +547,7 @@ def invert(m: LinearMap) -> LinearMap | None:
 class SubspaceBasis:
     """A basis of a subspace of a based space, with exact membership tests.
 
-    When the basis comes from kernel_with_free_columns, the k-th vector is 1 at
+    When the basis comes from a kernel (from_kernel), the k-th vector is 1 at
     the k-th indicator column and 0 at the others, so the coordinates of a
     vector are its entries at those columns; they are accepted only when they
     reconstruct the vector exactly.  Without indicator columns a linear solve
@@ -599,7 +594,7 @@ class SubspaceBasis:
 
     @staticmethod
     def from_kernel(field, m: LinearMap) -> "SubspaceBasis":
-        basis, free_cols, _ = kernel_with_free_columns(m, sparse=True)
+        basis, free_cols, _ = _kernel(m)
         return SubspaceBasis._from_sparse(field, m.domain.dim, basis, free_cols)
 
     @property

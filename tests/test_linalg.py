@@ -257,11 +257,10 @@ def test_from_kernel_keeps_the_sparse_kernel_rows(A):
     basis = SubspaceBasis.from_kernel(A.field, A)
     assert basis._vectors is None and basis._matrix is None
     vecs, free_cols, _ = kernel_with_free_columns(A)
-    sparse, sparse_cols, _ = kernel_with_free_columns(A, sparse=True)
-    assert sparse_cols == free_cols == basis.indicator_cols and basis.dim == len(vecs)
-    assert sparse == [{i: x.payload for i, x in enumerate(v) if not x.is_zero()}
-                      for v in vecs]
-    assert all(list(row) == sorted(row) for row in sparse)
+    assert free_cols == basis.indicator_cols and basis.dim == len(vecs)
+    assert basis._sparse == [{i: x.payload for i, x in enumerate(v) if not x.is_zero()}
+                             for v in vecs]
+    assert all(list(row) == sorted(row) for row in basis._sparse)
     assert basis.vectors == vecs
     plain = SubspaceBasis(A.field, A.domain.dim, vecs, indicator_cols=free_cols)
     assert basis.matrix() == plain.matrix()
