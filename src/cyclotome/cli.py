@@ -46,7 +46,7 @@ def _load(path: str):
         raise InputError(f"no such file: {path}")
     try:
         return load_algebra(p)
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot parse {path}: {exc}") from exc
 
 

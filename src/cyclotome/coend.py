@@ -15,14 +15,14 @@ from dataclasses import dataclass, field as dc_field
 
 from .fields import Scalar
 from .hopf import (
-    HopfAlgebraData, ModuleData, Vector, braiding, coadjoint_blocks,
-    coadjoint_module, dual_module, invariance_blocks, invariants, modular_data,
-    module_power, pivot_inverse, qdim, regular_module, rotate_last_to_front,
-    tensor_module, twist, trivial_module,
+    HopfAlgebraData, ModuleData, Vector, braided_rotation, braiding, coadjoint_blocks,
+    coadjoint_module, dual_module, hom_basis, invariance_blocks, modular_data,
+    module_power, pivot_inverse, qdim, regular_module, tensor_module, twist,
+    trivial_module,
 )
 from .linalg import (
-    LinearMap, TensorShape, UNIT, block_flip, invert, kernel_and_rank, rank, stack,
-    whisker,
+    LinearMap, SubspaceBasis, TensorShape, UNIT, block_flip, invert, kernel_and_rank,
+    map_from_json, map_to_json, rank, stack, vector_from_json, vector_to_json, whisker,
 )
 from .reports import CheckReport
 
@@ -177,11 +177,11 @@ class CoendData:
             self.caches[key] = module_power(self.carrier, n)
         return self.caches[key]
 
-    def invariant_basis(self, n: int) -> list[Vector]:
-        """Basis of Hom(1, C^(x)n) as vectors."""
+    def invariant_basis(self, n: int) -> SubspaceBasis:
+        """Basis of Hom(1, C^(x)n)."""
         key = ("inv", n)
         if key not in self.caches:
-            self.caches[key] = invariants(self.power(n))
+            self.caches[key] = hom_basis(trivial_module(self.algebra), self.power(n))
         return self.caches[key]
 
 
@@ -595,14 +595,7 @@ def _solve_pairing_inverse(data: CoendData, rep: CheckReport):
 
 def coend_to_json(data: CoendData) -> dict:
     """Named-slot serialization of the structure maps for caching."""
-    def lin(m: LinearMap):
-        return {"src": m.domain.dim, "tgt": m.codomain.dim,
-                "entries": sorted([[r, c, repr(v)] for (r, c), v in m.entries.items()])}
-
-    def vec(v):
-        return None if v is None else [[i, repr(x)] for i, x in enumerate(v)
-                                       if not x.is_zero()]
-
+    lin, vec = map_to_json, vector_to_json
     return {
         "schema": 1,
         "field": data.field.to_json(),
@@ -632,34 +625,25 @@ def coend_from_json(H: HopfAlgebraData, obj: dict) -> CoendData:
     F = H.field
     carrier = coadjoint_module(H)
 
-    def lin(d):
-        entries = {(r, c): F.parse(s) for r, c, s in d["entries"]}
-        return LinearMap(F, TensorShape([d["src"]]), TensorShape([d["tgt"]]),
-                         entries)
-
-    def vec(sparse, size):
-        if sparse is None:
-            return None
-        out = [F.zero()] * size
-        for i, s in sparse:
-            out[i] = F.parse(s)
-        return out
+    def lin(m):
+        return map_from_json(F, m["entries"], TensorShape([m["src"]]),
+                             TensorShape([m["tgt"]]))
 
     d = obj["dim"]
     rep = CheckReport(f"coend of {H.name} (cached)")
     data = CoendData(
         H, carrier,
         lin(obj["m"]).reshaped(TensorShape([d, d]), TensorShape([d])),
-        vec(obj["unit"], d),
+        vector_from_json(F, obj["unit"], d),
         lin(obj["Delta"]).reshaped(TensorShape([d]), TensorShape([d, d])),
         lin(obj["counit"]).reshaped(TensorShape([d]), UNIT),
         lin(obj["antipode"]), lin(obj["antipode_inv"]),
         lin(obj["pairing"]).reshaped(TensorShape([d, d]), UNIT),
         lin(obj["twist"]), rep,
         pairing_nondegenerate=obj["pairing_nondegenerate"],
-        Omega=vec(obj["Omega"], d * d),
-        integral=vec(obj["Lambda"], d),
-        cointegral=vec(obj["cointegral"], d),
+        Omega=vector_from_json(F, obj["Omega"], d * d),
+        integral=vector_from_json(F, obj["Lambda"], d),
+        cointegral=vector_from_json(F, obj["cointegral"], d),
         dim_B=None if obj["dim_B"] is None else F.parse(obj["dim_B"]),
         anomaly_free=obj["anomaly_free"],
         modular=obj["modular"],
@@ -737,7 +721,7 @@ def character_checks(data: CoendData, V: ModuleData) -> CheckReport:
               all(_vec_eq(C.rho(k).apply(chi),
                           [data.algebra.epsilon.entry(0, k) * x for x in chi])
                   for k in range(data.algebra.dim)))
-    rot = rotate_last_to_front(C, 1)
+    rot = braided_rotation(C, C, to_front=True)
     rot = rot.reshaped(TensorShape([data.dim] * 2), TensorShape([data.dim] * 2))
     d_chi = data.Delta.apply(chi)
     rep.check("coproduct of the character is rotation-invariant",
@@ -778,7 +762,7 @@ def characters_span_check(data: CoendData) -> CheckReport:
     mat = LinearMap(F, TensorShape([len(chis)]), data.carrier.shape, entries)
     rk = rank(mat)
     rep.check("characters are linearly independent", rk == len(chis))
-    rep.check("characters span Hom(1, C)", rk == len(inv))
+    rep.check("characters span Hom(1, C)", rk == inv.dim)
     return rep
 
 

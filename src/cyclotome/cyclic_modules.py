@@ -20,12 +20,13 @@ from .cyclic_cat import (
 from .coend import CoendData, _is_intertwiner
 from .fields import Scalar
 from .hopf import (
-    HopfAlgebraData, ModuleData, Vector, coadjoint_action, coadjoint_blocks,
-    hom_space, invariance_blocks, module_power, rotate_front_to_last,
-    rotate_last_to_front, trivial_module, twist,
+    HopfAlgebraData, ModuleData, Vector, braided_rotation, coadjoint_action,
+    coadjoint_blocks, hom_basis, invariance_blocks, module_power, tensor_module,
+    trivial_module, twist,
 )
 from .linalg import (
-    LinearMap, SubspaceBasis, TensorShape, UNIT, _wrapped, invert, stack, whisker,
+    LinearMap, SubspaceBasis, TensorShape, UNIT, _wrapped, invert, map_from_json,
+    map_to_json, stack, vector_from_json, vector_to_json, whisker,
 )
 from .reports import CheckReport
 
@@ -49,8 +50,7 @@ def invariant_tensor_basis(H: HopfAlgebraData, n: int) -> SubspaceBasis:
 
 def invariant_functional_basis(V: ModuleData) -> SubspaceBasis:
     """Basis of Hom(V, 1) as functional coordinate vectors."""
-    blocks = invariance_blocks(lambda k: V.rho(k).transpose(), V.algebra.epsilon)
-    return SubspaceBasis.from_kernel(V.algebra.field, stack(blocks))
+    return hom_basis(V, trivial_module(V.algebra))
 
 
 # -- the carrier type ------------------------------------------------------------------
@@ -389,9 +389,10 @@ def coend_algebra_object(data: CoendData) -> AlgebraObject:
 
 
 def _object_generators(obj: CoalgebraObject | AlgebraObject, N: int
-                       ) -> tuple[str, dict[tuple, LinearMap]]:
-    """The chirality and generators on V^(x)(n+1) of the object-level module of
-    a (co)algebra object, after its axioms pass.  A coalgebra gives a
+                       ) -> tuple[str, dict[tuple, LinearMap], dict[int, ModuleData]]:
+    """The chirality, the generators and the level modules V^(x)(n+1) of the
+    object-level module of a (co)algebra object, after its axioms pass; each
+    tensor power is built once, from the one below it.  A coalgebra gives a
     paracyclic module: face i contracts slot i by the counit, degeneracy j
     comultiplies slot j, t_n brings the last factor to the front through the
     inverse braiding.  An algebra gives a paracocyclic one: coface i inserts
@@ -399,32 +400,34 @@ def _object_generators(obj: CoalgebraObject | AlgebraObject, N: int
     moves the first factor to the back."""
     V = obj.module
     if isinstance(obj, CoalgebraObject):
-        what, chirality, rotate = "coalgebra", "cyclic", rotate_last_to_front
+        what, chirality, to_front = "coalgebra", "cyclic", True
         face = obj.counit.reshaped(V.shape, UNIT)
         degen = obj.comultiplication.reshaped(V.shape, V.shape * V.shape)
     else:
-        what, chirality, rotate = "algebra", "cocyclic", rotate_front_to_last
+        what, chirality, to_front = "algebra", "cocyclic", False
         face = obj.unit_map()
         degen = obj.multiplication.reshaped(V.shape * V.shape, V.shape)
     rep = obj.verify()
     if not rep.ok:
         raise CyclicModuleError(f"{what} axioms fail: {rep.failures}")
+    powers = {0: V}
+    for n in range(1, N + 1):
+        powers[n] = tensor_module(powers[n - 1], V)
     gen = {}
     for key in generator_keys(N):
         kind, n, i = key[0], key[1], key[-1]
         if kind == "tau":
-            gen[key] = rotate(V, n)
+            gen[key] = braided_rotation(V, powers[n - 1] if n else None, to_front)
         else:
             gen[key] = whisker(face if kind == "delta" else degen,
                                TensorShape([V.dim] * i), TensorShape([V.dim] * (n - i)))
-    return chirality, gen
+    return chirality, gen, powers
 
 
 def _hom_of_object(obj: CoalgebraObject | AlgebraObject, N: int) -> CyclicModuleData:
     """Hom(-, 1) of the object-level module, on the invariant functionals
     Hom(V^(x)(n+1), 1); the level-zero rotation must be the identity."""
-    chirality, gen = _object_generators(obj, N)
-    powers = {n: module_power(obj.module, n + 1) for n in range(N + 1)}
+    chirality, gen, powers = _object_generators(obj, N)
     spaces = {n: invariant_functional_basis(powers[n]) for n in range(N + 1)}
     M = _hom_module(CYCLIC, chirality, gen, N, spaces, UNIT,
                     f"{_flip(chirality)} module of {obj.name}", powers)
@@ -560,7 +563,7 @@ def contracting_homotopy(obj: CoalgebraObject, M: CyclicModuleData,
 
 def _para_module(obj: CoalgebraObject | AlgebraObject, N: int) -> CyclicModuleData:
     """The object-level module itself, on the whole of V^(x)(n+1)."""
-    chirality, gen = _object_generators(obj, N)
+    chirality, gen, powers = _object_generators(obj, N)
     V = obj.module
     spaces = {n: SubspaceBasis.standard(V.algebra.field, V.dim ** (n + 1))
               for n in range(N + 1)}
@@ -568,7 +571,7 @@ def _para_module(obj: CoalgebraObject | AlgebraObject, N: int) -> CyclicModuleDa
             for key, g in gen.items()}
     return CyclicModuleData(PARACYCLIC, chirality, N, spaces, flat,
                             provenance=f"para{chirality} module of {obj.name}",
-                            level_modules={n: module_power(V, n + 1) for n in range(N + 1)})
+                            level_modules=powers)
 
 
 def build_paracyclic(obj: CoalgebraObject, N: int) -> CyclicModuleData:
@@ -616,9 +619,9 @@ def r_cyclic_from_simple(M: CyclicModuleData, simple: ModuleData
     the result an r-cocyclic (resp. r-cyclic) module.  Returns the module, the
     twist scalar, and r.
     """
-    ends = hom_space(simple, simple)
-    if len(ends) != 1:
-        raise CyclicModuleError(f"{simple.name} is not simple: End has dim {len(ends)}")
+    ends = hom_basis(simple, simple).dim
+    if ends != 1:
+        raise CyclicModuleError(f"{simple.name} is not simple: End has dim {ends}")
     F = simple.algebra.field
     tw = twist(simple)
     scalar = tw.entry(0, 0)
@@ -641,13 +644,7 @@ def r_cyclic_from_simple(M: CyclicModuleData, simple: ModuleData
         W = M.level_modules.get(n)
         if W is None:
             raise CyclicModuleError("r-cyclic restriction needs object-level modules")
-        vecs = []
-        for T in hom_space(W, simple):
-            vec = [F.zero()] * (simple.dim * W.dim)
-            for (rr, cc), v in T.entries.items():
-                vec[rr * W.dim + cc] = v
-            vecs.append(vec)
-        spaces[n] = SubspaceBasis(F, simple.dim * W.dim, vecs)
+        spaces[n] = hom_basis(W, simple)
     out = _hom_module(RCyclic(r), M.chirality, M.gen, N, spaces, simple.shape,
                       f"{r}-cyclic restriction of {M.provenance} along {simple.name}")
     return out, scalar, r
@@ -716,17 +713,13 @@ def module_to_json(M: CyclicModuleData) -> dict:
     for n, basis in M.spaces.items():
         spaces[str(n)] = {
             "ambient_dim": basis.ambient_dim,
-            "vectors": [[[i, repr(v)] for i, v in enumerate(vec) if not v.is_zero()]
-                        for vec in basis.vectors],
+            "vectors": [vector_to_json(vec) for vec in basis.vectors],
             "indicator_cols": basis.indicator_cols,
         }
     gen = {}
     for key, mat in M.gen.items():
         name = ":".join(str(k) for k in key)
-        gen[name] = {
-            "src": mat.domain.dim, "tgt": mat.codomain.dim,
-            "entries": sorted([[r, c, repr(v)] for (r, c), v in mat.entries.items()]),
-        }
+        gen[name] = map_to_json(mat)
     return {"schema": 1, "field": field.to_json(), "variant": variant,
             "chirality": M.chirality, "max_level": M.max_level,
             "provenance": M.provenance, "spaces": spaces, "gen": gen}
@@ -740,20 +733,13 @@ def module_from_json(obj: dict) -> CyclicModuleData:
     spaces = {}
     for n_str, sdata in obj["spaces"].items():
         amb = sdata["ambient_dim"]
-        vectors = []
-        for sparse in sdata["vectors"]:
-            vec = [field.zero()] * amb
-            for i, s in sparse:
-                vec[i] = field.parse(s)
-            vectors.append(vec)
-        spaces[int(n_str)] = SubspaceBasis(field, amb, vectors,
-                                           indicator_cols=sdata.get("indicator_cols"))
+        vectors = [vector_from_json(field, pairs, amb) for pairs in sdata["vectors"]]
+        spaces[int(n_str)] = SubspaceBasis(field, amb, vectors, sdata["indicator_cols"])
     gen = {}
     for name, mdata in obj["gen"].items():
         parts = name.split(":")
         key = (parts[0], *map(int, parts[1:]))
-        entries = {(r, c): field.parse(s) for r, c, s in mdata["entries"]}
-        gen[key] = LinearMap(field, TensorShape([mdata["src"]]),
-                             TensorShape([mdata["tgt"]]), entries)
+        gen[key] = map_from_json(field, mdata["entries"], TensorShape([mdata["src"]]),
+                                 TensorShape([mdata["tgt"]]))
     return CyclicModuleData(variant, obj["chirality"], obj["max_level"],
                             spaces, gen, provenance=obj.get("provenance", ""))

@@ -19,8 +19,8 @@ from typing import Callable, Sequence
 
 from .fields import FieldSpec, Scalar
 from .linalg import (
-    LinearMap, ShapeError, TensorShape, UNIT, _payloads, _wrapped, block_flip, invert,
-    kernel_and_rank, solve, stack, whisker,
+    LinearMap, ShapeError, SubspaceBasis, TensorShape, UNIT, _payloads, _wrapped,
+    block_flip, invert, map_from_json, solve, stack, vector_from_json, whisker,
 )
 from .reports import CheckReport
 
@@ -552,29 +552,26 @@ def invariance_blocks(rho: Callable[[int], LinearMap], eps: LinearMap) -> list[L
     return blocks
 
 
-def hom_space(V: ModuleData, W: ModuleData) -> list[LinearMap]:
-    """Basis of the intertwiners {T : V -> W with T rho_V(h) = rho_W(h) T}."""
+def hom_basis(V: ModuleData, W: ModuleData) -> SubspaceBasis:
+    """Basis of the intertwiners {T : V -> W with T rho_V(h) = rho_W(h) T}, each
+    T flattened as a vector of W (x) V with entry T[r][c] at r * dim V + c.
+    Hom(1, W) is the invariant vectors of W, Hom(V, 1) the invariant
+    functionals on V."""
     if V.algebra is not W.algebra and V.algebra != W.algebra:
         raise HopfError("modules over different algebras")
-    H = V.algebra
-    # T is unknown as a vector of W (x) V, entry T[r][c] at r * V.dim + c, where
     # T rho_V(k) is (id_W (x) rho_V(k)^T) T and rho_W(k) T is (rho_W(k) (x) id_V) T
     blocks = [whisker(V.rho(k).transpose(), W.shape, UNIT)
-              - whisker(W.rho(k), UNIT, V.shape) for k in range(H.dim)]
-    basis, _ = kernel_and_rank(stack(blocks))
-    out = []
-    for vec in basis:
-        entries = {}
-        for idx, val in enumerate(vec):
-            if not val.is_zero():
-                entries[divmod(idx, V.dim)] = val
-        out.append(LinearMap(H.field, V.shape, W.shape, entries))
-    return out
+              - whisker(W.rho(k), UNIT, V.shape) for k in range(V.algebra.dim)]
+    return SubspaceBasis.from_kernel(V.algebra.field, stack(blocks))
 
 
-def invariants(V: ModuleData) -> list[Vector]:
-    """Basis of {x in V : h x = eps(h) x}, i.e. Hom(1, V) as vectors."""
-    return kernel_and_rank(stack(invariance_blocks(V.rho, V.algebra.epsilon)))[0]
+def hom_space(V: ModuleData, W: ModuleData) -> list[LinearMap]:
+    """The basis of hom_basis(V, W) as maps V -> W."""
+    F = V.algebra.field
+    return [LinearMap(F, V.shape, W.shape,
+                      {divmod(idx, V.dim): val for idx, val in enumerate(vec)
+                       if not val.is_zero()})
+            for vec in hom_basis(V, W).vectors]
 
 
 # -- braiding, twist, traces ----------------------------------------------------------
@@ -635,22 +632,18 @@ def twist_inverse(V: ModuleData) -> LinearMap:
     return V.rho_of(H.theta)
 
 
-def rotate_last_to_front(V: ModuleData, n: int) -> LinearMap:
-    """The braided rotation V^(x)n (x) V -> V (x) V^(x)n: the last factor moves to
-    the front through an inverse braiding and picks up one twist."""
-    if n == 0:
-        return twist(V)
-    Vpow = module_power(V, n)
-    return whisker(twist(V), UNIT, Vpow.shape).compose(braiding_inverse(V, Vpow))
-
-
-def rotate_front_to_last(V: ModuleData, n: int) -> LinearMap:
-    """The braided rotation V (x) V^(x)n -> V^(x)n (x) V: the first factor moves to
-    the back through the braiding and loses one twist; inverse to the above."""
-    if n == 0:
-        return twist_inverse(V)
-    Vpow = module_power(V, n)
-    return whisker(twist_inverse(V), Vpow.shape, UNIT).compose(braiding(V, Vpow))
+def braided_rotation(V: ModuleData, Vpow: ModuleData | None, to_front: bool) -> LinearMap:
+    """The braided rotation by one factor of V (x) V^(x)n, given Vpow = V^(x)n
+    (None for n = 0).  With to_front, V^(x)n (x) V -> V (x) V^(x)n: the last
+    factor moves to the front through an inverse braiding and picks up one
+    twist.  Otherwise V (x) V^(x)n -> V^(x)n (x) V: the first factor moves to
+    the back through the braiding and loses one twist, inverse to the former."""
+    tw = twist(V) if to_front else twist_inverse(V)
+    if Vpow is None:
+        return tw
+    if to_front:
+        return whisker(tw, UNIT, Vpow.shape).compose(braiding_inverse(V, Vpow))
+    return whisker(tw, Vpow.shape, UNIT).compose(braiding(V, Vpow))
 
 
 def drinfeld_element(H: HopfAlgebraData) -> Vector:
@@ -721,11 +714,11 @@ def modular_data(H: HopfAlgebraData, simples: list[ModuleData]) -> ModularData:
     rep = CheckReport(f"modular data for {H.name}")
     F = H.field
     for V in simples:
-        rep.check(f"End({V.name}) is one-dimensional", len(hom_space(V, V)) == 1)
+        rep.check(f"End({V.name}) is one-dimensional", hom_basis(V, V).dim == 1)
     for i, V in enumerate(simples):
         for j, W in enumerate(simples):
             if i < j:
-                rep.check(f"Hom({V.name},{W.name}) = 0", len(hom_space(V, W)) == 0)
+                rep.check(f"Hom({V.name},{W.name}) = 0", hom_basis(V, W).dim == 0)
     total = sum(V.dim ** 2 for V in simples)
     rep.check("sum of squared dims equals dim H", total == H.dim)
     if not rep.ok:
@@ -986,38 +979,27 @@ def algebra_from_json(obj: dict) -> tuple[HopfAlgebraData, list[ModuleData]]:
     d = obj["dim"]
     shape = TensorShape([d])
 
-    def lin(key, dom, cod):
-        entries = {}
-        for r, c, s in obj[key]:
-            entries[(r, c)] = field.parse(s)
-        return LinearMap(field, dom, cod, entries)
-
     def vec(key, size):
-        out = [field.zero()] * size
-        if key in obj:
-            for i, s in obj[key]:
-                out[i] = field.parse(s)
-            return out
-        return None
+        return vector_from_json(field, obj.get(key), size)
 
-    m = lin("m", shape * shape, shape)
-    Delta = lin("Delta", shape, shape * shape)
-    S = lin("S", shape, shape)
-    S_inv = lin("S_inv", shape, shape)
-    eps_vec = vec("epsilon", d)
+    m = map_from_json(field, obj["m"], shape * shape, shape)
+    Delta = map_from_json(field, obj["Delta"], shape, shape * shape)
+    S = map_from_json(field, obj["S"], shape, shape)
+    S_inv = map_from_json(field, obj["S_inv"], shape, shape)
+    # the unit and the counit are required; the ribbon data is optional
+    u = vector_from_json(field, obj["u"], d)
+    eps_vec = vector_from_json(field, obj["epsilon"], d)
     epsilon = LinearMap(field, shape, UNIT,
                         {(0, i): v for i, v in enumerate(eps_vec) if not v.is_zero()})
-    H = HopfAlgebraData(field, d, obj["basis"], m, vec("u", d), Delta, epsilon,
+    H = HopfAlgebraData(field, d, obj["basis"], m, u, Delta, epsilon,
                         S, S_inv, vec("R", d * d), vec("R_inv", d * d),
                         vec("theta", d), vec("theta_inv", d),
                         name=obj.get("name", "H"))
     simples = []
     for i, sdata in enumerate(obj.get("simples", [])):
         v = sdata["dim"]
-        entries = {}
-        for r, c, s in sdata["action"]:
-            entries[(r, c)] = field.parse(s)
-        action = LinearMap(field, shape * TensorShape([v]), TensorShape([v]), entries)
+        action = map_from_json(field, sdata["action"], shape * TensorShape([v]),
+                               TensorShape([v]))
         simples.append(ModuleData(H, v, action, name=sdata.get("name", f"simple{i}")))
     return H, simples
 

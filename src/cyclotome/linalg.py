@@ -359,18 +359,47 @@ def permute_factors(field, shape: TensorShape, perm: Sequence[int]) -> LinearMap
     return LinearMap(field, shape, target, entries)
 
 
-def swap_factors(field, shape: TensorShape, i: int, j: int) -> LinearMap:
-    perm = list(range(len(shape.factors)))
-    perm[i], perm[j] = perm[j], perm[i]
-    return permute_factors(field, shape, perm)
-
-
 def block_flip(field, left: TensorShape, right: TensorShape) -> LinearMap:
     """Flip of the two blocks: left (x) right -> right (x) left."""
     shape = left * right
     n_left = len(left.factors)
     perm = list(range(n_left, len(shape.factors))) + list(range(n_left))
     return permute_factors(field, shape, perm)
+
+
+# -- the sparse JSON form ------------------------------------------------------------------
+
+
+def map_to_json(m: LinearMap) -> dict:
+    """The total dimensions and the sorted [row, col, scalar] triples of a map."""
+    return {"src": m.domain.dim, "tgt": m.codomain.dim,
+            "entries": sorted([[r, c, repr(v)] for (r, c), v in m.entries.items()])}
+
+
+def map_from_json(field, entries, domain: TensorShape, codomain: TensorShape) -> LinearMap:
+    """The map with these [row, col, scalar] triples.  They come from outside
+    the program, so they go through the checking constructor."""
+    return LinearMap(field, domain, codomain,
+                     {(r, c): field.parse(s) for r, c, s in entries})
+
+
+def vector_to_json(vec: Sequence[Scalar] | None) -> list | None:
+    """The [index, scalar] pairs of the nonzero entries; None stays None."""
+    return None if vec is None else [[i, repr(x)] for i, x in enumerate(vec)
+                                     if not x.is_zero()]
+
+
+def vector_from_json(field, pairs, size: int) -> list[Scalar] | None:
+    """The dense vector of length size with these [index, scalar] pairs;
+    None stays None."""
+    if pairs is None:
+        return None
+    out = [field.zero()] * size
+    for i, s in pairs:
+        if not 0 <= i < size:
+            raise ShapeError(f"vector index {i} out of range {size}")
+        out[i] = field.parse(s)
+    return out
 
 
 # -- exact elimination -------------------------------------------------------------
@@ -547,15 +576,17 @@ def invert(m: LinearMap) -> LinearMap | None:
 class SubspaceBasis:
     """A basis of a subspace of a based space, with exact membership tests.
 
-    When the basis comes from a kernel (from_kernel), the k-th vector is 1 at
-    the k-th indicator column and 0 at the others, so the coordinates of a
-    vector are its entries at those columns; they are accepted only when they
-    reconstruct the vector exactly.  Without indicator columns a linear solve
-    is used.
+    The k-th vector is 1 at the k-th indicator column and 0 at the others, as
+    a kernel basis is (from_kernel), so the coordinates of a vector are its
+    entries at those columns; they are accepted only when they reconstruct
+    the vector exactly.
     """
 
     def __init__(self, field, ambient_dim: int, vectors: list[list[Scalar]],
-                 indicator_cols: list[int] | None = None):
+                 indicator_cols: list[int]):
+        if len(indicator_cols) != len(vectors):
+            raise ShapeError(f"{len(indicator_cols)} indicator columns for "
+                             f"{len(vectors)} basis vectors")
         for vec in vectors:
             if len(vec) != ambient_dim:
                 raise ShapeError(f"basis vector of length {len(vec)} in a space of "
@@ -566,7 +597,7 @@ class SubspaceBasis:
 
     @classmethod
     def _from_sparse(cls, field, ambient_dim: int, sparse: list[dict[int, object]],
-                     indicator_cols: list[int] | None) -> "SubspaceBasis":
+                     indicator_cols: list[int]) -> "SubspaceBasis":
         """The basis whose vectors have these nonzero payloads by column."""
         basis = object.__new__(cls)
         basis._setup(field, ambient_dim, sparse, indicator_cols)
@@ -577,13 +608,10 @@ class SubspaceBasis:
         self.ambient_dim = ambient_dim
         self.indicator_cols = indicator_cols
         # the nonzero payloads of each basis vector, and each indicator
-        # column's slot in the basis; the dense vectors and the inclusion
-        # matrix are built on first use
+        # column's slot in the basis; the dense vectors are built on first use
         self._sparse = sparse
-        self._slot = (None if indicator_cols is None
-                      else {c: k for k, c in enumerate(indicator_cols)})
+        self._slot = {c: k for k, c in enumerate(indicator_cols)}
         self._vectors = None
-        self._matrix = None
 
     @staticmethod
     def standard(field, ambient_dim: int) -> "SubspaceBasis":
@@ -622,11 +650,8 @@ class SubspaceBasis:
         at the indicator columns present in vec, and accepted only when they
         reconstruct every nonzero of vec and no other."""
         F = self.field
-        if self._slot is None and self._sparse:
-            sol = solve(self.matrix(), _dense(F, self.ambient_dim, vec))
-            return None if sol is None else _payloads(F, sol)
         mul, add, is_zero = F._mul, F._add, F._is_zero
-        slot = self._slot or {}
+        slot = self._slot
         coords = {}
         for r, p in vec.items():
             k = slot.get(r)
@@ -678,10 +703,8 @@ class SubspaceBasis:
 
     def matrix(self) -> LinearMap:
         """Inclusion of the subspace into the ambient space (columns = basis vectors)."""
-        if self._matrix is None:
-            F = self.field
-            self._matrix = LinearMap._from_clean(
-                F, TensorShape([self.dim]), TensorShape([self.ambient_dim]),
-                {(r, c): Scalar(F, p) for c, vec in enumerate(self._sparse)
-                 for r, p in vec.items()})
-        return self._matrix
+        F = self.field
+        return LinearMap._from_clean(
+            F, TensorShape([self.dim]), TensorShape([self.ambient_dim]),
+            {(r, c): Scalar(F, p) for c, vec in enumerate(self._sparse)
+             for r, p in vec.items()})

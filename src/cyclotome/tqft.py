@@ -31,9 +31,7 @@ class TqftError(ValueError):
 
 def rt_state_space(data: CoendData, n: int) -> SubspaceBasis:
     """Basis of the genus-(n+1) state space Hom(1, C^(x)(n+1))."""
-    vecs = data.invariant_basis(n + 1)
-    F = data.field
-    basis = SubspaceBasis(F, data.dim ** (n + 1), vecs)
+    basis = data.invariant_basis(n + 1)
     # identification check: the state space has the dimension of the
     # invariant-tensor model
     expected = invariant_tensor_basis(data.algebra, n + 1).dim

@@ -83,6 +83,31 @@ def test_zero_denominator_scalar_is_input_error(tmp_path, name):
     assert len(proc.stderr.strip().splitlines()) == 1
 
 
+def _drop_counit(src):
+    del src["epsilon"]
+
+
+def _unit_index_out_of_range(src):
+    src["u"] = [[src["dim"], "1"]]
+
+
+def _null_unit(src):
+    src["u"] = None
+
+
+@pytest.mark.parametrize("edit", [_drop_counit, _unit_index_out_of_range, _null_unit])
+def test_missing_counit_or_bad_vector_is_input_error(tmp_path, edit):
+    src = json.loads((DATA / "z2_trivial.json").read_text())
+    edit(src)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(src))
+    proc = run_child("hopf", "verify", "--algebra", str(bad))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("input error:")
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
 DAMAGE = {"truncated": lambda text: text[:len(text) // 2],
           "schema-only": lambda text: '{"schema": 1}',
           "deeply-nested": lambda text: "[" * 100000 + "]" * 100000}
@@ -128,6 +153,24 @@ def test_edited_dim_b_in_coend_cache_is_rebuilt(tmp_path):
     assert rebuilt["cached"] is False
     assert rebuilt["dim_B"] == "4"
     assert build()["cached"] is True
+
+
+def test_cached_module_without_indicator_columns_is_rebuilt(tmp_path, capsys):
+    """A cached level space must carry its indicator columns: an entry without
+    them is a miss, and the rebuilt report is the first one byte for byte."""
+    args = ("module", "build", "--algebra", str(DATA / "z2_semion.json"), "--which", "W",
+            "-N", "1", "--cache", str(tmp_path), "--format", "json")
+    code, first, _ = run(capsys, *args)
+    assert code == 0 and json.loads(first)["cached"] is False
+    [entry] = tmp_path.glob("module-*.json")
+    obj = json.loads(entry.read_text(encoding="utf-8"))
+    for space in obj["spaces"].values():
+        del space["indicator_cols"]
+    entry.write_text(json.dumps(obj), encoding="utf-8")
+    code, rebuilt, _ = run(capsys, *args)
+    assert code == 0 and rebuilt == first
+    code, hit, _ = run(capsys, *args)
+    assert code == 0 and hit == first.replace('"cached": false', '"cached": true')
 
 
 @pytest.mark.parametrize("which", ["W", "para"])

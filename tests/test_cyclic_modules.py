@@ -418,6 +418,57 @@ def test_r_cyclic_trivial_simple(coends, algebras):
     assert t1.compose(t1).entries != t1.entries or t1 == LinearMap.identity(K4, t1.domain)
 
 
+def test_r_cyclic_levels_are_kernel_bases_and_restrict_without_solve(coends, algebras,
+                                                                     monkeypatch):
+    """Hom(V^(x)(n+1), simple) is the kernel basis of the intertwiner system,
+    with indicator columns, so the restriction onto it makes no linear solve
+    (288 on this simple when the levels were bare vectors)."""
+    from cyclotome import hopf, linalg
+    calls = []
+    solve = linalg.solve
+
+    def counted(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(linalg, "solve", counted)
+    monkeypatch.setattr(hopf, "solve", counted)
+    P = build_paracyclic(coend_coalgebra_object(coends["double_z2"]), 2)
+    calls.clear()
+    M, _, _ = r_cyclic_from_simple(P, algebras["double_z2"][1][0])
+    assert calls == []
+    for n, basis in M.spaces.items():
+        cols = basis.indicator_cols
+        assert basis.dim and len(cols) == basis.dim
+        assert [[v[c] for c in cols] for v in basis.vectors] == \
+            [[Q.one() if j == k else Q.zero() for j in range(basis.dim)]
+             for k in range(basis.dim)], n
+
+
+@pytest.mark.parametrize("build", [cocyclic_module_from_coalgebra, build_paracyclic,
+                                   cyclic_module_from_algebra])
+def test_object_level_builders_make_each_tensor_power_once(coends, monkeypatch, build):
+    """V^(x)(n+1) is built once per level, each from the one below, and the
+    axiom check builds V (x) V: N + 1 tensor products to level N (10 when
+    every rotation and every level built its power from scratch)."""
+    from cyclotome import cyclic_modules, hopf
+    calls = []
+    tensor_module = hopf.tensor_module
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return tensor_module(*args, **kwargs)
+
+    monkeypatch.setattr(hopf, "tensor_module", counted)
+    monkeypatch.setattr(cyclic_modules, "tensor_module", counted, raising=False)
+    cd = coends["sweedler_h4"]
+    obj = (coend_algebra_object(cd) if build is cyclic_module_from_algebra
+           else coend_coalgebra_object(cd))
+    M = build(obj, 3)
+    assert len(calls) <= 4
+    assert check_relations(M).ok
+
+
 def test_r_cyclic_rejects_nonsimple(coends):
     cd = coends["double_z2"]
     P = build_paracyclic(coend_coalgebra_object(cd), 1)

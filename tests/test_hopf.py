@@ -9,13 +9,15 @@ from cyclotome.fields import Cyclotomic, FieldSpec, Rationals
 from cyclotome.hopf import (
     HopfError, LinearMap, braiding, braiding_inverse, coadjoint_action, coadjoint_blocks,
     coadjoint_module, drinfeld_double_of_cyclic, drinfeld_element, dual_module, group_algebra,
-    group_algebra_simples, hom_space, invariants, load_algebra, modular_data,
+    group_algebra_simples, hom_basis, hom_space, invariance_blocks, load_algebra,
+    modular_data,
     module_power, pivot_element, qdim, regular_module, right_coadjoint_power,
     sweedler_h4, tensor_module, trivial_module, twist, verify_axioms,
     verify_quasitriangular_ribbon,
 )
 from cyclotome.linalg import (
-    ShapeError, TensorShape, block_flip, kernel_and_rank, permute_factors,
+    UNIT, ShapeError, TensorShape, block_flip, kernel_and_rank, permute_factors, stack,
+    whisker,
 )
 
 Q = Rationals()
@@ -131,13 +133,51 @@ def test_hom_space_examples(bundled):
     assert len(hom_space(simples[0], simples[1])) == 0
     # invariants of the regular module of H4 = span of its left integral (dim 1)
     HS = sweedler_h4(Q)
-    inv = invariants(regular_module(HS))
+    inv = hom_basis(trivial_module(HS), regular_module(HS)).vectors
     assert len(inv) == 1
     # the left integral satisfies h L = eps(h) L; cross-check the equation directly
     L = inv[0]
     for k in range(4):
         assert HS.multiply(HS.basis_vector(k), L) == \
             [HS.epsilon.entry(0, k) * v for v in L]
+
+
+def _is_kernel_basis(basis):
+    """Vector k is 1 at indicator column k and 0 at the other indicator columns."""
+    F = basis.field
+    return len(basis.indicator_cols) == basis.dim and all(
+        [vec[c] for c in basis.indicator_cols] == [F.one() if j == k else F.zero()
+                                                   for j in range(basis.dim)]
+        for k, vec in enumerate(basis.vectors))
+
+
+def test_hom_basis_is_the_kernel_each_hom_space_had(bundled):
+    """Hom(1, V), Hom(V, 1) and Hom(V, W) from hom_basis carry the vectors of
+    the kernels they were read from before: rho(k) - eps(e_k) id, its
+    transpose, and the stacked intertwiner system.  Hom(1, V) stacks the
+    negated blocks, which have the same reduced echelon form."""
+    for name, (H, simples) in bundled.items():
+        C = coadjoint_module(H)
+        one = trivial_module(H)
+        modules = simples + [C, module_power(C, 2)]
+        for V in modules:
+            invs = hom_basis(one, V)
+            assert invs.vectors == kernel_and_rank(
+                stack(invariance_blocks(V.rho, H.epsilon)))[0], (name, V.name)
+            funcs = hom_basis(V, one)
+            assert funcs.vectors == kernel_and_rank(stack(invariance_blocks(
+                lambda k: V.rho(k).transpose(), H.epsilon)))[0], (name, V.name)
+            assert _is_kernel_basis(invs) and _is_kernel_basis(funcs), (name, V.name)
+        for V in modules:
+            for W in simples:
+                blocks = [whisker(V.rho(k).transpose(), W.shape, UNIT)
+                          - whisker(W.rho(k), UNIT, V.shape) for k in range(H.dim)]
+                basis = hom_basis(V, W)
+                assert basis.vectors == kernel_and_rank(stack(blocks))[0], (name, V.name)
+                assert _is_kernel_basis(basis), (name, V.name, W.name)
+                maps = hom_space(V, W)
+                assert [[T.entry(*divmod(i, V.dim)) for i in range(V.dim * W.dim)]
+                        for T in maps] == basis.vectors
 
 
 def test_hom_space_of_regular_module(bundled):

@@ -192,8 +192,7 @@ def test_kernel_and_rank_match_dense(F, r, c, data):
 def check_restrict(source: SubspaceBasis, ambient: LinearMap, target: SubspaceBasis):
     """restrict against the dense reference: None exactly when some image of
     a source basis vector leaves the target span, else the matrix X with
-    ambient v_c = sum_k X_kc w_k for every c.  The solve path (no indicator
-    columns) must agree."""
+    ambient v_c = sum_k X_kc w_k for every c."""
     F = ambient.field
     got = source.restrict(ambient, target)
     images = [[row[0] for row in ref_mul(dense(ambient), [[x] for x in v], F)]
@@ -212,8 +211,6 @@ def check_restrict(source: SubspaceBasis, ambient: LinearMap, target: SubspaceBa
             for k, w in enumerate(target.vectors):
                 recon = [s + x[k][c] * y for s, y in zip(recon, w)]
             assert recon == img
-    plain = SubspaceBasis(F, target.ambient_dim, target.vectors)
-    assert source.restrict(ambient, plain) == got
 
 
 @settings(max_examples=80, deadline=None)

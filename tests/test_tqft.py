@@ -36,6 +36,32 @@ def test_state_space_dims(double):
             invariant_tensor_basis(double.algebra, n + 1).dim
 
 
+def test_state_spaces_are_kernel_bases_and_restrict_without_solve(double, monkeypatch):
+    """The states are the kernel basis of Hom(1, C^(x)(n+1)), with indicator
+    columns, so restricting onto them reads coordinates off those columns:
+    the module and the theorem check at N = 1 make no linear solve."""
+    F = double.field
+    for n in range(3):
+        basis = rt_state_space(double, n)
+        cols = basis.indicator_cols
+        assert len(cols) == basis.dim
+        assert [[v[c] for c in cols] for v in basis.vectors] == \
+            [[F.one() if j == k else F.zero() for j in range(basis.dim)]
+             for k in range(basis.dim)]
+    from cyclotome import hopf, linalg
+    calls = []
+    solve = linalg.solve
+
+    def counted(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(linalg, "solve", counted)
+    monkeypatch.setattr(hopf, "solve", counted)
+    assert verify_main_theorem(double, 1, build_rt_cocyclic(double, 1)).ok
+    assert calls == []
+
+
 def test_state_space_dim_z2():
     H, simples = load_algebra(DATA / "z2_trivial.json")
     cd = build_coend_hopf(H, simples)
