@@ -46,6 +46,8 @@ def _load(path: str):
         raise InputError(f"no such file: {path}")
     try:
         return load_algebra(p)
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
     except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot parse {path}: {exc}") from exc
 
@@ -95,16 +97,20 @@ def _read_cache(path: Path, load):
 
 def _write_cache(path: Path, obj: dict):
     """Write through a temporary file in the same directory and os.replace, so
-    that a reader never sees a partly written entry."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    that a reader never sees a partly written entry.  A cache that cannot be
+    written (its directory is a file, the disk is full) is an input error."""
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, sort_keys=True)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(obj, fh, sort_keys=True)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise InputError(f"cannot write the cache entry {path}: {exc}") from exc
 
 
 def _emit(args, payload: dict, ok: bool) -> int:

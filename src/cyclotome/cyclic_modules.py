@@ -195,17 +195,25 @@ def _flip(chirality: str) -> str:
     return "cocyclic" if chirality == "cyclic" else "cyclic"
 
 
+def restrict_generators(chirality: str, spaces: dict[int, SubspaceBasis],
+                        ambient: dict[tuple, LinearMap]) -> dict[tuple, LinearMap | None]:
+    """Each ambient generator restricted from its source level space to its
+    target level space, or None where an image leaves the target space."""
+    gen = {}
+    for key, amb in ambient.items():
+        src, tgt = generator_levels(chirality, key)
+        gen[key] = spaces[src].restrict(amb, spaces[tgt])
+    return gen
+
+
 def _restricted(variant: CategoryVariant, chirality: str, N: int,
                 spaces: dict[int, SubspaceBasis], ambient: dict[tuple, LinearMap],
                 provenance: str, level_modules: dict | None = None) -> CyclicModuleData:
     """The module whose generators are the ambient maps restricted to the level
     spaces; an image leaving its level space is rejected by CyclicModuleData."""
-    gen = {}
-    for key, amb in ambient.items():
-        src, tgt = generator_levels(chirality, key)
-        gen[key] = spaces[src].restrict(amb, spaces[tgt])
-    return CyclicModuleData(variant, chirality, N, spaces, gen, provenance=provenance,
-                            level_modules=level_modules or {})
+    return CyclicModuleData(variant, chirality, N, spaces,
+                            restrict_generators(chirality, spaces, ambient),
+                            provenance=provenance, level_modules=level_modules or {})
 
 
 def _hom_module(variant: CategoryVariant, chirality: str, gen: dict[tuple, LinearMap],

@@ -88,9 +88,13 @@ class LinearMap:
 
     Entries map (row, col) to nonzero Scalars; row indexes the codomain,
     col the domain (column-vector convention, w = M v).
+
+    A map made by whisker keeps the record (op, left dim, right dim) of
+    id_left (x) op (x) id_right and leaves its entries unset until something
+    reads them; compose reads the record instead and never writes them out.
     """
 
-    __slots__ = ("field", "domain", "codomain", "entries")
+    __slots__ = ("field", "domain", "codomain", "entries", "_whisker")
 
     def __init__(self, field: FieldSpec, domain: TensorShape, codomain: TensorShape,
                  entries: dict[tuple[int, int], Scalar]):
@@ -108,18 +112,32 @@ class LinearMap:
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "entries", clean)
+        object.__setattr__(self, "_whisker", None)
 
     @classmethod
     def _from_clean(cls, field: FieldSpec, domain: TensorShape, codomain: TensorShape,
-                    entries: dict[tuple[int, int], Scalar]) -> "LinearMap":
+                    entries: dict[tuple[int, int], Scalar] | None,
+                    whiskered: tuple | None = None) -> "LinearMap":
         """The map with these entries, which the caller knows to be nonzero
-        Scalars of field at positions inside the shapes; nothing is checked."""
+        Scalars of field at positions inside the shapes; nothing is checked.
+        A whisker passes its record and no entries."""
         m = object.__new__(cls)
         object.__setattr__(m, "field", field)
         object.__setattr__(m, "domain", domain)
         object.__setattr__(m, "codomain", codomain)
-        object.__setattr__(m, "entries", entries)
+        if entries is not None:
+            object.__setattr__(m, "entries", entries)
+        object.__setattr__(m, "_whisker", whiskered)
         return m
+
+    def __getattr__(self, name):
+        # reached only for an unset slot: the entries of a whisker, written
+        # out on their first read and kept
+        if name != "entries" or self._whisker is None:
+            raise AttributeError(name)
+        entries = _whisker_entries(*self._whisker)
+        object.__setattr__(self, "entries", entries)
+        return entries
 
     def __setattr__(self, *args):
         raise AttributeError("LinearMap is immutable")
@@ -207,13 +225,28 @@ class LinearMap:
                              f"{other.domain}->{other.codomain}")
 
     def compose(self, first: "LinearMap") -> "LinearMap":
-        """self after first (matrix product self @ first)."""
+        """self after first (matrix product self @ first).
+
+        A whisker operand id_a (x) op (x) id_b is read through its record,
+        slot by slot: each index of the other operand X at the shared space is
+        split into digits (a, m, b), and column m of op (row m, when the
+        whisker comes first) is walked.  That costs nnz(X) times the nonzeros
+        per column (row) of op, and forms the same products as the written-out
+        matrix would.  When both operands are whiskers, first is read by its
+        entries.
+        """
         if self.field != first.field:
             raise ShapeError("field mismatch")
         if first.codomain.dim != self.domain.dim:
             raise ShapeError(f"cannot compose {self.domain}->{self.codomain} "
                              f"after {first.domain}->{first.codomain}")
         F = self.field
+        if self._whisker is not None:
+            return LinearMap._from_clean(F, first.domain, self.codomain,
+                                         _whisker_after(self._whisker, first))
+        if first._whisker is not None:
+            return LinearMap._from_clean(F, first.domain, self.codomain,
+                                         _after_whisker(self, first._whisker))
         mul, add, is_zero = F._mul, F._add, F._is_zero
         by_col: dict[int, list[tuple[int, object]]] = {}
         for (r, c), v in first.entries.items():
@@ -259,6 +292,8 @@ class LinearMap:
         """Reinterpret factor structure without touching coordinates."""
         if domain.dim != self.domain.dim or codomain.dim != self.codomain.dim:
             raise ShapeError("reshape must preserve total dimensions")
+        if self._whisker is not None:
+            return LinearMap._from_clean(self.field, domain, codomain, None, self._whisker)
         return LinearMap._from_clean(self.field, domain, codomain, self.entries)
 
     def apply(self, vec: Sequence[Scalar]) -> list[Scalar]:
@@ -327,18 +362,71 @@ def _wrapped(F: FieldSpec, acc: dict) -> dict:
     return {k: Scalar(F, p) for k, p in acc.items() if not is_zero(p)}
 
 
+def _whisker_after(record: tuple, first: LinearMap) -> dict:
+    """The entries of (id_a (x) op (x) id_b) o first: row (i, j, k) of first,
+    in digits of a x op.domain x b, meets column j of op."""
+    op, _, rd = record
+    F = op.field
+    mul, add = F._mul, F._add
+    cols: dict[int, list[tuple[int, object]]] = {}
+    for (r, c), v in op.entries.items():
+        cols.setdefault(c, []).append((r * rd, v.payload))
+    block_in, block_out = op.domain.dim * rd, op.codomain.dim * rd
+    acc: dict[tuple[int, int], object] = {}
+    for (m, c), v in first.entries.items():
+        i, rest = divmod(m, block_in)
+        j, k = divmod(rest, rd)
+        x, base = v.payload, i * block_out + k
+        for rb, y in cols.get(j, ()):
+            key = (base + rb, c)
+            p = mul(y, x)
+            acc[key] = add(acc[key], p) if key in acc else p
+    return _wrapped(F, acc)
+
+
+def _after_whisker(second: LinearMap, record: tuple) -> dict:
+    """The entries of second o (id_a (x) op (x) id_b): column (i, j, k) of
+    second, in digits of a x op.codomain x b, meets row j of op."""
+    op, _, rd = record
+    F = op.field
+    mul, add = F._mul, F._add
+    rows: dict[int, list[tuple[int, object]]] = {}
+    for (r, c), v in op.entries.items():
+        rows.setdefault(r, []).append((c * rd, v.payload))
+    block_in, block_out = op.domain.dim * rd, op.codomain.dim * rd
+    acc: dict[tuple[int, int], object] = {}
+    for (r, m), v in second.entries.items():
+        i, rest = divmod(m, block_out)
+        j, k = divmod(rest, rd)
+        y, base = v.payload, i * block_in + k
+        for cb, x in rows.get(j, ()):
+            key = (r, base + cb)
+            p = mul(y, x)
+            acc[key] = add(acc[key], p) if key in acc else p
+    return _wrapped(F, acc)
+
+
 def whisker(op: LinearMap, left: TensorShape, right: TensorShape) -> LinearMap:
-    """id_left (x) op (x) id_right, placed by index arithmetic: no identity
-    factor is built and no entry is multiplied."""
-    od, ocd, rd = op.domain.dim, op.codomain.dim, right.dim
+    """id_left (x) op (x) id_right: no identity factor is built and no entry is
+    multiplied.  The map keeps the record (op, left.dim, right.dim); compose
+    works from it, and its left.dim x nnz(op) x right.dim entries are placed
+    by index arithmetic only when something else reads them (restrict, +, ==,
+    apply, tensor)."""
+    return LinearMap._from_clean(op.field, left * op.domain * right,
+                                 left * op.codomain * right, None,
+                                 (op, left.dim, right.dim))
+
+
+def _whisker_entries(op: LinearMap, ld: int, rd: int) -> dict:
+    """The entries of id_ld (x) op (x) id_rd, each a placed entry of op."""
+    od, ocd = op.domain.dim, op.codomain.dim
     entries = {}
     for (r, c), v in op.entries.items():
-        for a in range(left.dim):
+        for a in range(ld):
             row, col = (a * ocd + r) * rd, (a * od + c) * rd
             for b in range(rd):
                 entries[(row + b, col + b)] = v
-    return LinearMap._from_clean(op.field, left * op.domain * right,
-                                 left * op.codomain * right, entries)
+    return entries
 
 
 def permute_factors(field, shape: TensorShape, perm: Sequence[int]) -> LinearMap:

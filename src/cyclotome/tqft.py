@@ -19,7 +19,7 @@ from .cyclic_cat import CYCLIC
 from .cyclic_modules import (
     CyclicModuleData, apply_cyclic_duality, apply_reindexing,
     cocyclic_module_from_coalgebra, cyclic_module_from_algebra, coend_algebra_object,
-    coend_coalgebra_object, generator_levels, invariant_tensor_basis,
+    coend_coalgebra_object, generator_levels, invariant_tensor_basis, restrict_generators,
 )
 from .linalg import LinearMap, SubspaceBasis, TensorShape, UNIT, invert, whisker
 from .reports import CheckReport
@@ -183,17 +183,17 @@ def _closed_form_generators(rt: RTModuleData) -> dict[tuple, LinearMap]:
     else:
         ops = {"delta": data.counit.reshaped(d, UNIT),
                "sigma": data.Delta.reshaped(d, d * d)}
-    out = {}
+    ambient = {}
     for key in M.gen:
         if key[0] == "tau":
             continue
         op, pos = ops[key[0]], key[2]
-        src, tgt = generator_levels(M.chirality, key)
-        rest = src + 1 - pos - len(op.domain.factors)
-        amb = whisker(op, TensorShape([data.dim] * pos), TensorShape([data.dim] * rest))
-        out[key] = M.spaces[src].restrict(amb, M.spaces[tgt])
-        if out[key] is None:
-            raise TqftError("postcomposition leaves the invariant subspace")
+        rest = generator_levels(M.chirality, key)[0] + 1 - pos - len(op.domain.factors)
+        ambient[key] = whisker(op, TensorShape([data.dim] * pos),
+                               TensorShape([data.dim] * rest))
+    out = restrict_generators(M.chirality, M.spaces, ambient)
+    if any(g is None for g in out.values()):
+        raise TqftError("postcomposition leaves the invariant subspace")
     return out
 
 

@@ -108,6 +108,31 @@ def test_missing_counit_or_bad_vector_is_input_error(tmp_path, edit):
     assert len(proc.stderr.strip().splitlines()) == 1
 
 
+def test_directory_as_algebra_is_input_error(tmp_path):
+    proc = run_child("hopf", "verify", "--algebra", str(tmp_path))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("input error:")
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("coend", "build"),
+    ("module", "build", "--which", "W", "-N", "1"),
+], ids=["coend", "module"])
+def test_unwritable_cache_is_input_error(tmp_path, argv):
+    not_a_dir = tmp_path / "cache"
+    not_a_dir.write_text("a regular file", encoding="utf-8")
+    proc = run_child(*argv, "--cache", str(not_a_dir),
+                     "--algebra", str(DATA / "z2_trivial.json"))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("input error:")
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert str(not_a_dir) in proc.stderr
+    assert not_a_dir.read_text(encoding="utf-8") == "a regular file"
+
+
 DAMAGE = {"truncated": lambda text: text[:len(text) // 2],
           "schema-only": lambda text: '{"schema": 1}',
           "deeply-nested": lambda text: "[" * 100000 + "]" * 100000}

@@ -5,12 +5,13 @@ from cyclotome.coend import (
     dinatural_component, end_and_drinfeld, ev_left, factor_through_coend,
     integrals, internal_character, pairing_value,
 )
-from cyclotome.fields import Cyclotomic, Rationals
+from cyclotome.fields import Cyclotomic, FieldSpec, Rationals
 from cyclotome.hopf import (
     coadjoint_module, drinfeld_double_of_cyclic, group_algebra,
     group_algebra_simples, hom_space, regular_module, sweedler_h4,
     trivial_module,
 )
+from cyclotome import linalg
 from cyclotome.linalg import LinearMap, kernel_and_rank
 
 Q = Rationals()
@@ -170,3 +171,47 @@ def test_inconsistent_diagram_rejected(coends):
                          {(0, 3): Q.one(), (0, 5): Q.one()})
     with pytest.raises(CoendError):
         factor_through_coend(H, shuffled, 1, cd.carrier)
+
+
+# the two gates of the integral formula that D(Z3) fails today; the build
+# must raise on these alone, or pass once the formula is fixed
+D_Z3_KNOWN_FAILURES = ("coend integral/pairing gates failed: ['integral formula "
+                       "reproduces the inverse copairing', 'integral composite equals "
+                       "omega(Lambda,Lambda) id']")
+
+
+def test_compose_reads_few_entries_per_product_on_the_d_z3_coend(monkeypatch):
+    """compose reads a whisker operand through its record, at the cost of
+    op's entries; a whisker written out inside compose counts in full."""
+    counts = {"read": 0, "products": 0}
+    inside = [False]
+    compose, mul, written_out = LinearMap.compose, FieldSpec._mul, linalg._whisker_entries
+
+    def counted_mul(field, a, b):
+        counts["products"] += inside[0]
+        return mul(field, a, b)
+
+    def counted_written_out(op, left, right):
+        entries = written_out(op, left, right)
+        counts["read"] += inside[0] * len(entries)
+        return entries
+
+    def counted_compose(second, first):
+        for m in (second, first):
+            counts["read"] += len(m._whisker[0].entries if m._whisker else m.entries)
+        inside[0] = True
+        try:
+            return compose(second, first)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(FieldSpec, "_mul", counted_mul)
+    monkeypatch.setattr(linalg, "_whisker_entries", counted_written_out)
+    monkeypatch.setattr(LinearMap, "compose", counted_compose)
+    H = drinfeld_double_of_cyclic(Cyclotomic(3), 3)
+    try:
+        build_coend_hopf(H)
+    except CoendError as exc:
+        assert str(exc) == D_Z3_KNOWN_FAILURES
+    assert counts["products"] > 0
+    assert counts["read"] <= 2 * counts["products"], counts

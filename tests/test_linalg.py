@@ -171,19 +171,58 @@ WHISKER_FIELDS = (Q, PrimeField(7), Cyclotomic(4))
 factor_lists = st.lists(st.integers(1, 3), max_size=2)
 
 
+def _drawn_map(F, dom, cod, data, max_size):
+    """A map with up to max_size entries a + b zeta (zeta = 2 outside Q(zeta_n))."""
+    zeta = F.generator() if F.kind == F.CYCLOTOMIC else F.from_int(2)
+    cells = st.tuples(st.integers(0, cod.dim - 1), st.integers(0, dom.dim - 1))
+    raw = data.draw(st.dictionaries(cells, st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                                    max_size=max_size))
+    return LinearMap(F, dom, cod, {k: F.from_int(a) + F.from_int(b) * zeta
+                                   for k, (a, b) in raw.items()})
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(WHISKER_FIELDS), factor_lists, factor_lists, factor_lists,
        factor_lists, st.data())
 def test_whisker_matches_kronecker_with_identities(F, left, right, dom, cod, data):
     left, right, dom, cod = map(TensorShape, (left, right, dom, cod))
-    zeta = F.generator() if F.kind == F.CYCLOTOMIC else F.from_int(2)
-    cells = st.tuples(st.integers(0, cod.dim - 1), st.integers(0, dom.dim - 1))
-    raw = data.draw(st.dictionaries(cells, st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
-                                    max_size=dom.dim * cod.dim))
-    op = LinearMap(F, dom, cod, {k: F.from_int(a) + F.from_int(b) * zeta
-                                 for k, (a, b) in raw.items()})
+    op = _drawn_map(F, dom, cod, data, dom.dim * cod.dim)
     reference = LinearMap.identity(F, left).tensor(op).tensor(LinearMap.identity(F, right))
     assert whisker(op, left, right) == reference
+
+
+def _written_out(m: LinearMap) -> bool:
+    """Whether m's entries are set, read from the slot itself so that a
+    whisker is not written out by asking."""
+    try:
+        vars(LinearMap)["entries"].__get__(m, LinearMap)
+    except AttributeError:
+        return False
+    return True
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(WHISKER_FIELDS), factor_lists, factor_lists, factor_lists,
+       factor_lists, st.integers(1, 3), st.booleans(), st.data())
+def test_compose_through_a_whisker_matches_the_written_out_whisker(
+        F, left, right, dom, cod, n, flat, data):
+    left, right, dom, cod = map(TensorShape, (left, right, dom, cod))
+    op = _drawn_map(F, dom, cod, data, dom.dim * cod.dim)
+    w = whisker(op, left, right)
+    written = LinearMap.identity(F, left).tensor(op).tensor(LinearMap.identity(F, right))
+    if flat:
+        # a reshaped whisker keeps its record
+        w_dom, w_cod = TensorShape([w.domain.dim]), TensorShape([w.codomain.dim])
+        w, written = w.reshaped(w_dom, w_cod), written.reshaped(w_dom, w_cod)
+    outer = TensorShape([n])
+    x = _drawn_map(F, outer, w.domain, data, 24)
+    y = _drawn_map(F, w.codomain, outer, data, 24)
+    after, before = w.compose(x), y.compose(w)
+    assert not _written_out(w)
+    assert after == written.compose(x)
+    assert before == y.compose(written)
+    assert (after.domain, after.codomain) == (outer, w.codomain)
+    assert (before.domain, before.codomain) == (w.domain, outer)
 
 
 # -- the elimination engine, over Q, F_7 and Q(zeta_4) ----------------------------------
