@@ -60,14 +60,18 @@ def _max_level(args, default: int) -> int:
 
 
 def _cache_dir(args) -> Path | None:
+    """The cache directory named by --cache or CYCLOTOME_CACHE, if any; one
+    that exists and is not a directory is an input error, raised before
+    anything is built."""
     if getattr(args, "no_cache", False):
         return None
-    if getattr(args, "cache", None):
-        return Path(args.cache)
-    env = os.environ.get("CYCLOTOME_CACHE")
-    if env:
-        return Path(env)
-    return None
+    path = getattr(args, "cache", None) or os.environ.get("CYCLOTOME_CACHE")
+    if not path:
+        return None
+    path = Path(path)
+    if path.exists() and not path.is_dir():
+        raise InputError(f"the cache {path} is not a directory")
+    return path
 
 
 def _cache_key(path: str, *params) -> str:
@@ -224,10 +228,10 @@ def cmd_module_build(args) -> int:
         if not 0 <= args.simple < len(simples):
             raise InputError(f"--simple {args.simple} is out of range: the file has "
                              f"{len(simples)} simples")
-    cache_dir = _cache_dir(args)
+    cache_dir = _cache_dir(args) if args.which in _BUILDERS else None
     cache_file = None
     module = None
-    if cache_dir is not None and args.which in _BUILDERS:
+    if cache_dir is not None:
         cache_file = cache_dir / f"module-{_cache_key(args.algebra, args.which, N)}.json"
         module = _read_cache(cache_file, lambda obj: module_from_json(obj)
                              if obj["max_level"] == N else None)

@@ -53,34 +53,25 @@ def coev_left(V: ModuleData) -> LinearMap:
 
 
 def coev_right(V: ModuleData) -> LinearMap:
-    """1 -> V* (x) V, the pivot-corrected copairing sum e^j (x) g^{-1} e_j."""
-    H = V.algebra
-    gi = V.rho_of(pivot_inverse(H))
+    """1 -> V* (x) V, the pivot-corrected copairing sum e^j (x) g^{-1} e_j:
+    entry (r, j) of g^{-1} is entry (j d + r, 0)."""
+    gi = V.rho_of(pivot_inverse(V.algebra))
     d = V.dim
-    entries = {}
-    for j in range(d):
-        for r in range(d):
-            v = gi.entry(r, j)
-            if not v.is_zero():
-                entries[(j * d + r, 0)] = v
-    return LinearMap(H.field, UNIT, V.shape * V.shape, entries)
+    return LinearMap(V.algebra.field, UNIT, V.shape * V.shape,
+                     {(j * d + r, 0): v for (r, j), v in gi.entries.items()})
 
 
 def dinatural_component(H: HopfAlgebraData, V: ModuleData,
                         carrier: ModuleData | None = None) -> LinearMap:
-    """i_V : V* (x) V -> C sending phi (x) v to the matrix coefficient phi((.) v)."""
-    carrier = carrier or coadjoint_module(H)
-    F = H.field
-    d, v = H.dim, V.dim
+    """i_V : V* (x) V -> C sending phi (x) v to the matrix coefficient phi((.) v):
+    entry (a, k v + b) of the action is entry (k, a v + b) of i_V."""
+    v = V.dim
     entries = {}
-    for a in range(v):
-        for b in range(v):
-            col = a * v + b
-            for k in range(d):
-                val = V.rho(k).entry(a, b)
-                if not val.is_zero():
-                    entries[(k, col)] = val
-    return LinearMap(F, V.shape * V.shape, carrier.shape, entries)
+    for (a, kb), val in V.action.entries.items():
+        k, b = divmod(kb, v)
+        entries[(k, a * v + b)] = val
+    return LinearMap(H.field, V.shape * V.shape,
+                     carrier.shape if carrier else H.shape, entries)
 
 
 # -- the universal-property solver -----------------------------------------------------
@@ -88,14 +79,8 @@ def dinatural_component(H: HopfAlgebraData, V: ModuleData,
 
 def coend_section(H: HopfAlgebraData) -> LinearMap:
     """A right inverse of i_H on the regular module: psi |-> psi (x) 1_H."""
-    F = H.field
-    d = H.dim
-    entries = {}
-    for k in range(d):
-        for b, ub in enumerate(H.u):
-            if not ub.is_zero():
-                entries[(k * d + b, k)] = ub
-    return LinearMap(F, TensorShape([d]), TensorShape([d, d]), entries)
+    u_map = LinearMap.from_function(H.field, UNIT, H.shape, lambda c: enumerate(H.u))
+    return whisker(u_map, H.shape, UNIT)
 
 
 def factor_through_coend(H: HopfAlgebraData, rhs: LinearMap, arity: int,
@@ -167,9 +152,13 @@ class CoendData:
     def dim(self) -> int:
         return self.carrier.dim
 
-    def unit_map(self) -> LinearMap:
+    def vector_map(self, vec: Vector) -> LinearMap:
+        """The map 1 -> C picking out the element vec."""
         return LinearMap.from_function(self.field, UNIT, self.carrier.shape,
-                                       lambda c: enumerate(self.unit))
+                                       lambda c: enumerate(vec))
+
+    def unit_map(self) -> LinearMap:
+        return self.vector_map(self.unit)
 
     def power(self, n: int) -> ModuleData:
         key = ("power", n)
@@ -242,7 +231,7 @@ def build_coend_hopf(H: HopfAlgebraData,
     rep.check("section property i_H o s = id", i_H.compose(s) == LinearMap.identity(F, C.shape))
 
     # unit: the image of the unit object's component, i.e. the counit functional
-    unit = [H.epsilon.entry(0, k) for k in range(d)]
+    unit = H.epsilon.transpose().apply([F.one()])
 
     # multiplication: m(i_X (x) i_Y) = i_{Y(x)X} o (id_{X*} (x) c_{X, Y*(x)Y})
     YY = tensor_module(Hdual, Hreg)
@@ -274,15 +263,12 @@ def build_coend_hopf(H: HopfAlgebraData,
     omega = factor_through_coend(H, w_rhs, 2, C)
 
     # duality oracles pin every ordering convention
-    db = braided_coproduct(H)
     rep.check("dual of the product is the braided coproduct",
-              all(m_C.entry(c, a * d + b) == db.entry(a * d + b, c)
-                  for c in range(d) for a in range(d) for b in range(d)))
+              m_C.entries == braided_coproduct(H).transpose().entries)
     rep.check("dual of the coproduct is the multiplication",
-              all(Delta_C.entry(a * d + b, c) == H.m.entry(c, a * d + b)
-                  for c in range(d) for a in range(d) for b in range(d)))
+              Delta_C.entries == H.m.transpose().entries)
     rep.check("counit is evaluation at the algebra unit",
-              [eps_C.entry(0, k) for k in range(d)] == H.u)
+              eps_C.transpose().apply([F.one()]) == H.u)
 
     # antipode: unique convolution inverse of the identity
     S_C = _solve_antipode(F, d, m_C, unit, Delta_C, eps_C)
@@ -316,8 +302,8 @@ def build_coend_hopf(H: HopfAlgebraData,
         raise CoendError(f"coend gates failed: {rep.failures}")
 
     # non-degeneracy and downstream data
-    W = _pairing_matrix(data)
-    data.pairing_nondegenerate = invert(W) is not None
+    Winv = invert(_pairing_matrix(data))
+    data.pairing_nondegenerate = Winv is not None
 
     if simples:
         md = modular_data(H, simples)
@@ -328,8 +314,8 @@ def build_coend_hopf(H: HopfAlgebraData,
         data.caches["simples"] = simples
 
     _solve_integrals(data, rep)
-    if data.pairing_nondegenerate:
-        _solve_pairing_inverse(data, rep)
+    if Winv is not None:
+        _solve_pairing_inverse(data, Winv, rep)
     if not rep.ok:
         raise CoendError(f"coend integral/pairing gates failed: {rep.failures}")
     return data
@@ -427,6 +413,7 @@ def _check_pairing_axioms(data: CoendData, rep: CheckReport):
 
 
 def _pairing_matrix(data: CoendData) -> LinearMap:
+    """The pairing as the square matrix W[a][b] = omega(e_a (x) e_b)."""
     d = data.dim
     entries = {}
     for (z, ab), v in data.pairing.entries.items():
@@ -516,51 +503,21 @@ def _solve_integrals(data: CoendData, rep: CheckReport):
             rep.check("integral is proportional to the universal integral", ok)
 
 
-def _solve_pairing_inverse(data: CoendData, rep: CheckReport):
-    """Omega: the two-sided inverse copairing, from the matrix and from the
-    integral formula; both must agree."""
+def _solve_pairing_inverse(data: CoendData, Winv: LinearMap, rep: CheckReport):
+    """Omega: the two-sided inverse copairing, from the inverse Winv of the
+    pairing matrix and from the integral formula; both must agree."""
     F = data.field
-    d = data.dim
-    W = _pairing_matrix(data)
-    Winv = invert(W)
-    if Winv is None:
-        return
-    # side conditions pin Omega = W^{-1} read as an element of C (x) C
-    Omega = [F.zero()] * (d * d)
-    for (a, b), v in Winv.entries.items():
-        Omega[a * d + b] = v
-    omega_map = data.pairing
-
-    def contract_left(Om):
-        # (omega (x) id)(id (x) Om): c |-> sum omega(c, Om1) Om2
-        out = {}
-        for ab, v in enumerate(Om):
-            if v.is_zero():
-                continue
-            a, b = divmod(ab, d)
-            for c in range(d):
-                w = omega_map.entry(0, c * d + a)
-                if not w.is_zero():
-                    out[(b, c)] = out.get((b, c), F.zero()) + w * v
-        return LinearMap(F, data.carrier.shape, data.carrier.shape, out)
-
-    def contract_right(Om):
-        # (id (x) omega)(Om (x) id): c |-> sum Om1 omega(Om2, c)
-        out = {}
-        for ab, v in enumerate(Om):
-            if v.is_zero():
-                continue
-            a, b = divmod(ab, d)
-            for c in range(d):
-                w = omega_map.entry(0, b * d + c)
-                if not w.is_zero():
-                    out[(a, c)] = out.get((a, c), F.zero()) + v * w
-        return LinearMap(F, data.carrier.shape, data.carrier.shape, out)
-
-    ident = LinearMap.identity(F, data.carrier.shape)
-    rep.check("copairing side condition (left)", contract_left(Omega) == ident)
-    rep.check("copairing side condition (right)", contract_right(Omega) == ident)
-    data.Omega = Omega
+    c = data.carrier.shape
+    w = data.pairing
+    # Omega = W^{-1} read as an element of C (x) C: (W^{-1} (x) id) sum e_j (x) e_j
+    Omega = whisker(Winv, UNIT, c).compose(coev_left(data.carrier))
+    # the side conditions (w (x) id)(id (x) Omega) = id = (id (x) w)(Omega (x) id)
+    ident = LinearMap.identity(F, c)
+    rep.check("copairing side condition (left)",
+              whisker(w, UNIT, c).compose(whisker(Omega, c, UNIT)) == ident)
+    rep.check("copairing side condition (right)",
+              whisker(w, c, UNIT).compose(whisker(Omega, UNIT, c)) == ident)
+    data.Omega = Omega.apply([F.one()])
 
     if data.integral is not None:
         wLL = pairing_value(data, data.integral, data.integral)
@@ -571,26 +528,14 @@ def _solve_pairing_inverse(data: CoendData, rep: CheckReport):
             raise CoendError("omega(Lambda, Lambda) = 0 despite nondegeneracy")
         # the integral formula: the inverse copairing is the middle pairing of
         # two coproducts of the integral, Omega = w(L,L)^{-1} (id (x) w (x) id)(DL (x) DL)
-        dL = data.Delta.apply(data.integral)
-        om_raw = [F.zero()] * (d * d)
-        for ab, v1 in enumerate(dL):
-            if v1.is_zero():
-                continue
-            a, b = divmod(ab, d)
-            for ef, v2 in enumerate(dL):
-                if v2.is_zero():
-                    continue
-                e, f_ = divmod(ef, d)
-                w = omega_map.entry(0, b * d + e)
-                if not w.is_zero():
-                    om_raw[a * d + f_] = om_raw[a * d + f_] + v1 * v2 * w
-        scale = wLL.inverse()
+        dL = data.Delta.compose(data.vector_map(data.integral))
+        om_raw = whisker(w, c, c).compose(dL.tensor(dL))
         rep.check("integral formula reproduces the inverse copairing",
-                  [scale * v for v in om_raw] == Omega)
+                  om_raw.scaled(wLL.inverse()) == Omega)
         # corollary: the unnormalized composite acts on C as omega(L,L) id
-        lhs = contract_right(om_raw)
         rep.check("integral composite equals omega(Lambda,Lambda) id",
-                  lhs == ident.scaled(wLL))
+                  whisker(w, c, UNIT).compose(whisker(om_raw, UNIT, c))
+                  == ident.scaled(wLL))
 
 
 def coend_to_json(data: CoendData) -> dict:
@@ -613,8 +558,7 @@ def coend_to_json(data: CoendData) -> dict:
 
 
 def _counit_of(data: CoendData, v: Vector) -> Scalar:
-    eps = data.counit
-    return sum((eps.entry(0, k) * x for k, x in enumerate(v)), data.field.zero())
+    return data.counit.apply(v)[0]
 
 
 def coend_from_json(H: HopfAlgebraData, obj: dict) -> CoendData:
@@ -676,15 +620,13 @@ def pairing_inverse(data: CoendData) -> Vector:
     return data.Omega
 
 
+def _paired_with(data: CoendData, x: Vector) -> LinearMap:
+    """omega(x (x) .) : C -> 1, the pairing whiskered by the element x."""
+    return data.pairing.compose(whisker(data.vector_map(x), UNIT, data.carrier.shape))
+
+
 def pairing_value(data: CoendData, x: Vector, y: Vector) -> Scalar:
-    F = data.field
-    d = data.dim
-    out = F.zero()
-    for (z, ab), v in data.pairing.entries.items():
-        a, b = divmod(ab, d)
-        if not x[a].is_zero() and not y[b].is_zero():
-            out = out + v * x[a] * y[b]
-    return out
+    return _paired_with(data, x).apply(y)[0]
 
 
 # -- internal characters -----------------------------------------------------------------
@@ -700,48 +642,28 @@ def internal_character(data: CoendData, V: ModuleData) -> Vector:
 def character_functional(data: CoendData, V: ModuleData) -> Vector:
     """psi_V = omega(chi_V (x) .) as a functional vector on C."""
     chi = internal_character(data, V)
-    F = data.field
-    d = data.dim
-    out = [F.zero()] * d
-    for (z, ab), v in data.pairing.entries.items():
-        a, b = divmod(ab, d)
-        if not chi[a].is_zero():
-            out[b] = out[b] + v * chi[a]
-    return out
+    return _paired_with(data, chi).transpose().apply([data.field.one()])
 
 
 def character_checks(data: CoendData, V: ModuleData) -> CheckReport:
     """The trace-like identities: the coproduct of chi_V is invariant under the
     pinned braided rotation, and psi_V is a rotation-invariant trace on C."""
     rep = CheckReport(f"internal character checks for {V.name}")
-    F = data.field
     C = data.carrier
     chi = internal_character(data, V)
     rep.check("character is an invariant vector",
-              all(_vec_eq(C.rho(k).apply(chi),
-                          [data.algebra.epsilon.entry(0, k) * x for x in chi])
+              all(C.rho(k).apply(chi) == [data.algebra.epsilon.entry(0, k) * x for x in chi]
                   for k in range(data.algebra.dim)))
     rot = braided_rotation(C, C, to_front=True)
     rot = rot.reshaped(TensorShape([data.dim] * 2), TensorShape([data.dim] * 2))
     d_chi = data.Delta.apply(chi)
     rep.check("coproduct of the character is rotation-invariant",
               rot.apply(d_chi) == d_chi)
-    psi = character_functional(data, V)
-    d = data.dim
-    psi_m = [F.zero()] * (d * d)
-    for (out, ab), v in data.m.entries.items():
-        if not psi[out].is_zero():
-            psi_m[ab] = psi_m[ab] + psi[out] * v
-    psi_m_map = LinearMap(F, TensorShape([d * d]), UNIT,
-                          {(0, ab): v for ab, v in enumerate(psi_m) if not v.is_zero()})
-    rot_sq = rot.reshaped(TensorShape([d * d]), TensorShape([d * d]))
+    # psi o m, as a vector, is fixed by the transpose of the rotation
+    psi_m = data.m.transpose().apply(character_functional(data, V))
     rep.check("character functional is a rotated trace",
-              psi_m_map.compose(rot_sq) == psi_m_map)
+              rot.transpose().apply(psi_m) == psi_m)
     return rep
-
-
-def _vec_eq(a, b):
-    return all(x == y for x, y in zip(a, b))
 
 
 def characters_span_check(data: CoendData) -> CheckReport:
@@ -753,13 +675,8 @@ def characters_span_check(data: CoendData) -> CheckReport:
         return rep
     inv = data.invariant_basis(1)
     chis = [internal_character(data, V) for V in simples]
-    F = data.field
-    entries = {}
-    for c, chi in enumerate(chis):
-        for r, v in enumerate(chi):
-            if not v.is_zero():
-                entries[(r, c)] = v
-    mat = LinearMap(F, TensorShape([len(chis)]), data.carrier.shape, entries)
+    mat = LinearMap.from_function(data.field, TensorShape([len(chis)]), data.carrier.shape,
+                                  lambda c: enumerate(chis[c]))
     rk = rank(mat)
     rep.check("characters are linearly independent", rk == len(chis))
     rep.check("characters span Hom(1, C)", rk == inv.dim)
@@ -792,13 +709,10 @@ def end_and_drinfeld(data: CoendData) -> tuple[EndData, LinearMap, dict]:
 
     # dual structure maps through the canonical pairing <phi, c> = phi(c):
     # the end multiplies by precomposing the comultiplication, and so on.
-    m_A = LinearMap(F, TensorShape([d, d]), TensorShape([d]),
-                    {(c, ab): v for (ab, c), v in data.Delta.entries.items()})
-    u_A = [data.counit.entry(0, k) for k in range(d)]
-    Delta_A = LinearMap(F, TensorShape([d]), TensorShape([d, d]),
-                        {(ab, c): v for (c, ab), v in data.m.entries.items()})
-    eps_A = LinearMap(F, TensorShape([d]), UNIT,
-                      {(0, k): v for k, v in enumerate(data.unit) if not v.is_zero()})
+    m_A = data.Delta.transpose()
+    u_A = data.counit.transpose().apply([F.one()])
+    Delta_A = data.m.transpose()
+    eps_A = data.unit_map().transpose()
     S_A = data.antipode.transpose()
     end = EndData(A, m_A, u_A, Delta_A, eps_A, S_A, rep)
 

@@ -341,6 +341,8 @@ class FieldSpec:
 
     def parse(self, text: str) -> "Scalar":
         """Inverse of render, also accepting plain integer/fraction literals."""
+        if not isinstance(text, str):
+            raise FieldError(f"scalar literal {text!r} is not a string")
         text = text.strip().replace(" ", "")
         try:
             if self.kind == self.CYCLOTOMIC:

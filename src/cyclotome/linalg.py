@@ -41,9 +41,9 @@ class TensorShape:
     __slots__ = ("factors", "dim")
 
     def __init__(self, factors: Sequence[int]):
-        factors = tuple(int(f) for f in factors)
-        if any(f < 0 for f in factors):
-            raise ShapeError(f"factor dimensions must be nonnegative, got {factors}")
+        factors = tuple(factors)
+        if any(type(f) is not int or f < 0 for f in factors):
+            raise ShapeError(f"factor dimensions must be nonnegative integers, got {factors}")
         object.__setattr__(self, "factors", factors)
         d = 1
         for f in factors:
@@ -466,9 +466,14 @@ def map_to_json(m: LinearMap) -> dict:
 
 def map_from_json(field, entries, domain: TensorShape, codomain: TensorShape) -> LinearMap:
     """The map with these [row, col, scalar] triples.  They come from outside
-    the program, so they go through the checking constructor."""
-    return LinearMap(field, domain, codomain,
-                     {(r, c): field.parse(s) for r, c, s in entries})
+    the program, so their indices must be integers and they go through the
+    checking constructor."""
+    out = {}
+    for r, c, s in entries:
+        if type(r) is not int or type(c) is not int:
+            raise ShapeError(f"entry index ({r!r}, {c!r}) is not a pair of integers")
+        out[(r, c)] = field.parse(s)
+    return LinearMap(field, domain, codomain, out)
 
 
 def vector_to_json(vec: Sequence[Scalar] | None) -> list | None:
@@ -484,8 +489,8 @@ def vector_from_json(field, pairs, size: int) -> list[Scalar] | None:
         return None
     out = [field.zero()] * size
     for i, s in pairs:
-        if not 0 <= i < size:
-            raise ShapeError(f"vector index {i} out of range {size}")
+        if type(i) is not int or not 0 <= i < size:
+            raise ShapeError(f"vector index {i!r} out of range {size}")
         out[i] = field.parse(s)
     return out
 

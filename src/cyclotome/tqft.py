@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .coend import CoendData
+from .coend import CoendData, _pairing_matrix
 from .cyclic_cat import CYCLIC
 from .cyclic_modules import (
     CyclicModuleData, apply_cyclic_duality, apply_reindexing,
@@ -46,10 +46,7 @@ def nested_pairing_matrix(data: CoendData, n: int) -> LinearMap:
     matrix W with W[y][x] = pairing of slot k of y against slot n-k of x."""
     F = data.field
     d = data.dim
-    W1 = {}
-    for (z, ab), v in data.pairing.entries.items():
-        a, b = divmod(ab, d)
-        W1[(a, b)] = v
+    W1 = _pairing_matrix(data).entries
     total = d ** (n + 1)
     entries = {}
 
@@ -83,12 +80,11 @@ class RTModuleData:
 
 
 def _omega_level_maps(data: CoendData, states: dict[int, SubspaceBasis],
-                      functionals: dict[int, SubspaceBasis], N: int,
-                      levels=None):
+                      functionals: dict[int, SubspaceBasis], N: int):
     """omega^n : Hom(1, C^(x)(n+1)) -> Hom(C^(x)(n+1), 1) via the onion pairing."""
     omega = {}
     omega_inv = {}
-    for n in (range(N + 1) if levels is None else levels):
+    for n in range(N + 1):
         om = states[n].restrict(nested_pairing_matrix(data, n).transpose(), functionals[n])
         if om is None:
             raise TqftError(f"omega^{n} image leaves the functional space")
@@ -98,22 +94,6 @@ def _omega_level_maps(data: CoendData, states: dict[int, SubspaceBasis],
         omega[n] = om
         omega_inv[n] = inv
     return omega, omega_inv
-
-
-def omega_n(data: CoendData, n: int,
-            functionals: SubspaceBasis | None = None) -> tuple[LinearMap, LinearMap]:
-    """The level-n pairing isomorphism Hom(1, C^(x)(n+1)) -> Hom(C^(x)(n+1), 1)
-    and its two-sided inverse, in the given functional basis (defaults to the
-    invariant-functional basis of the tensor power)."""
-    if not data.pairing_nondegenerate:
-        raise TqftError("the base pairing is degenerate (not factorizable)")
-    from .cyclic_modules import invariant_functional_basis
-    states = {n: rt_state_space(data, n)}
-    if functionals is None:
-        functionals = invariant_functional_basis(data.power(n + 1))
-    omega, omega_inv = _omega_level_maps(data, states, {n: functionals}, n,
-                                         levels=(n,))
-    return omega[n], omega_inv[n]
 
 
 def _gate(data: CoendData):

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cyclotome import cli
 from cyclotome.cli import main
@@ -131,6 +135,26 @@ def test_unwritable_cache_is_input_error(tmp_path, argv):
     assert len(proc.stderr.strip().splitlines()) == 1
     assert str(not_a_dir) in proc.stderr
     assert not_a_dir.read_text(encoding="utf-8") == "a regular file"
+
+
+@pytest.mark.parametrize("argv", [
+    ("coend", "build"),
+    ("module", "build", "--which", "W", "-N", "1"),
+], ids=["coend", "module"])
+def test_cache_that_is_a_file_is_rejected_before_the_build(tmp_path, capsys, monkeypatch,
+                                                           argv):
+    not_a_dir = tmp_path / "cache"
+    not_a_dir.write_text("a regular file", encoding="utf-8")
+
+    def no_build(*_):
+        raise AssertionError("the coend was built before the cache was checked")
+
+    monkeypatch.setattr(cli, "build_coend_hopf", no_build)
+    code, out, err = run(capsys, *argv, "--cache", str(not_a_dir),
+                         "--algebra", str(DATA / "z2_trivial.json"))
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:") and str(not_a_dir) in err
+    assert len(err.strip().splitlines()) == 1
 
 
 DAMAGE = {"truncated": lambda text: text[:len(text) // 2],
@@ -337,3 +361,59 @@ def test_cat_expressions(capsys):
     assert code == 0 and out.splitlines()[0] == "d0^2.t_1 : 1->2"
     code, _, err = run(capsys, "cat", "nf bogus : 1->1")
     assert code == 2
+
+
+# -- damaged algebra files ---------------------------------------------------------------
+
+Z2 = json.loads((DATA / "z2_trivial.json").read_text())
+
+
+def _fields(obj, path=()):
+    """Every (path, value) below obj, the root excluded."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) \
+        if isinstance(obj, list) else ()
+    for key, value in items:
+        yield path + (key,), value
+        yield from _fields(value, path + (key,))
+
+
+FIELDS = list(_fields(Z2))
+# (path, kind of damage): a key or list item dropped or given a value of the
+# wrong JSON type, an index of a sparse entry out of range, a malformed scalar
+DAMAGES = ([(path, "drop") for path, _ in FIELDS] + [(path, "type") for path, _ in FIELDS]
+           + [(path, "index") for path, v in FIELDS
+              if type(v) is int and isinstance(path[-1], int) and path[-1] < 2]
+           + [(path, "scalar") for path, v in FIELDS if isinstance(v, str)])
+WRONG_TYPES = [None, True, 1.5, "x", [], {}, 7, [[0]], {"kind": "Q"}]
+BAD_SCALARS = ["1/0", "abc", "", "1//2", "2^", "1e5", "--1", "0x10", "1/2/3", "nan", "inf"]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(DAMAGES), st.data())
+def test_damaged_algebra_file_is_an_input_or_verification_error(damage, data):
+    """hopf verify on z2_trivial.json with one field damaged ends in exit 0, 1
+    or 2, the last with one input-error line, and never raises."""
+    (*parents, key), kind = damage
+    obj = json.loads(json.dumps(Z2))
+    holder = obj
+    for k in parents:
+        holder = holder[k]
+    if kind == "drop":
+        del holder[key]
+    elif kind == "type":
+        holder[key] = data.draw(st.sampled_from(
+            [w for w in WRONG_TYPES if type(w) is not type(holder[key])]))
+    elif kind == "index":
+        holder[key] = data.draw(st.sampled_from([-1, 4, 9, 10 ** 6]))
+    else:
+        holder[key] = data.draw(st.sampled_from(BAD_SCALARS))
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = Path(tmp) / "bad.json"
+        bad.write_text(json.dumps(obj))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["hopf", "verify", "--algebra", str(bad)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("input error:")
+        assert len(err.getvalue().strip().splitlines()) == 1

@@ -1,18 +1,18 @@
 import pytest
 
+from cyclotome import coend, hopf, linalg
 from cyclotome.coend import (
-    CoendError, build_coend_hopf, character_checks, characters_span_check,
-    dinatural_component, end_and_drinfeld, ev_left, factor_through_coend,
-    integrals, internal_character, pairing_value,
+    CoendError, build_coend_hopf, character_checks, character_functional,
+    characters_span_check, coev_right, dinatural_component, end_and_drinfeld, ev_left,
+    factor_through_coend, integrals, internal_character, pairing_value,
 )
 from cyclotome.fields import Cyclotomic, FieldSpec, Rationals
 from cyclotome.hopf import (
     coadjoint_module, drinfeld_double_of_cyclic, group_algebra,
-    group_algebra_simples, hom_space, regular_module, sweedler_h4,
-    trivial_module,
+    group_algebra_simples, hom_space, pivot_inverse, regular_module, sweedler_h4,
+    tensor_module, trivial_module,
 )
-from cyclotome import linalg
-from cyclotome.linalg import LinearMap, kernel_and_rank
+from cyclotome.linalg import UNIT, LinearMap, kernel_and_rank, whisker
 
 Q = Rationals()
 K4 = Cyclotomic(4)
@@ -215,3 +215,155 @@ def test_compose_reads_few_entries_per_product_on_the_d_z3_coend(monkeypatch):
         assert str(exc) == D_Z3_KNOWN_FAILURES
     assert counts["products"] > 0
     assert counts["read"] <= 2 * counts["products"], counts
+
+
+# -- dense references: the coend's maps read entry by entry ----------------------------
+
+
+def dense_dinatural(H, V, carrier):
+    """i_V entry by entry: (k, a v + b) is entry (a, b) of rho(k)."""
+    entries = {}
+    for a in range(V.dim):
+        for b in range(V.dim):
+            for k in range(H.dim):
+                val = V.rho(k).entry(a, b)
+                if not val.is_zero():
+                    entries[(k, a * V.dim + b)] = val
+    return LinearMap(H.field, V.shape * V.shape, carrier.shape, entries)
+
+
+def dense_coev_right(V):
+    gi = V.rho_of(pivot_inverse(V.algebra))
+    d = V.dim
+    entries = {}
+    for j in range(d):
+        for r in range(d):
+            v = gi.entry(r, j)
+            if not v.is_zero():
+                entries[(j * d + r, 0)] = v
+    return LinearMap(V.algebra.field, UNIT, V.shape * V.shape, entries)
+
+
+def dense_pairing_value(cd, x, y):
+    out = cd.field.zero()
+    for (_, ab), v in cd.pairing.entries.items():
+        a, b = divmod(ab, cd.dim)
+        out = out + v * x[a] * y[b]
+    return out
+
+
+def dense_character_functional(cd, V):
+    chi = internal_character(cd, V)
+    out = [cd.field.zero()] * cd.dim
+    for (_, ab), v in cd.pairing.entries.items():
+        a, b = divmod(ab, cd.dim)
+        out[b] = out[b] + v * chi[a]
+    return out
+
+
+def dense_contractions(cd, Om):
+    """(w (x) id)(id (x) Om) and (id (x) w)(Om (x) id) as maps C -> C."""
+    F, d = cd.field, cd.dim
+    left, right = {}, {}
+    for ab, v in enumerate(Om):
+        a, b = divmod(ab, d)
+        for c in range(d):
+            w = cd.pairing.entry(0, c * d + a)
+            left[(b, c)] = left.get((b, c), F.zero()) + w * v
+            w = cd.pairing.entry(0, b * d + c)
+            right[(a, c)] = right.get((a, c), F.zero()) + v * w
+    return (LinearMap(F, cd.carrier.shape, cd.carrier.shape, left),
+            LinearMap(F, cd.carrier.shape, cd.carrier.shape, right))
+
+
+def modules_of(cd):
+    """The regular and coadjoint modules, each simple, and C (x) C."""
+    H, C = cd.algebra, cd.carrier
+    return [regular_module(H), C, *cd.caches.get("simples", []), tensor_module(C, C)]
+
+
+def sample_vectors(cd):
+    F, d = cd.field, cd.dim
+    basis = [[F.one() if i == k else F.zero() for i in range(d)] for k in range(d)]
+    return basis + [cd.unit, [F.from_int(k + 1) for k in range(d)],
+                    [F.from_int(k * k - 2) for k in range(d)]]
+
+
+def test_dinatural_component_matches_the_dense_reference(coends):
+    for name, cd in coends.items():
+        for V in modules_of(cd):
+            assert dinatural_component(cd.algebra, V, cd.carrier) == \
+                dense_dinatural(cd.algebra, V, cd.carrier), (name, V.name)
+
+
+def test_coev_right_matches_the_dense_reference(coends):
+    for name, cd in coends.items():
+        for V in modules_of(cd):
+            assert coev_right(V) == dense_coev_right(V), (name, V.name)
+
+
+def test_pairing_value_matches_the_dense_reference(coends):
+    for name, cd in coends.items():
+        vecs = sample_vectors(cd)
+        for x in vecs:
+            for y in vecs:
+                assert pairing_value(cd, x, y) == dense_pairing_value(cd, x, y), name
+
+
+def test_character_functional_matches_the_dense_reference(coends):
+    for name, cd in coends.items():
+        for V in modules_of(cd):
+            assert character_functional(cd, V) == dense_character_functional(cd, V), \
+                (name, V.name)
+
+
+def test_copairing_contractions_match_the_dense_reference(coends):
+    """The two side conditions of the copairing are whiskers of the pairing."""
+    for name, cd in coends.items():
+        F, c = cd.field, cd.carrier.shape
+        Om = [F.from_int((k * 7) % 5 - 2) for k in range(cd.dim ** 2)]
+        om_map = LinearMap.from_function(F, UNIT, c * c, lambda _: enumerate(Om))
+        left, right = dense_contractions(cd, Om)
+        assert whisker(cd.pairing, UNIT, c).compose(whisker(om_map, c, UNIT)) == left, name
+        assert whisker(cd.pairing, c, UNIT).compose(whisker(om_map, UNIT, c)) == right, name
+    cd = coends["double_z2"]
+    eye = LinearMap.identity(cd.field, cd.carrier.shape)
+    assert dense_contractions(cd, cd.Omega) == (eye, eye)
+
+
+def test_integral_formula_matches_the_dense_reference(coends):
+    """(id (x) w (x) id)(DL (x) DL) is whisker(w, C, C) on DL (x) DL, and the
+    copairing is the inverse pairing matrix read as an element of C (x) C."""
+    cd = coends["double_z2"]
+    F, d, c = cd.field, cd.dim, cd.carrier.shape
+    dL = cd.Delta.apply(cd.integral)
+    om_raw = [F.zero()] * (d * d)
+    for ab, v1 in enumerate(dL):
+        a, b = divmod(ab, d)
+        for ef, v2 in enumerate(dL):
+            e, f = divmod(ef, d)
+            om_raw[a * d + f] = om_raw[a * d + f] + v1 * v2 * cd.pairing.entry(0, b * d + e)
+    assert any(not v.is_zero() for v in om_raw)
+    dL_map = cd.Delta.compose(cd.vector_map(cd.integral))
+    assert whisker(cd.pairing, c, c).compose(dL_map.tensor(dL_map)).apply([F.one()]) == om_raw
+    scale = pairing_value(cd, cd.integral, cd.integral).inverse()
+    assert [scale * v for v in om_raw] == cd.Omega
+    Winv = linalg.invert(coend._pairing_matrix(cd))
+    assert cd.Omega == [Winv.entry(a, b) for a in range(d) for b in range(d)]
+
+
+def test_coend_build_inverts_the_pairing_matrix_once(coends, monkeypatch):
+    """On double_z2 the build inverts three maps: the antipode, the pairing
+    matrix and the S-matrix of the modular data."""
+    calls = []
+    invert = linalg.invert
+
+    def counted(m):
+        calls.append(m.domain.dim)
+        return invert(m)
+
+    monkeypatch.setattr(coend, "invert", counted)
+    monkeypatch.setattr(hopf, "invert", counted)
+    cd = coends["double_z2"]
+    build_coend_hopf(cd.algebra, cd.caches["simples"])
+    assert len(calls) == 3, calls

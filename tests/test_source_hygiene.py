@@ -278,3 +278,56 @@ def test_payload_stays_opaque_outside_fields():
     for path in sorted(PACKAGE.glob("*.py")):
         found += payload_structure_reads(path.read_text(encoding="utf-8"), path.name)
     assert not found, "\n".join(found)
+
+
+# -- no dead private helpers ---------------------------------------------------------------
+
+
+def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
+    """Module-level functions named `_x` (not dunders) that no file of the
+    package references: no name, attribute or import of that name anywhere
+    outside the function's own body."""
+    defined, used = [], set()
+    for filename, source in sources.items():
+        for stmt in ast.parse(source, filename).body:
+            own = stmt.name if isinstance(stmt, FUNCTIONS) else None
+            if own and own.startswith("_") and not own.startswith("__"):
+                defined.append((filename, stmt.lineno, own))
+            for node in ast.walk(stmt):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute)
+                        else node.name if isinstance(node, ast.alias) else None)
+                if name is not None and name != own:
+                    used.add(name)
+    return [f"{filename}:{line} {name}" for filename, line, name in sorted(defined)
+            if name not in used]
+
+
+def test_lint_flags_unreferenced_private_functions():
+    a = (
+        "def _dead():\n"
+        "    return 1\n"
+        "def _used():\n"
+        "    return 2\n"
+        "def _recursive(n):\n"
+        "    return _recursive(n - 1)\n"
+        "def _imported():\n"
+        "    return 3\n"
+        "def public(m):\n"
+        "    return _used(), m._attribute()\n"
+        "def _attribute():\n"
+        "    return 4\n"
+        "class K:\n"
+        "    def _method(self):\n"
+        "        return 5\n"
+    )
+    b = "from .a import _imported\n"
+    assert unreferenced_private_functions({"a.py": a, "b.py": b}) == [
+        "a.py:1 _dead", "a.py:5 _recursive"]
+
+
+def test_no_unreferenced_private_functions_in_package():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    found = unreferenced_private_functions(sources)
+    assert not found, "\n".join(found)

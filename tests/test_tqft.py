@@ -81,21 +81,6 @@ def test_omega_level_zero_is_single_pairing(double, rt_co):
     assert W.entries == _pairing_matrix(double).entries
 
 
-def test_omega_n_standalone(double):
-    from cyclotome.tqft import omega_n
-    om, om_inv = omega_n(double, 1)
-    assert om.compose(om_inv) == LinearMap.identity(Q, om.codomain)
-    assert om_inv.compose(om) == LinearMap.identity(Q, om.domain)
-
-
-def test_omega_n_rejects_degenerate():
-    from cyclotome.tqft import omega_n
-    H, simples = load_algebra(DATA / "z2_trivial.json")
-    cd = build_coend_hopf(H, simples)
-    with pytest.raises(TqftError):
-        omega_n(cd, 0)
-
-
 def test_omega_inverse_two_sided(rt_co):
     for n in range(3):
         om, inv = rt_co.omega_maps[n], rt_co.omega_inverse[n]
