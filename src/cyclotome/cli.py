@@ -74,6 +74,14 @@ def _cache_dir(args) -> Path | None:
     return path
 
 
+def _reads_no_cache(args, verb: str):
+    """An explicit --cache on a verb that reads no cache is an input error,
+    raised before anything is loaded; --no-cache is accepted there and does
+    nothing, and CYCLOTOME_CACHE is ignored."""
+    if args.cache is not None:
+        raise InputError(f"{verb} reads no cache; drop --cache")
+
+
 def _cache_key(path: str, *params) -> str:
     h = hashlib.sha256()
     h.update(Path(path).read_bytes())
@@ -150,6 +158,7 @@ def _report_payload(*reports: CheckReport) -> dict:
 
 
 def cmd_hopf_verify(args) -> int:
+    _reads_no_cache(args, "hopf verify")
     H, simples = _load(args.algebra)
     rep = verify_axioms(H)
     reports = [rep]
@@ -207,9 +216,10 @@ def cmd_coend_build(args) -> int:
     return _emit(args, payload, ok)
 
 
-_BUILDERS = {
-    "W": lambda data, N: explicit_coend_cyclic(data.algebra, N),
-    "Wco": lambda data, N: explicit_coend_cocyclic(data.algebra, N),
+# the explicit models on invariant tensors read only the algebra; the other
+# cached builders read the coend
+_ALGEBRA_BUILDERS = {"W": explicit_coend_cyclic, "Wco": explicit_coend_cocyclic}
+_COEND_BUILDERS = {
     "generic": lambda data, N: cyclic_module_from_algebra(
         coend_algebra_object(data), N),
     "genericco": lambda data, N: cocyclic_module_from_coalgebra(
@@ -217,9 +227,12 @@ _BUILDERS = {
     "para": lambda data, N: build_paracyclic(coend_coalgebra_object(data), N),
     "paraco": lambda data, N: build_paracocyclic(coend_algebra_object(data), N),
 }
+_BUILDERS = {**_ALGEBRA_BUILDERS, **_COEND_BUILDERS}
 
 
 def cmd_module_build(args) -> int:
+    if args.which not in _BUILDERS:
+        _reads_no_cache(args, f"module build --which {args.which}")
     H, simples = _load(args.algebra)
     N = _max_level(args, 2 if args.which in ("rt", "rtc") else 3)
     if args.which == "rcyclic":
@@ -241,11 +254,13 @@ def cmd_module_build(args) -> int:
     payload = {"algebra": H.name, "which": args.which, "max_level": N,
                "cached": cached}
     try:
-        if module is None:
-            # a hit needs no coend
+        if module is None and args.which in _ALGEBRA_BUILDERS:
+            module = _ALGEBRA_BUILDERS[args.which](H, N)
+        elif module is None:
+            # a miss of a builder that reads the coend; a hit needs none
             data = build_coend_hopf(H, simples or None)
-            if args.which in _BUILDERS:
-                module = _BUILDERS[args.which](data, N)
+            if args.which in _COEND_BUILDERS:
+                module = _COEND_BUILDERS[args.which](data, N)
             elif args.which == "rcyclic":
                 para = build_paracyclic(coend_coalgebra_object(data), N)
                 module, scalar, r = r_cyclic_from_simple(para, simples[args.simple])
@@ -289,10 +304,11 @@ def cmd_module_build(args) -> int:
 
 
 def cmd_homology(args) -> int:
+    _reads_no_cache(args, "homology")
     H, simples = _load(args.algebra)
     N = _max_level(args, 3)
-    data = build_coend_hopf(H, simples or None)
     if args.chirality == "cocyclic":
+        data = build_coend_hopf(H, simples or None)
         module = cocyclic_module_from_coalgebra(coend_coalgebra_object(data), N + 1)
     else:
         module = explicit_coend_cyclic(H, N + 1)
@@ -309,6 +325,7 @@ def cmd_homology(args) -> int:
 
 
 def cmd_tqft_verify(args) -> int:
+    _reads_no_cache(args, "tqft verify")
     H, simples = _load(args.algebra)
     N = _max_level(args, 2)
     try:
@@ -418,7 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("table", "json"), default="table")
         if with_N:
             p.add_argument("-N", type=int, default=None, help="maximum level")
-        p.add_argument("--cache", default=None, help="cache directory")
+        p.add_argument("--cache", default=None,
+                       help="cache directory (coend build, cached module builders)")
         p.add_argument("--no-cache", action="store_true")
 
     hopf = sub.add_parser("hopf", help="axiom suites").add_subparsers(

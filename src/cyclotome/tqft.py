@@ -76,6 +76,7 @@ class RTModuleData:
     omega_maps: dict[int, LinearMap]       # state basis -> functional basis
     omega_inverse: dict[int, LinearMap]
     reindexed_coend: CyclicModuleData
+    coend_module: CyclicModuleData         # the coend module before reindexing
     report: CheckReport = dc_field(default_factory=lambda: CheckReport("rt"))
 
 
@@ -133,7 +134,7 @@ def _build_rt(data: CoendData, N: int, chirality: str) -> RTModuleData:
                               _conjugated(reindexed, omega, omega_inv),
                               provenance=f"state {chirality} module of {data.algebra.name}")
     rep = CheckReport(f"rt {chirality} module of {data.algebra.name}")
-    return RTModuleData(data, chirality, module, omega, omega_inv, reindexed, rep)
+    return RTModuleData(data, chirality, module, omega, omega_inv, reindexed, base, rep)
 
 
 def build_rt_cocyclic(data: CoendData, N: int) -> RTModuleData:
@@ -259,7 +260,7 @@ def verify_main_theorem(data: CoendData, N: int,
     # (iii) the dual comparison: the reindexed state module and the plain coend
     # module, both transported through the duality, are intertwined by omega
     lhs_dual = apply_cyclic_duality(apply_reindexing(M))
-    base = cocyclic_module_from_coalgebra(coend_coalgebra_object(data), N)
+    base = rt.coend_module
     rhs_dual = apply_cyclic_duality(base)
     ok = True
     for key, g in rhs_dual.gen.items():

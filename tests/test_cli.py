@@ -12,6 +12,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cyclotome import cli
 from cyclotome.cli import main
+from cyclotome.fields import Cyclotomic
+from cyclotome.hopf import drinfeld_double_of_cyclic
+from cyclotome.linalg import map_to_json, vector_to_json
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 DATA = SRC / "cyclotome" / "data"
@@ -239,6 +242,119 @@ def test_module_cache_hit_skips_the_coend(tmp_path, capsys, monkeypatch, which):
     p1, p2 = json.loads(out1), json.loads(out2)
     assert (p1.pop("cached"), p2.pop("cached")) == (False, True)
     assert p1 == p2
+
+
+BUNDLES = ("z2_trivial", "z2_semion", "sweedler_h4", "double_z2")
+
+
+class CoendReached(Exception):
+    pass
+
+
+def reach_coend(*_):
+    raise CoendReached
+
+
+@pytest.mark.parametrize("name", BUNDLES)
+@pytest.mark.parametrize("argv", [
+    ("module", "build", "--which", "W", "-N", "2", "--no-cache"),
+    ("module", "build", "--which", "Wco", "-N", "2", "--no-cache"),
+    ("homology", "--chirality", "cyclic", "-N", "1"),
+], ids=["W", "Wco", "cyclic-homology"])
+def test_explicit_model_commands_build_no_coend(capsys, monkeypatch, argv, name):
+    """W, Wco and cyclic homology read only the algebra: their reports are
+    the same with the coend build made to raise."""
+    args = (*argv, "--algebra", str(DATA / f"{name}.json"))
+    code, expected, _ = run(capsys, *args)
+    assert code == 0
+    monkeypatch.setattr(cli, "build_coend_hopf", reach_coend)
+    assert run(capsys, *args) == (0, expected, "")
+
+
+def write_algebra(H, path):
+    """H as an algebra file, without simples."""
+    obj = {"name": H.name, "field": H.field.to_json(), "dim": H.dim,
+           "basis": H.basis_labels, "u": vector_to_json(H.u),
+           "epsilon": [[c, repr(v)] for (_, c), v in sorted(H.epsilon.entries.items())],
+           **{key: map_to_json(getattr(H, key))["entries"]
+              for key in ("m", "Delta", "S", "S_inv")},
+           **{key: vector_to_json(getattr(H, key))
+              for key in ("R", "R_inv", "theta", "theta_inv")}}
+    path.write_text(json.dumps(obj), encoding="utf-8")
+
+
+def test_explicit_models_run_where_the_coend_gates_fail(tmp_path, capsys):
+    """D(Z3) fails two gates of the coend's integral formula, so coend build
+    exits 1; W, Wco and cyclic homology never build the coend and pass."""
+    alg = tmp_path / "double_z3.json"
+    write_algebra(drinfeld_double_of_cyclic(Cyclotomic(3), 3), alg)
+    code, _, err = run(capsys, "coend", "build", "--no-cache", "--algebra", str(alg))
+    assert code == 1 and "integral formula" in err
+    for argv in (("module", "build", "--which", "W", "-N", "2"),
+                 ("module", "build", "--which", "Wco", "-N", "2"),
+                 ("homology", "--chirality", "cyclic", "-N", "1")):
+        code, out, err = run(capsys, *argv, "--no-cache", "--format", "json",
+                             "--algebra", str(alg))
+        assert (code, err) == (0, ""), argv
+        assert json.loads(out)["ok"] is True
+
+
+@pytest.mark.parametrize("argv,where", [
+    (("module", "build", "--which", "W"), "out"),
+    (("module", "build", "--which", "Wco"), "out"),
+    (("homology", "--chirality", "cyclic"), "err"),
+], ids=["W", "Wco", "cyclic-homology"])
+def test_explicit_model_without_ribbon_data_is_a_verification_failure(tmp_path, capsys,
+                                                                      argv, where):
+    src = json.loads((DATA / "z2_trivial.json").read_text())
+    for key in ("R", "R_inv", "theta", "theta_inv"):
+        del src[key]
+    alg = tmp_path / "no_ribbon.json"
+    alg.write_text(json.dumps(src))
+    code, out, err = run(capsys, *argv, "-N", "1", "--no-cache", "--algebra", str(alg))
+    assert code == 1
+    assert "needs ribbon data" in {"out": out, "err": err}[where]
+
+
+@pytest.mark.parametrize("argv", [
+    ("homology", "-N", "1"),
+    ("tqft", "verify", "-N", "1"),
+    *[("module", "build", "--which", which, "-N", "1", "--no-cache")
+      for which in ("generic", "genericco", "para", "paraco", "rcyclic", "rt", "rtc")],
+], ids=lambda argv: " ".join(argv[:4]))
+def test_coend_commands_build_the_coend(monkeypatch, argv):
+    monkeypatch.setattr(cli, "build_coend_hopf", reach_coend)
+    with pytest.raises(CoendReached):
+        main([*argv, "--algebra", str(DATA / "double_z2.json")])
+
+
+@pytest.mark.parametrize("kind", ["directory", "file"])
+@pytest.mark.parametrize("argv", [
+    ("hopf", "verify"),
+    ("homology",),
+    ("tqft", "verify"),
+    ("module", "build", "--which", "rcyclic"),
+    ("module", "build", "--which", "rt"),
+    ("module", "build", "--which", "rtc"),
+], ids=" ".join)
+def test_cache_on_a_verb_that_reads_none_is_input_error(tmp_path, capsys, monkeypatch,
+                                                        argv, kind):
+    cache = tmp_path / "cache"
+    if kind == "file":
+        cache.write_text("a regular file", encoding="utf-8")
+    else:
+        cache.mkdir()
+
+    def no_load(*_):
+        raise AssertionError("the algebra was loaded before --cache was rejected")
+
+    monkeypatch.setattr(cli, "_load", no_load)
+    code, out, err = run(capsys, *argv, "--cache", str(cache),
+                         "--algebra", str(DATA / "double_z2.json"))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: {' '.join(argv)} reads no cache")
+    assert len(err.strip().splitlines()) == 1
+    assert kind == "file" or list(cache.iterdir()) == []
 
 
 def test_coend_build_flags(capsys):

@@ -62,6 +62,24 @@ def test_state_spaces_are_kernel_bases_and_restrict_without_solve(double, monkey
     assert calls == []
 
 
+def test_tqft_verify_builds_the_coend_module_once(monkeypatch, capsys):
+    """The theorem check reuses the cocyclic coend module that the state
+    module was conjugated from instead of building it again."""
+    from cyclotome import cli, cyclic_modules, tqft
+    calls = []
+    build = cyclic_modules.cocyclic_module_from_coalgebra
+
+    def counted(*args):
+        calls.append(1)
+        return build(*args)
+
+    for mod in (cli, cyclic_modules, tqft):
+        monkeypatch.setattr(mod, "cocyclic_module_from_coalgebra", counted)
+    assert cli.main(["tqft", "verify", "-N", "1", "--algebra", str(DATA / "double_z2.json")]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
 def test_state_space_dim_z2():
     H, simples = load_algebra(DATA / "z2_trivial.json")
     cd = build_coend_hopf(H, simples)
