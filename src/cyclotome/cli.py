@@ -26,7 +26,7 @@ from .cyclic_modules import (
     module_from_json, module_to_json, r_cyclic_from_simple,
     twisted_cyclicity_check,
 )
-from .homology import cyclic_ranks, hochschild_ranks, mixed_identities
+from .homology import HomologyError, cyclic_ranks, hochschild_ranks, mixed_identities
 from .hopf import HopfError, coadjoint_module, load_algebra, modular_data, \
     module_power, verify_axioms, verify_quasitriangular_ribbon
 from .reports import CheckReport
@@ -495,7 +495,7 @@ def main(argv=None) -> int:
     except (cc.CyclicCatError,) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (HopfError, CoendError, CyclicModuleError, TqftError) as exc:
+    except (HopfError, CoendError, CyclicModuleError, TqftError, HomologyError) as exc:
         print(f"verification error: {exc}", file=sys.stderr)
         return 1
 

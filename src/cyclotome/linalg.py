@@ -778,21 +778,41 @@ class SubspaceBasis:
         columns: dict[int, list[tuple[int, object]]] = {}
         for (r, c), v in ambient.entries.items():
             columns.setdefault(c, []).append((r, v.payload))
-        entries = {}
-        for c, vec in enumerate(self._sparse):
+        images = []
+        for vec in self._sparse:
             image: dict[int, object] = {}
             for j, x in vec.items():
                 for r, v in columns.get(j, ()):
                     p = mul(v, x)
                     image[r] = add(image[r], p) if r in image else p
-            coords = target._sparse_coordinates(
-                {r: p for r, p in image.items() if not is_zero(p)})
+            images.append({r: p for r, p in image.items() if not is_zero(p)})
+        return target._coordinate_columns(images, TensorShape([self.dim]))
+
+    def coordinates_of(self, m: LinearMap, renumber: Sequence[int]) -> LinearMap | None:
+        """The matrix whose column c holds the coordinates in this basis of
+        column c of m, row r of m read as ambient row renumber[r], or None if
+        a column leaves the span."""
+        if m.codomain.dim != self.ambient_dim or m.field != self.field:
+            raise ShapeError(f"cannot read a map into {m.codomain} in this subspace")
+        columns: list[dict[int, object]] = [{} for _ in range(m.domain.dim)]
+        for (r, c), v in m.entries.items():
+            columns[c][renumber[r]] = v.payload
+        return self._coordinate_columns(columns, m.domain)
+
+    def _coordinate_columns(self, columns: Iterable[dict[int, object]],
+                            domain: TensorShape) -> LinearMap | None:
+        """The map out of domain whose column c holds the coordinates of the
+        c-th vector of columns, given by its nonzero payloads, or None if one
+        leaves the span."""
+        F = self.field
+        entries = {}
+        for c, vec in enumerate(columns):
+            coords = self._sparse_coordinates(vec)
             if coords is None:
                 return None
             for k, p in coords.items():
                 entries[(k, c)] = Scalar(F, p)
-        return LinearMap._from_clean(F, TensorShape([self.dim]),
-                                     TensorShape([target.dim]), entries)
+        return LinearMap._from_clean(F, domain, TensorShape([self.dim]), entries)
 
     def matrix(self) -> LinearMap:
         """Inclusion of the subspace into the ambient space (columns = basis vectors)."""

@@ -12,7 +12,7 @@ check on those generators rather than a tautology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .coend import CoendData, _pairing_matrix
 from .cyclic_cat import CYCLIC
@@ -21,7 +21,7 @@ from .cyclic_modules import (
     cocyclic_module_from_coalgebra, cyclic_module_from_algebra, coend_algebra_object,
     coend_coalgebra_object, generator_levels, invariant_tensor_basis, restrict_generators,
 )
-from .linalg import LinearMap, SubspaceBasis, TensorShape, UNIT, invert, whisker
+from .linalg import LinearMap, SubspaceBasis, TensorShape, UNIT, whisker
 from .reports import CheckReport
 
 
@@ -41,31 +41,18 @@ def rt_state_space(data: CoendData, n: int) -> SubspaceBasis:
     return basis
 
 
-def nested_pairing_matrix(data: CoendData, n: int) -> LinearMap:
-    """The (n+1)-fold onion pairing C^(x)(n+1) (x) C^(x)(n+1) -> 1 as a square
-    matrix W with W[y][x] = pairing of slot k of y against slot n-k of x."""
-    F = data.field
-    d = data.dim
-    W1 = _pairing_matrix(data).entries
-    total = d ** (n + 1)
-    entries = {}
-
-    def rec(k):
-        if k == 0:
-            return {(0, 0): F.one()}
-        prev = rec(k - 1)
-        out = {}
-        for (y, x), v in prev.items():
-            for (a, b), w in W1.items():
-                # the innermost remaining slot of y pairs with the outermost of x
-                out[(y * d + a, b * (d ** (k - 1)) + x)] = v * w
-        return out
-
-    pairs = rec(n + 1)
-    for (y, x), v in pairs.items():
-        if not v.is_zero():
-            entries[(y, x)] = v
-    return LinearMap(F, TensorShape([total]), TensorShape([total]), entries)
+def _onion(M: LinearMap, n: int, vectors: LinearMap, target: SubspaceBasis,
+           reversal: list[int]) -> LinearMap | None:
+    """The coordinates in target of N_M^T o vectors, or None if an image leaves
+    the target span.  N_M[y][x] = prod_k M[y_k][x_(n-k)] is the onion matrix
+    on C^(x)(n+1) of a d x d matrix M, and N_M^T = P_rev o (M^T)^(x)(n+1) is
+    applied one slot at a time, as n + 1 whiskers of M^T at (n+1)d products
+    per nonzero instead of d^(n+1), with the slot reversal P_rev as a
+    renumbering of the rows."""
+    Mt, d = M.transpose(), M.domain.dim
+    for k in range(n + 1):
+        vectors = whisker(Mt, TensorShape([d] * k), TensorShape([d] * (n - k))).compose(vectors)
+    return target.coordinates_of(vectors, reversal)
 
 
 @dataclass
@@ -77,24 +64,37 @@ class RTModuleData:
     omega_inverse: dict[int, LinearMap]
     reindexed_coend: CyclicModuleData
     coend_module: CyclicModuleData         # the coend module before reindexing
-    report: CheckReport = dc_field(default_factory=lambda: CheckReport("rt"))
 
 
-def _omega_level_maps(data: CoendData, states: dict[int, SubspaceBasis],
-                      functionals: dict[int, SubspaceBasis], N: int):
-    """omega^n : Hom(1, C^(x)(n+1)) -> Hom(C^(x)(n+1), 1) via the onion pairing."""
-    omega = {}
-    omega_inv = {}
+def _conjugation(data: CoendData, M: CyclicModuleData, states: dict[int, SubspaceBasis]):
+    """omega^n : Hom(1, C^(x)(n+1)) -> Hom(C^(x)(n+1), 1) via the onion pairing,
+    the restriction of N_W^T for the pairing matrix W, its inverse, and every
+    generator g of M carried through them as omega^-1[target] o (g o omega[source]).
+
+    In N_A o N_B = (AB)^(x)(n+1) the two slot reversals cancel, so N_W^-1 =
+    N_(W^-1), and omega^-n restricts N_(W^-1)^T; W^-1 is the inverse
+    copairing Omega[a d + b] = W^-1[a][b] that build_coend_hopf certifies.
+    omega^-0 o omega^0 = id is checked exactly."""
+    F, c, d, N = data.field, data.carrier.shape, data.dim, M.max_level
+    W = _pairing_matrix(data)
+    Winv = LinearMap(F, c, c, {divmod(i, d): v for i, v in enumerate(data.Omega)})
+    rev, lifts, omega, omega_inv = {}, {}, {}, {}
     for n in range(N + 1):
-        om = states[n].restrict(nested_pairing_matrix(data, n).transpose(), functionals[n])
-        if om is None:
-            raise TqftError(f"omega^{n} image leaves the functional space")
-        inv = invert(om)
-        if inv is None:
-            raise TqftError(f"omega^{n} is singular; the base is not factorizable")
-        omega[n] = om
-        omega_inv[n] = inv
-    return omega, omega_inv
+        s = TensorShape([d] * (n + 1))
+        rev[n] = [s.index_of(s.multi_index(i)[::-1]) for i in range(s.dim)]
+        lifts[n] = M.spaces[n].matrix()
+        omega[n] = _onion(W, n, states[n].matrix(), M.spaces[n], rev[n])
+        omega_inv[n] = _onion(Winv, n, lifts[n], states[n], rev[n])
+        if omega[n] is None or omega_inv[n] is None:
+            raise TqftError(f"omega^{n} does not map the states onto the functionals")
+    if omega_inv[0].compose(omega[0]) != LinearMap.identity(F, omega[0].domain):
+        raise TqftError("omega^-0 o omega^0 is not the identity: Omega does not invert W")
+    gen = {}
+    for key, g in M.gen.items():
+        src, tgt = generator_levels(M.chirality, key)
+        gen[key] = _onion(Winv, tgt, lifts[tgt].compose(g.compose(omega[src])), states[tgt],
+                          rev[tgt])
+    return omega, omega_inv, gen
 
 
 def _gate(data: CoendData):
@@ -108,17 +108,6 @@ def _gate(data: CoendData):
         raise TqftError("the base is not modular")
 
 
-def _conjugated(M: CyclicModuleData, omega: dict[int, LinearMap],
-                omega_inv: dict[int, LinearMap]) -> dict[tuple, LinearMap]:
-    """Every generator g of M carried through the pairing isomorphisms:
-    omega_inv[target] o g o omega[source]."""
-    out = {}
-    for key, g in M.gen.items():
-        src, tgt = generator_levels(M.chirality, key)
-        out[key] = omega_inv[tgt].compose(g).compose(omega[src])
-    return out
-
-
 def _build_rt(data: CoendData, N: int, chirality: str) -> RTModuleData:
     """The state module: generator maps conjugate the reindexed coend module of
     the given chirality through omega."""
@@ -129,12 +118,10 @@ def _build_rt(data: CoendData, N: int, chirality: str) -> RTModuleData:
         base = cyclic_module_from_algebra(coend_algebra_object(data), N)
     reindexed = apply_reindexing(base)
     states = {n: rt_state_space(data, n) for n in range(N + 1)}
-    omega, omega_inv = _omega_level_maps(data, states, reindexed.spaces, N)
-    module = CyclicModuleData(CYCLIC, chirality, N, states,
-                              _conjugated(reindexed, omega, omega_inv),
+    omega, omega_inv, gen = _conjugation(data, reindexed, states)
+    module = CyclicModuleData(CYCLIC, chirality, N, states, gen,
                               provenance=f"state {chirality} module of {data.algebra.name}")
-    rep = CheckReport(f"rt {chirality} module of {data.algebra.name}")
-    return RTModuleData(data, chirality, module, omega, omega_inv, reindexed, base, rep)
+    return RTModuleData(data, chirality, module, omega, omega_inv, reindexed, base)
 
 
 def build_rt_cocyclic(data: CoendData, N: int) -> RTModuleData:
@@ -246,10 +233,10 @@ def verify_main_theorem(data: CoendData, N: int,
         rhs = reT.gen[key].compose(rt.omega_maps[src])
         rep.check(f"naturality square for {face if kind == 'delta' else degen} {i} "
                   f"at level {n}", lhs.entries == rhs.entries)
+    rotated = {n: rt.omega_maps[n].compose(M.tau(n)).entries for n in range(N + 1)}
     for n in range(N + 1):
-        lhs = rt.omega_maps[n].compose(M.tau(n))
-        rhs = reT.tau(n).compose(rt.omega_maps[n])
-        rep.check(f"rotation square at level {n}", lhs.entries == rhs.entries)
+        rep.check(f"rotation square at level {n}",
+                  rotated[n] == reT.tau(n).compose(rt.omega_maps[n]).entries)
 
     # rotation power collapses (cocyclicity survives the conjugation)
     for n in range(N + 1):
@@ -274,18 +261,10 @@ def verify_main_theorem(data: CoendData, N: int,
 
     # (iv) negative control: without the reindexing the rotation square must
     # fail wherever the rotation is not an involution
-    plain = base
-    control_relevant = False
-    control_broken = False
-    for n in range(N + 1):
-        t = plain.tau(n)
-        if t.entries != plain.tau_power(n, -1).entries:
-            control_relevant = True
-            lhs = rt.omega_maps[n].compose(M.tau(n))
-            rhs = plain.tau(n).compose(rt.omega_maps[n])
-            if lhs.entries != rhs.entries:
-                control_broken = True
-    if control_relevant:
+    relevant = [n for n in range(N + 1)
+                if base.tau(n).entries != base.tau_power(n, -1).entries]
+    if relevant:
         rep.check("negative control: dropping the reindexing breaks a rotation square",
-                  control_broken)
+                  any(rotated[n] != base.tau(n).compose(rt.omega_maps[n]).entries
+                      for n in relevant))
     return rep

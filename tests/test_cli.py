@@ -481,7 +481,8 @@ def test_cat_expressions(capsys):
 
 # -- damaged algebra files ---------------------------------------------------------------
 
-Z2 = json.loads((DATA / "z2_trivial.json").read_text())
+BUNDLES = {name: json.loads((DATA / f"{name}.json").read_text())
+           for name in ("z2_trivial", "z2_semion")}   # over Q and over Q(i)
 
 
 def _fields(obj, path=()):
@@ -493,24 +494,33 @@ def _fields(obj, path=()):
         yield from _fields(value, path + (key,))
 
 
-FIELDS = list(_fields(Z2))
-# (path, kind of damage): a key or list item dropped or given a value of the
-# wrong JSON type, an index of a sparse entry out of range, a malformed scalar
-DAMAGES = ([(path, "drop") for path, _ in FIELDS] + [(path, "type") for path, _ in FIELDS]
-           + [(path, "index") for path, v in FIELDS
-              if type(v) is int and isinstance(path[-1], int) and path[-1] < 2]
-           + [(path, "scalar") for path, v in FIELDS if isinstance(v, str)])
+def _damages(obj):
+    """(path, kind of damage): a key or list item dropped or given a value of
+    the wrong JSON type, an index of a sparse entry out of range, a malformed
+    scalar."""
+    fields = list(_fields(obj))
+    return ([(path, "drop") for path, _ in fields] + [(path, "type") for path, _ in fields]
+            + [(path, "index") for path, v in fields
+               if type(v) is int and isinstance(path[-1], int) and path[-1] < 2]
+            + [(path, "scalar") for path, v in fields if isinstance(v, str)])
+
+
+DAMAGES = {name: _damages(obj) for name, obj in BUNDLES.items()}
 WRONG_TYPES = [None, True, 1.5, "x", [], {}, 7, [[0]], {"kind": "Q"}]
 BAD_SCALARS = ["1/0", "abc", "", "1//2", "2^", "1e5", "--1", "0x10", "1/2/3", "nan", "inf"]
+FUZZED_VERBS = [("hopf", "verify"), ("coend", "build", "--no-cache"),
+                ("module", "build", "--which", "W", "-N", "1", "--no-cache"),
+                ("homology", "-N", "1"), ("tqft", "verify", "-N", "1")]
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.sampled_from(DAMAGES), st.data())
-def test_damaged_algebra_file_is_an_input_or_verification_error(damage, data):
-    """hopf verify on z2_trivial.json with one field damaged ends in exit 0, 1
-    or 2, the last with one input-error line, and never raises."""
-    (*parents, key), kind = damage
-    obj = json.loads(json.dumps(Z2))
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(sorted(BUNDLES)), st.sampled_from(FUZZED_VERBS), st.data())
+def test_damaged_algebra_file_is_an_input_or_verification_error(name, verb, data):
+    """Every verb that reads an algebra file, on z2_trivial.json or
+    z2_semion.json with one field damaged, ends in exit 0, 1 or 2, the last
+    with one input-error line, and never raises."""
+    (*parents, key), kind = data.draw(st.sampled_from(DAMAGES[name]))
+    obj = json.loads(json.dumps(BUNDLES[name]))
     holder = obj
     for k in parents:
         holder = holder[k]
@@ -528,8 +538,29 @@ def test_damaged_algebra_file_is_an_input_or_verification_error(damage, data):
         bad.write_text(json.dumps(obj))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["hopf", "verify", "--algebra", str(bad)])
+            code = main([*verb, "--algebra", str(bad)])
     assert code in (0, 1, 2)
     if code == 2:
         assert err.getvalue().startswith("input error:")
         assert len(err.getvalue().strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("damage", ["drop 0", "drop 1", "drop 2", "move 5"])
+def test_failed_homology_gate_is_a_verification_error(tmp_path, damage):
+    """An entry of R_inv in z2_semion.json dropped, or moved to another
+    index, makes the mixed complex of the cocyclic coend module fail its
+    identities: homology exits 1 with one verification-error line, not a
+    traceback."""
+    obj = json.loads((DATA / "z2_semion.json").read_text())
+    kind, k = damage.split()
+    if kind == "drop":
+        del obj["R_inv"][int(k)]
+    else:
+        obj["R_inv"][0][0] = int(k)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    proc = run_child("homology", "-N", "1", "--algebra", str(bad))
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("verification error:")
+    assert len(proc.stderr.strip().splitlines()) == 1

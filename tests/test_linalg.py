@@ -146,6 +146,22 @@ def test_subspace_restrict():
     assert basis.restrict(first, basis) is None
 
 
+def test_coordinates_of_reads_renumbered_columns():
+    vs = [[Q.one(), Q.zero(), Q.one()], [Q.zero(), Q.one(), Q.one()]]
+    basis = SubspaceBasis(Q, 3, vs, [0, 1])
+    two, three = Q.from_int(2), Q.from_int(3)
+    # column 0 is 2 e1 + 2 e2, column 1 is 3 e0 + 3 e2, each read with e0 and e1
+    # exchanged, so in the span; column 2 is 0
+    m = LinearMap(Q, TensorShape([3]), TensorShape([3]),
+                  {(1, 0): two, (2, 0): two, (0, 1): three, (2, 1): three})
+    assert basis.coordinates_of(m, [1, 0, 2]).entries == {(0, 0): two, (1, 1): three}
+    assert basis.coordinates_of(m, [1, 0, 2]).domain == m.domain
+    # with the rows rotated instead, column 1 is 3 e1 + 3 e0, outside the span
+    assert basis.coordinates_of(m, [1, 2, 0]) is None
+    with pytest.raises(ShapeError):
+        basis.coordinates_of(LinearMap.identity(Q, TensorShape([2])), [0, 1])
+
+
 def test_restrict_checks_every_nonzero_of_the_image():
     # kernel of x0 = x2, x1 = 0: the basis vector (1, 0, 1), indicator column 2
     m = LinearMap.from_rows(Q, TensorShape([3]), TensorShape([2]),

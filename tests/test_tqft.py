@@ -6,10 +6,11 @@ from cyclotome.coend import build_coend_hopf
 from cyclotome.cyclic_modules import check_relations, invariant_tensor_basis
 from cyclotome.fields import Rationals
 from cyclotome.hopf import load_algebra
-from cyclotome.linalg import LinearMap, kernel_and_rank
+from cyclotome.cyclic_modules import generator_levels
+from cyclotome.linalg import LinearMap, TensorShape, invert, kernel_and_rank, permute_factors
 from cyclotome.tqft import (
-    TqftError, build_rt_cocyclic, build_rt_cyclic, nested_pairing_matrix,
-    rt_state_space, shape_checks, verify_main_theorem,
+    TqftError, build_rt_cocyclic, build_rt_cyclic, rt_state_space, shape_checks,
+    verify_main_theorem,
 )
 
 Q = Rationals()
@@ -25,6 +26,28 @@ def double():
 @pytest.fixture(scope="module")
 def rt_co(double):
     return build_rt_cocyclic(double, 2)
+
+
+@pytest.fixture(scope="module")
+def rt_cy(double):
+    return build_rt_cyclic(double, 2)
+
+
+def _pairing(double):
+    """The pairing matrix W[a][b] = omega(e_a (x) e_b), read off the pairing."""
+    d = double.dim
+    C = TensorShape([d])
+    return LinearMap(Q, C, C, {divmod(ab, d): v for (_, ab), v in double.pairing.entries.items()})
+
+
+def _onion_matrix(M, n):
+    """The dense onion matrix N_M[y][x] = prod_k M[y_k][x_(n-k)] on C^(x)(n+1):
+    the Kronecker power of M after the slot reversal."""
+    power = M
+    for _ in range(n):
+        power = power.tensor(M)
+    shape = TensorShape([M.domain.dim] * (n + 1))
+    return power.compose(permute_factors(Q, shape, list(range(n, -1, -1))))
 
 
 def test_state_space_dims(double):
@@ -87,16 +110,92 @@ def test_state_space_dim_z2():
 
 
 def test_nested_pairing_invertible(double):
+    W = _pairing(double)
+    d = W.domain.dim
     for n in range(3):
-        W = nested_pairing_matrix(double, n)
-        assert kernel_and_rank(W)[1] == W.domain.dim
+        N_W = _onion_matrix(W, n)
+        assert kernel_and_rank(N_W)[1] == N_W.domain.dim
+        if n <= 1:   # the test's dense reference entry by entry
+            shape = TensorShape([d] * (n + 1))
+            for y in range(shape.dim):
+                for x in range(shape.dim):
+                    ys, xs, value = shape.multi_index(y), shape.multi_index(x), Q.one()
+                    for k in range(n + 1):
+                        value = value * W.entry(ys[k], xs[n - k])
+                    assert N_W.entry(y, x) == value
 
 
 def test_omega_level_zero_is_single_pairing(double, rt_co):
-    # omega^0 pairs the single slot, i.e. the plain pairing matrix
-    W = nested_pairing_matrix(double, 0)
+    # omega^0 pairs the single slot, i.e. the plain pairing matrix, restricted
+    # to the states
     from cyclotome.coend import _pairing_matrix
-    assert W.entries == _pairing_matrix(double).entries
+    assert _onion_matrix(_pairing(double), 0) == _pairing_matrix(double)
+    assert rt_co.omega_maps[0] == rt_co.module.spaces[0].restrict(
+        _pairing_matrix(double).transpose(), rt_co.reindexed_coend.spaces[0])
+
+
+def test_omega_maps_are_the_dense_onion_pairing_and_its_inverse(double, rt_co, rt_cy):
+    """omega^n is the restriction of the dense N_W^T from the states to the
+    functionals, and omega^-n, built from W^-1 one slot at a time, is the
+    inverse that elimination finds, at every level up to 2 of both state
+    modules."""
+    W = _pairing(double)
+    for rt in (rt_co, rt_cy):
+        for n in range(3):
+            dense = rt.module.spaces[n].restrict(_onion_matrix(W, n).transpose(),
+                                                 rt.reindexed_coend.spaces[n])
+            assert rt.omega_maps[n] == dense, (rt.chirality, n)
+            assert rt.omega_inverse[n] == invert(dense), (rt.chirality, n)
+
+
+def test_generators_are_the_dense_conjugates(rt_co, rt_cy):
+    """Every generator of both state modules up to level 2 is the dense
+    product omega^-1[target] o g o omega[source] of the reindexed coend
+    generator g, with omega^-1 found by elimination."""
+    for rt in (rt_co, rt_cy):
+        inverse = {n: invert(om) for n, om in rt.omega_maps.items()}
+        for key, g in rt.reindexed_coend.gen.items():
+            src, tgt = generator_levels(rt.chirality, key)
+            assert rt.module.gen[key] == inverse[tgt].compose(g).compose(rt.omega_maps[src]), \
+                (rt.chirality, key)
+
+
+def test_state_module_solves_nothing_and_makes_few_products(double, monkeypatch):
+    """omega^-n is the onion nesting of the certified W^-1 and every product
+    with it goes one slot at a time: in build_rt_cocyclic(double_z2, 2) tqft
+    itself calls neither invert nor solve (three inversions, one per level,
+    when omega^n was inverted), and the build makes at most 120,000 field
+    products (about 805,000 with those inverses and dense conjugation).  The
+    reindexing still inverts the rotation of the coend module."""
+    import sys
+    from cyclotome import linalg
+    from cyclotome.fields import FieldSpec
+    solves, products = [], []
+    solve_columns, mul = linalg._solve_columns, FieldSpec._mul
+
+    def counted_solve(*args):
+        # the module that called invert or solve, which call this
+        solves.append(sys._getframe(2).f_globals["__name__"])
+        return solve_columns(*args)
+
+    def counted_mul(self, a, b):
+        products.append(1)
+        return mul(self, a, b)
+
+    monkeypatch.setattr(linalg, "_solve_columns", counted_solve)
+    monkeypatch.setattr(FieldSpec, "_mul", counted_mul)
+    build_rt_cocyclic(double, 2)
+    assert "cyclotome.tqft" not in solves
+    assert len(products) <= 120_000
+
+
+def test_wrong_inverse_copairing_fails_the_level_zero_check(double):
+    """W^-1 is read from the coend's inverse copairing; one that is off by a
+    factor fails the exact check omega^-0 o omega^0 = id."""
+    from dataclasses import replace
+    two = Q.one() + Q.one()
+    with pytest.raises(TqftError, match="omega\\^-0"):
+        build_rt_cocyclic(replace(double, Omega=[two * v for v in double.Omega]), 1)
 
 
 def test_omega_inverse_two_sided(rt_co):
