@@ -61,8 +61,7 @@ def coev_right(V: ModuleData) -> LinearMap:
                      {(j * d + r, 0): v for (r, j), v in gi.entries.items()})
 
 
-def dinatural_component(H: HopfAlgebraData, V: ModuleData,
-                        carrier: ModuleData | None = None) -> LinearMap:
+def dinatural_component(H: HopfAlgebraData, V: ModuleData, carrier: ModuleData) -> LinearMap:
     """i_V : V* (x) V -> C sending phi (x) v to the matrix coefficient phi((.) v):
     entry (a, k v + b) of the action is entry (k, a v + b) of i_V."""
     v = V.dim
@@ -70,8 +69,7 @@ def dinatural_component(H: HopfAlgebraData, V: ModuleData,
     for (a, kb), val in V.action.entries.items():
         k, b = divmod(kb, v)
         entries[(k, a * v + b)] = val
-    return LinearMap(H.field, V.shape * V.shape,
-                     carrier.shape if carrier else H.shape, entries)
+    return LinearMap(H.field, V.shape * V.shape, carrier.shape, entries)
 
 
 # -- the universal-property solver -----------------------------------------------------
@@ -84,7 +82,7 @@ def coend_section(H: HopfAlgebraData) -> LinearMap:
 
 
 def factor_through_coend(H: HopfAlgebraData, rhs: LinearMap, arity: int,
-                         carrier: ModuleData | None = None) -> LinearMap:
+                         carrier: ModuleData) -> LinearMap:
     """The unique map phi: C^(x)arity -> D with phi o i_H^(x)arity = rhs.
 
     rhs must be given on regular-module inputs (H* (x) H)^(x)arity.  The
@@ -92,7 +90,6 @@ def factor_through_coend(H: HopfAlgebraData, rhs: LinearMap, arity: int,
     defining equation is then re-checked exactly, which certifies that rhs
     annihilates the kernel of i_H^(x)arity (independence of the section).
     """
-    carrier = carrier or coadjoint_module(H)
     s = coend_section(H)
     section = s
     i_H = dinatural_component(H, regular_module(H), carrier)
@@ -310,7 +307,6 @@ def build_coend_hopf(H: HopfAlgebraData,
         data.dim_B = md.dim_B
         data.anomaly_free = md.anomaly_free
         data.modular = md.modular
-        data.caches["modular_data"] = md
         data.caches["simples"] = simples
 
     _solve_integrals(data, rep)

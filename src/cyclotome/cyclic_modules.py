@@ -68,7 +68,6 @@ class CyclicModuleData:
     gen: dict[tuple, LinearMap]         # ("delta"|"sigma"|"tau", n, i) -> matrix
     provenance: str = ""
     level_modules: dict[int, ModuleData] = dc_field(default_factory=dict)
-    caches: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
         if self.chirality not in ("cyclic", "cocyclic"):

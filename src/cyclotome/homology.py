@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field, replace
 from functools import cache, partial
 
 from .cyclic_modules import CyclicModuleData
-from .linalg import LinearMap, SubspaceBasis, TensorShape, kernel_and_rank, rank, stack
+from .linalg import LinearMap, SubspaceBasis, TensorShape, block_map, rank, stack
 from .reports import CheckReport
 
 
@@ -176,50 +176,31 @@ def mixed_complex(M: CyclicModuleData, normalized: bool | None = None) -> MixedC
     return data
 
 
-def _total_complex(mc: MixedComplexData, top: int):
-    """Degrees, spaces, and differentials of Tot^m = (+)_(j>=0) D^(m-2j), m <= top.
+def _total_complex(mc: MixedComplexData, maxN: int):
+    """Block dimensions of Tot^m = (+)_(j>=0) D^(m-2j) for -1 <= m <= maxN + 1,
+    with Tot^-1 = 0, and the differentials d^m : Tot^m -> Tot^(m+1) for m <= maxN.
 
-    Cochain convention: the differential sends the j-component by b to the
-    j-component and by B to the (j+1)-component of the next degree.
+    Cochain convention: d^m sends block j by b to block j and by B to block
+    j + 1 of Tot^(m+1).
     """
-    M = mc.source
-    F = M.tau(0).field
-    comps = {m: [m - 2 * j for j in range(m // 2 + 1) if m - 2 * j >= 0]
-             for m in range(top + 1)}
-
-    def tot_dim(m):
-        return sum(mc.dim(k) for k in comps[m])
-
+    F = mc.source.tau(0).field
+    blocks = {m: [mc.dim(m - 2 * j) for j in range(m // 2 + 1)] for m in range(-1, maxN + 2)}
     diffs = {}
-    for m in range(top):
-        entries = {}
-        src_offsets = []
-        off = 0
-        for k in comps[m]:
-            src_offsets.append(off)
-            off += mc.dim(k)
-        tgt_offsets = []
-        off = 0
-        for k in comps[m + 1]:
-            tgt_offsets.append(off)
-            off += mc.dim(k)
-        for j, k in enumerate(comps[m]):
-            # b: D^k -> D^(k+1), stays at component j of degree m+1
-            if k + 1 <= M.max_level and j < len(comps[m + 1]):
-                bmat = mc.b.get(k + 1)
-                if bmat is not None and comps[m + 1][j] == k + 1:
-                    for (r, c), v in bmat.entries.items():
-                        entries[(tgt_offsets[j] + r, src_offsets[j] + c)] = v
-            # B: D^k -> D^(k-1), moves to component j+1
-            if k - 1 >= 0 and j + 1 < len(comps[m + 1]):
-                Bmat = mc.B.get(k - 1)
-                if Bmat is not None and comps[m + 1][j + 1] == k - 1:
-                    for (r, c), v in Bmat.entries.items():
-                        key = (tgt_offsets[j + 1] + r, src_offsets[j] + c)
-                        entries[key] = entries.get(key, F.zero()) + v
-        diffs[m] = LinearMap(F, TensorShape([max(tot_dim(m), 0)]),
-                             TensorShape([max(tot_dim(m + 1), 0)]), entries)
-    return comps, tot_dim, diffs
+    for m in range(-1, maxN + 1):
+        placed = {}
+        for j in range(len(blocks[m])):
+            placed[(j, j)] = mc.b[m - 2 * j + 1]
+            if m - 2 * j >= 1:
+                placed[(j + 1, j)] = mc.B[m - 2 * j - 1]
+        diffs[m] = block_map(F, blocks[m + 1], blocks[m], placed)
+    return blocks, diffs
+
+
+def _total_cohomology(blocks, diffs, maxN: int) -> list[int]:
+    """dim H^m of the total complex for m <= maxN: dim Tot^m less the ranks of
+    the differentials leaving and entering it."""
+    ranks = {m: rank(d) for m, d in diffs.items()}
+    return [sum(blocks[m]) - ranks[m] - ranks[m - 1] for m in range(maxN + 1)]
 
 
 def cyclic_ranks(M: CyclicModuleData, maxN: int,
@@ -238,33 +219,19 @@ def cyclic_ranks(M: CyclicModuleData, maxN: int,
     if M.chirality == "cyclic":
         mc = replace(mc, b={n: m.transpose() for n, m in mc.b.items()},
                      B={n: m.transpose() for n, m in mc.B.items()})
-    top = maxN + 1
-    comps, tot_dim, diffs = _total_complex(mc, top)
-    out = []
-    for m in range(maxN + 1):
-        ker_dim = tot_dim(m) - rank(diffs[m]) if m in diffs \
-            else tot_dim(m)
-        im_rank = rank(diffs[m - 1]) if m >= 1 else 0
-        out.append(ker_dim - im_rank)
-    return out
+    return _total_cohomology(*_total_complex(mc, maxN), maxN)
 
 
 # -- the long exact sequence -------------------------------------------------------------------
 
 
-def _induced_rank(cols: list[list], target_im: LinearMap, field, tgt_dim: int) -> int:
-    """Rank of a chain map induced on cohomology: the images cols of the
-    cocycles modulo the coboundaries of the target."""
-    base_rank = rank(target_im)
-    entries = dict(target_im.entries)
-    ncols = target_im.domain.dim
-    for add_c, vec in enumerate(cols):
-        for r, v in enumerate(vec):
-            if not v.is_zero():
-                entries[(r, ncols + add_c)] = v
-    big = LinearMap(field, TensorShape([ncols + len(cols)]),
-                    TensorShape([tgt_dim]), entries)
-    return rank(big) - base_rank
+def _induced_rank(images: LinearMap, boundaries: LinearMap) -> int:
+    """Rank of a map induced on cohomology: the rank that the images of the
+    cocycles add to the coboundaries of the target."""
+    both = block_map(images.field, [images.codomain.dim],
+                     [boundaries.domain.dim, images.domain.dim],
+                     {(0, 0): boundaries, (0, 1): images})
+    return rank(both) - rank(boundaries)
 
 
 def sbi_consistency(M: CyclicModuleData, maxN: int) -> CheckReport:
@@ -273,92 +240,42 @@ def sbi_consistency(M: CyclicModuleData, maxN: int) -> CheckReport:
     induced maps of the column filtration of the total complex."""
     if M.chirality != "cocyclic":
         raise HomologyError("the LES bookkeeping is implemented on the cochain side")
+    if maxN + 1 > M.max_level:
+        raise HomologyError(f"need levels <= {maxN + 1} built for HC up to {maxN}")
     mc = mixed_complex(M)
     F = M.tau(0).field
-    top = maxN + 2
-    comps, tot_dim, diffs = _total_complex(mc, top)
+    blocks, diffs = _total_complex(mc, maxN)
+    hc = _total_cohomology(blocks, diffs, maxN)
 
+    def identity(d):
+        return LinearMap.identity(F, TensorShape([d]))
+
+    @cache
     def cocycles(m):
-        return kernel_and_rank(diffs[m])[0]
-
-    def boundaries_map(m):
-        return diffs[m - 1] if m >= 1 else LinearMap.zero(
-            F, TensorShape([0]), TensorShape([tot_dim(m)]))
-
-    def hc_dim(m):
-        if m < 0:
-            return 0
-        k = tot_dim(m) - (rank(diffs[m]) if m in diffs else 0)
-        return k - (rank(diffs[m - 1]) if m >= 1 else 0)
-
-    # HH from the quotient complex (the j = 0 column with differential b)
-    def hh_dim(m):
-        bm1 = mc.b.get(m + 1)
-        ker = mc.dim(m) - (rank(bm1) if bm1 is not None else 0)
-        im = rank(mc.b[m]) if m >= 1 else 0
-        return ker - im
+        return SubspaceBasis.from_kernel(F, diffs[m]).matrix()
 
     rep = CheckReport(f"periodicity sequence bookkeeping for {M.provenance}")
-
-    def inclusion(m):
-        """Tot^(m-2) -> Tot^m as the j >= 1 components (the S-side chain map)."""
-        entries = {}
-        src = comps[m - 2] if m - 2 >= 0 else []
-        off_src = 0
-        offs_t = {}
-        off = 0
-        for j, k in enumerate(comps[m]):
-            offs_t[j] = off
-            off += mc.dim(k)
-        for j, k in enumerate(src):
-            tgt_j = j + 1
-            for r in range(mc.dim(k)):
-                entries[(offs_t[tgt_j] + r, off_src + r)] = F.one()
-            off_src += mc.dim(k)
-        return LinearMap(F, TensorShape([tot_dim(m - 2) if m >= 2 else 0]),
-                         TensorShape([tot_dim(m)]), entries)
-
-    def projection(m):
-        """Tot^m -> D^m, the quotient onto the j = 0 column."""
-        entries = {}
-        for r in range(mc.dim(m)):
-            entries[(r, r)] = F.one()
-        return LinearMap(F, TensorShape([tot_dim(m)]),
-                         TensorShape([mc.dim(m)]), entries)
-
     for m in range(maxN + 1):
-        # induced S: HC^(m-2) -> HC^m
+        # S: Tot^(m-2) -> Tot^m, block j onto block j + 1
+        s_rank = 0
         if m >= 2:
-            inc = inclusion(m)
-            zs = cocycles(m - 2)
-            s_rank = _induced_rank([inc.apply(z) for z in zs],
-                                   boundaries_map(m), F, tot_dim(m))
-        else:
-            s_rank = 0
-        # induced I: HC^m -> HH^m
-        proj = projection(m)
-        zs_tot = cocycles(m)
-        bmap = mc.b[m] if m >= 1 else LinearMap.zero(F, TensorShape([0]),
-                                                     TensorShape([mc.dim(0)]))
-        i_rank = _induced_rank([proj.apply(z) for z in zs_tot], bmap, F, mc.dim(m))
-        # induced connecting B: HH^m -> HC^(m-1): lift to column, apply B
-        bm1 = mc.b.get(m + 1)
-        if bm1 is not None:
-            basis, _ = kernel_and_rank(bm1)
-        else:
-            basis = [[F.one() if i == j else F.zero() for i in range(mc.dim(m))]
-                     for j in range(mc.dim(m))]
+            S = block_map(F, blocks[m], blocks[m - 2],
+                          {(j + 1, j): identity(d) for j, d in enumerate(blocks[m - 2])})
+            s_rank = _induced_rank(S.compose(cocycles(m - 2)), diffs[m - 1])
+        # I: Tot^m -> D^m, the quotient onto block 0 and its complex (D, b)
+        proj = block_map(F, [mc.dim(m)], blocks[m], {(0, 0): identity(mc.dim(m))})
+        hh_boundaries = proj.compose(diffs[m - 1])
+        i_rank = _induced_rank(proj.compose(cocycles(m)), hh_boundaries)
+        # connecting map HH^m -> HC^(m-1): a b-cocycle z of D^m, lifted to
+        # block 0 of Tot^m, has coboundary S(B z) with B z in block 0 of Tot^(m-1)
+        hh_cocycles = SubspaceBasis.from_kernel(F, mc.b[m + 1])
         conn_rank = 0
         if m >= 1:
-            images = []
-            Bm = mc.B.get(m - 1)
-            for z in basis:
-                w = Bm.apply(z)
-                tot_vec = list(w) + [F.zero()] * (tot_dim(m - 1) - len(w))
-                images.append(tot_vec)
-            conn_rank = _induced_rank(images, boundaries_map(m - 1), F, tot_dim(m - 1))
+            conn = block_map(F, blocks[m - 1], [mc.dim(m)], {(0, 0): mc.B[m - 1]})
+            conn_rank = _induced_rank(conn.compose(hh_cocycles.matrix()), diffs[m - 2])
+        hh = hh_cocycles.dim - rank(hh_boundaries)
         rep.check(f"exactness at HC^{m}: rank S + rank I = dim HC^{m}",
-                  s_rank + i_rank == hc_dim(m))
+                  s_rank + i_rank == hc[m])
         rep.check(f"exactness at HH^{m}: rank I + rank B = dim HH^{m}",
-                  i_rank + conn_rank == hh_dim(m))
+                  i_rank + conn_rank == hh)
     return rep

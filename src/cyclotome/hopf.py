@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 from .fields import FieldSpec, Scalar
 from .linalg import (
     LinearMap, ShapeError, SubspaceBasis, TensorShape, UNIT, _payloads, _wrapped,
-    block_flip, invert, map_from_json, solve, stack, vector_from_json, whisker,
+    block_flip, block_map, invert, map_from_json, solve, stack, vector_from_json, whisker,
 )
 from .reports import CheckReport
 
@@ -389,16 +389,10 @@ class ModuleData:
         """The module on which e_k acts by blocks[k]; entry (r, c) of blocks[k]
         is the action's entry at column k * dim V + c."""
         shape = blocks[0].domain
-        entries = {}
-        for k, block in enumerate(blocks):
-            if block.domain.dim != shape.dim or block.codomain.dim != shape.dim:
-                raise HopfError(f"block {k} of {name} is not an endomorphism of {shape}")
-            if block.field != algebra.field:
-                raise HopfError(f"block {k} of {name} is not over {algebra.field}")
-            for (r, c), v in block.entries.items():
-                entries[(r, k * shape.dim + c)] = v
-        action = LinearMap._from_clean(algebra.field, algebra.shape * shape, shape, entries)
-        V = cls(algebra, shape.dim, action, name=name, check=check)
+        row = block_map(algebra.field, [shape.dim], [shape.dim] * len(blocks),
+                        {(0, k): block for k, block in enumerate(blocks)})
+        V = cls(algebra, shape.dim, row.reshaped(algebra.shape * shape, shape),
+                name=name, check=check)
         V._rho = list(blocks)
         return V
 

@@ -18,6 +18,7 @@ payloads by column and builds the dense vectors only when asked for them.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 from .fields import FieldError, FieldSpec, Scalar
@@ -495,26 +496,39 @@ def vector_from_json(field, pairs, size: int) -> list[Scalar] | None:
     return out
 
 
-# -- exact elimination -------------------------------------------------------------
+# -- direct sums -------------------------------------------------------------------
+
+
+def block_map(field, rows: Sequence[int], cols: Sequence[int],
+              placed: dict[tuple[int, int], LinearMap]) -> LinearMap:
+    """The map from the direct sum of spaces of dimensions cols to that of
+    spaces of dimensions rows whose block (i, j) is placed[(i, j)], a map from
+    the j-th summand to the i-th, and zero where nothing is placed."""
+    row_at, col_at = list(accumulate(rows, initial=0)), list(accumulate(cols, initial=0))
+    nrows, ncols = len(rows), len(cols)
+    entries = {}
+    for (i, j), block in placed.items():
+        if not (0 <= i < nrows and 0 <= j < ncols
+                and block.codomain.dim == rows[i] and block.domain.dim == cols[j]):
+            raise ShapeError(f"a map {block.domain}->{block.codomain} does not fit block "
+                             f"({i}, {j}) of a map from {list(cols)} to {list(rows)}")
+        if block.field != field:
+            raise ShapeError("field mismatch")
+        r0, c0 = row_at[i], col_at[j]
+        for (r, c), v in block.entries.items():
+            entries[r0 + r, c0 + c] = v
+    return LinearMap._from_clean(field, TensorShape([col_at[-1]]),
+                                 TensorShape([row_at[-1]]), entries)
 
 
 def stack(blocks: Sequence[LinearMap]) -> LinearMap:
     """The maps out of one space stacked into a single map to the direct sum of
     their codomains; its kernel is the intersection of their kernels."""
-    domain = blocks[0].domain
-    field = blocks[0].field
-    entries = {}
-    offset = 0
-    for block in blocks:
-        if block.domain.dim != domain.dim:
-            raise ShapeError(f"cannot stack a map out of {block.domain} under maps "
-                             f"out of {domain}")
-        if block.field != field:
-            raise ShapeError("field mismatch")
-        for (r, c), v in block.entries.items():
-            entries[(offset + r, c)] = v
-        offset += block.codomain.dim
-    return LinearMap._from_clean(field, domain, TensorShape([offset]), entries)
+    return block_map(blocks[0].field, [b.codomain.dim for b in blocks],
+                     [blocks[0].domain.dim], {(i, 0): b for i, b in enumerate(blocks)})
+
+
+# -- exact elimination -------------------------------------------------------------
 
 
 def _subtract(row: dict[int, object], factor, pivot: dict[int, object], mul, add, is_zero):

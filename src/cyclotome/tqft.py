@@ -260,9 +260,9 @@ def verify_main_theorem(data: CoendData, N: int,
     rep.check("dual comparison holds for every generator", ok)
 
     # (iv) negative control: without the reindexing the rotation square must
-    # fail wherever the rotation is not an involution
-    relevant = [n for n in range(N + 1)
-                if base.tau(n).entries != base.tau_power(n, -1).entries]
+    # fail wherever the rotation is not an involution; the reindexed coend
+    # module already holds each inverse rotation
+    relevant = [n for n in range(N + 1) if base.tau(n).entries != reT.tau(n).entries]
     if relevant:
         rep.check("negative control: dropping the reindexing breaks a rotation square",
                   any(rotated[n] != base.tau(n).compose(rt.omega_maps[n]).entries

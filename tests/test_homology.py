@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -5,8 +6,9 @@ import pytest
 from cyclotome.coend import build_coend_hopf
 from cyclotome.cyclic_modules import (
     build_paracyclic, cocyclic_module_from_coalgebra, coend_coalgebra_object,
-    contracting_homotopy, explicit_coend_cyclic,
+    contracting_homotopy, explicit_coend_cocyclic, explicit_coend_cyclic,
 )
+from cyclotome import homology
 from cyclotome.fields import Rationals
 from cyclotome.homology import (
     HomologyError, connes_B, cyclic_ranks, hochschild_differential,
@@ -121,6 +123,35 @@ def test_sbi_consistency(z2_cocyclic, h4_cocyclic):
     assert sbi_consistency(Mz, 3).ok
     _, Mh = h4_cocyclic
     assert sbi_consistency(Mh, 2).ok
+
+
+@pytest.fixture(scope="module")
+def h4_explicit():
+    H, _ = load_algebra(DATA / "sweedler_h4.json")
+    return explicit_coend_cocyclic(H, 3)
+
+
+def test_sbi_consistency_where_B_is_visible(h4_explicit):
+    """On the explicit Sweedler module HH = [1, 2, 1], HC = [1, 2, 1] and the
+    connecting map B : HH^2 -> HC^1 has rank 1, so the check sees B."""
+    assert hochschild_ranks(h4_explicit, 2) == [1, 2, 1]
+    assert cyclic_ranks(h4_explicit, 2) == [1, 2, 1]
+    assert sbi_consistency(h4_explicit, 2).ok
+
+
+def test_total_complex_without_B_fails_the_sbi_check(h4_explicit, monkeypatch):
+    """A total complex with its B blocks zeroed is the direct sum of copies of
+    (D, b); its periodicity sequence no longer matches the connecting maps
+    read from B.  On the generic coend modules above B is invisible there
+    and the check passes either way."""
+    total_complex = homology._total_complex
+
+    def without_B(mc, maxN):
+        zero = {n: LinearMap.zero(B.field, B.domain, B.codomain) for n, B in mc.B.items()}
+        return total_complex(replace(mc, B=zero), maxN)
+
+    monkeypatch.setattr(homology, "_total_complex", without_B)
+    assert not sbi_consistency(h4_explicit, 2).ok
 
 
 def _dense_bicomplex_hc_oracle(M, maxN):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from cyclotome.fields import Cyclotomic, FieldError, PrimeField, Rationals
 from cyclotome.linalg import (
-    LinearMap, ShapeError, TensorShape, block_flip, invert, kernel_and_rank,
+    LinearMap, ShapeError, TensorShape, block_flip, block_map, invert, kernel_and_rank,
     kernel_with_free_columns, permute_factors, rank, solve, stack, SubspaceBasis, whisker,
 )
 
@@ -367,6 +367,38 @@ def test_stack_rejects_mismatched_domains():
     with pytest.raises(ShapeError):
         stack([LinearMap.identity(Q, TensorShape([2])),
                LinearMap.identity(Q, TensorShape([3]))])
+
+
+def test_block_map_matches_the_dense_block_matrix():
+    """Each row of a block map is the concatenation of the rows of the blocks
+    placed in its block row, with zeros where no block is placed."""
+    for rows, cols in (([2, 0, 3], [1, 2]), ([1], [2, 2, 2]), ([3, 1], [0, 4, 1])):
+        placed = {(i, j): rand_map(TensorShape([c]), TensorShape([r]))
+                  for i, r in enumerate(rows) for j, c in enumerate(cols)
+                  if rng.random() < 0.7}
+        dense = []
+        for i, r in enumerate(rows):
+            for k in range(r):
+                row = []
+                for j, c in enumerate(cols):
+                    block = placed.get((i, j))
+                    row += [block.entry(k, x) if block else Q.zero() for x in range(c)]
+                dense.append(row)
+        expected = LinearMap.from_rows(Q, TensorShape([sum(cols)]),
+                                       TensorShape([sum(rows)]), dense)
+        assert block_map(Q, rows, cols, placed) == expected
+
+
+def test_block_map_rejects_misplaced_blocks_and_foreign_fields():
+    m = rand_map(TensorShape([2]), TensorShape([3]))
+    assert block_map(Q, [3], [2], {(0, 0): m}).entries == m.entries
+    for rows, cols, key in (([2], [3], (0, 0)), ([3, 3], [2], (1, 1)),
+                            ([3], [2, 2], (1, 0)), ([3], [2], (-1, 0))):
+        with pytest.raises(ShapeError):
+            block_map(Q, rows, cols, {key: m})
+    with pytest.raises(ShapeError):
+        block_map(Q, [3], [2], {(0, 0): rand_map(TensorShape([2]), TensorShape([3]),
+                                                 field=PrimeField(7))})
 
 
 def test_public_constructor_checks_every_entry_and_drops_zeros():

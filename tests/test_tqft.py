@@ -237,6 +237,24 @@ def test_main_theorem(double, rt_co):
     assert rep.ok, rep.failures
 
 
+def test_theorem_check_inverts_each_rotation_three_times(double, rt_co, monkeypatch):
+    """At N = 2 the theorem check inverts each level's rotation three times:
+    in the reindexing of the state module and in the two duality transports.
+    The negative control reads the inverse coend rotations from the
+    reindexed coend module instead of inverting them a fourth time."""
+    from cyclotome import linalg
+    solves = []
+    solve_columns = linalg._solve_columns
+
+    def counted_solve(*args):
+        solves.append(1)
+        return solve_columns(*args)
+
+    monkeypatch.setattr(linalg, "_solve_columns", counted_solve)
+    assert verify_main_theorem(double, 2, rt_co).ok
+    assert len(solves) <= 3 * 3
+
+
 def test_generators_preserve_invariance(rt_co, double):
     # every generator matrix maps state-space coordinates to state-space
     # coordinates by construction; check an image vector is invariant
