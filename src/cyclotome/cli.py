@@ -19,14 +19,13 @@ from pathlib import Path
 from . import __version__, cyclic_cat as cc
 from .coend import CoendError, build_coend_hopf, end_and_drinfeld
 from .cyclic_modules import (
-    CyclicModuleError, build_paracyclic,
-    build_paracocyclic, check_relations, coend_algebra_object,
+    CyclicModuleError, build_paracyclic, check_relations, coend_algebra_object,
     coend_coalgebra_object, cocyclic_module_from_coalgebra,
     cyclic_module_from_algebra, explicit_coend_cocyclic, explicit_coend_cyclic,
     module_from_json, module_to_json, r_cyclic_from_simple,
     twisted_cyclicity_check,
 )
-from .homology import HomologyError, cyclic_ranks, hochschild_ranks, mixed_identities
+from .homology import HomologyError, cyclic_ranks, hochschild_ranks, mixed_complex
 from .hopf import HopfError, coadjoint_module, load_algebra, modular_data, \
     module_power, verify_axioms, verify_quasitriangular_ribbon
 from .reports import CheckReport
@@ -195,8 +194,6 @@ def cmd_coend_build(args) -> int:
         data = build_coend_hopf(H, simples or None)
         if cache_file is not None:
             _write_cache(cache_file, coend_to_json(data))
-    elif simples:
-        data.caches["simples"] = simples
     payload = {
         "algebra": H.name,
         "carrier_dim": data.dim,
@@ -225,7 +222,7 @@ _COEND_BUILDERS = {
     "genericco": lambda data, N: cocyclic_module_from_coalgebra(
         coend_coalgebra_object(data), N),
     "para": lambda data, N: build_paracyclic(coend_coalgebra_object(data), N),
-    "paraco": lambda data, N: build_paracocyclic(coend_algebra_object(data), N),
+    "paraco": lambda data, N: build_paracyclic(coend_algebra_object(data), N),
 }
 _BUILDERS = {**_ALGEBRA_BUILDERS, **_COEND_BUILDERS}
 
@@ -266,15 +263,9 @@ def cmd_module_build(args) -> int:
                 module, scalar, r = r_cyclic_from_simple(para, simples[args.simple])
                 payload["twist_scalar"] = repr(scalar)
                 payload["twist_order"] = r
-            elif args.which == "rt":
-                rt = build_rt_cocyclic(data, N)
+            elif args.which in ("rt", "rtc"):
+                rt = (build_rt_cocyclic if args.which == "rt" else build_rt_cyclic)(data, N)
                 module = rt.module
-                extra_reports.append(shape_checks(rt))
-                extra_reports.append(verify_main_theorem(data, N, rt))
-            elif args.which == "rtc":
-                rt = build_rt_cyclic(data, N)
-                module = rt.module
-                extra_reports.append(shape_checks(rt))
             else:
                 raise InputError(f"unknown builder {args.which!r}")
         elif args.which in ("para", "paraco"):
@@ -293,6 +284,11 @@ def cmd_module_build(args) -> int:
         _write_cache(cache_file, module_to_json(module))
 
     rel = check_relations(module)
+    if args.which in ("rt", "rtc"):
+        sc = shape_checks(rt)
+        extra_reports.append(sc)
+        if args.which == "rt":
+            extra_reports.append(verify_main_theorem(rt, rel, sc))
     payload["levels"] = {str(n): module.dim(n) for n in range(N + 1)}
     payload["relations_checked"] = len(rel.entries)
     payload["relations_ok"] = rel.ok
@@ -312,16 +308,16 @@ def cmd_homology(args) -> int:
         module = cocyclic_module_from_coalgebra(coend_coalgebra_object(data), N + 1)
     else:
         module = explicit_coend_cyclic(H, N + 1)
-    ident = mixed_identities(module)
-    hh = hochschild_ranks(module, N)
-    hc = cyclic_ranks(module, N)
+    mc = mixed_complex(module)
+    hh = hochschild_ranks(mc, N)
+    hc = cyclic_ranks(mc, N)
     payload = {
         "algebra": H.name,
         "chirality": args.chirality,
         "table": [{"degree": n, "HH": hh[n], "HC": hc[n]} for n in range(N + 1)],
     }
-    payload.update(_report_payload(ident))
-    return _emit(args, payload, ident.ok)
+    payload.update(_report_payload(mc.report))
+    return _emit(args, payload, mc.report.ok)
 
 
 def cmd_tqft_verify(args) -> int:
@@ -335,7 +331,7 @@ def cmd_tqft_verify(args) -> int:
         return _emit(args, {"algebra": H.name, "error": str(exc)}, False)
     rel = check_relations(rt.module)
     sc = shape_checks(rt)
-    vt = verify_main_theorem(data, N, rt)
+    vt = verify_main_theorem(rt, rel, sc)
     payload = {"algebra": H.name, "max_level": N,
                "relations_ok": rel.ok, "relations_checked": len(rel.entries)}
     payload.update(_report_payload(sc, vt))
@@ -350,7 +346,7 @@ def _parse_variant(text: str) -> cc.CategoryVariant:
     if text in _VARIANTS:
         return _VARIANTS[text]
     if text.startswith("rcyclic"):
-        r = int(text.split("(", 1)[1].rstrip(")")) if "(" in text else int(text[7:] or 2)
+        r = cc.parse_int(text.split("(", 1)[1].rstrip(")") if "(" in text else text[7:] or "2")
         return cc.RCyclic(r)
     raise InputError(f"unknown variant {text!r}")
 
@@ -366,13 +362,13 @@ def _parse_explicit_word(body: str, direction: str) -> cc.GeneratorWord:
         rest = piece[1:]
         if head in ("d", "δ"):
             idx, _, lvl = rest.partition("^")
-            tokens.append(cc.Token("coface", int(lvl), int(idx)))
+            tokens.append(cc.Token("coface", cc.parse_int(lvl), cc.parse_int(idx)))
         elif head in ("s", "σ"):
             idx, _, lvl = rest.partition("^")
-            tokens.append(cc.Token("codegeneracy", int(lvl), int(idx)))
+            tokens.append(cc.Token("codegeneracy", cc.parse_int(lvl), cc.parse_int(idx)))
         elif head in ("t", "τ"):
             lvl_txt, _, exp_txt = rest.lstrip("_").partition("^")
-            tokens.append(cc.Token("tau", int(lvl_txt), int(exp_txt or 1)))
+            tokens.append(cc.Token("tau", cc.parse_int(lvl_txt), cc.parse_int(exp_txt or "1")))
         else:
             raise InputError(f"unknown token {piece!r}")
     return cc.GeneratorWord(tokens, direction)
@@ -394,8 +390,11 @@ def cmd_cat(args) -> int:
     expr = " ".join(args.expr).strip()
     variant = _parse_variant(args.variant)
     if expr.startswith("count"):
-        _, n, m, vname = expr.split()
-        print(cc.hom_count(int(n), int(m), _parse_variant(vname)))
+        words = expr.split()
+        if len(words) != 4:
+            raise InputError("expected 'count n m variant'")
+        _, n, m, vname = words
+        print(cc.hom_count(cc.parse_int(n), cc.parse_int(m), _parse_variant(vname)))
         return 0
     if expr.startswith("nf "):
         word = cc.parse_word(expr[3:], variant)

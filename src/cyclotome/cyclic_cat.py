@@ -393,6 +393,8 @@ def enumerate_hom(n: int, m: int, variant: CategoryVariant) -> Iterator[CyclicMa
     """All canonical morphisms n -> m (not available for the paracyclic category)."""
     if variant.kind == "paracyclic":
         raise CyclicCatError("paracyclic hom-sets are infinite")
+    if n < 0 or m < 0:
+        raise CyclicCatError("levels must be nonnegative")
     if variant.kind == "simplicial":
         starts = range(0, m + 1)
         bound = lambda v0: m  # noqa: E731
@@ -586,6 +588,14 @@ def render_word(f: CyclicMap) -> str:
     return f"{body} : {f.source_n}->{f.target_m}"
 
 
+def parse_int(text: str) -> int:
+    """The integer written in text; CyclicCatError when it is not one."""
+    try:
+        return int(text)
+    except ValueError:
+        raise CyclicCatError(f"expected an integer, got {text.strip()!r}") from None
+
+
 def parse_word(text: str, variant: CategoryVariant,
                direction: str = "covariant") -> GeneratorWord:
     """Parse 'd2.s0.t^3 : 3->4' style expressions; the rightmost token acts first.
@@ -600,26 +610,26 @@ def parse_word(text: str, variant: CategoryVariant,
     src_txt, arrow, tgt_txt = typing.replace("→", "->").partition("->")
     if not arrow:
         raise CyclicCatError("expected 'n->m' after ':'")
-    source = int(src_txt)
-    target = int(tgt_txt)
+    source = parse_int(src_txt)
+    target = parse_int(tgt_txt)
     raw = [p for p in body.strip().split(".") if p]
     tokens: list[Token] = []
     level = source
     for piece in reversed(raw):
         piece = piece.strip()
-        if piece == "id":
+        if piece in ("", "id"):
             continue
         head = piece[0]
         rest = piece[1:]
         exponent = 1
         if "^" in rest:
             idx_txt, _, exp_txt = rest.partition("^")
-            exponent = int(exp_txt)
+            exponent = parse_int(exp_txt)
         else:
             idx_txt = rest
         idx_txt = idx_txt.lstrip("_")
         if head in ("d", "δ"):
-            i = int(idx_txt)
+            i = parse_int(idx_txt)
             if direction == "covariant":
                 tokens.append(Token("coface", level + 1, i))
                 level += 1
@@ -627,7 +637,7 @@ def parse_word(text: str, variant: CategoryVariant,
                 tokens.append(Token("coface", level, i))
                 level -= 1
         elif head in ("s", "σ"):
-            j = int(idx_txt)
+            j = parse_int(idx_txt)
             if direction == "covariant":
                 tokens.append(Token("codegeneracy", level - 1, j))
                 level -= 1

@@ -568,8 +568,11 @@ def contracting_homotopy(obj: CoalgebraObject, M: CyclicModuleData,
 # -- object-level paracyclic modules ----------------------------------------------------------
 
 
-def _para_module(obj: CoalgebraObject | AlgebraObject, N: int) -> CyclicModuleData:
-    """The object-level module itself, on the whole of V^(x)(n+1)."""
+def build_paracyclic(obj: CoalgebraObject | AlgebraObject, N: int) -> CyclicModuleData:
+    """The object-level module of the paracyclic category on the whole of
+    V^(x)(n+1): paracyclic for a coalgebra object, paracocyclic for an algebra
+    object.  No Hom is taken, so the rotations satisfy only the twisted
+    cyclicity, not cyclicity itself."""
     chirality, gen, powers = _object_generators(obj, N)
     V = obj.module
     spaces = {n: SubspaceBasis.standard(V.algebra.field, V.dim ** (n + 1))
@@ -579,17 +582,6 @@ def _para_module(obj: CoalgebraObject | AlgebraObject, N: int) -> CyclicModuleDa
     return CyclicModuleData(PARACYCLIC, chirality, N, spaces, flat,
                             provenance=f"para{chirality} module of {obj.name}",
                             level_modules=powers)
-
-
-def build_paracyclic(obj: CoalgebraObject, N: int) -> CyclicModuleData:
-    """The object-level paracyclic module on V^(x)(n+1); no Hom is taken, so the
-    rotations satisfy only the twisted cyclicity, not cyclicity itself."""
-    return _para_module(obj, N)
-
-
-def build_paracocyclic(obj: AlgebraObject, N: int) -> CyclicModuleData:
-    """The object-level paracocyclic module of an algebra object on V^(x)(n+1)."""
-    return _para_module(obj, N)
 
 
 def twisted_cyclicity_check(M: CyclicModuleData) -> CheckReport:

@@ -2,17 +2,19 @@
 
 The engine works with the mixed complex (b, B): the alternating sum of the
 (co)faces and a degree-lowering operator built from the extra (co)degeneracy
-and the norm of the signed rotation.  Both defining identities b b = 0,
-B B = 0, b B + B b = 0 are exact matrix checks.  Cyclic ranks come from the
-total complex of the (b, B)-bicomplex, on the normalized subcomplex for
-cochain modules; the long-exact-sequence bookkeeping is verified from the
+and the norm of the signed rotation.  `mixed_complex` builds each b_n and
+B_n once and checks the identities b b = 0, B B = 0, b B + B b = 0 once, as
+exact matrix identities on the ambient maps, before restricting them to the
+normalized subcomplex for cochain modules.  Hochschild ranks read one rank
+per b of that complex and cyclic ranks the total complex of the same
+(b, B)-bicomplex; the long-exact-sequence bookkeeping is verified from the
 actual induced maps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
-from functools import cache, partial
+from dataclasses import dataclass, replace
+from functools import cache
 
 from .cyclic_modules import CyclicModuleData
 from .linalg import LinearMap, SubspaceBasis, TensorShape, block_map, rank, stack
@@ -59,7 +61,7 @@ def _norm_operator(M: CyclicModuleData, n: int) -> LinearMap:
 def connes_B(M: CyclicModuleData, n: int) -> LinearMap:
     """The degree-lowering Connes operator at level n + 1 -> n, built as
     norm o extra-(co)degeneracy o (1 - signed rotation); B B = 0 and
-    b B + B b = 0 hold exactly and are asserted by the test suite.
+    b B + B b = 0 hold exactly and are checked by mixed_identities.
     """
     if M.variant.kind == "paracyclic":
         raise HomologyError("paracyclic modules admit no Connes operator here")
@@ -78,42 +80,24 @@ def connes_B(M: CyclicModuleData, n: int) -> LinearMap:
     return (one_top - lam_top).compose(extra).compose(norm)
 
 
-def _check_mixed(rep: CheckReport, chirality: str, b, B, N: int):
-    """Check b b = 0, B B = 0 and b B + B b = 0 up to level N on b(n) and B(n)."""
+def mixed_identities(M: CyclicModuleData, b: dict[int, LinearMap],
+                     B: dict[int, LinearMap]) -> CheckReport:
+    """b b = 0, B B = 0 and b B + B b = 0 at every built level of M, on its
+    maps b[n] = hochschild_differential(M, n) and B[n] = connes_B(M, n)."""
     def composite(f, g):
         """f o g on the cochain side, g o f on the chain side."""
-        return f.compose(g) if chirality == "cocyclic" else g.compose(f)
+        return f.compose(g) if M.chirality == "cocyclic" else g.compose(f)
 
-    for n in range(2, N + 1):
-        rep.check(f"b b = 0 at level {n}", composite(b(n), b(n - 1)).is_zero())
-    for n in range(0, N - 1):
-        rep.check(f"B B = 0 at level {n}", composite(B(n), B(n + 1)).is_zero())
-    for n in range(1, N):
-        anti = composite(b(n), B(n - 1)) + composite(B(n), b(n + 1))
-        rep.check(f"b B + B b = 0 at level {n}", anti.is_zero())
-
-
-def mixed_identities(M: CyclicModuleData, N: int | None = None) -> CheckReport:
-    """b b = 0, B B = 0 and b B + B b = 0 at every built level."""
-    N = M.max_level if N is None else min(N, M.max_level)
+    N = M.max_level
     rep = CheckReport(f"mixed complex identities for {M.provenance}")
-    _check_mixed(rep, M.chirality, cache(partial(hochschild_differential, M)),
-                 cache(partial(connes_B, M)), N)
+    for n in range(2, N + 1):
+        rep.check(f"b b = 0 at level {n}", composite(b[n], b[n - 1]).is_zero())
+    for n in range(0, N - 1):
+        rep.check(f"B B = 0 at level {n}", composite(B[n], B[n + 1]).is_zero())
+    for n in range(1, N):
+        anti = composite(b[n], B[n - 1]) + composite(B[n], b[n + 1])
+        rep.check(f"b B + B b = 0 at level {n}", anti.is_zero())
     return rep
-
-
-def hochschild_ranks(M: CyclicModuleData, maxN: int) -> list[int]:
-    """Dimensions of HH^0..HH^maxN (cochain) or HH_0..HH_maxN (chain)."""
-    if maxN + 1 > M.max_level:
-        raise HomologyError(f"need levels <= {maxN + 1} built")
-    dims = []
-    for n in range(maxN + 1):
-        # levels of the differentials leaving and entering degree n
-        out_n, in_n = (n + 1, n) if M.chirality == "cocyclic" else (n, n + 1)
-        ker_dim = M.dim(n) - (rank(hochschild_differential(M, out_n)) if out_n else 0)
-        im_rank = rank(hochschild_differential(M, in_n)) if in_n else 0
-        dims.append(ker_dim - im_rank)
-    return dims
 
 
 # -- the (b, B)-bicomplex --------------------------------------------------------------------
@@ -122,11 +106,10 @@ def hochschild_ranks(M: CyclicModuleData, maxN: int) -> list[int]:
 @dataclass
 class MixedComplexData:
     source: CyclicModuleData
-    normalized: bool
     spaces: dict[int, SubspaceBasis]
     b: dict[int, LinearMap]
     B: dict[int, LinearMap]
-    report: CheckReport = dc_field(default_factory=lambda: CheckReport("mixed complex"))
+    report: CheckReport      # mixed_identities on the ambient maps
 
     def dim(self, n: int) -> int:
         return self.spaces[n].dim if n in self.spaces else 0
@@ -143,37 +126,43 @@ def _normalized_spaces(M: CyclicModuleData) -> dict[int, SubspaceBasis]:
 
 
 def mixed_complex(M: CyclicModuleData, normalized: bool | None = None) -> MixedComplexData:
-    """Assemble b and B, on the normalized subcomplex for cochain modules."""
+    """b and B at every built level of M, each built once on the ambient
+    spaces and checked once by mixed_identities, then restricted to the
+    normalized subcomplex (by default for cochain modules).  Failing
+    identities raise HomologyError."""
     if M.variant.kind == "paracyclic":
         raise HomologyError("paracyclic modules admit no mixed complex here")
     if normalized is None:
         normalized = M.chirality == "cocyclic"
     if normalized and M.chirality != "cocyclic":
         raise HomologyError("normalization is implemented on the cochain side")
-    rep = CheckReport(f"mixed complex for {M.provenance}")
     N = M.max_level
-    if normalized:
-        spaces = _normalized_spaces(M)
-    else:
-        F = M.tau(0).field
-        spaces = {n: SubspaceBasis.standard(F, M.dim(n)) for n in range(N + 1)}
-    b = {}
-    B = {}
-    for n in range(1, N + 1):
-        amb = hochschild_differential(M, n)
-        b[n] = spaces[n - 1].restrict(amb, spaces[n]) if normalized else amb
-        if b[n] is None:
-            raise HomologyError(f"b_{n} does not preserve the normalized subcomplex")
-    for n in range(0, N):
-        amb = connes_B(M, n)
-        B[n] = spaces[n + 1].restrict(amb, spaces[n]) if normalized else amb
-        if B[n] is None:
-            raise HomologyError(f"B_{n} does not preserve the normalized subcomplex")
-    data = MixedComplexData(M, normalized, spaces, b, B, rep)
-    _check_mixed(rep, M.chirality, b.__getitem__, B.__getitem__, N)
+    b = {n: hochschild_differential(M, n) for n in range(1, N + 1)}
+    B = {n: connes_B(M, n) for n in range(N)}
+    rep = mixed_identities(M, b, B)
     if not rep.ok:
         raise HomologyError(f"mixed complex identities fail: {rep.failures}")
-    return data
+    if not normalized:
+        F = M.tau(0).field
+        spaces = {n: SubspaceBasis.standard(F, M.dim(n)) for n in range(N + 1)}
+        return MixedComplexData(M, spaces, b, B, rep)
+    spaces = _normalized_spaces(M)
+    # b_n leaves level n - 1 and B_n level n + 1 on the cochain side
+    for name, maps, shift in (("b", b, -1), ("B", B, 1)):
+        for n, amb in maps.items():
+            maps[n] = spaces[n + shift].restrict(amb, spaces[n])
+            if maps[n] is None:
+                raise HomologyError(f"{name}_{n} does not preserve the normalized subcomplex")
+    return MixedComplexData(M, spaces, b, B, rep)
+
+
+def hochschild_ranks(mc: MixedComplexData, maxN: int) -> list[int]:
+    """Dimensions of HH^0..HH^maxN (cochain) or HH_0..HH_maxN (chain) of the
+    mixed complex: degree n lies between b_n and b_(n+1), one rank each."""
+    if maxN + 1 > mc.source.max_level:
+        raise HomologyError(f"need levels <= {maxN + 1} built")
+    ranks = {0: 0, **{n: rank(mc.b[n]) for n in range(1, maxN + 2)}}
+    return [mc.dim(n) - ranks[n] - ranks[n + 1] for n in range(maxN + 1)]
 
 
 def _total_complex(mc: MixedComplexData, maxN: int):
@@ -203,8 +192,7 @@ def _total_cohomology(blocks, diffs, maxN: int) -> list[int]:
     return [sum(blocks[m]) - ranks[m] - ranks[m - 1] for m in range(maxN + 1)]
 
 
-def cyclic_ranks(M: CyclicModuleData, maxN: int,
-                 normalized: bool | None = None) -> list[int]:
+def cyclic_ranks(mc: MixedComplexData, maxN: int) -> list[int]:
     """Dimensions of HC^0..HC^maxN (cochain) or HC_0..HC_maxN (chain) from the
     total complex of the bicomplex.
 
@@ -213,10 +201,9 @@ def cyclic_ranks(M: CyclicModuleData, maxN: int,
     Truncation is safe because columns beyond the requested degree only
     contribute in higher total degrees.
     """
-    if maxN + 1 > M.max_level:
+    if maxN + 1 > mc.source.max_level:
         raise HomologyError(f"need levels <= {maxN + 1} built for HC up to {maxN}")
-    mc = mixed_complex(M, normalized)
-    if M.chirality == "cyclic":
+    if mc.source.chirality == "cyclic":
         mc = replace(mc, b={n: m.transpose() for n, m in mc.b.items()},
                      B={n: m.transpose() for n, m in mc.B.items()})
     return _total_cohomology(*_total_complex(mc, maxN), maxN)

@@ -64,6 +64,7 @@ class RTModuleData:
     omega_inverse: dict[int, LinearMap]
     reindexed_coend: CyclicModuleData
     coend_module: CyclicModuleData         # the coend module before reindexing
+    known: dict[tuple, LinearMap]          # the generators known in closed form
 
 
 def _conjugation(data: CoendData, M: CyclicModuleData, states: dict[int, SubspaceBasis]):
@@ -121,11 +122,12 @@ def _build_rt(data: CoendData, N: int, chirality: str) -> RTModuleData:
     omega, omega_inv, gen = _conjugation(data, reindexed, states)
     module = CyclicModuleData(CYCLIC, chirality, N, states, gen,
                               provenance=f"state {chirality} module of {data.algebra.name}")
-    return RTModuleData(data, chirality, module, omega, omega_inv, reindexed, base)
+    return RTModuleData(data, chirality, module, omega, omega_inv, reindexed, base,
+                        _closed_form_generators(data, module))
 
 
 def build_rt_cocyclic(data: CoendData, N: int) -> RTModuleData:
-    """The cocyclic state module; the relation suite runs as a sanity gate."""
+    """The cocyclic state module; verify_main_theorem checks it."""
     return _build_rt(data, N, "cocyclic")
 
 
@@ -136,15 +138,13 @@ def build_rt_cyclic(data: CoendData, N: int) -> RTModuleData:
 # -- independent generator values ------------------------------------------------------------
 
 
-def _closed_form_generators(rt: RTModuleData) -> dict[tuple, LinearMap]:
-    """The (co)faces and (co)degeneracies of the state module whose diagram
+def _closed_form_generators(data: CoendData, M: CyclicModuleData) -> dict[tuple, LinearMap]:
+    """The (co)faces and (co)degeneracies of the state module M whose diagram
     values are known in closed form, as postcomposition maps on the states:
     unit insertions and products (cocyclic), counit contractions and coproduct
     insertions (cyclic)."""
-    data = rt.base
-    M = rt.module
     d = TensorShape([data.dim])
-    if rt.chirality == "cocyclic":
+    if M.chirality == "cocyclic":
         ops = {"delta": LinearMap.from_function(data.field, UNIT, d,
                                                 lambda c: enumerate(data.unit)),
                "sigma": data.m.reshaped(d * d, d)}
@@ -186,7 +186,7 @@ def shape_checks(rt: RTModuleData) -> CheckReport:
     M = rt.module
     rep = CheckReport(f"shape checks for {M.provenance}")
     face, face_value, plain, degen, degen_value = _SHAPE_NAMES[rt.chirality]
-    for (kind, n, i), expected in _closed_form_generators(rt).items():
+    for (kind, n, i), expected in rt.known.items():
         ok = expected.entries == M.gen[(kind, n, i)].entries
         if kind == "sigma":
             rep.check(f"{degen} {i} at level {n} is {degen_value}", ok)
@@ -198,9 +198,10 @@ def shape_checks(rt: RTModuleData) -> CheckReport:
     return rep
 
 
-def verify_main_theorem(data: CoendData, N: int,
-                        rt: RTModuleData | None = None) -> CheckReport:
-    """The comparison theorem at levels <= N:
+def verify_main_theorem(rt: RTModuleData, rel: CheckReport, sc: CheckReport) -> CheckReport:
+    """The comparison theorem for the cocyclic state module rt at every built
+    level, given its relation report rel (check_relations) and its shape
+    report sc (shape_checks):
 
     (i) the relation suite holds for the conjugated state modules;
     (ii) the pairing maps intertwine the independently known generators with
@@ -209,22 +210,17 @@ def verify_main_theorem(data: CoendData, N: int,
     (iv) a negative control: dropping the reindexing breaks the rotation
         square whenever the rotation differs from its inverse.
     """
-    from .cyclic_modules import check_relations
-
-    rep = CheckReport(f"main theorem for {data.algebra.name} at levels <= {N}")
-    rt = rt or build_rt_cocyclic(data, N)
     M = rt.module
+    N = M.max_level
     reT = rt.reindexed_coend
-
-    rel = check_relations(M)
+    rep = CheckReport(f"main theorem for {rt.base.algebra.name} at levels <= {N}")
     rep.check("state module satisfies every cocyclic relation", rel.ok)
-    sc = shape_checks(rt)
     rep.check("independent generator values match", sc.ok)
 
     # (ii) independent naturality squares: omega o (known generator) =
     # (reindexed coend generator) o omega, for the non-wrapping generators
     face, _, _, degen, _ = _SHAPE_NAMES[rt.chirality]
-    for key, known in _closed_form_generators(rt).items():
+    for key, known in rt.known.items():
         kind, n, i = key
         if kind == "delta" and not 1 <= i <= n - 1:
             continue

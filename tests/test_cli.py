@@ -479,6 +479,56 @@ def test_cat_expressions(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("count 1 2",), ("count a b cyclic",), ("L d2^x",), ("nf t^2 : x->1",),
+    ("--variant", "rcyclicX", "nf t"), ("count -1 2 cyclic",),
+], ids=" ".join)
+def test_malformed_cat_expression_is_input_error(argv):
+    proc = run_child("cat", *argv)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("input error:")
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
+# small levels only: hom_count enumerates the hom-set
+_LEVEL = st.sampled_from(["-1", "0", "1", "2", "3", "4", "x", "", "1.5"])
+_VARIANT = st.sampled_from(["simplicial", "cyclic", "paracyclic", "rcyclic", "rcyclic2",
+                            "rcyclic(3)", "rcyclic(", "rcyclic0", "rcyclicX", "bogus"])
+_HEAD = st.sampled_from(["d", "s", "t", "δ", "σ", "τ", "q", "id", ""])
+_PIECE = st.builds(lambda h, i, e: h + i + e, _HEAD, _LEVEL | st.just(""),
+                   st.just("") | _LEVEL.map("^{}".format))
+_WORD = st.lists(_PIECE, max_size=3).map(".".join)
+_TYPED = st.builds("{} : {}->{}".format, _WORD, _LEVEL, _LEVEL) | _WORD
+_EXPLICIT = st.lists(st.builds(lambda h, i, l: f"{h}{i}^{l}", _HEAD, _LEVEL, _LEVEL) |
+                     st.builds(lambda l, e: f"t_{l}^{e}", _LEVEL, _LEVEL),
+                     max_size=3).map(".".join)
+_CAT_EXPR = st.one_of(
+    st.builds("count {} {} {}".format, _LEVEL, _LEVEL, _VARIANT),
+    st.builds("count {} {}".format, _LEVEL, _LEVEL),
+    st.builds("nf {}".format, _TYPED),
+    st.builds("compose {} ; {}".format, _TYPED, _TYPED),
+    st.builds("L {}".format, _EXPLICIT),
+    st.builds("phi {}".format, _EXPLICIT),
+    st.text(alphabet="countfpahiLdst^_.:->;0123 x", max_size=16),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VARIANT, _CAT_EXPR)
+def test_cat_expression_exits_0_or_2(variant, expr):
+    """Any cat expression at levels <= 4 prints its answer or ends in one
+    input-error line; none raises."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["cat", "--variant", variant, "--", expr])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("input error:")
+        assert len(err.getvalue().strip().splitlines()) == 1
+
+
 # -- damaged algebra files ---------------------------------------------------------------
 
 BUNDLES = {name: json.loads((DATA / f"{name}.json").read_text())

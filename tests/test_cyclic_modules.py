@@ -8,8 +8,8 @@ from cyclotome.coend import (
 from cyclotome.cyclic_cat import CYCLIC, RCyclic
 from cyclotome.cyclic_modules import (
     CyclicModuleError, apply_cyclic_duality,
-    apply_cyclic_duality_inverse, apply_reindexing, build_paracocyclic,
-    build_paracyclic, check_relations, coend_algebra_object,
+    apply_cyclic_duality_inverse, apply_reindexing, build_paracyclic,
+    check_relations, coend_algebra_object,
     coend_coalgebra_object, contracting_homotopy, cocyclic_module_from_coalgebra,
     cyclic_module_from_algebra, explicit_coend_cocyclic, explicit_coend_cyclic,
     explicit_cocyclic_rotation, generator_keys, generator_levels,
@@ -381,7 +381,7 @@ def test_paracyclic_twisted_cyclicity(coends):
     P = build_paracyclic(coend_coalgebra_object(cd), 2)
     assert check_relations(P).ok
     assert twisted_cyclicity_check(P).ok
-    Pc = build_paracocyclic(coend_algebra_object(cd), 2)
+    Pc = build_paracyclic(coend_algebra_object(cd), 2)
     assert check_relations(Pc).ok
     assert twisted_cyclicity_check(Pc).ok
 
@@ -396,7 +396,7 @@ def test_paracyclic_symmetric_case(coends):
 def test_paracyclic_rotation_relation_instance(coends):
     # tau_n sigma_0 = sigma_n tau_{n+1}^2 at n = 1
     cd = coends["double_z2"]
-    P = build_paracocyclic(coend_algebra_object(cd), 2)
+    P = build_paracyclic(coend_algebra_object(cd), 2)
     lhs = P.tau(1).compose(P.codegeneracy(1, 0))
     rhs = P.codegeneracy(1, 1).compose(P.tau_power(2, 2))
     assert lhs.entries == rhs.entries
@@ -531,7 +531,7 @@ def test_every_builder_has_the_generator_table(algebras, coends):
         built = {"W": explicit_coend_cyclic(H, N), "Wco": explicit_coend_cocyclic(H, N),
                  "generic": cyclic_module_from_algebra(alg, N),
                  "genericco": cocyclic_module_from_coalgebra(coalg, N),
-                 "para": P, "paraco": build_paracocyclic(alg, N)}
+                 "para": P, "paraco": build_paracyclic(alg, N)}
         for i, simple in enumerate(simples):
             built[f"rcyclic{i}"] = r_cyclic_from_simple(P, simple)[0]
         for which, M in built.items():

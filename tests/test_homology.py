@@ -51,42 +51,47 @@ def test_beta_at_level_one_is_coface_difference(z2_cocyclic):
 
 def test_mixed_identities(z2_cocyclic, h4_cocyclic):
     for _, M in (z2_cocyclic, h4_cocyclic):
-        rep = mixed_identities(M)
+        b = {n: hochschild_differential(M, n) for n in range(1, M.max_level + 1)}
+        B = {n: connes_B(M, n) for n in range(M.max_level)}
+        rep = mixed_identities(M, b, B)
         assert rep.ok, rep.failures
+        assert mixed_complex(M).report.entries == rep.entries
 
 
 def test_hochschild_collapse(z2_cocyclic, h4_cocyclic):
     _, Mz = z2_cocyclic
-    hh = hochschild_ranks(Mz, 3)
+    hh = hochschild_ranks(mixed_complex(Mz), 3)
     assert hh[0] >= 1 and hh[1:] == [0, 0, 0]
     _, Mh = h4_cocyclic
-    hh4 = hochschild_ranks(Mh, 2)
+    hh4 = hochschild_ranks(mixed_complex(Mh), 2)
     assert hh4[1:] == [0, 0]
 
 
 def test_hh0_equals_kernel_of_beta1(z2_cocyclic):
     _, M = z2_cocyclic
     basis, rank = kernel_and_rank(hochschild_differential(M, 1))
-    assert hochschild_ranks(M, 0)[0] == M.dim(0) - rank == len(basis)
+    assert hochschild_ranks(mixed_complex(M), 0)[0] == M.dim(0) - rank == len(basis)
 
 
 def test_cyclic_alternation(z2_cocyclic, h4_cocyclic):
-    _, Mz = z2_cocyclic
-    k = hochschild_ranks(Mz, 0)[0]
-    assert cyclic_ranks(Mz, 3) == [k, 0, k, 0]
-    _, Mh = h4_cocyclic
-    k4 = hochschild_ranks(Mh, 0)[0]
-    assert cyclic_ranks(Mh, 2) == [k4, 0, k4]
+    mz = mixed_complex(z2_cocyclic[1])
+    k = hochschild_ranks(mz, 0)[0]
+    assert cyclic_ranks(mz, 3) == [k, 0, k, 0]
+    mh = mixed_complex(h4_cocyclic[1])
+    k4 = hochschild_ranks(mh, 0)[0]
+    assert cyclic_ranks(mh, 2) == [k4, 0, k4]
 
 
 def test_hc0_equals_hh0(z2_cocyclic, h4_cocyclic):
     for _, M in (z2_cocyclic, h4_cocyclic):
-        assert cyclic_ranks(M, 0)[0] == hochschild_ranks(M, 0)[0]
+        mc = mixed_complex(M)
+        assert cyclic_ranks(mc, 0)[0] == hochschild_ranks(mc, 0)[0]
 
 
 def test_normalized_matches_unnormalized(z2_cocyclic):
     _, M = z2_cocyclic
-    assert cyclic_ranks(M, 3) == cyclic_ranks(M, 3, normalized=False)
+    assert cyclic_ranks(mixed_complex(M), 3) == \
+        cyclic_ranks(mixed_complex(M, normalized=False), 3)
 
 
 def test_homotopy_consequence_matches_hh0(z2_cocyclic):
@@ -94,18 +99,18 @@ def test_homotopy_consequence_matches_hh0(z2_cocyclic):
     obj = coend_coalgebra_object(cd)
     rep = contracting_homotopy(obj, M, cd.unit)
     assert rep.ok
-    assert hochschild_ranks(M, 0)[0] == \
+    assert hochschild_ranks(mixed_complex(M), 0)[0] == \
         M.dim(0) - kernel_and_rank(hochschild_differential(M, 1))[1]
 
 
 def test_chain_side_regression():
     H, _ = load_algebra(DATA / "sweedler_h4.json")
-    W = explicit_coend_cyclic(H, 3)
-    assert mixed_identities(W).ok
+    mc = mixed_complex(explicit_coend_cyclic(H, 3))
+    assert mc.report.ok
     # frozen regression values for the invariant-tensor cyclic module
-    assert hochschild_ranks(W, 2) == [1, 3, 2]
-    assert cyclic_ranks(W, 2) == [1, 3, 1]
-    assert cyclic_ranks(W, 0)[0] == hochschild_ranks(W, 0)[0]
+    assert hochschild_ranks(mc, 2) == [1, 3, 2]
+    assert cyclic_ranks(mc, 2) == [1, 3, 1]
+    assert cyclic_ranks(mc, 0)[0] == hochschild_ranks(mc, 0)[0]
 
 
 def test_paracyclic_rejected():
@@ -134,8 +139,9 @@ def h4_explicit():
 def test_sbi_consistency_where_B_is_visible(h4_explicit):
     """On the explicit Sweedler module HH = [1, 2, 1], HC = [1, 2, 1] and the
     connecting map B : HH^2 -> HC^1 has rank 1, so the check sees B."""
-    assert hochschild_ranks(h4_explicit, 2) == [1, 2, 1]
-    assert cyclic_ranks(h4_explicit, 2) == [1, 2, 1]
+    mc = mixed_complex(h4_explicit)
+    assert hochschild_ranks(mc, 2) == [1, 2, 1]
+    assert cyclic_ranks(mc, 2) == [1, 2, 1]
     assert sbi_consistency(h4_explicit, 2).ok
 
 
@@ -287,10 +293,42 @@ def _connes_quotient_hc_oracle(M, maxN):
 def test_chain_cyclic_ranks_match_connes_quotient_complex(name):
     H, _ = load_algebra(DATA / f"{name}.json")
     W = explicit_coend_cyclic(H, 3)
-    assert cyclic_ranks(W, 2) == _connes_quotient_hc_oracle(W, 2)
+    assert cyclic_ranks(mixed_complex(W), 2) == _connes_quotient_hc_oracle(W, 2)
 
 
 def test_degeneration_against_dense_cyclic_bicomplex(z2_cocyclic):
     # plain-rotation module: the classical cyclic bicomplex gives the same HC
     _, M = z2_cocyclic
-    assert _dense_bicomplex_hc_oracle(M, 2) == cyclic_ranks(M, 2)
+    assert _dense_bicomplex_hc_oracle(M, 2) == cyclic_ranks(mixed_complex(M), 2)
+
+
+def test_homology_command_builds_and_checks_the_mixed_complex_once(monkeypatch, capsys):
+    """`homology -N 2` builds b and B once at each of the levels 1..3 of the
+    cocyclic module, checks their identities once and ranks each b and each
+    differential of the total complex once (11, 6, 2 and 9 when each rank
+    function rebuilt the complex)."""
+    from cyclotome import cli, reports
+    calls = {"b": 0, "B": 0, "check": 0, "rank": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    check = reports.CheckReport.check
+
+    def counted_check(self, name, ok):
+        calls["check"] += name == "b b = 0 at level 2"
+        return check(self, name, ok)
+
+    monkeypatch.setattr(homology, "hochschild_differential",
+                        counted("b", homology.hochschild_differential))
+    monkeypatch.setattr(homology, "connes_B", counted("B", homology.connes_B))
+    monkeypatch.setattr(homology, "rank", counted("rank", homology.rank))
+    monkeypatch.setattr(reports.CheckReport, "check", counted_check)
+    argv = ["homology", "-N", "2", "--algebra", str(DATA / "sweedler_h4.json")]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert (calls["b"], calls["B"], calls["check"]) == (3, 3, 1)
+    assert calls["rank"] <= 7

@@ -33,6 +33,11 @@ def rt_cy(double):
     return build_rt_cyclic(double, 2)
 
 
+def _theorem(rt):
+    """The theorem check with the relation and shape reports it reads."""
+    return verify_main_theorem(rt, check_relations(rt.module), shape_checks(rt))
+
+
 def _pairing(double):
     """The pairing matrix W[a][b] = omega(e_a (x) e_b), read off the pairing."""
     d = double.dim
@@ -81,7 +86,7 @@ def test_state_spaces_are_kernel_bases_and_restrict_without_solve(double, monkey
 
     monkeypatch.setattr(linalg, "solve", counted)
     monkeypatch.setattr(hopf, "solve", counted)
-    assert verify_main_theorem(double, 1, build_rt_cocyclic(double, 1)).ok
+    assert _theorem(build_rt_cocyclic(double, 1)).ok
     assert calls == []
 
 
@@ -101,6 +106,39 @@ def test_tqft_verify_builds_the_coend_module_once(monkeypatch, capsys):
     assert cli.main(["tqft", "verify", "-N", "1", "--algebra", str(DATA / "double_z2.json")]) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [("tqft", "verify"), ("module", "build", "--which", "rt")],
+                         ids=" ".join)
+def test_theorem_gates_run_once(monkeypatch, capsys, argv):
+    """The relation suite of the state module, its shape checks and its
+    closed-form generators run once per command, and the theorem check
+    reads their reports (2, 2 and 3 runs when it made its own)."""
+    from cyclotome import cli, cyclic_modules, tqft
+    calls = {"relations": 0, "shape": 0, "closed": 0}
+    relations, shape, closed = (cyclic_modules.check_relations, tqft.shape_checks,
+                                tqft._closed_form_generators)
+
+    def counted_relations(M, *args):
+        calls["relations"] += M.provenance.startswith("state")
+        return relations(M, *args)
+
+    def counted_shape(*args):
+        calls["shape"] += 1
+        return shape(*args)
+
+    def counted_closed(*args):
+        calls["closed"] += 1
+        return closed(*args)
+
+    for mod in (cli, cyclic_modules):
+        monkeypatch.setattr(mod, "check_relations", counted_relations)
+    for mod in (cli, tqft):
+        monkeypatch.setattr(mod, "shape_checks", counted_shape)
+    monkeypatch.setattr(tqft, "_closed_form_generators", counted_closed)
+    assert cli.main([*argv, "-N", "1", "--algebra", str(DATA / "double_z2.json")]) == 0
+    capsys.readouterr()
+    assert calls == {"relations": 1, "shape": 1, "closed": 1}
 
 
 def test_state_space_dim_z2():
@@ -232,8 +270,8 @@ def test_rt_cyclic_side(double):
     assert rep.ok, rep.failures
 
 
-def test_main_theorem(double, rt_co):
-    rep = verify_main_theorem(double, 2, rt_co)
+def test_main_theorem(rt_co):
+    rep = _theorem(rt_co)
     assert rep.ok, rep.failures
 
 
@@ -251,7 +289,7 @@ def test_theorem_check_inverts_each_rotation_three_times(double, rt_co, monkeypa
         return solve_columns(*args)
 
     monkeypatch.setattr(linalg, "_solve_columns", counted_solve)
-    assert verify_main_theorem(double, 2, rt_co).ok
+    assert _theorem(rt_co).ok
     assert len(solves) <= 3 * 3
 
 

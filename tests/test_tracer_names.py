@@ -3,6 +3,7 @@ name; a name that no longer resolves would turn its per-layer metric into a
 silent 0.  The tracer's source is read and executed here, never imported from
 its directory, so this test writes nothing there."""
 
+import ast
 import importlib
 import inspect
 import types
@@ -36,3 +37,38 @@ def test_every_traced_name_is_a_wrapped_function():
             assert cls_name in tracer.CLASSES[layer], name
             raw = vars(getattr(mod, cls_name)).get(attr)
             assert inspect.isfunction(raw) or isinstance(raw, staticmethod), name
+
+
+def _references_outside_own_def(name: str) -> bool:
+    """Whether the package reads name's last part (a Name or an attribute)
+    anywhere but inside the def that the tracer wraps."""
+    layer, *rest = name.split(".")
+    attr = rest[-1]
+    for path in sorted((TRACER.parents[1] / "src" / "cyclotome").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        skip = set()
+        if path.stem == layer:
+            body = tree.body
+            for cls in rest[:-1]:
+                body = next(n.body for n in body if isinstance(n, ast.ClassDef) and n.name == cls)
+            own = next(n for n in body if isinstance(n, ast.FunctionDef) and n.name == attr)
+            skip = {id(n) for n in ast.walk(own)}
+        for node in ast.walk(tree):
+            if id(node) in skip:
+                continue
+            if isinstance(node, ast.Name) and node.id == attr or \
+                    isinstance(node, ast.Attribute) and node.attr == attr:
+                return True
+    return False
+
+
+def test_every_traced_name_is_reached_from_the_package():
+    """A traced function that nothing in the package calls reads 0 in its
+    per-layer metric as surely as a name that no longer resolves.  The only
+    such names are the two that the planned in-library trace retires
+    (ROADMAP.md, "In-library trace")."""
+    tracer = _tracer()
+    names = {n for members, _, _ in tracer.GROUPS.values() for n in members}
+    names |= set(tracer.AFTER)
+    orphans = {n for n in names if not _references_outside_own_def(n)}
+    assert orphans == {"hopf.right_coadjoint_power", "linalg.kernel_with_free_columns"}
