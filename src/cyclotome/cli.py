@@ -17,7 +17,10 @@ import tempfile
 from pathlib import Path
 
 from . import __version__, cyclic_cat as cc
-from .coend import CoendError, build_coend_hopf, end_and_drinfeld
+from .coend import (
+    CoendError, build_coend_algebra, build_coend_coalgebra, build_coend_hopf,
+    end_and_drinfeld,
+)
 from .cyclic_modules import (
     CyclicModuleError, build_paracyclic, check_relations, coend_algebra_object,
     coend_coalgebra_object, cocyclic_module_from_coalgebra,
@@ -213,18 +216,24 @@ def cmd_coend_build(args) -> int:
     return _emit(args, payload, ok)
 
 
-# the explicit models on invariant tensors read only the algebra; the other
-# cached builders read the coend
-_ALGEBRA_BUILDERS = {"W": explicit_coend_cyclic, "Wco": explicit_coend_cocyclic}
-_COEND_BUILDERS = {
-    "generic": lambda data, N: cyclic_module_from_algebra(
-        coend_algebra_object(data), N),
-    "genericco": lambda data, N: cocyclic_module_from_coalgebra(
-        coend_coalgebra_object(data), N),
-    "para": lambda data, N: build_paracyclic(coend_coalgebra_object(data), N),
-    "paraco": lambda data, N: build_paracyclic(coend_algebra_object(data), N),
+def _coalgebra(H):
+    return coend_coalgebra_object(build_coend_coalgebra(H))
+
+
+def _algebra(H):
+    return coend_algebra_object(build_coend_algebra(H))
+
+
+# the cached builders: the explicit models on invariant tensors read only the
+# algebra, the others one stage of the coend, its coalgebra or its algebra
+_BUILDERS = {
+    "W": explicit_coend_cyclic,
+    "Wco": explicit_coend_cocyclic,
+    "generic": lambda H, N: cyclic_module_from_algebra(_algebra(H), N),
+    "genericco": lambda H, N: cocyclic_module_from_coalgebra(_coalgebra(H), N),
+    "para": lambda H, N: build_paracyclic(_coalgebra(H), N),
+    "paraco": lambda H, N: build_paracyclic(_algebra(H), N),
 }
-_BUILDERS = {**_ALGEBRA_BUILDERS, **_COEND_BUILDERS}
 
 
 def cmd_module_build(args) -> int:
@@ -251,23 +260,18 @@ def cmd_module_build(args) -> int:
     payload = {"algebra": H.name, "which": args.which, "max_level": N,
                "cached": cached}
     try:
-        if module is None and args.which in _ALGEBRA_BUILDERS:
-            module = _ALGEBRA_BUILDERS[args.which](H, N)
+        if module is None and args.which in _BUILDERS:
+            module = _BUILDERS[args.which](H, N)
+        elif module is None and args.which == "rcyclic":
+            para = build_paracyclic(_coalgebra(H), N)
+            module, scalar, r = r_cyclic_from_simple(para, simples[args.simple])
+            payload["twist_scalar"] = repr(scalar)
+            payload["twist_order"] = r
         elif module is None:
-            # a miss of a builder that reads the coend; a hit needs none
+            # rt and rtc read the whole coend: omega comes from its pairing
             data = build_coend_hopf(H, simples or None)
-            if args.which in _COEND_BUILDERS:
-                module = _COEND_BUILDERS[args.which](data, N)
-            elif args.which == "rcyclic":
-                para = build_paracyclic(coend_coalgebra_object(data), N)
-                module, scalar, r = r_cyclic_from_simple(para, simples[args.simple])
-                payload["twist_scalar"] = repr(scalar)
-                payload["twist_order"] = r
-            elif args.which in ("rt", "rtc"):
-                rt = (build_rt_cocyclic if args.which == "rt" else build_rt_cyclic)(data, N)
-                module = rt.module
-            else:
-                raise InputError(f"unknown builder {args.which!r}")
+            rt = (build_rt_cocyclic if args.which == "rt" else build_rt_cyclic)(data, N)
+            module = rt.module
         elif args.which in ("para", "paraco"):
             # the cache holds only matrices; the twisted cyclicity check also
             # needs the tensor powers of the coend's carrier, H* coadjoint
@@ -301,11 +305,10 @@ def cmd_module_build(args) -> int:
 
 def cmd_homology(args) -> int:
     _reads_no_cache(args, "homology")
-    H, simples = _load(args.algebra)
+    H, _ = _load(args.algebra)
     N = _max_level(args, 3)
     if args.chirality == "cocyclic":
-        data = build_coend_hopf(H, simples or None)
-        module = cocyclic_module_from_coalgebra(coend_coalgebra_object(data), N + 1)
+        module = cocyclic_module_from_coalgebra(_coalgebra(H), N + 1)
     else:
         module = explicit_coend_cyclic(H, N + 1)
     mc = mixed_complex(module)

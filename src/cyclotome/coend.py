@@ -75,35 +75,27 @@ def dinatural_component(H: HopfAlgebraData, V: ModuleData, carrier: ModuleData) 
 # -- the universal-property solver -----------------------------------------------------
 
 
-def coend_section(H: HopfAlgebraData) -> LinearMap:
-    """A right inverse of i_H on the regular module: psi |-> psi (x) 1_H."""
-    u_map = LinearMap.from_function(H.field, UNIT, H.shape, lambda c: enumerate(H.u))
-    return whisker(u_map, H.shape, UNIT)
-
-
-def factor_through_coend(H: HopfAlgebraData, rhs: LinearMap, arity: int,
-                         carrier: ModuleData) -> LinearMap:
+def factor_through_coend(stage: CoendStage, rhs: LinearMap, arity: int) -> LinearMap:
     """The unique map phi: C^(x)arity -> D with phi o i_H^(x)arity = rhs.
 
     rhs must be given on regular-module inputs (H* (x) H)^(x)arity.  The
-    returned map is rhs composed with a section of i_H on each input; the
-    defining equation is then re-checked exactly, which certifies that rhs
-    annihilates the kernel of i_H^(x)arity (independence of the section).
+    returned map is rhs composed with the carrier stage's section of i_H on
+    each input; the defining equation is then re-checked exactly, which
+    certifies that rhs annihilates the kernel of i_H^(x)arity (independence
+    of the section).
     """
-    s = coend_section(H)
-    section = s
-    i_H = dinatural_component(H, regular_module(H), carrier)
-    i_pow = i_H
+    section = stage.section
+    i_pow = stage.i_H
     for _ in range(arity - 1):
-        section = section.tensor(s)
-        i_pow = i_pow.tensor(i_H)
+        section = section.tensor(stage.section)
+        i_pow = i_pow.tensor(stage.i_H)
     phi = rhs.compose(section.reshaped(section.domain, rhs.domain))
     check = phi.compose(i_pow.reshaped(i_pow.domain, phi.domain))
     if check.entries != rhs.reshaped(check.domain, check.codomain).entries:
         raise CoendError(
             f"defining diagram inconsistent at arity {arity}: "
             "the candidate does not annihilate ker(i_H)")
-    dom = TensorShape([carrier.dim] * arity)
+    dom = TensorShape([stage.carrier.dim] * arity)
     return phi.reshaped(dom, phi.codomain)
 
 
@@ -205,70 +197,135 @@ def _columns(m: LinearMap) -> dict[int, list[tuple[int, Scalar]]]:
     return cols
 
 
-def build_coend_hopf(H: HopfAlgebraData,
-                     simples: list[ModuleData] | None = None) -> CoendData:
-    """Construct the coend as a braided Hopf algebra with its canonical pairing.
+# -- the stages of the build -------------------------------------------------------------
 
-    Every structure map is solved from its defining diagram; the duality
-    oracles and the braided Hopf axiom suite are mandatory gates and raise on
-    failure.
-    """
+
+class CoendStage:
+    """The coend built up to a stage.  The carrier stage is C = H* with the
+    coadjoint action, its square C (x) C, the regular module, its dinatural
+    component i_H and the section s; the coalgebra stage adds Delta and the
+    counit, the algebra stage m and the unit.  Every gate of the stages built
+    is in report.  (A plain class: a dataclass here measurably raised the
+    peak memory of repeated imports.)"""
+
+    def __init__(self, algebra: HopfAlgebraData, carrier: ModuleData, regular: ModuleData,
+                 i_H: LinearMap, section: LinearMap, report: CheckReport):
+        self.algebra, self.carrier, self.regular = algebra, carrier, regular
+        self.i_H, self.section, self.report = i_H, section, report
+        self.square = module_power(carrier, 2)
+        self.m: LinearMap | None = None
+        self.unit: Vector | None = None
+        self.Delta: LinearMap | None = None
+        self.counit: LinearMap | None = None
+
+
+def coend_carrier(H: HopfAlgebraData) -> CoendStage:
+    """The carrier stage, with the gates that i_H is onto and s is a section."""
     rep = CheckReport(f"coend of {H.name}")
-    F = H.field
-    d = H.dim
     C = coadjoint_module(H)
     Hreg = regular_module(H)
-    Hdual = dual_module(Hreg)
     i_H = dinatural_component(H, Hreg, C)
+    rep.check("dinatural component of the regular module is surjective", rank(i_H) == H.dim)
+    # the section psi |-> psi (x) 1_H, a right inverse of i_H
+    u_map = LinearMap.from_function(H.field, UNIT, H.shape, lambda c: enumerate(H.u))
+    s = whisker(u_map, H.shape, UNIT)
+    rep.check("section property i_H o s = id",
+              i_H.compose(s) == LinearMap.identity(H.field, C.shape))
+    return CoendStage(H, C, Hreg, i_H, s, rep)
 
-    # surjectivity of i_H and the section property
-    rk = rank(i_H)
-    rep.check("dinatural component of the regular module is surjective", rk == d)
-    s = coend_section(H)
-    rep.check("section property i_H o s = id", i_H.compose(s) == LinearMap.identity(F, C.shape))
 
-    # unit: the image of the unit object's component, i.e. the counit functional
-    unit = H.epsilon.transpose().apply([F.one()])
-
-    # multiplication: m(i_X (x) i_Y) = i_{Y(x)X} o (id_{X*} (x) c_{X, Y*(x)Y})
-    YY = tensor_module(Hdual, Hreg)
-    c_mid = braiding(Hreg, YY)
-    XY_star = block_flip(F, Hreg.shape, Hreg.shape)  # X* (x) Y* -> (Y(x)X)* index flip
-    YX = tensor_module(Hreg, Hreg)
-    i_YX = dinatural_component(H, YX, C)
-    step = whisker(c_mid, Hreg.shape, UNIT)  # X* X Y* Y -> X* (Y* Y) X
-    regroup = whisker(XY_star, UNIT, Hreg.shape * Hreg.shape)
-    m_rhs = i_YX.reshaped(TensorShape([d] * 4), C.shape).compose(
-        regroup.reshaped(step.codomain, TensorShape([d] * 4))).compose(step)
-    m_C = factor_through_coend(H, m_rhs.reshaped(TensorShape([d] * 4), C.shape), 2, C)
-
+def _solve_coalgebra(stage: CoendStage) -> CoendStage:
+    """Delta and the counit, each from its defining diagram, checked against
+    the algebra they are dual to and for equivariance."""
+    H, C, Hreg, i_H, rep = stage.algebra, stage.carrier, stage.regular, stage.i_H, stage.report
+    d = H.dim
     # comultiplication: Delta o i_X = (i_X (x) i_X)(id (x) coev_X (x) id)
     ins = whisker(coev_left(Hreg), Hreg.shape, Hreg.shape)
     d_rhs = i_H.tensor(i_H).compose(
         ins.reshaped(TensorShape([d, d]), TensorShape([d] * 4)))
-    Delta_C = factor_through_coend(H, d_rhs, 1, C)
-    Delta_C = Delta_C.reshaped(C.shape, C.shape * C.shape)
-
+    Delta_C = factor_through_coend(stage, d_rhs, 1).reshaped(C.shape, C.shape * C.shape)
     # counit: eps o i_X = ev_X
-    eps_C = factor_through_coend(H, ev_left(Hreg), 1, C)
-
-    # pairing: omega(i_X (x) i_Y) = (ev_X (x) ev_Y)(id (x) monodromy (x) id)
-    mono = braiding(Hdual, Hreg).compose(braiding(Hreg, Hdual))
-    w_step = whisker(mono, Hreg.shape, Hreg.shape)
-    w_rhs = ev_left(Hreg).tensor(ev_left(Hreg)).compose(
-        w_step.reshaped(TensorShape([d] * 4), TensorShape([d] * 4)))
-    omega = factor_through_coend(H, w_rhs, 2, C)
-
-    # duality oracles pin every ordering convention
-    rep.check("dual of the product is the braided coproduct",
-              m_C.entries == braided_coproduct(H).transpose().entries)
+    eps_C = factor_through_coend(stage, ev_left(Hreg), 1)
     rep.check("dual of the coproduct is the multiplication",
               Delta_C.entries == H.m.transpose().entries)
     rep.check("counit is evaluation at the algebra unit",
-              eps_C.transpose().apply([F.one()]) == H.u)
+              eps_C.transpose().apply([H.field.one()]) == H.u)
+    rep.check("coproduct is equivariant", _is_intertwiner(Delta_C, C, stage.square))
+    rep.check("counit is equivariant", _is_intertwiner(eps_C, C, trivial_module(H)))
+    stage.Delta, stage.counit = Delta_C, eps_C
+    return stage
+
+
+def _solve_algebra(stage: CoendStage) -> CoendStage:
+    """m and the unit, checked against the braided coproduct and for
+    equivariance."""
+    H, C, Hreg, rep = stage.algebra, stage.carrier, stage.regular, stage.report
+    F, d = H.field, H.dim
+    # unit: the image of the unit object's component, i.e. the counit functional
+    unit = H.epsilon.transpose().apply([F.one()])
+    # multiplication: m(i_X (x) i_Y) = i_{Y(x)X} o (id_{X*} (x) c_{X, Y*(x)Y})
+    YY = tensor_module(dual_module(Hreg), Hreg)
+    c_mid = braiding(Hreg, YY)
+    XY_star = block_flip(F, Hreg.shape, Hreg.shape)  # X* (x) Y* -> (Y(x)X)* index flip
+    i_YX = dinatural_component(H, tensor_module(Hreg, Hreg), C)
+    step = whisker(c_mid, Hreg.shape, UNIT)  # X* X Y* Y -> X* (Y* Y) X
+    regroup = whisker(XY_star, UNIT, Hreg.shape * Hreg.shape)
+    m_rhs = i_YX.reshaped(TensorShape([d] * 4), C.shape).compose(
+        regroup.reshaped(step.codomain, TensorShape([d] * 4))).compose(step)
+    m_C = factor_through_coend(stage, m_rhs.reshaped(TensorShape([d] * 4), C.shape), 2)
+    rep.check("dual of the product is the braided coproduct",
+              m_C.entries == braided_coproduct(H).transpose().entries)
+    rep.check("product is equivariant", _is_intertwiner(m_C, stage.square, C))
+    u_map = LinearMap.from_function(F, UNIT, C.shape, lambda c: enumerate(unit))
+    rep.check("unit is invariant", _is_intertwiner(u_map, trivial_module(H), C))
+    stage.m, stage.unit = m_C, unit
+    return stage
+
+
+def _gated(stage: CoendStage) -> CoendStage:
+    if not stage.report.ok:
+        raise CoendError(f"coend gates failed: {stage.report.failures}")
+    return stage
+
+
+def build_coend_coalgebra(H: HopfAlgebraData) -> CoendStage:
+    """The carrier and coalgebra stages alone, all that the cocyclic module
+    of the coend's coalgebra object reads; raises when one of their gates
+    fails."""
+    return _gated(_solve_coalgebra(coend_carrier(H)))
+
+
+def build_coend_algebra(H: HopfAlgebraData) -> CoendStage:
+    """The carrier and algebra stages alone, all that the cyclic module of
+    the coend's algebra object reads; raises when one of their gates fails."""
+    return _gated(_solve_algebra(coend_carrier(H)))
+
+
+def build_coend_hopf(H: HopfAlgebraData,
+                     simples: list[ModuleData] | None = None) -> CoendData:
+    """Construct the coend as a braided Hopf algebra with its canonical pairing.
+
+    Every structure map is solved from its defining diagram: the carrier,
+    algebra and coalgebra stages first, then the pairing and the antipode.
+    The duality oracles and the braided Hopf axiom suite are mandatory gates
+    and raise on failure.
+    """
+    stage = _solve_coalgebra(_solve_algebra(coend_carrier(H)))
+    rep = stage.report
+    F = H.field
+    C, C2, Hreg = stage.carrier, stage.square, stage.regular
+    m_C, unit, Delta_C, eps_C = stage.m, stage.unit, stage.Delta, stage.counit
+
+    # pairing: omega(i_X (x) i_Y) = (ev_X (x) ev_Y)(id (x) monodromy (x) id)
+    Hdual = dual_module(Hreg)
+    mono = braiding(Hdual, Hreg).compose(braiding(Hreg, Hdual))
+    w_step = whisker(mono, Hreg.shape, Hreg.shape)
+    d4 = TensorShape([H.dim] * 4)
+    w_rhs = ev_left(Hreg).tensor(ev_left(Hreg)).compose(w_step.reshaped(d4, d4))
+    omega = factor_through_coend(stage, w_rhs, 2)
 
     # antipode: unique convolution inverse of the identity
-    S_C = _solve_antipode(F, d, m_C, unit, Delta_C, eps_C)
+    S_C = _solve_antipode(F, H.dim, m_C, unit, Delta_C, eps_C)
     S_inv = invert(S_C)
     if S_inv is None:
         raise CoendError("the antipode of the coend is singular")
@@ -277,15 +334,9 @@ def build_coend_hopf(H: HopfAlgebraData,
 
     data = CoendData(H, C, m_C, unit, Delta_C, eps_C, S_C, S_inv, omega, theta_C, rep)
 
-    # intertwiner checks: every structure map is a morphism of modules
-    C2 = module_power(C, 2)
-    rep.check("product is equivariant", _is_intertwiner(m_C, C2, C))
-    rep.check("coproduct is equivariant", _is_intertwiner(Delta_C, C, C2))
-    rep.check("counit is equivariant", _is_intertwiner(eps_C, C, trivial_module(H)))
+    # the remaining intertwiner checks; the stages checked m, unit, Delta, eps
     rep.check("antipode is equivariant", _is_intertwiner(S_C, C, C))
     rep.check("pairing is equivariant", _is_intertwiner(omega, C2, trivial_module(H)))
-    uvec_map = data.unit_map()
-    rep.check("unit is invariant", _is_intertwiner(uvec_map, trivial_module(H), C))
 
     _check_braided_hopf_axioms(data, rep)
     _check_pairing_axioms(data, rep)

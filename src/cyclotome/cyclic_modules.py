@@ -17,7 +17,7 @@ from .cyclic_cat import (
     CYCLIC, PARACYCLIC, CategoryVariant, CyclicMap, GeneratorWord, RCyclic,
     Token, normal_form, relation_instances, simplicial_word,
 )
-from .coend import CoendData, _is_intertwiner
+from .coend import CoendData, CoendStage, _is_intertwiner
 from .fields import Scalar
 from .hopf import (
     HopfAlgebraData, ModuleData, Vector, braided_rotation, coadjoint_action,
@@ -385,12 +385,12 @@ class AlgebraObject:
         return rep
 
 
-def coend_coalgebra_object(data: CoendData) -> CoalgebraObject:
+def coend_coalgebra_object(data: CoendData | CoendStage) -> CoalgebraObject:
     return CoalgebraObject(data.carrier, data.Delta, data.counit,
                            name=f"coend({data.algebra.name})")
 
 
-def coend_algebra_object(data: CoendData) -> AlgebraObject:
+def coend_algebra_object(data: CoendData | CoendStage) -> AlgebraObject:
     return AlgebraObject(data.carrier, data.m, data.unit,
                          name=f"coend({data.algebra.name})")
 

@@ -10,14 +10,17 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cyclotome import cli
+from cyclotome import cli, coend
 from cyclotome.cli import main
 from cyclotome.fields import Cyclotomic
-from cyclotome.hopf import drinfeld_double_of_cyclic
+from cyclotome.hopf import drinfeld_double_of_cyclic, group_algebra_simples
 from cyclotome.linalg import map_to_json, vector_to_json
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 DATA = SRC / "cyclotome" / "data"
+# the full build of the coend and the two stages a command may build alone
+FULL, COALGEBRA, ALGEBRA = COEND_BUILDS = (
+    "build_coend_hopf", "build_coend_coalgebra", "build_coend_algebra")
 
 
 def run(capsys, *argv):
@@ -236,7 +239,8 @@ def test_module_cache_hit_skips_the_coend(tmp_path, capsys, monkeypatch, which):
     def no_coend(*_):
         raise AssertionError("a module cache hit built the coend")
 
-    monkeypatch.setattr(cli, "build_coend_hopf", no_coend)
+    for build in COEND_BUILDS:
+        monkeypatch.setattr(cli, build, no_coend)
     code, out2, _ = run(capsys, *args)
     assert code == 0
     p1, p2 = json.loads(out1), json.loads(out2)
@@ -271,28 +275,36 @@ def test_explicit_model_commands_build_no_coend(capsys, monkeypatch, argv, name)
     assert run(capsys, *args) == (0, expected, "")
 
 
-def write_algebra(H, path):
-    """H as an algebra file, without simples."""
+def write_algebra(H, path, simples=()):
+    """H as an algebra file, with the given simples."""
     obj = {"name": H.name, "field": H.field.to_json(), "dim": H.dim,
            "basis": H.basis_labels, "u": vector_to_json(H.u),
            "epsilon": [[c, repr(v)] for (_, c), v in sorted(H.epsilon.entries.items())],
            **{key: map_to_json(getattr(H, key))["entries"]
               for key in ("m", "Delta", "S", "S_inv")},
            **{key: vector_to_json(getattr(H, key))
-              for key in ("R", "R_inv", "theta", "theta_inv")}}
+              for key in ("R", "R_inv", "theta", "theta_inv")},
+           "simples": [{"name": V.name, "dim": V.dim,
+                        "action": map_to_json(V.action)["entries"]} for V in simples]}
     path.write_text(json.dumps(obj), encoding="utf-8")
 
 
 def test_explicit_models_run_where_the_coend_gates_fail(tmp_path, capsys):
     """D(Z3) fails two gates of the coend's integral formula, so coend build
-    exits 1; W, Wco and cyclic homology never build the coend and pass."""
+    exits 1.  W, Wco and cyclic homology never build the coend, and cocyclic
+    homology and the object-level builders build only its algebra or
+    coalgebra stage, whose gates hold: all of them pass."""
     alg = tmp_path / "double_z3.json"
-    write_algebra(drinfeld_double_of_cyclic(Cyclotomic(3), 3), alg)
+    H = drinfeld_double_of_cyclic(Cyclotomic(3), 3)
+    write_algebra(H, alg, group_algebra_simples(H, [3, 3]))
     code, _, err = run(capsys, "coend", "build", "--no-cache", "--algebra", str(alg))
     assert code == 1 and "integral formula" in err
     for argv in (("module", "build", "--which", "W", "-N", "2"),
                  ("module", "build", "--which", "Wco", "-N", "2"),
-                 ("homology", "--chirality", "cyclic", "-N", "1")):
+                 ("homology", "--chirality", "cyclic", "-N", "1"),
+                 ("homology", "-N", "1"),
+                 *[("module", "build", "--which", which, "-N", "1")
+                   for which in ("generic", "genericco", "para", "paraco", "rcyclic")]):
         code, out, err = run(capsys, *argv, "--no-cache", "--format", "json",
                              "--algebra", str(alg))
         assert (code, err) == (0, ""), argv
@@ -316,16 +328,69 @@ def test_explicit_model_without_ribbon_data_is_a_verification_failure(tmp_path, 
     assert "needs ribbon data" in {"out": out, "err": err}[where]
 
 
-@pytest.mark.parametrize("argv", [
-    ("homology", "-N", "1"),
-    ("tqft", "verify", "-N", "1"),
-    *[("module", "build", "--which", which, "-N", "1", "--no-cache")
-      for which in ("generic", "genericco", "para", "paraco", "rcyclic", "rt", "rtc")],
-], ids=lambda argv: " ".join(argv[:4]))
-def test_coend_commands_build_the_coend(monkeypatch, argv):
-    monkeypatch.setattr(cli, "build_coend_hopf", reach_coend)
+def module_build(which):
+    return ("module", "build", "--which", which, "-N", "1", "--no-cache")
+
+
+# the coend build each command reads: cocyclic homology and the builders on
+# the coalgebra object read Delta and eps, those on the algebra object m and
+# the unit, and the state modules the pairing of the full build
+BUILD_OF = [
+    (("homology", "-N", "1"), COALGEBRA),
+    (("tqft", "verify", "-N", "1"), FULL),
+    *[(module_build(which), build) for which, build in (
+        ("generic", ALGEBRA), ("genericco", COALGEBRA), ("para", COALGEBRA),
+        ("paraco", ALGEBRA), ("rcyclic", COALGEBRA), ("rt", FULL), ("rtc", FULL))],
+]
+
+
+@pytest.mark.parametrize("argv,build", [
+    pytest.param(argv, build, id=" ".join(argv[:4])) for argv, build in BUILD_OF])
+def test_coend_commands_build_the_coend(monkeypatch, argv, build):
+    """Each command reaches its own build of the coend and no other."""
+    def other_build(*_):
+        raise AssertionError(f"{' '.join(argv)} reached a build other than {build}")
+
+    for name in COEND_BUILDS:
+        monkeypatch.setattr(cli, name, reach_coend if name == build else other_build)
     with pytest.raises(CoendReached):
         main([*argv, "--algebra", str(DATA / "double_z2.json")])
+
+
+@pytest.mark.parametrize("name", BUNDLES)
+@pytest.mark.parametrize("argv", [argv for argv, build in BUILD_OF if build != FULL],
+                         ids=lambda argv: " ".join(argv[:4]))
+def test_stage_commands_report_as_from_the_full_build(capsys, monkeypatch, argv, name):
+    """A command that reads one stage reports byte for byte what it reported
+    when it read that stage's maps from the full build, and it still does so
+    with the full build made to raise."""
+    args = (*argv, "--format", "json", "--algebra", str(DATA / f"{name}.json"))
+    full = cli.build_coend_hopf
+    with monkeypatch.context() as patched:
+        for stage in (COALGEBRA, ALGEBRA):
+            patched.setattr(cli, stage, lambda H: full(H))
+        expected = run(capsys, *args)
+    monkeypatch.setattr(cli, FULL, reach_coend)
+    assert run(capsys, *args) == expected
+
+
+def test_failed_coalgebra_gate_fails_cocyclic_homology(capsys, monkeypatch):
+    """A coproduct solved wrong (twice the true one, still equivariant) fails
+    the duality oracle of the coalgebra stage, and homology names that gate."""
+    factor = coend.factor_through_coend
+
+    def doubled_coproduct(stage, rhs, arity):
+        phi = factor(stage, rhs, arity)
+        if arity == 1 and phi.codomain.dim == stage.carrier.dim ** 2:
+            return phi.scaled(phi.field.from_int(2))
+        return phi
+
+    monkeypatch.setattr(coend, "factor_through_coend", doubled_coproduct)
+    code, out, err = run(capsys, "homology", "-N", "1",
+                         "--algebra", str(DATA / "double_z2.json"))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["verification error: coend gates failed: "
+                                "['dual of the coproduct is the multiplication']"]
 
 
 @pytest.mark.parametrize("kind", ["directory", "file"])

@@ -2,9 +2,10 @@ import pytest
 
 from cyclotome import coend, hopf, linalg
 from cyclotome.coend import (
-    CoendError, build_coend_hopf, character_checks, character_functional,
-    characters_span_check, coev_right, dinatural_component, end_and_drinfeld, ev_left,
-    factor_through_coend, integrals, internal_character, pairing_value,
+    CoendError, build_coend_algebra, build_coend_coalgebra, build_coend_hopf,
+    character_checks, character_functional, characters_span_check, coend_carrier,
+    coev_right, dinatural_component, end_and_drinfeld, ev_left, factor_through_coend,
+    integrals, internal_character, pairing_value,
 )
 from cyclotome.fields import Cyclotomic, FieldSpec, Rationals
 from cyclotome.hopf import (
@@ -67,15 +68,15 @@ def test_dinaturality_against_intertwiner(coends):
 def test_factor_through_identity(coends):
     cd = coends["double_z2"]
     H = cd.algebra
-    i_H = dinatural_component(H, regular_module(H), cd.carrier)
-    phi = factor_through_coend(H, i_H, 1, cd.carrier)
+    stage = coend_carrier(H)
+    phi = factor_through_coend(stage, stage.i_H, 1)
     assert phi == LinearMap.identity(Q, cd.carrier.shape)
 
 
 def test_factor_through_counit(coends):
     cd = coends["z2_trivial"]
     H = cd.algebra
-    eps = factor_through_coend(H, ev_left(regular_module(H)), 1, cd.carrier)
+    eps = factor_through_coend(coend_carrier(H), ev_left(regular_module(H)), 1)
     assert eps == cd.counit
     # the counit evaluates functionals at the unit of the algebra
     assert [cd.counit.entry(0, k) for k in range(cd.dim)] == H.u
@@ -170,7 +171,7 @@ def test_inconsistent_diagram_rejected(coends):
     shuffled = LinearMap(Q, bad.domain, bad.codomain,
                          {(0, 3): Q.one(), (0, 5): Q.one()})
     with pytest.raises(CoendError):
-        factor_through_coend(H, shuffled, 1, cd.carrier)
+        factor_through_coend(coend_carrier(H), shuffled, 1)
 
 
 # the two gates of the integral formula that D(Z3) fails today; the build
@@ -367,3 +368,39 @@ def test_coend_build_inverts_the_pairing_matrix_once(coends, monkeypatch):
     cd = coends["double_z2"]
     build_coend_hopf(cd.algebra, cd.caches["simples"])
     assert len(calls) == 3, calls
+
+
+def test_coend_build_makes_the_regular_module_and_its_component_once(coends, monkeypatch):
+    """The carrier stage holds H_reg and i_H for every solve of the build (5
+    regular modules and 5 of their components when each solve made its own)."""
+    calls = {"regular": 0, "i_H": 0}
+    regular, dinatural = coend.regular_module, coend.dinatural_component
+
+    def counted_regular(H):
+        calls["regular"] += 1
+        return regular(H)
+
+    def counted_dinatural(H, V, carrier):
+        calls["i_H"] += V.name == f"{H.name}_reg"
+        return dinatural(H, V, carrier)
+
+    monkeypatch.setattr(coend, "regular_module", counted_regular)
+    monkeypatch.setattr(coend, "dinatural_component", counted_dinatural)
+    cd = coends["z2_semion"]
+    build_coend_hopf(cd.algebra, cd.caches["simples"])
+    assert calls == {"regular": 1, "i_H": 1}
+
+
+@pytest.mark.parametrize("name", ["z2_trivial", "z2_semion", "sweedler_h4", "double_z2"])
+def test_stages_solve_the_maps_of_the_full_build(coends, name):
+    """Delta and eps from the coalgebra stage, m and the unit from the algebra
+    stage, are the full build's maps (same shapes, same entries), and each
+    stage's gates are among the full build's."""
+    cd = coends[name]
+    co = build_coend_coalgebra(cd.algebra)
+    al = build_coend_algebra(cd.algebra)
+    assert (co.Delta, co.counit) == (cd.Delta, cd.counit)
+    assert (al.m, al.unit) == (cd.m, cd.unit)
+    for stage in (co, al):
+        assert stage.report.ok
+        assert set(stage.report.entries) < set(cd.report.entries)

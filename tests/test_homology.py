@@ -160,6 +160,17 @@ def test_total_complex_without_B_fails_the_sbi_check(h4_explicit, monkeypatch):
     assert not sbi_consistency(h4_explicit, 2).ok
 
 
+def test_sbi_consistency_ranks_each_matrix_once(h4_explicit, monkeypatch):
+    """The total cohomology, the induced maps and HH share boundary maps; on
+    the explicit Sweedler module at maxN = 2 there are 11 distinct matrices to
+    rank (19 rank calls when each was ranked where it was read)."""
+    ranked = []
+    rank = homology.rank
+    monkeypatch.setattr(homology, "rank", lambda m: ranked.append(m) or rank(m))
+    assert sbi_consistency(h4_explicit, 2).ok
+    assert len(ranked) == len(set(ranked)) == 11
+
+
 def _dense_bicomplex_hc_oracle(M, maxN):
     """Independent dense computation of HC from Connes' (b, b')-style cyclic
     bicomplex for a cocyclic module with plain-rotation cyclic operator.
