@@ -57,8 +57,8 @@ def coev_right(V: ModuleData) -> LinearMap:
     entry (r, j) of g^{-1} is entry (j d + r, 0)."""
     gi = V.rho_of(pivot_inverse(V.algebra))
     d = V.dim
-    return LinearMap(V.algebra.field, UNIT, V.shape * V.shape,
-                     {(j * d + r, 0): v for (r, j), v in gi.entries.items()})
+    return LinearMap.from_payloads(V.algebra.field, UNIT, V.shape * V.shape,
+                                   {(j * d + r, 0): v for (r, j), v in gi.entries.items()})
 
 
 def dinatural_component(H: HopfAlgebraData, V: ModuleData, carrier: ModuleData) -> LinearMap:
@@ -69,7 +69,7 @@ def dinatural_component(H: HopfAlgebraData, V: ModuleData, carrier: ModuleData) 
     for (a, kb), val in V.action.entries.items():
         k, b = divmod(kb, v)
         entries[(k, a * v + b)] = val
-    return LinearMap(H.field, V.shape * V.shape, carrier.shape, entries)
+    return LinearMap.from_payloads(H.field, V.shape * V.shape, carrier.shape, entries)
 
 
 # -- the universal-property solver -----------------------------------------------------
@@ -173,7 +173,8 @@ def braided_coproduct(H: HopfAlgebraData) -> LinearMap:
     if H.R is None:
         raise CoendError("the braided coproduct needs an R-matrix")
     F, d = H.field, H.dim
-    entries: dict[tuple[int, int], Scalar] = {}
+    mul, add = F._mul, F._add
+    entries: dict[tuple[int, int], object] = {}
     for j, ad in enumerate(coadjoint_blocks(H, 1)):
         x = [H.R[i * d + j] for i in range(d)]
         if all(c.is_zero() for c in x):
@@ -182,16 +183,16 @@ def braided_coproduct(H: HopfAlgebraData) -> LinearMap:
         for (row, c), w in H.Delta.entries.items():
             p, q = divmod(row, d)
             for r1, v1 in first.get(q, ()):
-                y = w * v1
+                y = mul(w, v1)
                 for r2, v2 in second.get(p, ()):
-                    key, prod = (r1 * d + r2, c), y * v2
-                    entries[key] = entries[key] + prod if key in entries else prod
-    return LinearMap(F, H.shape, H.shape * H.shape, entries)
+                    key, prod = (r1 * d + r2, c), mul(y, v2)
+                    entries[key] = add(entries[key], prod) if key in entries else prod
+    return LinearMap.from_payloads(F, H.shape, H.shape * H.shape, entries)
 
 
-def _columns(m: LinearMap) -> dict[int, list[tuple[int, Scalar]]]:
-    """The nonzero entries of m as (row, value) lists by column."""
-    cols: dict[int, list[tuple[int, Scalar]]] = {}
+def _columns(m: LinearMap) -> dict[int, list[tuple[int, object]]]:
+    """The nonzero entries of m as (row, payload) lists by column."""
+    cols: dict[int, list[tuple[int, object]]] = {}
     for (r, c), v in m.entries.items():
         cols.setdefault(c, []).append((r, v))
     return cols
@@ -373,15 +374,17 @@ def _solve_antipode(F, d, m_C, unit, Delta_C, eps_C) -> LinearMap:
     # unknowns S[r][c]; build the two convolution constraints stacked
     shape = TensorShape([d])
     u_map = LinearMap.from_function(F, UNIT, shape, lambda c: enumerate(unit))
-    target = u_map.compose(eps_C)
+    target = u_map.compose(eps_C).entries
+    mul, add, neg, is_zero = F._mul, F._add, F._neg, F._is_zero
+    zero = F.zero().payload
     rows = {}
     row = 0
     # m o (S (x) id) o Delta at (out, in): sum over a,b: m[out,(r,b)] S[r,a] Delta[(a,b),in]
     for out in range(d):
         for inp in range(d):
-            t = target.entry(out, inp)
-            coeffs_left: dict[int, Scalar] = {}
-            coeffs_right: dict[int, Scalar] = {}
+            t = target.get((out, inp), zero)
+            coeffs_left: dict[int, object] = {}
+            coeffs_right: dict[int, object] = {}
             for (ab, i2), dv in Delta_C.entries.items():
                 if i2 != inp:
                     continue
@@ -392,19 +395,20 @@ def _solve_antipode(F, d, m_C, unit, Delta_C, eps_C) -> LinearMap:
                     r, bb = divmod(rb, d)
                     if bb == b:
                         key = r * d + a
-                        coeffs_left[key] = coeffs_left.get(key, F.zero()) + mv * dv
+                        coeffs_left[key] = add(coeffs_left.get(key, zero), mul(mv, dv))
                     rr, c2 = divmod(rb, d)
                     if rr == a:
                         key = c2 * d + b
-                        coeffs_right[key] = coeffs_right.get(key, F.zero()) + mv * dv
+                        coeffs_right[key] = add(coeffs_right.get(key, zero), mul(mv, dv))
             for coeffs in (coeffs_left, coeffs_right):
                 for k, v in coeffs.items():
-                    if not v.is_zero():
+                    if not is_zero(v):
                         rows[(row, k)] = v
-                rows[(row, d * d)] = rows.get((row, d * d), F.zero()) - t
+                rows[(row, d * d)] = add(rows.get((row, d * d), zero), neg(t))
                 row += 1
     # homogeneous system in (S entries, 1); force the last coordinate to 1
-    sys_map = LinearMap(F, TensorShape([d * d + 1]), TensorShape([max(row, 1)]), rows)
+    sys_map = LinearMap.from_payloads(F, TensorShape([d * d + 1]), TensorShape([max(row, 1)]),
+                                      rows)
     basis, _ = kernel_and_rank(sys_map)
     solutions = [vec for vec in basis if not vec[d * d].is_zero()]
     if len(solutions) != 1 or len(basis) != 1:
@@ -466,7 +470,7 @@ def _pairing_matrix(data: CoendData) -> LinearMap:
     for (z, ab), v in data.pairing.entries.items():
         a, b = divmod(ab, d)
         entries[(a, b)] = v
-    return LinearMap(data.field, data.carrier.shape, data.carrier.shape, entries)
+    return LinearMap.from_payloads(data.field, data.carrier.shape, data.carrier.shape, entries)
 
 
 def _solve_integrals(data: CoendData, rep: CheckReport):

@@ -25,7 +25,7 @@ from .hopf import (
     trivial_module, twist,
 )
 from .linalg import (
-    LinearMap, SubspaceBasis, TensorShape, UNIT, _wrapped, invert, map_from_json,
+    LinearMap, SubspaceBasis, TensorShape, UNIT, invert, map_from_json,
     map_to_json, stack, vector_from_json, vector_to_json, whisker,
 )
 from .reports import CheckReport
@@ -246,17 +246,16 @@ def _rotation(H: HopfAlgebraData, n: int, R: Vector, ribbon: Vector,
         x = [R[i * d + j] for i in range(d)]
         if all(c.is_zero() for c in x):
             continue
-        moved = [(r2, c2, v2.payload) for (r2, c2), v2 in
+        moved = [(r2, c2, v2) for (r2, c2), v2 in
                  coadjoint_action(H, H.multiply(x, ribbon), 1).entries.items()]
-        for (r1, c1), v1 in bulk.entries.items():
-            w = v1.payload
+        for (r1, c1), w in bulk.entries.items():
             for r2, c2, v2 in moved:
                 key = ((r2 * D + r1, c1 * d + c2) if to_front
                        else (r1 * d + r2, c2 * D + c1))
                 prod = mul(w, v2)
                 acc[key] = add(acc[key], prod) if key in acc else prod
     shape = H.power_shape(n + 1)
-    return LinearMap(F, shape, shape, _wrapped(F, acc))
+    return LinearMap.from_payloads(F, shape, shape, acc)
 
 
 def explicit_cyclic_rotation(H: HopfAlgebraData, n: int) -> LinearMap:

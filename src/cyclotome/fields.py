@@ -11,7 +11,11 @@ syntactic.  The payloads under the Scalars are ints and tuples of ints:
   modulo the n-th cyclotomic polynomial Phi_n, with den > 0, n_k != 0 and
   gcd(den, n_0, ..., n_k) = 1.  A product multiplies the integer numerators
   and folds the high powers back with a table of z^j mod Phi_n, which holds
-  only integers since Phi_n is monic over Z.
+  only integers since Phi_n is monic over Z.  Two fast paths give the same
+  canonical payloads: two rational constants (den, n_0) are added and
+  multiplied by the rational formulas, and in a field of degree 2 (Q(i),
+  Q(zeta_3), Q(zeta_6)) sums and products are written out in closed form
+  with z^2 = f_0 + f_1 z.
 
 Zero is the only falsy payload.  Fraction is used only where scalars enter
 or leave (parse, from_fraction, _from_poly, render) and in the extended
@@ -125,6 +129,9 @@ class FieldSpec:
             self._modulus = list(cyclotomic_polynomial(param))
             self.degree = len(self._modulus) - 1
             self._fold = _fold_table([int(c) for c in self._modulus])
+            # z^2 = f0 + f1 z in a field of degree 2, for the closed forms
+            if self.degree == 2:
+                self._square = (-int(self._modulus[0]), -int(self._modulus[1]))
         else:
             self._modulus = None
             self.degree = 1
@@ -199,6 +206,37 @@ class FieldSpec:
             return b
         if not b:
             return a
+        la, lb = len(a), len(b)
+        if la == 2 and lb == 2:
+            # two rational constants: Fraction's addition on (den, num)
+            d1, n1 = a
+            d2, n2 = b
+            if d1 == d2:
+                n = n1 + n2
+                if not n:
+                    return ()
+                g = gcd(n, d1)
+                return (d1, n) if g == 1 else (d1 // g, n // g)
+            g = gcd(d1, d2)
+            if g == 1:
+                # d1 != d2 are coprime, so the sum is reduced and not zero
+                return (d1 * d2, n1 * d2 + n2 * d1)
+            s = d1 // g
+            t = n1 * (d2 // g) + n2 * s
+            if not t:
+                return ()
+            g2 = gcd(t, g)
+            return (s * d2, t) if g2 == 1 else (s * (d2 // g2), t // g2)
+        if self.degree == 2:
+            da, a0 = a[0], a[1]
+            db, b0 = b[0], b[1]
+            a1 = a[2] if la == 3 else 0
+            b1 = b[2] if lb == 3 else 0
+            if da == db:
+                return _canonical2(da, a0 + b0, a1 + b1)
+            g = gcd(da, db)
+            sa, sb = db // g, da // g
+            return _canonical2(da * sa, a0 * sa + b0 * sb, a1 * sa + b1 * sb)
         da, db = a[0], b[0]
         if da == db:
             if len(a) < len(b):
@@ -250,15 +288,27 @@ class FieldSpec:
             return (a * b) % self.param
         if not a or not b:
             return ()
-        # a constant operand (the unit above all) scales the other one
         if len(a) == 2:
+            if len(b) == 2:
+                # two rational constants: Fraction's product on (den, num)
+                d1, n1 = a
+                d2, n2 = b
+                g1, g2 = gcd(n1, d2), gcd(n2, d1)
+                return ((d1 // g2) * (d2 // g1), (n1 // g1) * (n2 // g2))
             a, b = b, a
+        # a constant operand (the unit above all) scales the other one
         if len(b) == 2:
             if b == (1, 1):
                 return a
             out = [x * b[1] for x in a]
             out[0] = a[0] * b[0]
             return _reduced(out)
+        if self.degree == 2:
+            da, a0, a1 = a
+            db, b0, b1 = b
+            f0, f1 = self._square
+            top = a1 * b1
+            return _canonical2(da * db, a0 * b0 + f0 * top, a0 * b1 + a1 * b0 + f1 * top)
         # schoolbook on the integer numerators, then z^j for j >= degree
         # folded back through the table of z^j mod Phi_n
         deg = self.degree
@@ -456,6 +506,17 @@ def _reduced(out):
         if g != 1:
             return tuple([x // g for x in out])
     return tuple(out)
+
+
+def _canonical2(den, n0, n1):
+    """The canonical payload of (n0 + n1 z) / den, den > 0, in a field of degree 2."""
+    if n1:
+        g = gcd(den, n0, n1)
+        return (den, n0, n1) if g == 1 else (den // g, n0 // g, n1 // g)
+    if n0:
+        g = gcd(den, n0)
+        return (den, n0) if g == 1 else (den // g, n0 // g)
+    return ()
 
 
 def _encode(coeffs):

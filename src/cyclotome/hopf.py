@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 from .fields import FieldSpec, Scalar
 from .linalg import (
-    LinearMap, ShapeError, SubspaceBasis, TensorShape, UNIT, _payloads, _wrapped,
+    LinearMap, ShapeError, SubspaceBasis, TensorShape, UNIT, _dense, _nonzero, _payloads,
     block_flip, block_map, invert, map_from_json, solve, stack, vector_from_json, whisker,
 )
 from .reports import CheckReport
@@ -103,18 +103,19 @@ class HopfAlgebraData:
             out = nxt
         return out
 
-    def _coproduct_terms(self) -> list[list[tuple[int, int, Scalar]]]:
-        """For every k, the nonzero entries of Delta(e_k) as (p, q, coefficient)."""
+    def _coproduct_terms(self) -> list[list[tuple[int, int, object]]]:
+        """For every k, the nonzero entries of Delta(e_k) as (p, q, coefficient),
+        the coefficient a payload of the field."""
         terms = [[] for _ in range(self.dim)]
         for (row, k), c in self.Delta.entries.items():
             terms[k].append((*divmod(row, self.dim), c))
         return terms
 
-    def _products(self) -> list[list[tuple[int, Scalar | None]]]:
+    def _products(self) -> list[list[tuple[int, object]]]:
         """For every i * d + j, the nonzero entries of m(e_i (x) e_j) as (r, c),
-        with c None where it is 1."""
+        c a payload of the field, or None where it is 1."""
         if self._prods is None or self._prods[0] is not self.m:
-            one = self.field.one()
+            one = self.field.one().payload
             prods = [[] for _ in range(self.dim * self.dim)]
             for (r, col), c in self.m.entries.items():
                 prods[col].append((r, None if c == one else c))
@@ -129,24 +130,25 @@ class HopfAlgebraData:
         if len(a) != size or len(b) != size:
             raise ShapeError(f"factor lengths {len(a)}, {len(b)} != dim H^(x){n} = {size}")
         prods = self._products()
+        F = self.field
+        mul, add = F._mul, F._add
 
         def support(v):
             return [([i // d ** (n - 1 - s) % d for s in range(n)], x)
-                    for i, x in enumerate(v) if not x.is_zero()]
+                    for i, x in _payloads(F, v).items()]
 
-        out: dict[int, Scalar] = {}
+        out: dict[int, object] = {}
         sb = support(b)
         for ia, x in support(a):
             for jb, y in sb:
-                terms = [(0, x * y)]
+                terms = [(0, mul(x, y))]
                 for i, j in zip(ia, jb):
                     col = prods[i * d + j]
-                    terms = [(idx * d + r, v if c is None else v * c)
+                    terms = [(idx * d + r, v if c is None else mul(v, c))
                              for idx, v in terms for r, c in col]
                 for idx, v in terms:
-                    out[idx] = out[idx] + v if idx in out else v
-        zero = self.field.zero()
-        return [out.get(i, zero) for i in range(size)]
+                    out[idx] = add(out[idx], v) if idx in out else v
+        return _dense(F, size, _nonzero(F, out))
 
     def unit_power(self, n: int) -> Vector:
         out = self.u
@@ -165,19 +167,19 @@ class HopfAlgebraData:
             raise HopfError("sweedler_iterate needs n >= 1")
         if len(x) != self.dim:
             raise ShapeError(f"element length {len(x)} != algebra dim {self.dim}")
-        d = self.dim
+        d, F = self.dim, self.field
+        mul, add = F._mul, F._add
         terms = self._coproduct_terms()
-        support = {i: v for i, v in enumerate(x) if not v.is_zero()}
+        support = _payloads(F, x)
         for _ in range(n - 1):
-            nxt: dict[int, Scalar] = {}
+            nxt: dict[int, object] = {}
             for i, v in support.items():
                 head, k = divmod(i, d)
                 for p, q, c in terms[k]:
-                    key, prod = (head * d + p) * d + q, v * c
-                    nxt[key] = nxt[key] + prod if key in nxt else prod
+                    key, prod = (head * d + p) * d + q, mul(v, c)
+                    nxt[key] = add(nxt[key], prod) if key in nxt else prod
             support = nxt
-        zero = self.field.zero()
-        return [support.get(i, zero) for i in range(d ** n)]
+        return _dense(F, d ** n, _nonzero(F, support))
 
     def left_multiplication(self, a: Vector) -> LinearMap:
         """x |-> a x as a matrix."""
@@ -379,9 +381,9 @@ class ModuleData:
         acc = {}
         for k, x in _payloads(F, h).items():
             for key, v in self.rho(k).entries.items():
-                prod = mul(v.payload, x)
+                prod = mul(v, x)
                 acc[key] = add(acc[key], prod) if key in acc else prod
-        return LinearMap._from_clean(F, self.shape, self.shape, _wrapped(F, acc))
+        return LinearMap._from_clean(F, self.shape, self.shape, _nonzero(F, acc))
 
     @classmethod
     def from_blocks(cls, algebra: HopfAlgebraData, blocks: Sequence[LinearMap],
@@ -420,11 +422,10 @@ def coproduct_action(H: HopfAlgebraData, left: Sequence[LinearMap],
     factors' dimensions)."""
     F = H.field
     mul, add = F._mul, F._add
-    one = F.one()
+    one = F.one().payload
     n = right[0].domain.dim
-    rights = [[(r2, c2, v2.payload) for (r2, c2), v2 in r.entries.items()] for r in right]
-    lefts = [[(r1 * n, c1 * n, v1.payload) for (r1, c1), v1 in a.entries.items()]
-             for a in left]
+    rights = [[(r2, c2, v2) for (r2, c2), v2 in r.entries.items()] for r in right]
+    lefts = [[(r1 * n, c1 * n, v1) for (r1, c1), v1 in a.entries.items()] for a in left]
     out = []
     for terms in H._coproduct_terms():
         acc = {}
@@ -434,11 +435,11 @@ def coproduct_action(H: HopfAlgebraData, left: Sequence[LinearMap],
                 continue
             unit = c == one
             for r0, c0, v1 in lefts[p]:
-                x = v1 if unit else mul(c.payload, v1)
+                x = v1 if unit else mul(c, v1)
                 for r2, c2, v2 in rq:
                     key, prod = (r0 + r2, c0 + c2), mul(x, v2)
                     acc[key] = add(acc[key], prod) if key in acc else prod
-        out.append(LinearMap._from_clean(F, shape, shape, _wrapped(F, acc)))
+        out.append(LinearMap._from_clean(F, shape, shape, _nonzero(F, acc)))
     return out
 
 
@@ -494,7 +495,8 @@ def coadjoint_blocks(H: HopfAlgebraData, n: int) -> list[LinearMap]:
             op = LinearMap.zero(F, H.shape, H.shape)
             for p, q, c in terms:
                 op = op + H.right_multiplication(H.basis_vector(q)).compose(
-                    H.left_multiplication(H.antipode_vec(H.basis_vector(p)))).scaled(c)
+                    H.left_multiplication(H.antipode_vec(H.basis_vector(p)))
+                ).scaled(Scalar(F, c))
             ad1.append(op)
         cached = H._coadjoint = (maps, [ad0, ad1])
     levels = cached[1]
@@ -595,11 +597,11 @@ def _flipped_r_action(V: ModuleData, W: ModuleData, R: Vector, inverse: bool) ->
     acc = {}
     for idx, coeff in _payloads(F, R).items():
         i, j = divmod(idx, d)
-        right = [(r2, c2, v2.payload) for (r2, c2), v2 in W.rho(j).entries.items()]
+        right = [(r2, c2, v2) for (r2, c2), v2 in W.rho(j).entries.items()]
         if not right:
             continue
         for (r1, c1), v1 in V.rho(i).entries.items():
-            x = mul(coeff, v1.payload)
+            x = mul(coeff, v1)
             for r2, c2, v2 in right:
                 key = ((r1 * dw + r2, c2 * dv + c1) if inverse
                        else (r2 * dv + r1, c1 * dw + c2))
@@ -607,8 +609,8 @@ def _flipped_r_action(V: ModuleData, W: ModuleData, R: Vector, inverse: bool) ->
                 acc[key] = add(acc[key], prod) if key in acc else prod
     vw, wv = V.shape * W.shape, W.shape * V.shape
     if inverse:
-        return LinearMap._from_clean(F, wv, vw, _wrapped(F, acc))
-    return LinearMap._from_clean(F, vw, wv, _wrapped(F, acc))
+        return LinearMap._from_clean(F, wv, vw, _nonzero(F, acc))
+    return LinearMap._from_clean(F, vw, wv, _nonzero(F, acc))
 
 
 def twist(V: ModuleData) -> LinearMap:

@@ -5,15 +5,17 @@ dimensions); composition, tensor product, factor permutation, transpose and
 exact kernel/rank/solve are provided.  TensorShape and LinearMap are
 immutable after construction; all arithmetic is exact.
 
-A map's entries are nonzero Scalars of its field, and the API takes and
-returns vectors as dense lists of Scalars.  The inner loops run on the
-payloads under the Scalars, which are opaque here (ints and tuples of ints,
-laid out by fields): the field's _mul, _add, _neg, _inv and _is_zero are
-bound once per call, sums are accumulated as payloads, and only the entries
-that do not cancel are wrapped again.  So a map never holds a zero, and
-LinearMap._from_clean, which checks nothing, is used only where that
-invariant already holds.  A SubspaceBasis keeps its vectors as nonzero
-payloads by column and builds the dense vectors only when asked for them.
+A map's entries are the nonzero payloads of its field's elements (ints and
+tuples of ints, laid out by fields and opaque here), not Scalars.  Payloads
+are canonical, so two maps are equal exactly when their entry dicts are.
+The inner loops bind the field's _mul, _add, _neg, _inv and _is_zero once
+per call, accumulate payloads and drop the sums that cancel, so a map never
+holds a zero; LinearMap._from_clean, which checks nothing, is used only where
+that invariant already holds.  Scalars appear only at the boundary: the
+public constructor takes Scalar entries and checks them, entry() and apply()
+return Scalars, and vectors go in and out as dense lists of Scalars.  A
+SubspaceBasis keeps its vectors as nonzero payloads by column and builds the
+dense vectors only when asked for them.
 """
 
 from __future__ import annotations
@@ -87,8 +89,10 @@ UNIT = TensorShape(())
 class LinearMap:
     """A sparse exact matrix between tensor products of based spaces.
 
-    Entries map (row, col) to nonzero Scalars; row indexes the codomain,
-    col the domain (column-vector convention, w = M v).
+    Entries map (row, col) to the nonzero payloads of field's elements; row
+    indexes the codomain, col the domain (column-vector convention, w = M v).
+    The constructor takes Scalars and stores their payloads; entry() reads
+    one back as a Scalar.
 
     A map made by whisker keeps the record (op, left dim, right dim) of
     id_left (x) op (x) id_right and leaves its entries unset until something
@@ -100,15 +104,17 @@ class LinearMap:
     def __init__(self, field: FieldSpec, domain: TensorShape, codomain: TensorShape,
                  entries: dict[tuple[int, int], Scalar]):
         clean = {}
+        is_zero = field._is_zero
         for (r, c), v in entries.items():
             if not isinstance(v, Scalar):
                 raise ShapeError("entries must be Scalars")
-            if v.field != field:
+            if v.field is not field and v.field != field:
                 raise ShapeError("entry field differs from map field")
             if not (0 <= r < codomain.dim and 0 <= c < domain.dim):
                 raise ShapeError(f"entry ({r},{c}) out of bounds {codomain.dim}x{domain.dim}")
-            if not v.is_zero():
-                clean[(r, c)] = v
+            p = v.payload
+            if not is_zero(p):
+                clean[(r, c)] = p
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
@@ -117,10 +123,10 @@ class LinearMap:
 
     @classmethod
     def _from_clean(cls, field: FieldSpec, domain: TensorShape, codomain: TensorShape,
-                    entries: dict[tuple[int, int], Scalar] | None,
+                    entries: dict[tuple[int, int], object] | None,
                     whiskered: tuple | None = None) -> "LinearMap":
         """The map with these entries, which the caller knows to be nonzero
-        Scalars of field at positions inside the shapes; nothing is checked.
+        payloads of field at positions inside the shapes; nothing is checked.
         A whisker passes its record and no entries."""
         m = object.__new__(cls)
         object.__setattr__(m, "field", field)
@@ -145,13 +151,25 @@ class LinearMap:
 
     # -- constructors ---------------------------------------------------------
 
+    @classmethod
+    def from_payloads(cls, field: FieldSpec, domain: TensorShape, codomain: TensorShape,
+                      entries: dict[tuple[int, int], object]) -> "LinearMap":
+        """The map with these payloads of field's elements at (row, col), such
+        as sums accumulated with the field's _mul and _add: positions are
+        checked against the shapes and the zeros dropped, as the constructor
+        does; the payloads themselves are taken to be field's."""
+        for r, c in entries:
+            if not (0 <= r < codomain.dim and 0 <= c < domain.dim):
+                raise ShapeError(f"entry ({r},{c}) out of bounds {codomain.dim}x{domain.dim}")
+        return cls._from_clean(field, domain, codomain, _nonzero(field, entries))
+
     @staticmethod
     def zero(field, domain: TensorShape, codomain: TensorShape) -> "LinearMap":
         return LinearMap._from_clean(field, domain, codomain, {})
 
     @staticmethod
     def identity(field, shape: TensorShape) -> "LinearMap":
-        one = field.one()
+        one = field.one().payload
         return LinearMap._from_clean(field, shape, shape,
                                      {(i, i): one for i in range(shape.dim)})
 
@@ -190,19 +208,18 @@ class LinearMap:
             if cur is None:
                 entries[k] = v
                 continue
-            s = add(cur.payload, v.payload)
+            s = add(cur, v)
             if is_zero(s):
                 del entries[k]
             else:
-                entries[k] = Scalar(F, s)
+                entries[k] = s
         return LinearMap._from_clean(F, self.domain, self.codomain, entries)
 
     def __neg__(self) -> "LinearMap":
         F = self.field
         neg = F._neg
         return LinearMap._from_clean(F, self.domain, self.codomain,
-                                     {k: Scalar(F, neg(v.payload))
-                                      for k, v in self.entries.items()})
+                                     {k: neg(v) for k, v in self.entries.items()})
 
     def __sub__(self, other: "LinearMap") -> "LinearMap":
         return self + (-other)
@@ -215,8 +232,7 @@ class LinearMap:
             return LinearMap._from_clean(F, self.domain, self.codomain, {})
         mul, x = F._mul, s.payload
         return LinearMap._from_clean(F, self.domain, self.codomain,
-                                     {k: Scalar(F, mul(v.payload, x))
-                                      for k, v in self.entries.items()})
+                                     {k: mul(v, x) for k, v in self.entries.items()})
 
     def _check_same_shape(self, other):
         if self.field != other.field:
@@ -251,11 +267,11 @@ class LinearMap:
         mul, add, is_zero = F._mul, F._add, F._is_zero
         by_col: dict[int, list[tuple[int, object]]] = {}
         for (r, c), v in first.entries.items():
-            by_col.setdefault(c, []).append((r, v.payload))
+            by_col.setdefault(c, []).append((r, v))
         by_mid: dict[int, list[tuple[int, object]]] = {}
         for (r, c), v in self.entries.items():
-            by_mid.setdefault(c, []).append((r, v.payload))
-        entries: dict[tuple[int, int], Scalar] = {}
+            by_mid.setdefault(c, []).append((r, v))
+        entries: dict[tuple[int, int], object] = {}
         for c, mids in by_col.items():
             col: dict[int, object] = {}
             for m, x in mids:
@@ -264,7 +280,7 @@ class LinearMap:
                     col[r] = add(col[r], p) if r in col else p
             for r, p in col.items():
                 if not is_zero(p):
-                    entries[(r, c)] = Scalar(F, p)
+                    entries[(r, c)] = p
         return LinearMap._from_clean(F, first.domain, self.codomain, entries)
 
     def tensor(self, other: "LinearMap") -> "LinearMap":
@@ -275,12 +291,12 @@ class LinearMap:
         F = self.field
         mul = F._mul
         od, ocd = other.domain.dim, other.codomain.dim
-        right = [(r2, c2, v2.payload) for (r2, c2), v2 in other.entries.items()]
+        right = [(r2, c2, v2) for (r2, c2), v2 in other.entries.items()]
         entries = {}
-        for (r1, c1), v1 in self.entries.items():
-            x, r0, c0 = v1.payload, r1 * ocd, c1 * od
+        for (r1, c1), x in self.entries.items():
+            r0, c0 = r1 * ocd, c1 * od
             for r2, c2, y in right:
-                entries[(r0 + r2, c0 + c2)] = Scalar(F, mul(x, y))
+                entries[(r0 + r2, c0 + c2)] = mul(x, y)
         return LinearMap._from_clean(F, self.domain * other.domain,
                                      self.codomain * other.codomain, entries)
 
@@ -301,22 +317,19 @@ class LinearMap:
         if len(vec) != self.domain.dim:
             raise ShapeError(f"vector length {len(vec)} != domain dim {self.domain.dim}")
         F = self.field
-        mul, add, is_zero = F._mul, F._add, F._is_zero
+        mul, add = F._mul, F._add
         xs = _payloads(F, vec)
         acc: dict[int, object] = {}
         for (r, c), v in self.entries.items():
             x = xs.get(c)
             if x is not None:
-                p = mul(v.payload, x)
+                p = mul(v, x)
                 acc[r] = add(acc[r], p) if r in acc else p
-        out = [F.zero()] * self.codomain.dim
-        for r, p in acc.items():
-            if not is_zero(p):
-                out[r] = Scalar(F, p)
-        return out
+        return _dense(F, self.codomain.dim, _nonzero(F, acc))
 
     def entry(self, r: int, c: int) -> Scalar:
-        return self.entries.get((r, c), self.field.zero())
+        p = self.entries.get((r, c))
+        return self.field.zero() if p is None else Scalar(self.field, p)
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -357,10 +370,10 @@ def _dense(F: FieldSpec, n: int, vec: dict[int, object]) -> list[Scalar]:
     return out
 
 
-def _wrapped(F: FieldSpec, acc: dict) -> dict:
-    """Accumulated payloads as Scalars of F, without the ones that cancelled."""
+def _nonzero(F: FieldSpec, acc: dict) -> dict:
+    """Accumulated payloads of F without the ones that cancelled."""
     is_zero = F._is_zero
-    return {k: Scalar(F, p) for k, p in acc.items() if not is_zero(p)}
+    return {k: p for k, p in acc.items() if not is_zero(p)}
 
 
 def _whisker_after(record: tuple, first: LinearMap) -> dict:
@@ -371,18 +384,18 @@ def _whisker_after(record: tuple, first: LinearMap) -> dict:
     mul, add = F._mul, F._add
     cols: dict[int, list[tuple[int, object]]] = {}
     for (r, c), v in op.entries.items():
-        cols.setdefault(c, []).append((r * rd, v.payload))
+        cols.setdefault(c, []).append((r * rd, v))
     block_in, block_out = op.domain.dim * rd, op.codomain.dim * rd
     acc: dict[tuple[int, int], object] = {}
-    for (m, c), v in first.entries.items():
+    for (m, c), x in first.entries.items():
         i, rest = divmod(m, block_in)
         j, k = divmod(rest, rd)
-        x, base = v.payload, i * block_out + k
+        base = i * block_out + k
         for rb, y in cols.get(j, ()):
             key = (base + rb, c)
             p = mul(y, x)
             acc[key] = add(acc[key], p) if key in acc else p
-    return _wrapped(F, acc)
+    return _nonzero(F, acc)
 
 
 def _after_whisker(second: LinearMap, record: tuple) -> dict:
@@ -393,18 +406,18 @@ def _after_whisker(second: LinearMap, record: tuple) -> dict:
     mul, add = F._mul, F._add
     rows: dict[int, list[tuple[int, object]]] = {}
     for (r, c), v in op.entries.items():
-        rows.setdefault(r, []).append((c * rd, v.payload))
+        rows.setdefault(r, []).append((c * rd, v))
     block_in, block_out = op.domain.dim * rd, op.codomain.dim * rd
     acc: dict[tuple[int, int], object] = {}
-    for (r, m), v in second.entries.items():
+    for (r, m), y in second.entries.items():
         i, rest = divmod(m, block_out)
         j, k = divmod(rest, rd)
-        y, base = v.payload, i * block_in + k
+        base = i * block_in + k
         for cb, x in rows.get(j, ()):
             key = (r, base + cb)
             p = mul(y, x)
             acc[key] = add(acc[key], p) if key in acc else p
-    return _wrapped(F, acc)
+    return _nonzero(F, acc)
 
 
 def whisker(op: LinearMap, left: TensorShape, right: TensorShape) -> LinearMap:
@@ -460,9 +473,11 @@ def block_flip(field, left: TensorShape, right: TensorShape) -> LinearMap:
 
 
 def map_to_json(m: LinearMap) -> dict:
-    """The total dimensions and the sorted [row, col, scalar] triples of a map."""
+    """The total dimensions and the sorted [row, col, scalar] triples of a map,
+    each scalar rendered as its Scalar's repr is."""
+    render = m.field.render
     return {"src": m.domain.dim, "tgt": m.codomain.dim,
-            "entries": sorted([[r, c, repr(v)] for (r, c), v in m.entries.items()])}
+            "entries": sorted([[r, c, render(v)] for (r, c), v in m.entries.items()])}
 
 
 def map_from_json(field, entries, domain: TensorShape, codomain: TensorShape) -> LinearMap:
@@ -565,12 +580,12 @@ def _reduce(m: LinearMap, extra: LinearMap | None = None, back: bool = True,
     ncols = m.domain.dim
     rows: list[dict[int, object]] = [dict() for _ in range(m.codomain.dim)]
     for (r, c), v in m.entries.items():
-        rows[r][c] = v.payload
+        rows[r][c] = v
     if extra is not None:
         if extra.field != F:
             raise ShapeError("field mismatch")
         for (r, c), v in extra.entries.items():
-            rows[r][ncols + c] = v.payload
+            rows[r][ncols + c] = v
     pivots: dict[int, int] = {}
     work = [i for i, row in enumerate(rows) if row]
     for col in range(ncols):
@@ -657,7 +672,7 @@ def _solve_columns(m: LinearMap, rhs: LinearMap) -> LinearMap | None:
     for col, i in pivots.items():
         for c, v in rows[i].items():
             if c >= n:
-                entries[(col, c - n)] = Scalar(F, v)
+                entries[(col, c - n)] = v
     x = LinearMap._from_clean(F, rhs.domain, m.domain, entries)
     return x if m.compose(x) == rhs else None
 
@@ -788,10 +803,10 @@ class SubspaceBasis:
         F = ambient.field
         if F != self.field or F != target.field:
             raise ShapeError("field mismatch")
-        mul, add, is_zero = F._mul, F._add, F._is_zero
+        mul, add = F._mul, F._add
         columns: dict[int, list[tuple[int, object]]] = {}
         for (r, c), v in ambient.entries.items():
-            columns.setdefault(c, []).append((r, v.payload))
+            columns.setdefault(c, []).append((r, v))
         images = []
         for vec in self._sparse:
             image: dict[int, object] = {}
@@ -799,7 +814,7 @@ class SubspaceBasis:
                 for r, v in columns.get(j, ()):
                     p = mul(v, x)
                     image[r] = add(image[r], p) if r in image else p
-            images.append({r: p for r, p in image.items() if not is_zero(p)})
+            images.append(_nonzero(F, image))
         return target._coordinate_columns(images, TensorShape([self.dim]))
 
     def coordinates_of(self, m: LinearMap, renumber: Sequence[int]) -> LinearMap | None:
@@ -810,7 +825,7 @@ class SubspaceBasis:
             raise ShapeError(f"cannot read a map into {m.codomain} in this subspace")
         columns: list[dict[int, object]] = [{} for _ in range(m.domain.dim)]
         for (r, c), v in m.entries.items():
-            columns[c][renumber[r]] = v.payload
+            columns[c][renumber[r]] = v
         return self._coordinate_columns(columns, m.domain)
 
     def _coordinate_columns(self, columns: Iterable[dict[int, object]],
@@ -825,7 +840,7 @@ class SubspaceBasis:
             if coords is None:
                 return None
             for k, p in coords.items():
-                entries[(k, c)] = Scalar(F, p)
+                entries[(k, c)] = p
         return LinearMap._from_clean(F, domain, TensorShape([self.dim]), entries)
 
     def matrix(self) -> LinearMap:
@@ -833,5 +848,4 @@ class SubspaceBasis:
         F = self.field
         return LinearMap._from_clean(
             F, TensorShape([self.dim]), TensorShape([self.ambient_dim]),
-            {(r, c): Scalar(F, p) for c, vec in enumerate(self._sparse)
-             for r, p in vec.items()})
+            {(r, c): p for c, vec in enumerate(self._sparse) for r, p in vec.items()})

@@ -279,7 +279,7 @@ def write_algebra(H, path, simples=()):
     """H as an algebra file, with the given simples."""
     obj = {"name": H.name, "field": H.field.to_json(), "dim": H.dim,
            "basis": H.basis_labels, "u": vector_to_json(H.u),
-           "epsilon": [[c, repr(v)] for (_, c), v in sorted(H.epsilon.entries.items())],
+           "epsilon": [[c, v] for _, c, v in map_to_json(H.epsilon)["entries"]],
            **{key: map_to_json(getattr(H, key))["entries"]
               for key in ("m", "Delta", "S", "S_inv")},
            **{key: vector_to_json(getattr(H, key))

@@ -247,18 +247,18 @@ def dense_coev_right(V):
 
 def dense_pairing_value(cd, x, y):
     out = cd.field.zero()
-    for (_, ab), v in cd.pairing.entries.items():
+    for _, ab in cd.pairing.entries:
         a, b = divmod(ab, cd.dim)
-        out = out + v * x[a] * y[b]
+        out = out + cd.pairing.entry(0, ab) * x[a] * y[b]
     return out
 
 
 def dense_character_functional(cd, V):
     chi = internal_character(cd, V)
     out = [cd.field.zero()] * cd.dim
-    for (_, ab), v in cd.pairing.entries.items():
+    for _, ab in cd.pairing.entries:
         a, b = divmod(ab, cd.dim)
-        out[b] = out[b] + v * chi[a]
+        out[b] = out[b] + cd.pairing.entry(0, ab) * chi[a]
     return out
 
 

@@ -2,10 +2,10 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cyclotome.fields import (
-    Cyclotomic, FieldError, FieldSpec, PrimeField, Rationals, Scalar, _poly_divmod,
+    Cyclotomic, FieldError, FieldSpec, PrimeField, Rationals, Scalar, _decode, _poly_divmod,
     _poly_mul, _poly_trim, cyclotomic_polynomial,
 )
 
@@ -184,6 +184,54 @@ def test_cyclotomic_mul_and_add_match_the_reference(case):
                      (K._add(a, b), _poly_trim(total)),
                      (K._add(b, a), _poly_trim(total))):
         assert _coefficients(out) == ref and _canonical_cyclotomic(K, out)
+
+
+FAST_PATH_ORDERS = (3, 4, 5, 6, 8, 12)
+small_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+@st.composite
+def fast_path_cases(draw):
+    """A field Q(zeta_n) and two payloads of it, weighted towards the fast
+    paths: zero, +-1, rational constants (den, n_0), and polynomials reduced
+    modulo Phi_n (of degree <= 1 when the field has degree 2), with small
+    coefficients so that sums cancel and results share factors, and large
+    ones; the second operand is sometimes the first or its negative."""
+    K = Cyclotomic(draw(st.sampled_from(FAST_PATH_ORDERS)))
+    big = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6))
+    coefficient = st.one_of(small_fractions, big)
+
+    def element():
+        coeffs = draw(st.one_of(
+            st.just([]), st.sampled_from([[Fraction(1)], [Fraction(-1)]]),
+            coefficient.map(lambda c: [c]),
+            st.lists(coefficient, min_size=1, max_size=2 * K.degree)))
+        return K._from_poly(coeffs).payload
+
+    a = element()
+    b = draw(st.sampled_from(["fresh", "same", "negated"]))
+    b = element() if b == "fresh" else a if b == "same" else K._neg(a)
+    return K, a, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(fast_path_cases())
+def test_cyclotomic_fast_paths_match_the_fraction_polynomials(case):
+    """_add and _mul, constants and degree 2 included, against _decode, the
+    Fraction polynomial sum or product, and _from_poly; every result is
+    canonical: den > 0, gcd 1, no trailing zero coefficient, () for zero."""
+    K, a, b = case
+    fa = _decode(a) if a else []
+    fb = _decode(b) if b else []
+    total = [Fraction(0)] * max(len(fa), len(fb))
+    for part in (fa, fb):
+        for i, x in enumerate(part):
+            total[i] += x
+    product = K._from_poly(_poly_mul(fa, fb)).payload
+    total = K._from_poly(total).payload
+    for out, ref in ((K._mul(a, b), product), (K._mul(b, a), product),
+                     (K._add(a, b), total), (K._add(b, a), total)):
+        assert out == ref and _canonical_cyclotomic(K, out)
 
 
 @given(rationals_st, rationals_st)

@@ -244,14 +244,14 @@ def _dense_bicomplex_hc_oracle(M, maxN):
             off += M.dim(q)
         for p, q in comp_dims(m):
             v = vert(p, q)
-            for (r, c), val in v.entries.items():
+            for r, c in v.entries:
                 entries[(tgt_off[p] + r, src_off[p] + c)] = \
-                    entries.get((tgt_off[p] + r, src_off[p] + c), F.zero()) + val
+                    entries.get((tgt_off[p] + r, src_off[p] + c), F.zero()) + v.entry(r, c)
             h = horiz(p, q)
             sign = F.one() if True else F.one()
-            for (r, c), val in h.entries.items():
+            for r, c in h.entries:
                 key = (tgt_off[p + 1] + r, src_off[p] + c)
-                entries[key] = entries.get(key, F.zero()) + val
+                entries[key] = entries.get(key, F.zero()) + h.entry(r, c)
         mats[m] = LinearMap(F, TensorShape([dims[m]]), TensorShape([dims[m + 1]]),
                             entries)
     for m in range(top - 1):
@@ -287,11 +287,12 @@ def _connes_quotient_hc_oracle(M, maxN):
         entries = {}
         for i in range(n + 1):
             sign = F.from_int(-1 if i % 2 else 1)
-            for key, v in M.coface(n, i).entries.items():
-                entries[key] = entries.get(key, F.zero()) + sign * v
+            coface = M.coface(n, i)
+            for key in coface.entries:
+                entries[key] = entries.get(key, F.zero()) + sign * coface.entry(*key)
         I = one_minus_lam(n - 1)
-        for (r, c), v in I.entries.items():
-            entries[(r, M.dim(n) + c)] = v
+        for r, c in I.entries:
+            entries[(r, M.dim(n) + c)] = I.entry(r, c)
         side = LinearMap(F, TensorShape([M.dim(n) + M.dim(n - 1)]),
                          TensorShape([M.dim(n - 1)]), entries)
         return rank(side) - rank(I)

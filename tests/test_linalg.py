@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclotome.fields import Cyclotomic, FieldError, PrimeField, Rationals
+from cyclotome.fields import Cyclotomic, FieldError, PrimeField, Rationals, Scalar
 from cyclotome.linalg import (
-    LinearMap, ShapeError, TensorShape, block_flip, block_map, invert, kernel_and_rank,
+    UNIT, LinearMap, ShapeError, TensorShape, block_flip, block_map, invert, kernel_and_rank,
     kernel_with_free_columns, permute_factors, rank, solve, stack, SubspaceBasis, whisker,
 )
 
@@ -140,7 +140,9 @@ def test_subspace_restrict():
     basis = SubspaceBasis(Q, 3, vs, [0, 1])
     swap01 = LinearMap(Q, TensorShape([3]), TensorShape([3]),
                        {(1, 0): Q.one(), (0, 1): Q.one(), (2, 2): Q.one()})
-    assert basis.restrict(swap01, basis).entries == {(1, 0): Q.one(), (0, 1): Q.one()}
+    s2 = TensorShape([2])
+    assert basis.restrict(swap01, basis) == LinearMap(Q, s2, s2,
+                                                      {(1, 0): Q.one(), (0, 1): Q.one()})
     # e0 + e2 |-> e0 leaves the span: the restriction does not exist
     first = LinearMap(Q, TensorShape([3]), TensorShape([3]), {(0, 0): Q.one()})
     assert basis.restrict(first, basis) is None
@@ -154,8 +156,8 @@ def test_coordinates_of_reads_renumbered_columns():
     # exchanged, so in the span; column 2 is 0
     m = LinearMap(Q, TensorShape([3]), TensorShape([3]),
                   {(1, 0): two, (2, 0): two, (0, 1): three, (2, 1): three})
-    assert basis.coordinates_of(m, [1, 0, 2]).entries == {(0, 0): two, (1, 1): three}
-    assert basis.coordinates_of(m, [1, 0, 2]).domain == m.domain
+    assert basis.coordinates_of(m, [1, 0, 2]) == LinearMap(Q, m.domain, TensorShape([2]),
+                                                           {(0, 0): two, (1, 1): three})
     # with the rows rotated instead, column 1 is 3 e1 + 3 e0, outside the span
     assert basis.coordinates_of(m, [1, 2, 0]) is None
     with pytest.raises(ShapeError):
@@ -170,7 +172,8 @@ def test_restrict_checks_every_nonzero_of_the_image():
     assert basis.indicator_cols == [2]
     three = Q.from_int(3)
     scale = LinearMap.identity(Q, TensorShape([3])).scaled(three)
-    assert basis.restrict(scale, basis).entries == {(0, 0): three}
+    s1 = TensorShape([1])
+    assert basis.restrict(scale, basis) == LinearMap(Q, s1, s1, {(0, 0): three})
     # images that agree with 3 (1, 0, 1) at the indicator column but not elsewhere
     for image in ({(2, 0): three, (2, 2): three},
                   {(0, 0): three, (1, 0): Q.one(), (2, 2): three},
@@ -353,7 +356,7 @@ def test_kernel_basis_independent_of_row_order(A, data):
     row space and the column order: shuffled, duplicated and re-stacked rows
     give the identical basis and free columns."""
     rows = [LinearMap(A.field, A.domain, TensorShape([1]),
-                      {(0, c): v for (r, c), v in A.entries.items() if r == i})
+                      {(0, c): A.entry(r, c) for r, c in A.entries if r == i})
             for i in range(A.codomain.dim)]
     order = data.draw(st.permutations(range(len(rows))))
     dups = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=4))
@@ -411,7 +414,7 @@ def test_public_constructor_checks_every_entry_and_drops_zeros():
         with pytest.raises(ShapeError):
             LinearMap(Q, s2, s2, {key: Q.one()})
     m = LinearMap(Q, s2, s2, {(0, 0): Q.zero(), (1, 0): Q.one()})
-    assert m.entries == {(1, 0): Q.one()}
+    assert list(m.entries) == [(1, 0)] and m.entry(1, 0) == Q.one()
 
 
 def test_scaled_rejects_a_scalar_of_another_field_and_empties_on_zero():
@@ -422,3 +425,73 @@ def test_scaled_rejects_a_scalar_of_another_field_and_empties_on_zero():
         with pytest.raises(FieldError):
             LinearMap.zero(Q, m.domain, m.codomain).scaled(other)
     assert m.scaled(Q.zero()).entries == {}
+
+
+def test_from_payloads_checks_positions_and_drops_zeros():
+    s2 = TensorShape([2])
+    for key in ((2, 0), (0, 2), (-1, 0)):
+        with pytest.raises(ShapeError):
+            LinearMap.from_payloads(Q, s2, s2, {key: Q.one().payload})
+    m = LinearMap.from_payloads(Q, s2, s2, {(0, 0): Q.zero().payload,
+                                            (1, 0): Q.from_int(3).payload})
+    assert m == LinearMap(Q, s2, s2, {(1, 0): Q.from_int(3)}) and list(m.entries) == [(1, 0)]
+
+
+REPRESENTATION_FIELDS = (Q, Cyclotomic(4), PrimeField(7))
+
+
+@pytest.mark.parametrize("F", REPRESENTATION_FIELDS, ids=repr)
+def test_map_arithmetic_builds_no_scalar(F, monkeypatch):
+    """A map holds its entries' payloads, so compose, tensor, a compose with a
+    whisker on either side, +, -, == and restrict never build a Scalar; entry
+    and apply, the boundary, still return Scalars of the map's field."""
+    s2, s3, s23 = TensorShape([2]), TensorShape([3]), TensorShape([2, 3])
+    a, b = rand_map(s3, s2, field=F), rand_map(s2, s3, field=F)
+    a2 = rand_map(s3, s2, field=F)
+    wide, tall = rand_map(s23, s2, field=F), rand_map(s2, s23, field=F)
+    ambient = rand_map(s3, s3, density=0.8, field=F)
+    source = SubspaceBasis.from_kernel(F, rand_map(s3, TensorShape([1]), density=1.0, field=F))
+    target = SubspaceBasis.standard(F, 3)
+    copy = LinearMap.from_payloads(F, s3, s2, dict(a.entries))
+    built = []
+    init = Scalar.__init__
+
+    def counted(self, field, payload):
+        built.append(payload)
+        init(self, field, payload)
+
+    monkeypatch.setattr(Scalar, "__init__", counted)
+    results = [a.compose(b), b.compose(a), a.tensor(b), a + a2, a - a2, -a,
+               whisker(a, s2, UNIT).compose(tall), wide.compose(whisker(b, s2, UNIT)),
+               source.restrict(ambient, target)]
+    compared = [a == copy, hash(a) == hash(copy), a == a2]
+    assert not built
+    assert compared[:2] == [True, True]
+    assert all(isinstance(m, LinearMap) and m.field == F for m in results)
+    monkeypatch.undo()
+    for m in results:
+        for r, c in m.entries:
+            x = m.entry(r, c)
+            assert isinstance(x, Scalar) and x.field == F and not x.is_zero()
+    assert all(isinstance(x, Scalar) and x.field == F
+               for x in a.apply([F.one(), F.from_int(2), F.zero()]))
+    assert LinearMap.zero(F, s2, s2).entry(0, 1) == F.zero()
+
+
+@pytest.mark.parametrize("F", REPRESENTATION_FIELDS, ids=repr)
+def test_equality_tells_apart_maps_that_differ_in_one_entry(F):
+    s3 = TensorShape([3])
+    m = rand_map(s3, s3, density=1.0, field=F)
+    scalars = {key: m.entry(*key) for key in m.entries}
+    copy = LinearMap(F, s3, s3, scalars)
+    assert m == copy and hash(m) == hash(copy)
+    for key, x in scalars.items():
+        for y in (x + F.one(), F.zero()):
+            other = LinearMap(F, s3, s3, {**scalars, key: y})
+            assert m != other and other != m, (key, y)
+    # a missing entry that another map holds, and the same entries over another field
+    hole = (0, 0) if (0, 0) not in m.entries else None
+    if hole is not None:
+        assert m != LinearMap(F, s3, s3, {**scalars, hole: F.one()})
+    other_field = Q if F != Q else PrimeField(7)
+    assert LinearMap.identity(F, s3) != LinearMap.identity(other_field, s3)

@@ -50,13 +50,13 @@ sizes = st.integers(1, 4)
 
 def dense(m: LinearMap):
     rows = [[m.field.zero()] * m.domain.dim for _ in range(m.codomain.dim)]
-    for (r, c), v in m.entries.items():
-        rows[r][c] = v
+    for r, c in m.entries:
+        rows[r][c] = m.entry(r, c)
     return rows
 
 
 def assert_clean_and_equal(m: LinearMap, rows):
-    assert all(not v.is_zero() for v in m.entries.values())
+    assert all(not m.entry(r, c).is_zero() for r, c in m.entries)
     assert dense(m) == rows
 
 
@@ -108,10 +108,11 @@ def test_compose_matches_dense_product(F, r, m, c, data):
     assert_clean_and_equal(a.compose(b), ref_mul(dense(a), dense(b), F))
     # [a | a] after [b ; -b] is a b - a b: every product cancels
     twice = LinearMap(F, TensorShape([2 * m]), a.codomain,
-                      {**a.entries, **{(i, m + j): v for (i, j), v in a.entries.items()}})
+                      {(i, k + j): a.entry(i, j) for i, j in a.entries for k in (0, m)})
     minus = -b
     signed = LinearMap(F, b.domain, TensorShape([2 * m]),
-                       {**b.entries, **{(m + i, j): v for (i, j), v in minus.entries.items()}})
+                       {**{key: b.entry(*key) for key in b.entries},
+                        **{(m + i, j): minus.entry(i, j) for i, j in minus.entries}})
     assert_clean_and_equal(twice.compose(signed), [[F.zero()] * c for _ in range(r)])
 
 
@@ -157,7 +158,7 @@ def test_invert_matches_dense_rank_and_product(F, n, data):
     assert (inv is None) == (ref_rank(dense(a), F) < n)
     if inv is not None:
         eye = [[F.one() if i == j else F.zero() for j in range(n)] for i in range(n)]
-        assert all(not v.is_zero() for v in inv.entries.values())
+        assert all(not inv.entry(r, c).is_zero() for r, c in inv.entries)
         assert ref_mul(dense(a), dense(inv), F) == eye == ref_mul(dense(inv), dense(a), F)
 
 
@@ -204,7 +205,7 @@ def check_restrict(source: SubspaceBasis, ambient: LinearMap, target: SubspaceBa
         for img in images)
     assert (got is not None) == inside
     if got is not None:
-        assert all(not v.is_zero() for v in got.entries.values())
+        assert all(not got.entry(r, c).is_zero() for r, c in got.entries)
         x = dense(got)
         for c, img in enumerate(images):
             recon = [F.zero()] * target.ambient_dim

@@ -8,8 +8,11 @@ fourth keeps `LinearMap._from_clean`, which checks none of its entries, inside
 `linalg` and the `hopf` packers that only regroup or accumulate entries of
 maps that are already valid.  A fifth keeps the payload under a Scalar
 opaque: no module but `fields` subscripts, unpacks or iterates a `.payload`,
-or a name bound to one in the same function, so a change of representation
-stays inside `fields`.
+or a name bound to one in the same function (a map's entries are payloads
+too, so the values of `.entries.items()` and `.entries.values()` count), so
+a change of representation stays inside `fields`.  A sixth keeps `linalg`'s
+maps on payloads: `linalg.py` calls `Scalar(...)` only in the functions that
+hand entries out as Scalars, so a wrap that re-enters a kernel loop fails.
 
 Only single-name targets count; names bound by tuple unpacking, loop targets,
 `_`, and names declared global or nonlocal are exempt.  A read anywhere in the
@@ -222,9 +225,27 @@ def _is_payload(node) -> bool:
     return isinstance(node, ast.Attribute) and node.attr == "payload"
 
 
+def _entry_payload_names(node) -> set[str]:
+    """The names a loop or comprehension binds to the values of a map's
+    entries: v in `for key, v in m.entries.items()` or `for v in m.entries.values()`."""
+    if not isinstance(node, (ast.For, ast.comprehension)):
+        return set()
+    it = node.iter
+    if not (isinstance(it, ast.Call) and isinstance(it.func, ast.Attribute)
+            and isinstance(it.func.value, ast.Attribute) and it.func.value.attr == "entries"):
+        return set()
+    target = node.target
+    if it.func.attr == "items" and isinstance(target, ast.Tuple) and len(target.elts) == 2:
+        target = target.elts[1]
+    elif it.func.attr != "values":
+        return set()
+    return {target.id} if isinstance(target, ast.Name) else set()
+
+
 def payload_structure_reads(source: str, filename: str = "<string>") -> list[str]:
     """Subscripts, unpackings and iterations of `.payload`, or of a name bound
-    to one in the same function, outside fields.py."""
+    to one or to the value of a map's entry in the same function, outside
+    fields.py."""
     if filename == "fields.py":
         return []
     tree = ast.parse(source, filename)
@@ -237,6 +258,7 @@ def payload_structure_reads(source: str, filename: str = "<string>") -> list[str
         bound = {t.id for node in nodes if isinstance(node, ast.Assign)
                  and _is_payload(node.value)
                  for t in node.targets if isinstance(t, ast.Name)}
+        bound |= {name for node in nodes for name in _entry_payload_names(node)}
 
         def payload(x):
             return _is_payload(x) or isinstance(x, ast.Name) and x.id in bound
@@ -273,10 +295,69 @@ def test_lint_flags_payload_structure_outside_fields():
     assert payload_structure_reads(src, "fields.py") == []
 
 
+def test_lint_flags_structure_reads_of_map_entries():
+    src = (
+        "def f(m, n, k):\n"
+        "    for (r, c), v in m.entries.items():\n"
+        "        use(v[0])\n"
+        "    ys = [w[1:] for w in n.entries.values()]\n"
+        "    for key, x in m.entries.items():\n"
+        "        F._mul(x, x)\n"
+        "    return [z[0] for _, z in k.rows.items()], ys\n"
+    )
+    assert payload_structure_reads(src, "coend.py") == ["coend.py:3", "coend.py:4"]
+
+
 def test_payload_stays_opaque_outside_fields():
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         found += payload_structure_reads(path.read_text(encoding="utf-8"), path.name)
+    assert not found, "\n".join(found)
+
+
+# -- linalg builds Scalars only where it hands entries out -----------------------------------
+
+# the functions of linalg.py that may call Scalar(...): entry, and _dense, through
+# which apply, SubspaceBasis.vectors and SubspaceBasis.coordinates return dense vectors
+SCALAR_BOUNDARY = {"entry", "_dense"}
+
+
+def scalar_constructions(source: str, filename: str = "<string>",
+                         allowed=frozenset(SCALAR_BOUNDARY)) -> list[str]:
+    """Calls of `Scalar(...)` or `<module>.Scalar(...)` outside the functions
+    named in allowed."""
+    tree = ast.parse(source, filename)
+    inside = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, FUNCTIONS) and fn.name in allowed:
+            inside |= {id(n) for n in ast.walk(fn)}
+    lines = sorted(node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and id(node) not in inside
+                   and (isinstance(node.func, ast.Name) and node.func.id == "Scalar"
+                        or isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "Scalar"))
+    return [f"{filename}:{line}" for line in lines]
+
+
+def test_lint_flags_scalar_constructions_outside_the_boundary():
+    src = (
+        "def entry(F, p):\n"
+        "    return Scalar(F, p)\n"
+        "def compose(F, acc):\n"
+        "    return {k: Scalar(F, p) for k, p in acc.items()}\n"
+        "def _dense(F, vec):\n"
+        "    return [fields.Scalar(F, p) for p in vec]\n"
+        "def apply(F, p):\n"
+        "    return fields.Scalar(F, p), F.one()\n"
+        "ONE = Scalar(F, 1)\n"
+    )
+    assert scalar_constructions(src, "linalg.py") == ["linalg.py:4", "linalg.py:8",
+                                                      "linalg.py:9"]
+
+
+def test_linalg_builds_scalars_only_at_the_boundary():
+    path = PACKAGE / "linalg.py"
+    found = scalar_constructions(path.read_text(encoding="utf-8"), path.name)
     assert not found, "\n".join(found)
 
 

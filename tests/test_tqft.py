@@ -42,7 +42,8 @@ def _pairing(double):
     """The pairing matrix W[a][b] = omega(e_a (x) e_b), read off the pairing."""
     d = double.dim
     C = TensorShape([d])
-    return LinearMap(Q, C, C, {divmod(ab, d): v for (_, ab), v in double.pairing.entries.items()})
+    return LinearMap(Q, C, C, {divmod(ab, d): double.pairing.entry(0, ab)
+                                for _, ab in double.pairing.entries})
 
 
 def _onion_matrix(M, n):
