@@ -18,19 +18,18 @@ from pathlib import Path
 
 from . import __version__, cyclic_cat as cc
 from .coend import (
-    CoendError, build_coend_algebra, build_coend_coalgebra, build_coend_hopf,
+    CoendData, CoendError, build_coend_algebra, build_coend_coalgebra, build_coend_hopf,
     end_and_drinfeld,
 )
 from .cyclic_modules import (
-    CyclicModuleError, build_paracyclic, check_relations, coend_algebra_object,
-    coend_coalgebra_object, cocyclic_module_from_coalgebra,
+    CyclicModuleError, build_paracyclic, check_relations, cocyclic_module_from_coalgebra,
     cyclic_module_from_algebra, explicit_coend_cocyclic, explicit_coend_cyclic,
     module_from_json, module_to_json, r_cyclic_from_simple,
     twisted_cyclicity_check,
 )
 from .homology import HomologyError, cyclic_ranks, hochschild_ranks, mixed_complex
-from .hopf import HopfError, coadjoint_module, load_algebra, modular_data, \
-    module_power, verify_axioms, verify_quasitriangular_ribbon
+from .hopf import HopfError, coadjoint_module, load_algebra, modular_data, verify_axioms, \
+    verify_quasitriangular_ribbon
 from .reports import CheckReport
 from .tqft import TqftError, build_rt_cocyclic, build_rt_cyclic, shape_checks, \
     verify_main_theorem
@@ -216,23 +215,15 @@ def cmd_coend_build(args) -> int:
     return _emit(args, payload, ok)
 
 
-def _coalgebra(H):
-    return coend_coalgebra_object(build_coend_coalgebra(H))
-
-
-def _algebra(H):
-    return coend_algebra_object(build_coend_algebra(H))
-
-
 # the cached builders: the explicit models on invariant tensors read only the
 # algebra, the others one stage of the coend, its coalgebra or its algebra
 _BUILDERS = {
     "W": explicit_coend_cyclic,
     "Wco": explicit_coend_cocyclic,
-    "generic": lambda H, N: cyclic_module_from_algebra(_algebra(H), N),
-    "genericco": lambda H, N: cocyclic_module_from_coalgebra(_coalgebra(H), N),
-    "para": lambda H, N: build_paracyclic(_coalgebra(H), N),
-    "paraco": lambda H, N: build_paracyclic(_algebra(H), N),
+    "generic": lambda H, N: cyclic_module_from_algebra(build_coend_algebra(H), N),
+    "genericco": lambda H, N: cocyclic_module_from_coalgebra(build_coend_coalgebra(H), N),
+    "para": lambda H, N: build_paracyclic(build_coend_coalgebra(H), N, "cyclic"),
+    "paraco": lambda H, N: build_paracyclic(build_coend_algebra(H), N, "cocyclic"),
 }
 
 
@@ -263,7 +254,7 @@ def cmd_module_build(args) -> int:
         if module is None and args.which in _BUILDERS:
             module = _BUILDERS[args.which](H, N)
         elif module is None and args.which == "rcyclic":
-            para = build_paracyclic(_coalgebra(H), N)
+            para = build_paracyclic(build_coend_coalgebra(H), N, "cyclic")
             module, scalar, r = r_cyclic_from_simple(para, simples[args.simple])
             payload["twist_scalar"] = repr(scalar)
             payload["twist_order"] = r
@@ -275,8 +266,8 @@ def cmd_module_build(args) -> int:
         elif args.which in ("para", "paraco"):
             # the cache holds only matrices; the twisted cyclicity check also
             # needs the tensor powers of the coend's carrier, H* coadjoint
-            C = coadjoint_module(H)
-            module.level_modules = {n: module_power(C, n + 1) for n in range(N + 1)}
+            carrier = CoendData(H, coadjoint_module(H))
+            module.level_modules = {n: carrier.power(n + 1) for n in range(N + 1)}
         if args.which in ("para", "paraco"):
             extra_reports.append(twisted_cyclicity_check(module))
     except (CoendError, CyclicModuleError, TqftError) as exc:
@@ -308,7 +299,7 @@ def cmd_homology(args) -> int:
     H, _ = _load(args.algebra)
     N = _max_level(args, 3)
     if args.chirality == "cocyclic":
-        module = cocyclic_module_from_coalgebra(_coalgebra(H), N + 1)
+        module = cocyclic_module_from_coalgebra(build_coend_coalgebra(H), N + 1)
     else:
         module = explicit_coend_cyclic(H, N + 1)
     mc = mixed_complex(module)

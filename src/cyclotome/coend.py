@@ -11,7 +11,7 @@ every convention choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .fields import Scalar
 from .hopf import (
@@ -75,7 +75,7 @@ def dinatural_component(H: HopfAlgebraData, V: ModuleData, carrier: ModuleData) 
 # -- the universal-property solver -----------------------------------------------------
 
 
-def factor_through_coend(stage: CoendStage, rhs: LinearMap, arity: int) -> LinearMap:
+def factor_through_coend(data: CoendData, rhs: LinearMap, arity: int) -> LinearMap:
     """The unique map phi: C^(x)arity -> D with phi o i_H^(x)arity = rhs.
 
     rhs must be given on regular-module inputs (H* (x) H)^(x)arity.  The
@@ -84,18 +84,18 @@ def factor_through_coend(stage: CoendStage, rhs: LinearMap, arity: int) -> Linea
     certifies that rhs annihilates the kernel of i_H^(x)arity (independence
     of the section).
     """
-    section = stage.section
-    i_pow = stage.i_H
+    section = data.section
+    i_pow = data.i_H
     for _ in range(arity - 1):
-        section = section.tensor(stage.section)
-        i_pow = i_pow.tensor(stage.i_H)
+        section = section.tensor(data.section)
+        i_pow = i_pow.tensor(data.i_H)
     phi = rhs.compose(section.reshaped(section.domain, rhs.domain))
     check = phi.compose(i_pow.reshaped(i_pow.domain, phi.domain))
     if check.entries != rhs.reshaped(check.domain, check.codomain).entries:
         raise CoendError(
             f"defining diagram inconsistent at arity {arity}: "
             "the candidate does not annihilate ker(i_H)")
-    dom = TensorShape([stage.carrier.dim] * arity)
+    dom = TensorShape([data.carrier.dim] * arity)
     return phi.reshaped(dom, phi.codomain)
 
 
@@ -111,27 +111,39 @@ def _is_intertwiner(T: LinearMap, V: ModuleData, W: ModuleData) -> bool:
 # -- the coend data ---------------------------------------------------------------------
 
 
-@dataclass
 class CoendData:
-    algebra: HopfAlgebraData
-    carrier: ModuleData
-    m: LinearMap                  # C (x) C -> C
-    unit: Vector                  # element of C
-    Delta: LinearMap              # C -> C (x) C
-    counit: LinearMap             # C -> 1
-    antipode: LinearMap           # C -> C
-    antipode_inv: LinearMap
-    pairing: LinearMap            # C (x) C -> 1
-    twist_map: LinearMap          # the twist of the carrier
-    report: CheckReport
-    pairing_nondegenerate: bool = False
-    Omega: Vector | None = None          # inverse copairing in C (x) C
-    integral: Vector | None = None       # right integral Lambda
-    cointegral: Vector | None = None     # left cointegral lambda as a functional
-    dim_B: Scalar | None = None
-    anomaly_free: bool | None = None
-    modular: bool | None = None
-    caches: dict = dc_field(default_factory=dict)
+    """The coend of H's module category, built up stage by stage: the carrier
+    C = H* with the coadjoint action and the gates of every stage built so far
+    in report.  The carrier stage adds the regular module, its dinatural
+    component i_H and the section s; the coalgebra stage Delta and the counit;
+    the algebra stage m and the unit; the Hopf stage the antipode, the
+    pairing, the twist and the integral data.  A field stays None until its
+    stage is built.  (A plain class: a dataclass here measurably raised the
+    peak memory of repeated imports.)"""
+
+    def __init__(self, algebra: HopfAlgebraData, carrier: ModuleData,
+                 report: CheckReport | None = None):
+        self.algebra, self.carrier = algebra, carrier
+        self.report = report or CheckReport(f"coend of {algebra.name}")
+        self.regular: ModuleData | None = None
+        self.i_H: LinearMap | None = None
+        self.section: LinearMap | None = None
+        self.Delta: LinearMap | None = None        # C -> C (x) C
+        self.counit: LinearMap | None = None       # C -> 1
+        self.m: LinearMap | None = None            # C (x) C -> C
+        self.unit: Vector | None = None            # element of C
+        self.antipode: LinearMap | None = None     # C -> C
+        self.antipode_inv: LinearMap | None = None
+        self.pairing: LinearMap | None = None      # C (x) C -> 1
+        self.twist_map: LinearMap | None = None    # the twist of the carrier
+        self.pairing_nondegenerate = False
+        self.Omega: Vector | None = None           # inverse copairing in C (x) C
+        self.integral: Vector | None = None        # right integral Lambda
+        self.cointegral: Vector | None = None      # left cointegral lambda as a functional
+        self.dim_B: Scalar | None = None
+        self.anomaly_free: bool | None = None
+        self.modular: bool | None = None
+        self.caches: dict = {}
 
     @property
     def field(self):
@@ -140,6 +152,10 @@ class CoendData:
     @property
     def dim(self) -> int:
         return self.carrier.dim
+
+    @property
+    def name(self) -> str:
+        return f"coend({self.algebra.name})"
 
     def vector_map(self, vec: Vector) -> LinearMap:
         """The map 1 -> C picking out the element vec."""
@@ -150,9 +166,11 @@ class CoendData:
         return self.vector_map(self.unit)
 
     def power(self, n: int) -> ModuleData:
+        """C^(x)n for n >= 1, built once, from C^(x)(n-1)."""
         key = ("power", n)
         if key not in self.caches:
-            self.caches[key] = module_power(self.carrier, n)
+            self.caches[key] = (self.carrier if n == 1
+                                else tensor_module(self.power(n - 1), self.carrier))
         return self.caches[key]
 
     def invariant_basis(self, n: int) -> SubspaceBasis:
@@ -201,66 +219,47 @@ def _columns(m: LinearMap) -> dict[int, list[tuple[int, object]]]:
 # -- the stages of the build -------------------------------------------------------------
 
 
-class CoendStage:
-    """The coend built up to a stage.  The carrier stage is C = H* with the
-    coadjoint action, its square C (x) C, the regular module, its dinatural
-    component i_H and the section s; the coalgebra stage adds Delta and the
-    counit, the algebra stage m and the unit.  Every gate of the stages built
-    is in report.  (A plain class: a dataclass here measurably raised the
-    peak memory of repeated imports.)"""
-
-    def __init__(self, algebra: HopfAlgebraData, carrier: ModuleData, regular: ModuleData,
-                 i_H: LinearMap, section: LinearMap, report: CheckReport):
-        self.algebra, self.carrier, self.regular = algebra, carrier, regular
-        self.i_H, self.section, self.report = i_H, section, report
-        self.square = module_power(carrier, 2)
-        self.m: LinearMap | None = None
-        self.unit: Vector | None = None
-        self.Delta: LinearMap | None = None
-        self.counit: LinearMap | None = None
-
-
-def coend_carrier(H: HopfAlgebraData) -> CoendStage:
+def coend_carrier(H: HopfAlgebraData) -> CoendData:
     """The carrier stage, with the gates that i_H is onto and s is a section."""
-    rep = CheckReport(f"coend of {H.name}")
-    C = coadjoint_module(H)
-    Hreg = regular_module(H)
-    i_H = dinatural_component(H, Hreg, C)
+    data = CoendData(H, coadjoint_module(H))
+    rep = data.report
+    data.regular = Hreg = regular_module(H)
+    data.i_H = i_H = dinatural_component(H, Hreg, data.carrier)
     rep.check("dinatural component of the regular module is surjective", rank(i_H) == H.dim)
     # the section psi |-> psi (x) 1_H, a right inverse of i_H
     u_map = LinearMap.from_function(H.field, UNIT, H.shape, lambda c: enumerate(H.u))
-    s = whisker(u_map, H.shape, UNIT)
+    data.section = s = whisker(u_map, H.shape, UNIT)
     rep.check("section property i_H o s = id",
-              i_H.compose(s) == LinearMap.identity(H.field, C.shape))
-    return CoendStage(H, C, Hreg, i_H, s, rep)
+              i_H.compose(s) == LinearMap.identity(H.field, data.carrier.shape))
+    return data
 
 
-def _solve_coalgebra(stage: CoendStage) -> CoendStage:
+def _solve_coalgebra(data: CoendData) -> CoendData:
     """Delta and the counit, each from its defining diagram, checked against
     the algebra they are dual to and for equivariance."""
-    H, C, Hreg, i_H, rep = stage.algebra, stage.carrier, stage.regular, stage.i_H, stage.report
+    H, C, Hreg, i_H, rep = data.algebra, data.carrier, data.regular, data.i_H, data.report
     d = H.dim
     # comultiplication: Delta o i_X = (i_X (x) i_X)(id (x) coev_X (x) id)
     ins = whisker(coev_left(Hreg), Hreg.shape, Hreg.shape)
     d_rhs = i_H.tensor(i_H).compose(
         ins.reshaped(TensorShape([d, d]), TensorShape([d] * 4)))
-    Delta_C = factor_through_coend(stage, d_rhs, 1).reshaped(C.shape, C.shape * C.shape)
+    Delta_C = factor_through_coend(data, d_rhs, 1).reshaped(C.shape, C.shape * C.shape)
     # counit: eps o i_X = ev_X
-    eps_C = factor_through_coend(stage, ev_left(Hreg), 1)
+    eps_C = factor_through_coend(data, ev_left(Hreg), 1)
     rep.check("dual of the coproduct is the multiplication",
               Delta_C.entries == H.m.transpose().entries)
     rep.check("counit is evaluation at the algebra unit",
               eps_C.transpose().apply([H.field.one()]) == H.u)
-    rep.check("coproduct is equivariant", _is_intertwiner(Delta_C, C, stage.square))
+    rep.check("coproduct is equivariant", _is_intertwiner(Delta_C, C, data.power(2)))
     rep.check("counit is equivariant", _is_intertwiner(eps_C, C, trivial_module(H)))
-    stage.Delta, stage.counit = Delta_C, eps_C
-    return stage
+    data.Delta, data.counit = Delta_C, eps_C
+    return data
 
 
-def _solve_algebra(stage: CoendStage) -> CoendStage:
+def _solve_algebra(data: CoendData) -> CoendData:
     """m and the unit, checked against the braided coproduct and for
     equivariance."""
-    H, C, Hreg, rep = stage.algebra, stage.carrier, stage.regular, stage.report
+    H, C, Hreg, rep = data.algebra, data.carrier, data.regular, data.report
     F, d = H.field, H.dim
     # unit: the image of the unit object's component, i.e. the counit functional
     unit = H.epsilon.transpose().apply([F.one()])
@@ -273,30 +272,29 @@ def _solve_algebra(stage: CoendStage) -> CoendStage:
     regroup = whisker(XY_star, UNIT, Hreg.shape * Hreg.shape)
     m_rhs = i_YX.reshaped(TensorShape([d] * 4), C.shape).compose(
         regroup.reshaped(step.codomain, TensorShape([d] * 4))).compose(step)
-    m_C = factor_through_coend(stage, m_rhs.reshaped(TensorShape([d] * 4), C.shape), 2)
+    m_C = factor_through_coend(data, m_rhs.reshaped(TensorShape([d] * 4), C.shape), 2)
     rep.check("dual of the product is the braided coproduct",
               m_C.entries == braided_coproduct(H).transpose().entries)
-    rep.check("product is equivariant", _is_intertwiner(m_C, stage.square, C))
-    u_map = LinearMap.from_function(F, UNIT, C.shape, lambda c: enumerate(unit))
-    rep.check("unit is invariant", _is_intertwiner(u_map, trivial_module(H), C))
-    stage.m, stage.unit = m_C, unit
-    return stage
+    rep.check("product is equivariant", _is_intertwiner(m_C, data.power(2), C))
+    data.m, data.unit = m_C, unit
+    rep.check("unit is invariant", _is_intertwiner(data.unit_map(), trivial_module(H), C))
+    return data
 
 
-def _gated(stage: CoendStage) -> CoendStage:
-    if not stage.report.ok:
-        raise CoendError(f"coend gates failed: {stage.report.failures}")
-    return stage
+def _gated(data: CoendData) -> CoendData:
+    if not data.report.ok:
+        raise CoendError(f"coend gates failed: {data.report.failures}")
+    return data
 
 
-def build_coend_coalgebra(H: HopfAlgebraData) -> CoendStage:
+def build_coend_coalgebra(H: HopfAlgebraData) -> CoendData:
     """The carrier and coalgebra stages alone, all that the cocyclic module
     of the coend's coalgebra object reads; raises when one of their gates
     fails."""
     return _gated(_solve_coalgebra(coend_carrier(H)))
 
 
-def build_coend_algebra(H: HopfAlgebraData) -> CoendStage:
+def build_coend_algebra(H: HopfAlgebraData) -> CoendData:
     """The carrier and algebra stages alone, all that the cyclic module of
     the coend's algebra object reads; raises when one of their gates fails."""
     return _gated(_solve_algebra(coend_carrier(H)))
@@ -311,11 +309,10 @@ def build_coend_hopf(H: HopfAlgebraData,
     The duality oracles and the braided Hopf axiom suite are mandatory gates
     and raise on failure.
     """
-    stage = _solve_coalgebra(_solve_algebra(coend_carrier(H)))
-    rep = stage.report
+    data = _solve_coalgebra(_solve_algebra(coend_carrier(H)))
+    rep = data.report
     F = H.field
-    C, C2, Hreg = stage.carrier, stage.square, stage.regular
-    m_C, unit, Delta_C, eps_C = stage.m, stage.unit, stage.Delta, stage.counit
+    C, Hreg = data.carrier, data.regular
 
     # pairing: omega(i_X (x) i_Y) = (ev_X (x) ev_Y)(id (x) monodromy (x) id)
     Hdual = dual_module(Hreg)
@@ -323,21 +320,19 @@ def build_coend_hopf(H: HopfAlgebraData,
     w_step = whisker(mono, Hreg.shape, Hreg.shape)
     d4 = TensorShape([H.dim] * 4)
     w_rhs = ev_left(Hreg).tensor(ev_left(Hreg)).compose(w_step.reshaped(d4, d4))
-    omega = factor_through_coend(stage, w_rhs, 2)
+    data.pairing = omega = factor_through_coend(data, w_rhs, 2)
 
     # antipode: unique convolution inverse of the identity
-    S_C = _solve_antipode(F, H.dim, m_C, unit, Delta_C, eps_C)
-    S_inv = invert(S_C)
-    if S_inv is None:
+    data.antipode = S_C = _solve_antipode(F, H.dim, data.m, data.unit, data.Delta, data.counit)
+    data.antipode_inv = invert(S_C)
+    if data.antipode_inv is None:
         raise CoendError("the antipode of the coend is singular")
 
-    theta_C = twist(C)
-
-    data = CoendData(H, C, m_C, unit, Delta_C, eps_C, S_C, S_inv, omega, theta_C, rep)
+    data.twist_map = theta_C = twist(C)
 
     # the remaining intertwiner checks; the stages checked m, unit, Delta, eps
     rep.check("antipode is equivariant", _is_intertwiner(S_C, C, C))
-    rep.check("pairing is equivariant", _is_intertwiner(omega, C2, trivial_module(H)))
+    rep.check("pairing is equivariant", _is_intertwiner(omega, data.power(2), trivial_module(H)))
 
     _check_braided_hopf_axioms(data, rep)
     _check_pairing_axioms(data, rep)
@@ -625,24 +620,20 @@ def coend_from_json(H: HopfAlgebraData, obj: dict) -> CoendData:
                              TensorShape([m["tgt"]]))
 
     d = obj["dim"]
-    rep = CheckReport(f"coend of {H.name} (cached)")
-    data = CoendData(
-        H, carrier,
-        lin(obj["m"]).reshaped(TensorShape([d, d]), TensorShape([d])),
-        vector_from_json(F, obj["unit"], d),
-        lin(obj["Delta"]).reshaped(TensorShape([d]), TensorShape([d, d])),
-        lin(obj["counit"]).reshaped(TensorShape([d]), UNIT),
-        lin(obj["antipode"]), lin(obj["antipode_inv"]),
-        lin(obj["pairing"]).reshaped(TensorShape([d, d]), UNIT),
-        lin(obj["twist"]), rep,
-        pairing_nondegenerate=obj["pairing_nondegenerate"],
-        Omega=vector_from_json(F, obj["Omega"], d * d),
-        integral=vector_from_json(F, obj["Lambda"], d),
-        cointegral=vector_from_json(F, obj["cointegral"], d),
-        dim_B=None if obj["dim_B"] is None else F.parse(obj["dim_B"]),
-        anomaly_free=obj["anomaly_free"],
-        modular=obj["modular"],
-    )
+    data = CoendData(H, carrier, CheckReport(f"coend of {H.name} (cached)"))
+    data.m = lin(obj["m"]).reshaped(TensorShape([d, d]), TensorShape([d]))
+    data.unit = vector_from_json(F, obj["unit"], d)
+    data.Delta = lin(obj["Delta"]).reshaped(TensorShape([d]), TensorShape([d, d]))
+    data.counit = lin(obj["counit"]).reshaped(TensorShape([d]), UNIT)
+    data.antipode, data.antipode_inv = lin(obj["antipode"]), lin(obj["antipode_inv"])
+    data.pairing = lin(obj["pairing"]).reshaped(TensorShape([d, d]), UNIT)
+    data.twist_map = lin(obj["twist"])
+    data.pairing_nondegenerate = obj["pairing_nondegenerate"]
+    data.Omega = vector_from_json(F, obj["Omega"], d * d)
+    data.integral = vector_from_json(F, obj["Lambda"], d)
+    data.cointegral = vector_from_json(F, obj["cointegral"], d)
+    data.dim_B = None if obj["dim_B"] is None else F.parse(obj["dim_B"])
+    data.anomaly_free, data.modular = obj["anomaly_free"], obj["modular"]
     if data.dim_B is not None and data.integral is not None \
             and _counit_of(data, data.integral) != data.dim_B:
         raise CoendError("the cached dim(B) is not the counit of the cached integral")

@@ -17,12 +17,11 @@ from .cyclic_cat import (
     CYCLIC, PARACYCLIC, CategoryVariant, CyclicMap, GeneratorWord, RCyclic,
     Token, normal_form, relation_instances, simplicial_word,
 )
-from .coend import CoendData, CoendStage, _is_intertwiner
+from .coend import CoendData, _is_intertwiner
 from .fields import Scalar
 from .hopf import (
     HopfAlgebraData, ModuleData, Vector, braided_rotation, coadjoint_action,
-    coadjoint_blocks, hom_basis, invariance_blocks, module_power, tensor_module,
-    trivial_module, twist,
+    coadjoint_blocks, hom_basis, invariance_blocks, trivial_module, twist,
 )
 from .linalg import (
     LinearMap, SubspaceBasis, TensorShape, UNIT, invert, map_from_json,
@@ -321,139 +320,92 @@ def explicit_coend_cocyclic(H: HopfAlgebraData, N: int) -> CyclicModuleData:
 # -- generic constructions from (co)algebra objects -----------------------------------------
 
 
-@dataclass
-class CoalgebraObject:
-    """A coalgebra in the module category: an object with equivariant
-    comultiplication and counit."""
-
-    module: ModuleData
-    comultiplication: LinearMap   # V -> V (x) V
-    counit: LinearMap             # V -> 1
-    name: str = "C"
-
-    def verify(self) -> CheckReport:
-        rep = CheckReport(f"coalgebra axioms for {self.name}")
-        V = self.module
-        F = V.algebra.field
-        eye = LinearMap.identity(F, V.shape)
-        co = self.comultiplication.reshaped(V.shape, V.shape * V.shape)
-        eps = self.counit.reshaped(V.shape, UNIT)
+def _object_axioms(data: CoendData, chirality: str):
+    """Raise unless the coend's coalgebra object (C, Delta, eps), which gives
+    the paracyclic module ("cyclic"), or its algebra object (C, m, u), which
+    gives the paracocyclic one ("cocyclic"), passes its axioms:
+    (co)associativity, (co)unit and equivariance."""
+    what = {"cyclic": "coalgebra", "cocyclic": "algebra"}.get(chirality)
+    if what is None:
+        raise CyclicModuleError(f"unknown chirality {chirality!r}")
+    rep = CheckReport(f"{what} axioms for {data.name}")
+    V, c = data.carrier, data.carrier.shape
+    eye = LinearMap.identity(data.field, c)
+    one = trivial_module(data.algebra)
+    if chirality == "cyclic":
+        co, eps = data.Delta.reshaped(c, c * c), data.counit.reshaped(c, UNIT)
         rep.check("coassociativity",
-                  whisker(co, UNIT, V.shape).compose(co)
-                  == whisker(co, V.shape, UNIT).compose(co))
-        rep.check("counit", whisker(eps, UNIT, V.shape).compose(co) == eye
-                  and whisker(eps, V.shape, UNIT).compose(co) == eye)
-        rep.check("comultiplication is equivariant",
-                  _is_intertwiner(co, V, module_power(V, 2)))
-        rep.check("counit is equivariant",
-                  _is_intertwiner(eps, V, trivial_module(V.algebra)))
-        return rep
-
-
-@dataclass
-class AlgebraObject:
-    """An algebra in the module category: an object with equivariant
-    multiplication and unit."""
-
-    module: ModuleData
-    multiplication: LinearMap     # V (x) V -> V
-    unit: Vector                  # element of V
-    name: str = "A"
-
-    def unit_map(self) -> LinearMap:
-        F = self.module.algebra.field
-        return LinearMap.from_function(F, UNIT, self.module.shape,
-                                       lambda c: enumerate(self.unit))
-
-    def verify(self) -> CheckReport:
-        rep = CheckReport(f"algebra axioms for {self.name}")
-        V = self.module
-        F = V.algebra.field
-        eye = LinearMap.identity(F, V.shape)
-        m = self.multiplication.reshaped(V.shape * V.shape, V.shape)
-        u = self.unit_map()
-        rep.check("associativity",
-                  m.compose(whisker(m, UNIT, V.shape))
-                  == m.compose(whisker(m, V.shape, UNIT)))
-        rep.check("unit", m.compose(whisker(u, UNIT, V.shape)) == eye
-                  and m.compose(whisker(u, V.shape, UNIT)) == eye)
-        rep.check("multiplication is equivariant",
-                  _is_intertwiner(m, module_power(V, 2), V))
-        rep.check("unit is invariant",
-                  _is_intertwiner(u, trivial_module(V.algebra), V))
-        return rep
-
-
-def coend_coalgebra_object(data: CoendData | CoendStage) -> CoalgebraObject:
-    return CoalgebraObject(data.carrier, data.Delta, data.counit,
-                           name=f"coend({data.algebra.name})")
-
-
-def coend_algebra_object(data: CoendData | CoendStage) -> AlgebraObject:
-    return AlgebraObject(data.carrier, data.m, data.unit,
-                         name=f"coend({data.algebra.name})")
-
-
-def _object_generators(obj: CoalgebraObject | AlgebraObject, N: int
-                       ) -> tuple[str, dict[tuple, LinearMap], dict[int, ModuleData]]:
-    """The chirality, the generators and the level modules V^(x)(n+1) of the
-    object-level module of a (co)algebra object, after its axioms pass; each
-    tensor power is built once, from the one below it.  A coalgebra gives a
-    paracyclic module: face i contracts slot i by the counit, degeneracy j
-    comultiplies slot j, t_n brings the last factor to the front through the
-    inverse braiding.  An algebra gives a paracocyclic one: coface i inserts
-    the unit at slot i, codegeneracy j multiplies slots j and j + 1, tau_n
-    moves the first factor to the back."""
-    V = obj.module
-    if isinstance(obj, CoalgebraObject):
-        what, chirality, to_front = "coalgebra", "cyclic", True
-        face = obj.counit.reshaped(V.shape, UNIT)
-        degen = obj.comultiplication.reshaped(V.shape, V.shape * V.shape)
+                  whisker(co, UNIT, c).compose(co) == whisker(co, c, UNIT).compose(co))
+        rep.check("counit", whisker(eps, UNIT, c).compose(co) == eye
+                  and whisker(eps, c, UNIT).compose(co) == eye)
+        rep.check("comultiplication is equivariant", _is_intertwiner(co, V, data.power(2)))
+        rep.check("counit is equivariant", _is_intertwiner(eps, V, one))
     else:
-        what, chirality, to_front = "algebra", "cocyclic", False
-        face = obj.unit_map()
-        degen = obj.multiplication.reshaped(V.shape * V.shape, V.shape)
-    rep = obj.verify()
+        m, u = data.m.reshaped(c * c, c), data.unit_map()
+        rep.check("associativity",
+                  m.compose(whisker(m, UNIT, c)) == m.compose(whisker(m, c, UNIT)))
+        rep.check("unit", m.compose(whisker(u, UNIT, c)) == eye
+                  and m.compose(whisker(u, c, UNIT)) == eye)
+        rep.check("multiplication is equivariant", _is_intertwiner(m, data.power(2), V))
+        rep.check("unit is invariant", _is_intertwiner(u, one, V))
     if not rep.ok:
         raise CyclicModuleError(f"{what} axioms fail: {rep.failures}")
-    powers = {0: V}
-    for n in range(1, N + 1):
-        powers[n] = tensor_module(powers[n - 1], V)
+
+
+def _object_generators(data: CoendData, chirality: str, N: int) -> dict[tuple, LinearMap]:
+    """The generators of the object-level module of the coend's coalgebra
+    object (chirality "cyclic") or algebra object ("cocyclic"), after its
+    axioms pass; the level modules are data.power(n + 1).  The coalgebra
+    gives a paracyclic module: face i contracts slot i by the counit,
+    degeneracy j comultiplies slot j, t_n brings the last factor to the front
+    through the inverse braiding.  The algebra gives a paracocyclic one:
+    coface i inserts the unit at slot i, codegeneracy j multiplies slots j
+    and j + 1, tau_n moves the first factor to the back."""
+    _object_axioms(data, chirality)
+    V, c = data.carrier, data.carrier.shape
+    if chirality == "cyclic":
+        face, degen = data.counit.reshaped(c, UNIT), data.Delta.reshaped(c, c * c)
+    else:
+        face, degen = data.unit_map(), data.m.reshaped(c * c, c)
     gen = {}
     for key in generator_keys(N):
         kind, n, i = key[0], key[1], key[-1]
         if kind == "tau":
-            gen[key] = braided_rotation(V, powers[n - 1] if n else None, to_front)
+            gen[key] = braided_rotation(V, data.power(n) if n else None,
+                                        chirality == "cyclic")
         else:
             gen[key] = whisker(face if kind == "delta" else degen,
                                TensorShape([V.dim] * i), TensorShape([V.dim] * (n - i)))
-    return chirality, gen, powers
+    return gen
 
 
-def _hom_of_object(obj: CoalgebraObject | AlgebraObject, N: int) -> CyclicModuleData:
+def _hom_of_object(data: CoendData, chirality: str, N: int) -> CyclicModuleData:
     """Hom(-, 1) of the object-level module, on the invariant functionals
-    Hom(V^(x)(n+1), 1); the level-zero rotation must be the identity."""
-    chirality, gen, powers = _object_generators(obj, N)
+    Hom(C^(x)(n+1), 1); the level-zero rotation must be the identity."""
+    gen = _object_generators(data, chirality, N)
+    powers = {n: data.power(n + 1) for n in range(N + 1)}
     spaces = {n: invariant_functional_basis(powers[n]) for n in range(N + 1)}
     M = _hom_module(CYCLIC, chirality, gen, N, spaces, UNIT,
-                    f"{_flip(chirality)} module of {obj.name}", powers)
+                    f"{_flip(chirality)} module of {data.name}", powers)
     t0 = M.tau(0)
     if t0 != LinearMap.identity(t0.field, t0.domain):
         raise CyclicModuleError("the level-zero cyclic operator is not the identity")
     return M
 
 
-def cocyclic_module_from_coalgebra(obj: CoalgebraObject, N: int) -> CyclicModuleData:
-    """The cocyclic module Hom(-, 1) of a coalgebra object's paracyclic module:
-    generators act on Hom(V^(x)(n+1), 1) by precomposition with the object maps."""
-    return _hom_of_object(obj, N)
+def cocyclic_module_from_coalgebra(data: CoendData, N: int) -> CyclicModuleData:
+    """The cocyclic module Hom(-, 1) of the paracyclic module of the coend's
+    coalgebra object: generators act on Hom(C^(x)(n+1), 1) by precomposition
+    with the object maps.  Reads the carrier, Delta and the counit."""
+    return _hom_of_object(data, "cyclic", N)
 
 
-def cyclic_module_from_algebra(obj: AlgebraObject, N: int) -> CyclicModuleData:
-    """The cyclic module Hom(-, 1) of an algebra object's paracocyclic module:
-    faces insert the unit, degeneracies multiply adjacent slots, the cyclic
-    operator is the inverse braided rotation."""
-    return _hom_of_object(obj, N)
+def cyclic_module_from_algebra(data: CoendData, N: int) -> CyclicModuleData:
+    """The cyclic module Hom(-, 1) of the paracocyclic module of the coend's
+    algebra object: faces insert the unit, degeneracies multiply adjacent
+    slots, the cyclic operator is the inverse braided rotation.  Reads the
+    carrier, m and the unit."""
+    return _hom_of_object(data, "cocyclic", N)
 
 
 # -- duality and reindexing -------------------------------------------------------------
@@ -522,18 +474,18 @@ def apply_reindexing(M: CyclicModuleData) -> CyclicModuleData:
 # -- contracting homotopy -----------------------------------------------------------------
 
 
-def contracting_homotopy(obj: CoalgebraObject, M: CyclicModuleData,
+def contracting_homotopy(data: CoendData, M: CyclicModuleData,
                          alpha: Vector, N: int | None = None) -> CheckReport:
-    """The degree-lowering homotopy h_n(F) = F o (alpha (x) id^n) against the
-    alternating coface differential; both defining identities are asserted."""
+    """The degree-lowering homotopy h_n(F) = F o (alpha (x) id^n) on the
+    cocyclic module M of the coend's coalgebra object, against the alternating
+    coface differential; both defining identities are asserted."""
     from .homology import hochschild_differential as beta
-    V = obj.module
-    H = V.algebra
-    F = H.field
+    V = data.carrier
+    F = data.field
     N = M.max_level if N is None else min(N, M.max_level)
-    eps_alpha = obj.counit.reshaped(V.shape, UNIT).apply(alpha)[0]
-    rep = CheckReport(f"contracting homotopy for {obj.name}")
-    rep.check("section property: counit of alpha is 1", eps_alpha == F.one())
+    eps = data.counit.reshaped(V.shape, UNIT)
+    rep = CheckReport(f"contracting homotopy for {data.name}")
+    rep.check("section property: counit of alpha is 1", eps.apply(alpha)[0] == F.one())
     if not rep.ok:
         raise CyclicModuleError("the supplied section does not split the counit")
 
@@ -554,7 +506,7 @@ def contracting_homotopy(obj: CoalgebraObject, M: CyclicModuleData,
         rep.check(f"homotopy identity at level {n}",
                   lhs == LinearMap.identity(F, TensorShape([M.dim(n)])))
     # level zero: h_1 beta_1 + (alpha eps)^* = id
-    ae = alpha_map.compose(obj.counit.reshaped(V.shape, UNIT))
+    ae = alpha_map.compose(eps)
     ae_star = M.spaces[0].restrict(ae.transpose(), M.spaces[0])
     if ae_star is None:
         raise CyclicModuleError("alpha-eps: image leaves the invariant subspace")
@@ -567,20 +519,19 @@ def contracting_homotopy(obj: CoalgebraObject, M: CyclicModuleData,
 # -- object-level paracyclic modules ----------------------------------------------------------
 
 
-def build_paracyclic(obj: CoalgebraObject | AlgebraObject, N: int) -> CyclicModuleData:
+def build_paracyclic(data: CoendData, N: int, chirality: str) -> CyclicModuleData:
     """The object-level module of the paracyclic category on the whole of
-    V^(x)(n+1): paracyclic for a coalgebra object, paracocyclic for an algebra
-    object.  No Hom is taken, so the rotations satisfy only the twisted
-    cyclicity, not cyclicity itself."""
-    chirality, gen, powers = _object_generators(obj, N)
-    V = obj.module
-    spaces = {n: SubspaceBasis.standard(V.algebra.field, V.dim ** (n + 1))
+    C^(x)(n+1): paracyclic ("cyclic") from the coend's coalgebra object,
+    paracocyclic ("cocyclic") from its algebra object.  No Hom is taken, so
+    the rotations satisfy only the twisted cyclicity, not cyclicity itself."""
+    gen = _object_generators(data, chirality, N)
+    spaces = {n: SubspaceBasis.standard(data.field, data.dim ** (n + 1))
               for n in range(N + 1)}
     flat = {key: g.reshaped(TensorShape([g.domain.dim]), TensorShape([g.codomain.dim]))
             for key, g in gen.items()}
     return CyclicModuleData(PARACYCLIC, chirality, N, spaces, flat,
-                            provenance=f"para{chirality} module of {obj.name}",
-                            level_modules=powers)
+                            provenance=f"para{chirality} module of {data.name}",
+                            level_modules={n: data.power(n + 1) for n in range(N + 1)})
 
 
 def twisted_cyclicity_check(M: CyclicModuleData) -> CheckReport:

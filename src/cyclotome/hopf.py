@@ -543,8 +543,7 @@ def invariance_blocks(rho: Callable[[int], LinearMap], eps: LinearMap) -> list[L
     blocks = []
     for k in range(eps.domain.dim):
         r, e = rho(k), eps.entry(0, k)
-        blocks.append(r - LinearMap(r.field, r.domain, r.codomain,
-                                    {(i, i): e for i in range(r.domain.dim)}))
+        blocks.append(r if e.is_zero() else r + LinearMap.identity(r.field, r.domain).scaled(-e))
     return blocks
 
 

@@ -18,8 +18,8 @@ from .coend import CoendData, _pairing_matrix
 from .cyclic_cat import CYCLIC
 from .cyclic_modules import (
     CyclicModuleData, apply_cyclic_duality, apply_reindexing,
-    cocyclic_module_from_coalgebra, cyclic_module_from_algebra, coend_algebra_object,
-    coend_coalgebra_object, generator_levels, invariant_tensor_basis, restrict_generators,
+    cocyclic_module_from_coalgebra, cyclic_module_from_algebra, generator_levels,
+    invariant_tensor_basis, restrict_generators,
 )
 from .linalg import LinearMap, SubspaceBasis, TensorShape, UNIT, whisker
 from .reports import CheckReport
@@ -113,10 +113,8 @@ def _build_rt(data: CoendData, N: int, chirality: str) -> RTModuleData:
     """The state module: generator maps conjugate the reindexed coend module of
     the given chirality through omega."""
     _gate(data)
-    if chirality == "cocyclic":
-        base = cocyclic_module_from_coalgebra(coend_coalgebra_object(data), N)
-    else:
-        base = cyclic_module_from_algebra(coend_algebra_object(data), N)
+    base = (cocyclic_module_from_coalgebra if chirality == "cocyclic"
+            else cyclic_module_from_algebra)(data, N)
     reindexed = apply_reindexing(base)
     states = {n: rt_state_space(data, n) for n in range(N + 1)}
     omega, omega_inv, gen = _conjugation(data, reindexed, states)

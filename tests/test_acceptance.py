@@ -18,7 +18,7 @@ from cyclotome.coend import (
 )
 from cyclotome.cyclic_modules import (
     apply_cyclic_duality, build_paracyclic, check_relations,
-    coend_algebra_object, coend_coalgebra_object, cocyclic_module_from_coalgebra,
+    cocyclic_module_from_coalgebra,
     contracting_homotopy, cyclic_module_from_algebra, explicit_coend_cocyclic,
     explicit_coend_cyclic, r_cyclic_from_simple, twisted_cyclicity_check,
 )
@@ -152,14 +152,14 @@ def test_criterion_5_generic_vs_explicit_oracle():
     t0 = time.monotonic()
     for name, N in (("z2_trivial", 3), ("sweedler_h4", 2), ("double_z2", 2)):
         cd = _coend(name)
-        Mco = cocyclic_module_from_coalgebra(coend_coalgebra_object(cd), N)
+        Mco = cocyclic_module_from_coalgebra(cd, N)
         _store[("generic_co", name, N)] = Mco
         dual = apply_cyclic_duality(Mco)
         W = _store.get(("W", name, 3)) or explicit_coend_cyclic(cd.algebra, N)
         for key in dual.gen:
             assert dual.gen[key].entries == W.gen[key].entries, \
                 f"[criterion 5] FAIL: cyclic side of {name} differs at {key}"
-        Ma = cyclic_module_from_algebra(coend_algebra_object(cd), N)
+        Ma = cyclic_module_from_algebra(cd, N)
         duala = apply_cyclic_duality(Ma)
         Wco = _store.get(("Wco", name, 3)) or explicit_coend_cocyclic(cd.algebra, N)
         for key in duala.gen:
@@ -173,7 +173,7 @@ def test_criterion_6_homology_collapse():
     t0 = time.monotonic()
     for name, maxHH in (("z2_trivial", 3), ("sweedler_h4", 2)):
         cd = _coend(name)
-        M = cocyclic_module_from_coalgebra(coend_coalgebra_object(cd), maxHH + 1)
+        M = cocyclic_module_from_coalgebra(cd, maxHH + 1)
         mc = mixed_complex(M)
         hh = hochschild_ranks(mc, maxHH)
         assert all(v == 0 for v in hh[1:]), \
@@ -182,7 +182,7 @@ def test_criterion_6_homology_collapse():
         hc = cyclic_ranks(mc, maxHH)
         expected = [k if i % 2 == 0 else 0 for i in range(maxHH + 1)]
         assert hc == expected, f"[criterion 6] FAIL: {name} HC = {hc} != {expected}"
-        rep = contracting_homotopy(coend_coalgebra_object(cd), M, cd.unit)
+        rep = contracting_homotopy(cd, M, cd.unit)
         assert rep.ok, f"[criterion 6] FAIL: homotopy identities for {name}: {rep.failures}"
     _report(6, time.monotonic() - t0, 120.0,
             "Hochschild collapse, alternating cyclic ranks, homotopy identities")
@@ -315,14 +315,14 @@ def test_criterion_9_main_theorem():
 def test_criterion_10_para_and_r_cyclic():
     t0 = time.monotonic()
     cd = _coend("double_z2")
-    P = build_paracyclic(coend_coalgebra_object(cd), 2)
+    P = build_paracyclic(cd, 2, "cyclic")
     assert check_relations(P).ok, "[criterion 10] FAIL: paracyclic relations"
     tc = twisted_cyclicity_check(P)
     assert tc.ok, f"[criterion 10] FAIL: twisted cyclicity {tc.failures}"
 
     cs = _coend("z2_semion")
     _, simples = _algebra("z2_semion")
-    Ps = build_paracyclic(coend_coalgebra_object(cs), 2)
+    Ps = build_paracyclic(cs, 2, "cyclic")
     nontrivial = None
     for V in simples:
         s = twist(V).entry(0, 0)

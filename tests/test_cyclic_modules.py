@@ -3,14 +3,13 @@ from pathlib import Path
 import pytest
 
 from cyclotome.coend import (
-    CoendError, braided_coproduct, build_coend_hopf,
+    CoendError, braided_coproduct, build_coend_hopf, coend_from_json, coend_to_json,
 )
 from cyclotome.cyclic_cat import CYCLIC, RCyclic
 from cyclotome.cyclic_modules import (
     CyclicModuleError, apply_cyclic_duality,
     apply_cyclic_duality_inverse, apply_reindexing, build_paracyclic,
-    check_relations, coend_algebra_object,
-    coend_coalgebra_object, contracting_homotopy, cocyclic_module_from_coalgebra,
+    check_relations, contracting_homotopy, cocyclic_module_from_coalgebra,
     cyclic_module_from_algebra, explicit_coend_cocyclic, explicit_coend_cyclic,
     explicit_cocyclic_rotation, generator_keys, generator_levels,
     invariant_tensor_basis, r_cyclic_from_simple, twisted_cyclicity_check,
@@ -278,7 +277,7 @@ def test_evaluate_morphism_consistency(algebras):
                                     ("double_z2", 2)])
 def test_generic_coalgebra_route_matches_explicit(name, N, coends):
     cd = coends[name]
-    M = cocyclic_module_from_coalgebra(coend_coalgebra_object(cd), N)
+    M = cocyclic_module_from_coalgebra(cd, N)
     assert check_relations(M).ok
     dual = apply_cyclic_duality(M)
     W = explicit_coend_cyclic(cd.algebra, N)
@@ -292,7 +291,7 @@ def test_generic_coalgebra_route_matches_explicit(name, N, coends):
                                     ("double_z2", 2)])
 def test_generic_algebra_route_matches_explicit(name, N, coends):
     cd = coends[name]
-    M = cyclic_module_from_algebra(coend_algebra_object(cd), N)
+    M = cyclic_module_from_algebra(cd, N)
     assert check_relations(M).ok
     dual = apply_cyclic_duality(M)
     W = explicit_coend_cocyclic(cd.algebra, N)
@@ -305,7 +304,7 @@ def test_dual_formulas_independent_implementation(coends):
     # formulas computed from scratch on the Hom spaces
     cd = coends["sweedler_h4"]
     N = 2
-    M = cocyclic_module_from_coalgebra(coend_coalgebra_object(cd), N)
+    M = cocyclic_module_from_coalgebra(cd, N)
     dual = apply_cyclic_duality(M)
     V = cd.carrier
     F = cd.field
@@ -330,8 +329,8 @@ def test_dual_formulas_independent_implementation(coends):
 
 def test_duality_inverse_roundtrip(coends):
     cd = coends["sweedler_h4"]
-    for builder in (lambda: cyclic_module_from_algebra(coend_algebra_object(cd), 2),
-                    lambda: cocyclic_module_from_coalgebra(coend_coalgebra_object(cd), 2)):
+    for builder in (lambda: cyclic_module_from_algebra(cd, 2),
+                    lambda: cocyclic_module_from_coalgebra(cd, 2)):
         M = builder()
         back = apply_cyclic_duality_inverse(apply_cyclic_duality(M))
         assert back.chirality == M.chirality
@@ -343,7 +342,7 @@ def test_duality_inverse_roundtrip(coends):
 
 def test_reindexing(coends):
     cd = coends["double_z2"]
-    M = cocyclic_module_from_coalgebra(coend_coalgebra_object(cd), 3)
+    M = cocyclic_module_from_coalgebra(cd, 3)
     R = apply_reindexing(M)
     RR = apply_reindexing(R)
     for key in M.gen:
@@ -358,19 +357,17 @@ def test_reindexing(coends):
 def test_contracting_homotopy(coends):
     for name, N in (("z2_trivial", 3), ("sweedler_h4", 2)):
         cd = coends[name]
-        obj = coend_coalgebra_object(cd)
-        M = cocyclic_module_from_coalgebra(obj, N)
-        rep = contracting_homotopy(obj, M, cd.unit)
+        M = cocyclic_module_from_coalgebra(cd, N)
+        rep = contracting_homotopy(cd, M, cd.unit)
         assert rep.ok, (name, rep.failures)
 
 
 def test_contracting_homotopy_rejects_bad_section(coends):
     cd = coends["z2_trivial"]
-    obj = coend_coalgebra_object(cd)
-    M = cocyclic_module_from_coalgebra(obj, 2)
+    M = cocyclic_module_from_coalgebra(cd, 2)
     bad = [cd.field.zero()] * cd.dim
     with pytest.raises(CyclicModuleError):
-        contracting_homotopy(obj, M, bad)
+        contracting_homotopy(cd, M, bad)
 
 
 # -- paracyclic / r-cyclic ------------------------------------------------------------------
@@ -378,17 +375,22 @@ def test_contracting_homotopy_rejects_bad_section(coends):
 
 def test_paracyclic_twisted_cyclicity(coends):
     cd = coends["double_z2"]
-    P = build_paracyclic(coend_coalgebra_object(cd), 2)
+    P = build_paracyclic(cd, 2, "cyclic")
     assert check_relations(P).ok
     assert twisted_cyclicity_check(P).ok
-    Pc = build_paracyclic(coend_algebra_object(cd), 2)
+    Pc = build_paracyclic(cd, 2, "cocyclic")
     assert check_relations(Pc).ok
     assert twisted_cyclicity_check(Pc).ok
 
 
+def test_paracyclic_rejects_an_unknown_chirality(coends):
+    with pytest.raises(CyclicModuleError, match="unknown chirality"):
+        build_paracyclic(coends["z2_trivial"], 1, "para")
+
+
 def test_paracyclic_symmetric_case(coends):
     cd = coends["z2_trivial"]
-    P = build_paracyclic(coend_coalgebra_object(cd), 2)
+    P = build_paracyclic(cd, 2, "cyclic")
     for n in range(3):
         assert P.tau_power(n, n + 1) == LinearMap.identity(Q, P.tau(n).domain)
 
@@ -396,7 +398,7 @@ def test_paracyclic_symmetric_case(coends):
 def test_paracyclic_rotation_relation_instance(coends):
     # tau_n sigma_0 = sigma_n tau_{n+1}^2 at n = 1
     cd = coends["double_z2"]
-    P = build_paracyclic(coend_algebra_object(cd), 2)
+    P = build_paracyclic(cd, 2, "cocyclic")
     lhs = P.tau(1).compose(P.codegeneracy(1, 0))
     rhs = P.codegeneracy(1, 1).compose(P.tau_power(2, 2))
     assert lhs.entries == rhs.entries
@@ -405,7 +407,7 @@ def test_paracyclic_rotation_relation_instance(coends):
 def test_r_cyclic_from_semion_simple(coends, algebras):
     cd = coends["z2_semion"]
     _, simples = algebras["z2_semion"]
-    P = build_paracyclic(coend_coalgebra_object(cd), 2)
+    P = build_paracyclic(cd, 2, "cyclic")
     M, scalar, r = r_cyclic_from_simple(P, simples[1])
     assert r == 4
     z = K4.generator()
@@ -421,7 +423,7 @@ def test_r_cyclic_from_semion_simple(coends, algebras):
 def test_r_cyclic_trivial_simple(coends, algebras):
     cd = coends["z2_semion"]
     _, simples = algebras["z2_semion"]
-    P = build_paracyclic(coend_coalgebra_object(cd), 2)
+    P = build_paracyclic(cd, 2, "cyclic")
     M, scalar, r = r_cyclic_from_simple(P, simples[0])
     assert r == 1 and scalar == K4.one()
     assert [M.dim(n) for n in range(3)] == [4, 16, 64]
@@ -446,7 +448,7 @@ def test_r_cyclic_levels_are_kernel_bases_and_restrict_without_solve(coends, alg
 
     monkeypatch.setattr(linalg, "solve", counted)
     monkeypatch.setattr(hopf, "solve", counted)
-    P = build_paracyclic(coend_coalgebra_object(coends["double_z2"]), 2)
+    P = build_paracyclic(coends["double_z2"], 2, "cyclic")
     calls.clear()
     M, _, _ = r_cyclic_from_simple(P, algebras["double_z2"][1][0])
     assert calls == []
@@ -458,13 +460,11 @@ def test_r_cyclic_levels_are_kernel_bases_and_restrict_without_solve(coends, alg
              for k in range(basis.dim)], n
 
 
-@pytest.mark.parametrize("build", [cocyclic_module_from_coalgebra, build_paracyclic,
-                                   cyclic_module_from_algebra])
-def test_object_level_builders_make_each_tensor_power_once(coends, monkeypatch, build):
-    """V^(x)(n+1) is built once per level, each from the one below, and the
-    axiom check builds V (x) V: N + 1 tensor products to level N (10 when
-    every rotation and every level built its power from scratch)."""
-    from cyclotome import cyclic_modules, hopf
+@pytest.fixture
+def tensor_products(monkeypatch):
+    """The list that gets one entry per tensor_module call, wherever the
+    package calls it from."""
+    from cyclotome import coend, cyclic_modules, hopf
     calls = []
     tensor_module = hopf.tensor_module
 
@@ -472,19 +472,55 @@ def test_object_level_builders_make_each_tensor_power_once(coends, monkeypatch, 
         calls.append(1)
         return tensor_module(*args, **kwargs)
 
-    monkeypatch.setattr(hopf, "tensor_module", counted)
-    monkeypatch.setattr(cyclic_modules, "tensor_module", counted, raising=False)
+    for mod in (hopf, coend, cyclic_modules):
+        monkeypatch.setattr(mod, "tensor_module", counted, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize("build", [cocyclic_module_from_coalgebra, build_paracyclic,
+                                   cyclic_module_from_algebra])
+def test_object_level_builders_make_each_tensor_power_once(coends, tensor_products, build):
+    """C^(x)(n+1) is built once per level, each from the one below, and the
+    axiom check reuses C (x) C: N tensor products to level N on a record that
+    holds no power yet (10 when every rotation and every level built its
+    power from scratch and the axiom check built its own square)."""
     cd = coends["sweedler_h4"]
-    obj = (coend_algebra_object(cd) if build is cyclic_module_from_algebra
-           else coend_coalgebra_object(cd))
-    M = build(obj, 3)
-    assert len(calls) <= 4
+    fresh = coend_from_json(cd.algebra, coend_to_json(cd))
+    tensor_products.clear()
+    M = build(fresh, 3, "cyclic") if build is build_paracyclic else build(fresh, 3)
+    assert len(tensor_products) == 3
     assert check_relations(M).ok
+
+
+def test_state_module_makes_one_tensor_product(algebras, tensor_products):
+    """The state module at N = 2 reads C, C (x) C and C^(x)3 from the coend
+    record, whose build already made C (x) C: one tensor product (six when
+    the coalgebra object and the state spaces each built their own powers)."""
+    from cyclotome.tqft import build_rt_cocyclic
+    H, simples = algebras["double_z2"]
+    cd = build_coend_hopf(H, simples)
+    tensor_products.clear()
+    build_rt_cocyclic(cd, 2)
+    assert len(tensor_products) <= 1
+
+
+def test_cached_coend_feeds_the_object_level_builders(coends):
+    """A coend read back from its cache entry has no regular module, i_H or
+    section; the object-level builders never read them and give the built
+    record's generators."""
+    cd = coends["double_z2"]
+    cached = coend_from_json(cd.algebra, coend_to_json(cd))
+    assert cached.regular is None and cached.i_H is None and cached.section is None
+    for build in (cocyclic_module_from_coalgebra, cyclic_module_from_algebra):
+        M, built = build(cached, 2), build(cd, 2)
+        assert M.gen.keys() == built.gen.keys()
+        for key in built.gen:
+            assert M.gen[key].entries == built.gen[key].entries, (build.__name__, key)
 
 
 def test_r_cyclic_rejects_nonsimple(coends):
     cd = coends["double_z2"]
-    P = build_paracyclic(coend_coalgebra_object(cd), 1)
+    P = build_paracyclic(cd, 1, "cyclic")
     from cyclotome.hopf import regular_module
     with pytest.raises(CyclicModuleError):
         r_cyclic_from_simple(P, regular_module(cd.algebra))
@@ -526,12 +562,11 @@ def test_every_builder_has_the_generator_table(algebras, coends):
     keys = set(generator_keys(N))
     for name, (H, simples) in algebras.items():
         cd = coends[name]
-        coalg, alg = coend_coalgebra_object(cd), coend_algebra_object(cd)
-        P = build_paracyclic(coalg, N)
+        P = build_paracyclic(cd, N, "cyclic")
         built = {"W": explicit_coend_cyclic(H, N), "Wco": explicit_coend_cocyclic(H, N),
-                 "generic": cyclic_module_from_algebra(alg, N),
-                 "genericco": cocyclic_module_from_coalgebra(coalg, N),
-                 "para": P, "paraco": build_paracyclic(alg, N)}
+                 "generic": cyclic_module_from_algebra(cd, N),
+                 "genericco": cocyclic_module_from_coalgebra(cd, N),
+                 "para": P, "paraco": build_paracyclic(cd, N, "cocyclic")}
         for i, simple in enumerate(simples):
             built[f"rcyclic{i}"] = r_cyclic_from_simple(P, simple)[0]
         for which, M in built.items():
@@ -558,7 +593,7 @@ def test_r_cyclic_image_outside_hom_space_is_rejected(coends):
     # leaves Hom(V, 1), which the module's gate must reject
     from cyclotome.hopf import trivial_module
     cd = coends["sweedler_h4"]
-    P = build_paracyclic(coend_coalgebra_object(cd), 0)
+    P = build_paracyclic(cd, 0, "cyclic")
     unit = trivial_module(cd.algebra)
     M, _, _ = r_cyclic_from_simple(P, unit)
     hom = M.spaces[0]

@@ -5,7 +5,7 @@ import pytest
 
 from cyclotome.coend import build_coend_hopf
 from cyclotome.cyclic_modules import (
-    build_paracyclic, cocyclic_module_from_coalgebra, coend_coalgebra_object,
+    build_paracyclic, cocyclic_module_from_coalgebra,
     contracting_homotopy, explicit_coend_cocyclic, explicit_coend_cyclic,
 )
 from cyclotome import homology
@@ -25,14 +25,14 @@ DATA = Path(__file__).resolve().parents[1] / "src" / "cyclotome" / "data"
 def z2_cocyclic():
     H, simples = load_algebra(DATA / "z2_trivial.json")
     cd = build_coend_hopf(H, simples)
-    return cd, cocyclic_module_from_coalgebra(coend_coalgebra_object(cd), 4)
+    return cd, cocyclic_module_from_coalgebra(cd, 4)
 
 
 @pytest.fixture(scope="module")
 def h4_cocyclic():
     H, _ = load_algebra(DATA / "sweedler_h4.json")
     cd = build_coend_hopf(H)
-    return cd, cocyclic_module_from_coalgebra(coend_coalgebra_object(cd), 3)
+    return cd, cocyclic_module_from_coalgebra(cd, 3)
 
 
 def test_beta_squares_to_zero(z2_cocyclic, h4_cocyclic):
@@ -96,8 +96,7 @@ def test_normalized_matches_unnormalized(z2_cocyclic):
 
 def test_homotopy_consequence_matches_hh0(z2_cocyclic):
     cd, M = z2_cocyclic
-    obj = coend_coalgebra_object(cd)
-    rep = contracting_homotopy(obj, M, cd.unit)
+    rep = contracting_homotopy(cd, M, cd.unit)
     assert rep.ok
     assert hochschild_ranks(mixed_complex(M), 0)[0] == \
         M.dim(0) - kernel_and_rank(hochschild_differential(M, 1))[1]
@@ -116,7 +115,7 @@ def test_chain_side_regression():
 def test_paracyclic_rejected():
     H, simples = load_algebra(DATA / "z2_trivial.json")
     cd = build_coend_hopf(H, simples)
-    P = build_paracyclic(coend_coalgebra_object(cd), 2)
+    P = build_paracyclic(cd, 2, "cyclic")
     with pytest.raises(HomologyError):
         connes_B(P, 0)
     with pytest.raises(HomologyError):

@@ -231,10 +231,12 @@ def test_state_module_solves_nothing_and_makes_few_products(double, monkeypatch)
 def test_wrong_inverse_copairing_fails_the_level_zero_check(double):
     """W^-1 is read from the coend's inverse copairing; one that is off by a
     factor fails the exact check omega^-0 o omega^0 = id."""
-    from dataclasses import replace
+    from copy import copy
     two = Q.one() + Q.one()
+    wrong = copy(double)
+    wrong.Omega = [two * v for v in double.Omega]
     with pytest.raises(TqftError, match="omega\\^-0"):
-        build_rt_cocyclic(replace(double, Omega=[two * v for v in double.Omega]), 1)
+        build_rt_cocyclic(wrong, 1)
 
 
 def test_omega_inverse_two_sided(rt_co):

@@ -39,6 +39,20 @@ def test_every_traced_name_is_a_wrapped_function():
             assert inspect.isfunction(raw) or isinstance(raw, staticmethod), name
 
 
+def test_every_traced_class_resolves_in_its_layer():
+    """Tracer.install() looks each class of CLASSES up with getattr on its
+    layer module, so a renamed class would crash every traced run."""
+    tracer = _tracer()
+    assert tracer.CLASSES
+    for layer, class_names in tracer.CLASSES.items():
+        assert layer in tracer.LAYERS, layer
+        mod = importlib.import_module(f"cyclotome.{layer}")
+        for cls_name in class_names:
+            cls = vars(mod).get(cls_name)
+            assert inspect.isclass(cls) and cls.__module__ == mod.__name__, \
+                f"{layer}.{cls_name}"
+
+
 def _references_outside_own_def(name: str) -> bool:
     """Whether the package reads name's last part (a Name or an attribute)
     anywhere but inside the def that the tracer wraps."""
