@@ -436,13 +436,13 @@ def build_parser() -> argparse.ArgumentParser:
         dest="action", required=True)
     hv = hopf.add_parser("verify")
     common(hv, with_N=False)
-    hv.set_defaults(func=cmd_hopf_verify)
+    hv.set_defaults(command="cmd_hopf_verify")
 
     coend = sub.add_parser("coend", help="coend construction").add_subparsers(
         dest="action", required=True)
     cb = coend.add_parser("build")
     common(cb, with_N=False)
-    cb.set_defaults(func=cmd_coend_build)
+    cb.set_defaults(command="cmd_coend_build")
 
     module = sub.add_parser("module", help="cyclic module builders").add_subparsers(
         dest="action", required=True)
@@ -453,35 +453,44 @@ def build_parser() -> argparse.ArgumentParser:
                              "rcyclic", "rt", "rtc"))
     mb.add_argument("--simple", type=int, default=1,
                     help="index of the simple for the r-cyclic restriction")
-    mb.set_defaults(func=cmd_module_build)
+    mb.set_defaults(command="cmd_module_build")
 
     hom = sub.add_parser("homology", help="HH/HC tables")
     common(hom)
     hom.add_argument("--chirality", choices=("cocyclic", "cyclic"),
                      default="cocyclic")
-    hom.set_defaults(func=cmd_homology)
+    hom.set_defaults(command="cmd_homology")
 
     tq = sub.add_parser("tqft", help="state modules").add_subparsers(
         dest="action", required=True)
     tv = tq.add_parser("verify")
     common(tv)
-    tv.set_defaults(func=cmd_tqft_verify)
+    tv.set_defaults(command="cmd_tqft_verify")
 
     cat = sub.add_parser("cat", help="cyclic category calculator")
     cat.add_argument("--variant", default="cyclic")
     cat.add_argument("expr", nargs="+")
-    cat.set_defaults(func=cmd_cat)
+    cat.set_defaults(command="cmd_cat")
     return parser
 
 
+# the parser is built by the first main() call and reused by later calls in
+# the same process; parsing leaves it unchanged.  Each verb's parser names its
+# command function, looked up here at call time, so a cmd_* replaced on this
+# module after the first call still takes effect.
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        return globals()[args.command](args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

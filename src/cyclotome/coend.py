@@ -11,8 +11,6 @@ every convention choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .fields import Scalar
 from .hopf import (
     HopfAlgebraData, ModuleData, Vector, braided_rotation, braiding, coadjoint_blocks,
@@ -22,7 +20,8 @@ from .hopf import (
 )
 from .linalg import (
     LinearMap, SubspaceBasis, TensorShape, UNIT, block_flip, invert, kernel_and_rank,
-    map_from_json, map_to_json, rank, stack, vector_from_json, vector_to_json, whisker,
+    literal_parser, map_from_json, map_to_json, rank, stack, vector_from_json,
+    vector_to_json, whisker,
 )
 from .reports import CheckReport
 
@@ -611,28 +610,33 @@ def coend_from_json(H: HopfAlgebraData, obj: dict) -> CoendData:
     """Rehydrate a cached coend.  The gates are not re-run (the cache key covers
     the input file, so the stored maps were verified when first built), except
     the one that costs d multiplications: the counit of the integral must equal
-    dim(B), and a CoendError is raised when it does not."""
+    dim(B), and a CoendError is raised when it does not.  A map of the wrong
+    size raises ShapeError, and a missing unit CoendError."""
     F = H.field
+    parse = literal_parser(F)
     carrier = coadjoint_module(H)
-
-    def lin(m):
-        return map_from_json(F, m["entries"], TensorShape([m["src"]]),
-                             TensorShape([m["tgt"]]))
-
     d = obj["dim"]
+    c, cc = TensorShape([d]), TensorShape([d, d])
+
+    def lin(m, domain, codomain):
+        return map_from_json(F, m["entries"], TensorShape([m["src"]]),
+                             TensorShape([m["tgt"]]), parse).reshaped(domain, codomain)
+
     data = CoendData(H, carrier, CheckReport(f"coend of {H.name} (cached)"))
-    data.m = lin(obj["m"]).reshaped(TensorShape([d, d]), TensorShape([d]))
-    data.unit = vector_from_json(F, obj["unit"], d)
-    data.Delta = lin(obj["Delta"]).reshaped(TensorShape([d]), TensorShape([d, d]))
-    data.counit = lin(obj["counit"]).reshaped(TensorShape([d]), UNIT)
-    data.antipode, data.antipode_inv = lin(obj["antipode"]), lin(obj["antipode_inv"])
-    data.pairing = lin(obj["pairing"]).reshaped(TensorShape([d, d]), UNIT)
-    data.twist_map = lin(obj["twist"])
+    data.m = lin(obj["m"], cc, c)
+    data.unit = vector_from_json(F, obj["unit"], d, parse)
+    if data.unit is None:
+        raise CoendError("the cached coend has no unit")
+    data.Delta = lin(obj["Delta"], c, cc)
+    data.counit = lin(obj["counit"], c, UNIT)
+    data.antipode, data.antipode_inv = lin(obj["antipode"], c, c), lin(obj["antipode_inv"], c, c)
+    data.pairing = lin(obj["pairing"], cc, UNIT)
+    data.twist_map = lin(obj["twist"], c, c)
     data.pairing_nondegenerate = obj["pairing_nondegenerate"]
-    data.Omega = vector_from_json(F, obj["Omega"], d * d)
-    data.integral = vector_from_json(F, obj["Lambda"], d)
-    data.cointegral = vector_from_json(F, obj["cointegral"], d)
-    data.dim_B = None if obj["dim_B"] is None else F.parse(obj["dim_B"])
+    data.Omega = vector_from_json(F, obj["Omega"], d * d, parse)
+    data.integral = vector_from_json(F, obj["Lambda"], d, parse)
+    data.cointegral = vector_from_json(F, obj["cointegral"], d, parse)
+    data.dim_B = None if obj["dim_B"] is None else parse(obj["dim_B"])
     data.anomaly_free, data.modular = obj["anomaly_free"], obj["modular"]
     if data.dim_B is not None and data.integral is not None \
             and _counit_of(data, data.integral) != data.dim_B:
@@ -728,15 +732,14 @@ def characters_span_check(data: CoendData) -> CheckReport:
 # -- the end and the Drinfeld map ----------------------------------------------------------
 
 
-@dataclass
 class EndData:
-    carrier: ModuleData
-    m: LinearMap
-    unit: Vector
-    Delta: LinearMap
-    counit: LinearMap
-    antipode: LinearMap
-    report: CheckReport
+    """The end A = C* with the structure maps dual to the coend's and the
+    gates of end_and_drinfeld.  (A plain class, for the reason CoendData is.)"""
+
+    def __init__(self, carrier: ModuleData, m: LinearMap, unit: Vector, Delta: LinearMap,
+                 counit: LinearMap, antipode: LinearMap, report: CheckReport):
+        self.carrier, self.m, self.unit, self.Delta = carrier, m, unit, Delta
+        self.counit, self.antipode, self.report = counit, antipode, report
 
 
 def end_and_drinfeld(data: CoendData) -> tuple[EndData, LinearMap, dict]:
@@ -758,10 +761,9 @@ def end_and_drinfeld(data: CoendData) -> tuple[EndData, LinearMap, dict]:
     S_A = data.antipode.transpose()
     end = EndData(A, m_A, u_A, Delta_A, eps_A, S_A, rep)
 
-    rep.check("end multiplication is equivariant",
-              _is_intertwiner(m_A, module_power(A, 2), A))
-    rep.check("end comultiplication is equivariant",
-              _is_intertwiner(Delta_A, A, module_power(A, 2)))
+    AA = module_power(A, 2)
+    rep.check("end multiplication is equivariant", _is_intertwiner(m_A, AA, A))
+    rep.check("end comultiplication is equivariant", _is_intertwiner(Delta_A, A, AA))
     a = A.shape
     eyeA = LinearMap.identity(F, a)
     u_A_map = LinearMap.from_function(F, UNIT, a, lambda c: enumerate(u_A))

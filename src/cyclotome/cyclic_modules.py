@@ -24,7 +24,7 @@ from .hopf import (
     coadjoint_blocks, hom_basis, invariance_blocks, trivial_module, twist,
 )
 from .linalg import (
-    LinearMap, SubspaceBasis, TensorShape, UNIT, invert, map_from_json,
+    LinearMap, SubspaceBasis, TensorShape, UNIT, invert, literal_parser, map_from_json,
     map_to_json, stack, vector_from_json, vector_to_json, whisker,
 )
 from .reports import CheckReport
@@ -677,18 +677,19 @@ def module_to_json(M: CyclicModuleData) -> dict:
 def module_from_json(obj: dict) -> CyclicModuleData:
     from .fields import FieldSpec
     field = FieldSpec.from_json(obj["field"])
+    parse = literal_parser(field)
     vk = obj["variant"]
     variant = CategoryVariant(vk["kind"], vk.get("r", 1))
     spaces = {}
     for n_str, sdata in obj["spaces"].items():
         amb = sdata["ambient_dim"]
-        vectors = [vector_from_json(field, pairs, amb) for pairs in sdata["vectors"]]
+        vectors = [vector_from_json(field, pairs, amb, parse) for pairs in sdata["vectors"]]
         spaces[int(n_str)] = SubspaceBasis(field, amb, vectors, sdata["indicator_cols"])
     gen = {}
     for name, mdata in obj["gen"].items():
         parts = name.split(":")
         key = (parts[0], *map(int, parts[1:]))
         gen[key] = map_from_json(field, mdata["entries"], TensorShape([mdata["src"]]),
-                                 TensorShape([mdata["tgt"]]))
+                                 TensorShape([mdata["tgt"]]), parse)
     return CyclicModuleData(variant, obj["chirality"], obj["max_level"],
                             spaces, gen, provenance=obj.get("provenance", ""))

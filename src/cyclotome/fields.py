@@ -426,14 +426,18 @@ class FieldSpec:
                 coef_part, _, pow_part = term.partition("z")
                 coef_part = coef_part.rstrip("*")
                 coef = Fraction(coef_part) if coef_part else Fraction(1)
-                power = int(pow_part.lstrip("^")) if pow_part else 1
+                # z^n = 1: a negative or large power is read modulo n
+                power = (int(pow_part.lstrip("^")) if pow_part else 1) % self.param
             else:
                 coef = Fraction(term)
                 power = 0
             while power >= len(coeffs):
                 coeffs.append(Fraction(0))
             coeffs[power] += sign * coef
-        return self._from_poly(coeffs)
+        if any(coeffs[self.degree:]):
+            return self._from_poly(coeffs)
+        # no power reaches the degree, as in every rendered literal: nothing to reduce
+        return Scalar(self, _encode(_poly_trim(coeffs)))
 
     # -- plumbing -------------------------------------------------------------------
 

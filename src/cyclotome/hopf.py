@@ -20,7 +20,8 @@ from typing import Callable, Sequence
 from .fields import FieldSpec, Scalar
 from .linalg import (
     LinearMap, ShapeError, SubspaceBasis, TensorShape, UNIT, _dense, _nonzero, _payloads,
-    block_flip, block_map, invert, map_from_json, solve, stack, vector_from_json, whisker,
+    block_flip, block_map, invert, literal_parser, map_from_json, solve, stack,
+    vector_from_json, whisker,
 )
 from .reports import CheckReport
 
@@ -971,19 +972,20 @@ def drinfeld_double_of_cyclic(field: FieldSpec, n: int) -> HopfAlgebraData:
 
 def algebra_from_json(obj: dict) -> tuple[HopfAlgebraData, list[ModuleData]]:
     field = FieldSpec.from_json(obj["field"])
+    parse = literal_parser(field)
     d = obj["dim"]
     shape = TensorShape([d])
 
     def vec(key, size):
-        return vector_from_json(field, obj.get(key), size)
+        return vector_from_json(field, obj.get(key), size, parse)
 
-    m = map_from_json(field, obj["m"], shape * shape, shape)
-    Delta = map_from_json(field, obj["Delta"], shape, shape * shape)
-    S = map_from_json(field, obj["S"], shape, shape)
-    S_inv = map_from_json(field, obj["S_inv"], shape, shape)
+    m = map_from_json(field, obj["m"], shape * shape, shape, parse)
+    Delta = map_from_json(field, obj["Delta"], shape, shape * shape, parse)
+    S = map_from_json(field, obj["S"], shape, shape, parse)
+    S_inv = map_from_json(field, obj["S_inv"], shape, shape, parse)
     # the unit and the counit are required; the ribbon data is optional
-    u = vector_from_json(field, obj["u"], d)
-    eps_vec = vector_from_json(field, obj["epsilon"], d)
+    u = vector_from_json(field, obj["u"], d, parse)
+    eps_vec = vector_from_json(field, obj["epsilon"], d, parse)
     epsilon = LinearMap(field, shape, UNIT,
                         {(0, i): v for i, v in enumerate(eps_vec) if not v.is_zero()})
     H = HopfAlgebraData(field, d, obj["basis"], m, u, Delta, epsilon,
@@ -994,7 +996,7 @@ def algebra_from_json(obj: dict) -> tuple[HopfAlgebraData, list[ModuleData]]:
     for i, sdata in enumerate(obj.get("simples", [])):
         v = sdata["dim"]
         action = map_from_json(field, sdata["action"], shape * TensorShape([v]),
-                               TensorShape([v]))
+                               TensorShape([v]), parse)
         simples.append(ModuleData(H, v, action, name=sdata.get("name", f"simple{i}")))
     return H, simples
 

@@ -480,15 +480,32 @@ def map_to_json(m: LinearMap) -> dict:
             "entries": sorted([[r, c, render(v)] for (r, c), v in m.entries.items()])}
 
 
-def map_from_json(field, entries, domain: TensorShape, codomain: TensorShape) -> LinearMap:
-    """The map with these [row, col, scalar] triples.  They come from outside
-    the program, so their indices must be integers and they go through the
-    checking constructor."""
+def literal_parser(field) -> Callable[[object], Scalar]:
+    """field.parse that parses each distinct literal once: a reader of one JSON
+    file makes one and passes it to every map_from_json and vector_from_json
+    call on that file, and drops it when the file is read."""
+    seen: dict[str, Scalar] = {}
+
+    def parse(text):
+        if text.__class__ is not str:
+            return field.parse(text)   # raises on a literal that is not a string
+        x = seen.get(text)
+        if x is None:
+            x = seen[text] = field.parse(text)
+        return x
+    return parse
+
+
+def map_from_json(field, entries, domain: TensorShape, codomain: TensorShape,
+                  parse: Callable[[object], Scalar]) -> LinearMap:
+    """The map with these [row, col, scalar] triples, each scalar read by parse,
+    a literal_parser of field.  They come from outside the program, so their
+    indices must be integers and they go through the checking constructor."""
     out = {}
     for r, c, s in entries:
         if type(r) is not int or type(c) is not int:
             raise ShapeError(f"entry index ({r!r}, {c!r}) is not a pair of integers")
-        out[(r, c)] = field.parse(s)
+        out[(r, c)] = parse(s)
     return LinearMap(field, domain, codomain, out)
 
 
@@ -498,16 +515,17 @@ def vector_to_json(vec: Sequence[Scalar] | None) -> list | None:
                                      if not x.is_zero()]
 
 
-def vector_from_json(field, pairs, size: int) -> list[Scalar] | None:
-    """The dense vector of length size with these [index, scalar] pairs;
-    None stays None."""
+def vector_from_json(field, pairs, size: int,
+                     parse: Callable[[object], Scalar]) -> list[Scalar] | None:
+    """The dense vector of length size with these [index, scalar] pairs, each
+    scalar read by parse, a literal_parser of field; None stays None."""
     if pairs is None:
         return None
     out = [field.zero()] * size
     for i, s in pairs:
         if type(i) is not int or not 0 <= i < size:
             raise ShapeError(f"vector index {i!r} out of range {size}")
-        out[i] = field.parse(s)
+        out[i] = parse(s)
     return out
 
 

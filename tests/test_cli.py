@@ -57,13 +57,18 @@ def test_missing_file_is_input_error(capsys):
     assert "no such file" in err
 
 
+def run_python(*args):
+    """A separate interpreter that imports the package from the source tree."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 def run_child(*argv):
     """The command line in a separate interpreter, so that an uncaught exception
     shows as a traceback on stderr."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    return subprocess.run([sys.executable, "-m", "cyclotome.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+    return run_python("-m", "cyclotome.cli", *argv)
 
 
 @pytest.mark.parametrize("argv", [
@@ -660,6 +665,22 @@ def test_damaged_algebra_file_is_an_input_or_verification_error(name, verb, data
         assert len(err.getvalue().strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("literal", ["1//2", "z^", "", ["1"], 1])
+def test_one_damaged_literal_among_equal_ones_is_input_error(tmp_path, capsys, literal):
+    """The last literal "1" of m in z2_semion.json damaged, though the file
+    holds 40 more: the one parse per distinct literal still reads each
+    occurrence, and hopf verify exits 2 with one input-error line."""
+    obj = json.loads((DATA / "z2_semion.json").read_text())
+    ones = [entry for entry in obj["m"] if entry[2] == "1"]
+    ones[-1][2] = literal
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "hopf", "verify", "--algebra", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: cannot parse")
+    assert len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("damage", ["drop 0", "drop 1", "drop 2", "move 5"])
 def test_failed_homology_gate_is_a_verification_error(tmp_path, damage):
     """An entry of R_inv in z2_semion.json dropped, or moved to another
@@ -679,3 +700,150 @@ def test_failed_homology_gate_is_a_verification_error(tmp_path, damage):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("verification error:")
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+# -- one parser per process --------------------------------------------------------------
+
+TRIVIAL = str(DATA / "z2_trivial.json")
+
+
+@pytest.fixture
+def built_parsers(monkeypatch):
+    """No parser built yet; collects each parser that build_parser returns."""
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(build())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    return built
+
+
+def test_reused_parser_carries_no_state(built_parsers, capsys):
+    """Four main() calls build one parser, and no call leaves a trace in it:
+    after --format json, and after a bad flag, the table report is byte for
+    byte what a fresh interpreter prints."""
+    fresh = run_child("hopf", "verify", "--algebra", TRIVIAL)
+    assert fresh.returncode == 0, fresh.stderr
+    code, out, _ = run(capsys, "hopf", "verify", "--format", "json", "--algebra", TRIVIAL)
+    assert code == 0 and json.loads(out)["ok"] is True
+    assert run(capsys, "hopf", "verify", "--algebra", TRIVIAL) == (0, fresh.stdout, "")
+    code, out, err = run(capsys, "hopf", "verify", "--bogus", "--algebra", TRIVIAL)
+    assert (code, out) == (2, "") and "unrecognized arguments: --bogus" in err
+    assert run(capsys, "hopf", "verify", "--algebra", TRIVIAL) == (0, fresh.stdout, "")
+    assert len(built_parsers) == 1
+
+
+def test_import_builds_no_parser():
+    """A fresh import of the command line builds no argument parser; the first
+    main() call builds it."""
+    proc = run_python("-c", "\n".join([
+        "import argparse",
+        "built = []",
+        "init = argparse.ArgumentParser.__init__",
+        "def counted(self, *args, **kwargs):",
+        "    built.append(self)",
+        "    init(self, *args, **kwargs)",
+        "argparse.ArgumentParser.__init__ = counted",
+        "from cyclotome import cli",
+        "assert cli._parser is None and not built, built",
+        "assert cli.main(['cat', 'count', '1', '1', 'cyclic']) == 0",
+        "assert cli._parser is not None and built",
+    ]))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_command_replaced_after_the_first_call_runs(built_parsers, monkeypatch, capsys):
+    """The parser names each verb's command function and main() looks it up on
+    the module at call time, so a cmd_* replaced after the parser was built
+    is the one that runs (a tracer wraps them this way)."""
+    assert run(capsys, "hopf", "verify", "--algebra", TRIVIAL)[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_hopf_verify", lambda args: seen.append(args.algebra) or 7)
+    assert run(capsys, "hopf", "verify", "--algebra", TRIVIAL)[0] == 7
+    assert seen == [TRIVIAL]
+    assert len(built_parsers) == 1
+
+
+# -- damaged coend cache entries ---------------------------------------------------------
+
+COEND_ENTRIES = {}
+
+
+def _coend_entry(name):
+    """The file name and text of the coend cache entry that coend build writes
+    for a bundled algebra."""
+    if name not in COEND_ENTRIES:
+        with tempfile.TemporaryDirectory() as tmp:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["coend", "build", "--algebra", str(DATA / f"{name}.json"),
+                             "--cache", tmp]) == 0
+            (entry,) = Path(tmp).glob("coend-*.json")
+            COEND_ENTRIES[name] = entry.name, entry.read_text(encoding="utf-8")
+    return COEND_ENTRIES[name]
+
+
+@st.composite
+def _damaged_entry(draw, text):
+    """The bytes of a cache entry truncated, with one character edited, with
+    one field damaged as in the algebra files above (or a map's size
+    changed), or replaced by other bytes, JSON or not."""
+    kind = draw(st.sampled_from(["truncate", "edit", "field", "size", "raw"]))
+    if kind == "truncate":
+        return text[:draw(st.integers(0, len(text) - 1))].encode()
+    if kind == "edit":
+        i = draw(st.integers(0, len(text) - 1))
+        char = draw(st.sampled_from('0123456789-/z^*,[]{}":n '))
+        return (text[:i] + char + text[i + 1:]).encode()
+    if kind == "raw":
+        return draw(st.sampled_from([b"", b"\x00\xff\xfe", b"{", b"[" * 100000, b"NaN",
+                                     b"null", b"[]", b'{"dim": 2}']))
+    obj = json.loads(text)
+    if kind == "size":
+        (*parents, key), _ = draw(st.sampled_from(
+            [(path, v) for path, v in _fields(obj) if path[-1] in ("src", "tgt", "dim")]))
+        value = draw(st.sampled_from([0, 1, 3, 8, 10 ** 6]))
+    else:
+        (*parents, key), damage = draw(st.sampled_from(_damages(obj)))
+        if damage == "drop":
+            value = None
+        elif damage == "index":
+            value = draw(st.sampled_from([-1, 4, 9, 10 ** 6]))
+        elif damage == "scalar":
+            value = draw(st.sampled_from(BAD_SCALARS))
+    holder = obj
+    for k in parents:
+        holder = holder[k]
+    if kind == "field" and damage == "drop":
+        del holder[key]
+    elif kind == "field" and damage == "type":
+        holder[key] = draw(st.sampled_from(
+            [w for w in WRONG_TYPES if type(w) is not type(holder[key])]))
+    else:
+        holder[key] = value
+    return json.dumps(obj).encode()
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(sorted(BUNDLES)), st.data())
+def test_damaged_coend_cache_entry_is_never_a_traceback(name, data):
+    """coend build --cache over a damaged coend entry of z2_trivial or
+    z2_semion ends in exit 0, 1 or 2, the last with one input-error line, and
+    never raises: the entry is read as a miss and rebuilt, or read and its
+    maps gated again."""
+    entry, text = _coend_entry(name)
+    damaged = data.draw(_damaged_entry(text))
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / entry).write_bytes(damaged)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["coend", "build", "--algebra", str(DATA / f"{name}.json"),
+                         "--cache", tmp])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("input error:")
+        assert len(err.getvalue().strip().splitlines()) == 1

@@ -333,6 +333,15 @@ def test_cyclotomic_value_has_one_form(case):
     assert all(v == x and hash(v) == hash(x) for v in built)
 
 
+@pytest.mark.parametrize("n", CYCLOTOMIC_ORDERS)
+def test_cyclotomic_literal_powers_are_read_modulo_n(n):
+    """z^k in a literal is z^(k mod n) for negative and large k, as z^n = 1."""
+    K = Cyclotomic(n)
+    for k in [*range(-2 * n, 3 * n), 10 ** 12 + 1]:
+        assert K.parse(f"z^{k}") == K.root_of_unity(k), k
+        assert K.parse(f"1-3/2*z^{k}") == K.one() - K.parse("3/2") * K.root_of_unity(k), k
+
+
 def test_fields_are_built_only_on_a_miss(monkeypatch):
     fields = (Rationals(), PrimeField(7), Cyclotomic(5))
 

@@ -711,3 +711,30 @@ def test_pivot_cached_until_ribbon_data_change(bundled, monkeypatch):
     H.R = list(H.unit_power(2))
     assert pivot_element(H) == H.multiply(real(H), H.theta_inv)
     assert len(calls) == 4
+
+
+def test_each_distinct_literal_of_a_file_is_parsed_once(monkeypatch):
+    """z2_semion.json holds 85 scalar literals, 10 of them distinct: loading it
+    parses each distinct one once, and gives the same maps, vectors and
+    simples as parsing every literal on its own."""
+    import cyclotome.hopf as hopf
+
+    parsed = []
+    parse = FieldSpec.parse
+
+    def counted(field, text):
+        parsed.append(text)
+        return parse(field, text)
+
+    monkeypatch.setattr(FieldSpec, "parse", counted)
+    H, simples = load_algebra(DATA / "z2_semion.json")
+    assert len(parsed) == len(set(parsed)) <= 10
+    parsed.clear()
+    monkeypatch.setattr(hopf, "literal_parser", lambda field: field.parse)
+    H1, simples1 = load_algebra(DATA / "z2_semion.json")
+    assert len(parsed) == 85
+    for key in ("m", "Delta", "S", "S_inv", "epsilon", "u", "R", "R_inv", "theta",
+                "theta_inv"):
+        assert getattr(H, key) == getattr(H1, key), key
+    assert [(V.name, V.dim, V.action) for V in simples] == \
+        [(V.name, V.dim, V.action) for V in simples1]
