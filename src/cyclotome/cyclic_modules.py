@@ -685,11 +685,22 @@ def module_from_json(obj: dict) -> CyclicModuleData:
         amb = sdata["ambient_dim"]
         vectors = [vector_from_json(field, pairs, amb, parse) for pairs in sdata["vectors"]]
         spaces[int(n_str)] = SubspaceBasis(field, amb, vectors, sdata["indicator_cols"])
-    gen = {}
-    for name, mdata in obj["gen"].items():
+    names = {}
+    for name in obj["gen"]:
         parts = name.split(":")
-        key = (parts[0], *map(int, parts[1:]))
-        gen[key] = map_from_json(field, mdata["entries"], TensorShape([mdata["src"]]),
-                                 TensorShape([mdata["tgt"]]), parse)
-    return CyclicModuleData(variant, obj["chirality"], obj["max_level"],
+        names[(parts[0], *map(int, parts[1:]))] = name
+    N, chirality = obj["max_level"], obj["chirality"]
+    if set(spaces) != set(range(N + 1)) or set(names) != set(generator_keys(N)):
+        raise CyclicModuleError(f"the module entry does not hold the level spaces and "
+                                f"generators of a module built to level {N}")
+    gen = {}
+    for key, name in names.items():
+        mdata = obj["gen"][name]
+        src, tgt = (spaces[n].dim for n in generator_levels(chirality, key))
+        if (mdata["src"], mdata["tgt"]) != (src, tgt):
+            raise CyclicModuleError(f"generator {name} of the module entry does not map "
+                                    f"its level spaces")
+        gen[key] = map_from_json(field, mdata["entries"], TensorShape([src]),
+                                 TensorShape([tgt]), parse)
+    return CyclicModuleData(variant, chirality, N,
                             spaces, gen, provenance=obj.get("provenance", ""))

@@ -19,7 +19,9 @@ syntactic.  The payloads under the Scalars are ints and tuples of ints:
 
 Zero is the only falsy payload.  Fraction is used only where scalars enter
 or leave (parse, from_fraction, _from_poly, render) and in the extended
-Euclid of a cyclotomic inverse.  No floating point is used anywhere.
+Euclid of a cyclotomic inverse; in a field of degree 2 the inverse is the
+closed form (n_0 + n_1 z)^-1 = (n_0 + f_1 n_1 - n_1 z) / N with the norm
+N = n_0^2 + f_1 n_0 n_1 - f_0 n_1^2.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -348,18 +350,16 @@ class FieldSpec:
             raise ZeroDivisionError("inverse of zero")
         if len(a) == 2:
             return (a[1], a[0]) if a[1] > 0 else (-a[1], -a[0])
-        # extended Euclid in Q[x] against the cyclotomic modulus
-        r0, r1 = self._modulus, _decode(a)
-        s0, s1 = [], [Fraction(1)]
-        while _poly_trim(r1):
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        # r0 is the gcd, a nonzero constant since the modulus is irreducible
-        assert len(r0) == 1
-        c = Fraction(1) / r0[0]
-        _, out = _poly_divmod([x * c for x in s0], self._modulus)
-        return _encode(out)
+        if self.degree == 2:
+            # (n0 + n1 z)(n0 + n1 z') = N with z' = f1 - z the other root of
+            # z^2 = f0 + f1 z, and N != 0 since n1 != 0 and z is not rational
+            den, n0, n1 = a
+            f0, f1 = self._square
+            norm = n0 * n0 + f1 * n0 * n1 - f0 * n1 * n1
+            if norm < 0:
+                den, norm = -den, -norm
+            return _canonical2(norm, den * (n0 + f1 * n1), -den * n1)
+        return _euclid_inverse(self._modulus, a)
 
     def _is_zero(self, a):
         # zero is the only falsy payload: 0, the residue 0, the empty tuple
@@ -481,6 +481,22 @@ def _poly_sub(a, b):
     for i, x in enumerate(b):
         out[i] -= x
     return _poly_trim(out)
+
+
+def _euclid_inverse(modulus, a):
+    """The inverse of the nonzero Q(zeta_n) payload a by the extended Euclid in
+    Q[x] against the cyclotomic modulus."""
+    r0, r1 = modulus, _decode(a)
+    s0, s1 = [], [Fraction(1)]
+    while _poly_trim(r1):
+        q, r = _poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
+    # r0 is the gcd, a nonzero constant since the modulus is irreducible
+    assert len(r0) == 1
+    c = Fraction(1) / r0[0]
+    _, out = _poly_divmod([x * c for x in s0], modulus)
+    return _encode(out)
 
 
 def _fold_table(phi):

@@ -20,8 +20,8 @@ from typing import Callable, Sequence
 from .fields import FieldSpec, Scalar
 from .linalg import (
     LinearMap, ShapeError, SubspaceBasis, TensorShape, UNIT, _dense, _nonzero, _payloads,
-    block_flip, block_map, invert, literal_parser, map_from_json, solve, stack,
-    vector_from_json, whisker,
+    block_flip, block_map, invert, literal_parser, map_from_json, solve, vector_from_json,
+    whisker,
 )
 from .reports import CheckReport
 
@@ -552,13 +552,33 @@ def hom_basis(V: ModuleData, W: ModuleData) -> SubspaceBasis:
     """Basis of the intertwiners {T : V -> W with T rho_V(h) = rho_W(h) T}, each
     T flattened as a vector of W (x) V with entry T[r][c] at r * dim V + c.
     Hom(1, W) is the invariant vectors of W, Hom(V, 1) the invariant
-    functionals on V."""
+    functionals on V.
+
+    T rho_V(k) is (id_W (x) rho_V(k)^T) T and rho_W(k) T is (rho_W(k) (x) id_V) T,
+    so the basis is the kernel of their differences stacked over k.  Block k
+    starts at row k dim W dim V and is written in one pass over the entries of
+    the two actions, with (x, y) the index x dim V + y: rho_V(k)[a][b] at
+    ((r, b), (r, a)) for every r, and -rho_W(k)[a][b] at ((a, c), (b, c)) for
+    every c.  The two meet only on the diagonal, and sums that cancel are dropped."""
     if V.algebra is not W.algebra and V.algebra != W.algebra:
         raise HopfError("modules over different algebras")
-    # T rho_V(k) is (id_W (x) rho_V(k)^T) T and rho_W(k) T is (rho_W(k) (x) id_V) T
-    blocks = [whisker(V.rho(k).transpose(), W.shape, UNIT)
-              - whisker(W.rho(k), UNIT, V.shape) for k in range(V.algebra.dim)]
-    return SubspaceBasis.from_kernel(V.algebra.field, stack(blocks))
+    F = V.algebra.field
+    add, neg = F._add, F._neg
+    dv, size = V.dim, V.dim * W.dim
+    entries = {}
+    for k in range(V.algebra.dim):
+        base = k * size
+        for (a, b), v in V.rho(k).entries.items():
+            for r in range(0, size, dv):
+                entries[(base + r + b, r + a)] = v
+        for (a, b), v in W.rho(k).entries.items():
+            v = neg(v)
+            for c in range(dv):
+                key = (base + a * dv + c, b * dv + c)
+                entries[key] = add(entries[key], v) if key in entries else v
+    system = LinearMap.from_payloads(F, TensorShape([size]),
+                                     TensorShape([V.algebra.dim * size]), entries)
+    return SubspaceBasis.from_kernel(F, system)
 
 
 def hom_space(V: ModuleData, W: ModuleData) -> list[LinearMap]:
@@ -686,6 +706,19 @@ def qdim(V: ModuleData) -> Scalar:
     return quantum_trace(V, LinearMap.identity(V.algebra.field, V.shape))
 
 
+def _character(V: ModuleData) -> dict[int, object]:
+    """The character k |-> tr rho(k) of V, as its nonzero payloads by basis index."""
+    F = V.algebra.field
+    out = {}
+    for k in range(V.algebra.dim):
+        e, acc = V.rho(k).entries, F.zero().payload
+        for r in range(V.dim):
+            if (r, r) in e:
+                acc = F._add(acc, e[(r, r)])
+        out[k] = acc
+    return _nonzero(F, out)
+
+
 # -- modular data -----------------------------------------------------------------------
 
 
@@ -706,6 +739,15 @@ def modular_data(H: HopfAlgebraData, simples: list[ModuleData]) -> ModularData:
 
     The supplied modules are certified: End(i) = k id, Hom(i, j) = 0 for i != j,
     and sum dim(i)^2 = dim H (the semisimplicity certificate).
+
+    The rest is read off the characters chi_i(e_k) = tr rho_i(e_k).  With g the
+    pivot and X = Delta(g) (R21 R) in H (x) H,
+      s_ij = sum_ab X_ab chi_i(e_a) chi_j(e_b),  qdim(i) = chi_i(g),
+      Delta+ = sum_i qdim(i) chi_i(g theta^-1),  Delta- = sum_i qdim(i) chi_i(g theta).
+    These are exactly the quantum traces of the double braiding on i (x) j and of
+    the twists on i: the module axioms of every simple are checked when it is
+    built, so rho_i (x) rho_j is an algebra map on H (x) H, the double braiding
+    is the action of R21 R and the pivot acts on i (x) j as Delta(g).
     """
     rep = CheckReport(f"modular data for {H.name}")
     F = H.field
@@ -720,24 +762,51 @@ def modular_data(H: HopfAlgebraData, simples: list[ModuleData]) -> ModularData:
     if not rep.ok:
         raise HopfError(f"simples fail certification: {rep.failures}")
 
-    n = len(simples)
+    # the messages braiding, pivot_element and twist_inverse raise, in their order
+    if H.R is None:
+        raise HopfError("braiding needs an R-matrix")
+    if H.theta_inv is None:
+        raise HopfError("pivot needs a ribbon element")
+    if H.theta is None:
+        raise HopfError("twist needs a ribbon element")
+    d, n = H.dim, len(simples)
+    mul, add, zero = F._mul, F._add, F.zero().payload
+    g = pivot_element(H)
+    r21 = [H.R[i % d * d + i // d] for i in range(d * d)]
+    X = _payloads(F, H.multiply(H.Delta.apply(g), H.multiply(r21, H.R, 2), 2))
+    chars = [_character(V) for V in simples]
+
+    def value(chi, x):
+        """chi(x) for x a dict of nonzero payloads by basis index."""
+        acc = zero
+        for k, c in x.items():
+            if k in chi:
+                acc = add(acc, mul(c, chi[k]))
+        return acc
+
+    rows = {}
+    for ab, c in X.items():
+        a, b = divmod(ab, d)
+        rows.setdefault(a, {})[b] = c
     entries = {}
-    for i, V in enumerate(simples):
-        for j, W in enumerate(simples):
-            double = braiding(W, V).compose(braiding(V, W))
-            s = quantum_trace(tensor_module(V, W), double)
-            if not s.is_zero():
-                entries[(i, j)] = s
-    s_matrix = LinearMap(F, TensorShape([n]), TensorShape([n]), entries)
+    for j, chi_j in enumerate(chars):
+        # s_ij = chi_i(Y) with Y_a = sum_b X_ab chi_j(e_b)
+        Y = {a: value(chi_j, row) for a, row in rows.items()}
+        for i, chi_i in enumerate(chars):
+            entries[(i, j)] = value(chi_i, Y)
+    s_matrix = LinearMap.from_payloads(F, TensorShape([n]), TensorShape([n]), entries)
 
     dplus = F.zero()
     dminus = F.zero()
     dim_B = F.zero()
-    for V in simples:
-        q = qdim(V)
+    pivot = _payloads(F, g)
+    g_twist = _payloads(F, H.multiply(g, H.theta_inv))
+    g_twist_inv = _payloads(F, H.multiply(g, H.theta))
+    for chi in chars:
+        q = Scalar(F, value(chi, pivot))
         dim_B = dim_B + q * q
-        dplus = dplus + q * quantum_trace(V, twist(V))
-        dminus = dminus + q * quantum_trace(V, twist_inverse(V))
+        dplus = dplus + q * Scalar(F, value(chi, g_twist))
+        dminus = dminus + q * Scalar(F, value(chi, g_twist_inv))
     modular = invert(s_matrix) is not None
     anomaly_free = (dplus == dminus)
     dim_invertible = not dim_B.is_zero()

@@ -770,20 +770,19 @@ def test_command_replaced_after_the_first_call_runs(built_parsers, monkeypatch, 
 
 # -- damaged coend cache entries ---------------------------------------------------------
 
-COEND_ENTRIES = {}
+CACHE_ENTRIES = {}
 
 
-def _coend_entry(name):
-    """The file name and text of the coend cache entry that coend build writes
-    for a bundled algebra."""
-    if name not in COEND_ENTRIES:
+def _cache_entry(argv):
+    """The file name and text of the one cache entry that the command argv
+    writes with --cache."""
+    if argv not in CACHE_ENTRIES:
         with tempfile.TemporaryDirectory() as tmp:
             with contextlib.redirect_stdout(io.StringIO()):
-                assert main(["coend", "build", "--algebra", str(DATA / f"{name}.json"),
-                             "--cache", tmp]) == 0
-            (entry,) = Path(tmp).glob("coend-*.json")
-            COEND_ENTRIES[name] = entry.name, entry.read_text(encoding="utf-8")
-    return COEND_ENTRIES[name]
+                assert main([*argv, "--cache", tmp]) == 0
+            (entry,) = Path(tmp).glob("*.json")
+            CACHE_ENTRIES[argv] = entry.name, entry.read_text(encoding="utf-8")
+    return CACHE_ENTRIES[argv]
 
 
 @st.composite
@@ -834,16 +833,63 @@ def test_damaged_coend_cache_entry_is_never_a_traceback(name, data):
     z2_semion ends in exit 0, 1 or 2, the last with one input-error line, and
     never raises: the entry is read as a miss and rebuilt, or read and its
     maps gated again."""
-    entry, text = _coend_entry(name)
+    _run_over_damaged_entry(("coend", "build", "--algebra", str(DATA / f"{name}.json")),
+                            data)
+
+
+def _run_over_damaged_entry(argv, data):
+    """Run argv with --cache over a damaged copy of the entry it writes: the
+    exit is 0, 1 or 2, the last with one input-error line, and nothing raises."""
+    entry, text = _cache_entry(argv)
     damaged = data.draw(_damaged_entry(text))
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / entry).write_bytes(damaged)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["coend", "build", "--algebra", str(DATA / f"{name}.json"),
-                         "--cache", tmp])
+            code = main([*argv, "--cache", tmp])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert err.getvalue().startswith("input error:")
         assert len(err.getvalue().strip().splitlines()) == 1
+
+
+# -- damaged module cache entries --------------------------------------------------------
+
+MODULE_BUILDS = {which: ("module", "build", "--which", which, "-N", "1", "--algebra", TRIVIAL)
+                 for which in ("W", "para")}
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(sorted(MODULE_BUILDS)), st.data())
+def test_damaged_module_cache_entry_is_never_a_traceback(which, data):
+    """module build --cache over a damaged module entry of z2_trivial, for the
+    explicit model W and the paracyclic module, ends in exit 0, 1 or 2 and
+    never raises."""
+    _run_over_damaged_entry(MODULE_BUILDS[which], data)
+
+
+@pytest.mark.parametrize("which", sorted(MODULE_BUILDS))
+def test_module_entry_lacking_a_generator_or_level_is_a_miss(which, capsys):
+    """A module entry with one generator or one level space dropped, with one
+    generator too many, or with a generator whose stored size is not its level
+    spaces', is read as a miss and rebuilt: the relations are never checked on
+    such a module."""
+    argv = MODULE_BUILDS[which]
+    entry, text = _cache_entry(argv)
+    obj = json.loads(text)
+    damages = [("drop", part, key) for part in ("gen", "spaces") for key in obj[part]]
+    damages += [("extra", "gen", "tau:2"), ("size", "gen", "tau:1")]
+    for kind, part, key in damages:
+        bad = json.loads(text)
+        if kind == "drop":
+            del bad[part][key]
+        elif kind == "extra":
+            bad[part][key] = bad[part]["tau:1"]
+        else:
+            bad[part][key]["src"] += 1
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / entry).write_text(json.dumps(bad), encoding="utf-8")
+            code, out, err = run(capsys, *argv, "--cache", tmp, "--format", "json")
+        assert (code, err) == (0, ""), (kind, part, key, err)
+        assert json.loads(out)["cached"] is False, (kind, part, key)

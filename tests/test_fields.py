@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclotome.fields import (
-    Cyclotomic, FieldError, FieldSpec, PrimeField, Rationals, Scalar, _decode, _poly_divmod,
-    _poly_mul, _poly_trim, cyclotomic_polynomial,
+    Cyclotomic, FieldError, FieldSpec, PrimeField, Rationals, Scalar, _decode, _euclid_inverse,
+    _poly_divmod, _poly_mul, _poly_trim, cyclotomic_polynomial,
 )
 
 Q = Rationals()
@@ -232,6 +232,19 @@ def test_cyclotomic_fast_paths_match_the_fraction_polynomials(case):
     for out, ref in ((K._mul(a, b), product), (K._mul(b, a), product),
                      (K._add(a, b), total), (K._add(b, a), total)):
         assert out == ref and _canonical_cyclotomic(K, out)
+
+
+@settings(max_examples=400, deadline=None)
+@given(fast_path_cases().filter(lambda case: case[0].degree == 2 and case[1]))
+def test_degree_two_closed_form_inverse_matches_the_euclid(case):
+    """_inv, closed form in Q(i), Q(zeta_3) and Q(zeta_6), equals the extended
+    Euclid against Phi_n on every nonzero payload, is canonical, and is an
+    inverse."""
+    K, a, _ = case
+    inv = K._inv(a)
+    assert inv == _euclid_inverse(K._modulus, a)
+    assert _canonical_cyclotomic(K, inv)
+    assert K._mul(a, inv) == K.one().payload
 
 
 @given(rationals_st, rationals_st)

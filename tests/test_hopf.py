@@ -11,13 +11,13 @@ from cyclotome.hopf import (
     coadjoint_module, drinfeld_double_of_cyclic, drinfeld_element, dual_module, group_algebra,
     group_algebra_simples, hom_basis, hom_space, invariance_blocks, load_algebra,
     modular_data,
-    module_power, pivot_element, qdim, regular_module, right_coadjoint_power,
-    sweedler_h4, tensor_module, trivial_module, twist, verify_axioms,
+    module_power, pivot_element, qdim, quantum_trace, regular_module, right_coadjoint_power,
+    sweedler_h4, tensor_module, trivial_module, twist, twist_inverse, verify_axioms,
     verify_quasitriangular_ribbon,
 )
 from cyclotome.linalg import (
-    UNIT, ShapeError, TensorShape, block_flip, kernel_and_rank, permute_factors, stack,
-    whisker,
+    UNIT, ShapeError, TensorShape, block_flip, invert, kernel_and_rank, permute_factors,
+    stack, whisker,
 )
 
 Q = Rationals()
@@ -738,3 +738,90 @@ def test_each_distinct_literal_of_a_file_is_parsed_once(monkeypatch):
         assert getattr(H, key) == getattr(H1, key), key
     assert [(V.name, V.dim, V.action) for V in simples] == \
         [(V.name, V.dim, V.action) for V in simples1]
+
+
+# -- modular data from characters -------------------------------------------------------------
+
+
+def _modular_algebras():
+    """The three bundles with simples, and the doubles of Z/3 over Q(zeta_3)
+    and of Z/4 over Q(i) with their characters as simples."""
+    out = {name: load_algebra(DATA / f"{name}.json")
+           for name in ("z2_trivial", "z2_semion", "double_z2")}
+    for n in (3, 4):
+        H = drinfeld_double_of_cyclic(Cyclotomic(n), n)
+        out[f"double_z{n}"] = H, group_algebra_simples(H, [n, n])
+    return out
+
+
+MODULAR = _modular_algebras()
+
+
+def _braiding_route(H, simples):
+    """The modular data read off quantum traces: of the double braiding on each
+    tensor product of simples, and of the twists on each simple."""
+    F, n = H.field, len(simples)
+    entries = {}
+    for i, V in enumerate(simples):
+        for j, W in enumerate(simples):
+            s = quantum_trace(tensor_module(V, W), braiding(W, V).compose(braiding(V, W)))
+            if not s.is_zero():
+                entries[(i, j)] = s
+    s_matrix = LinearMap(F, TensorShape([n]), TensorShape([n]), entries)
+    q = [qdim(V) for V in simples]
+    dim_B = sum((x * x for x in q), F.zero())
+    dplus = sum((x * quantum_trace(V, twist(V)) for x, V in zip(q, simples)), F.zero())
+    dminus = sum((x * quantum_trace(V, twist_inverse(V)) for x, V in zip(q, simples)),
+                 F.zero())
+    modular = invert(s_matrix) is not None
+    return (s_matrix, dplus, dminus, dim_B, modular, dplus == dminus,
+            not dim_B.is_zero())
+
+
+def _fields_of(md):
+    return (md.s_matrix, md.delta_plus, md.delta_minus, md.dim_B, md.modular,
+            md.anomaly_free, md.dim_invertible)
+
+
+@pytest.mark.parametrize("name", sorted(MODULAR))
+def test_character_route_matches_the_braiding_route(name):
+    """S, Delta+-, dim(B) and every flag from the characters equal the quantum
+    traces of the double braidings and twists, entry for entry."""
+    H, simples = MODULAR[name]
+    md = modular_data(H, simples)
+    assert _fields_of(md) == _braiding_route(H, simples)
+    assert md.report.ok
+
+
+@pytest.mark.parametrize("name", sorted(set(MODULAR) - {"z2_trivial"}))
+def test_swapped_characters_break_the_match(name, monkeypatch):
+    """The comparison above sees a planted error: the characters of the first
+    two simples swapped give a different S-matrix (on z2_trivial the two rows
+    of S are equal, so the swap cannot be seen there)."""
+    import cyclotome.hopf as hopf
+    H, simples = MODULAR[name]
+    real = hopf._character
+    swap = {id(simples[0]): simples[1], id(simples[1]): simples[0]}
+    monkeypatch.setattr(hopf, "_character", lambda V: real(swap.get(id(V), V)))
+    planted = _fields_of(modular_data(H, simples))
+    reference = _braiding_route(H, simples)
+    assert planted[0] != reference[0]
+    assert planted[1:] == reference[1:]
+
+
+@pytest.mark.parametrize("dropped, message", [
+    (("R", "theta_inv", "theta"), "braiding needs an R-matrix"),
+    (("R",), "braiding needs an R-matrix"),
+    (("theta_inv", "theta"), "pivot needs a ribbon element"),
+    (("theta_inv",), "pivot needs a ribbon element"),
+    (("theta",), "twist needs a ribbon element"),
+])
+def test_missing_ribbon_data_is_named(dropped, message):
+    """double_z2 without R, theta^-1 or theta: modular_data raises the HopfError
+    the braiding, the pivot or the twist raised before, in that order."""
+    H, simples = load_algebra(DATA / "double_z2.json")
+    for key in dropped:
+        setattr(H, key, None)
+    with pytest.raises(HopfError) as info:
+        modular_data(H, simples)
+    assert str(info.value) == message
