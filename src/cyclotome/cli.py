@@ -245,45 +245,26 @@ def cmd_module_build(args) -> int:
         cache_file = cache_dir / f"module-{_cache_key(args.algebra, args.which, N)}.json"
         module = _read_cache(cache_file, lambda obj: module_from_json(obj)
                              if obj["max_level"] == N else None)
-    cached = module is not None
 
-    extra_reports = []
-    payload = {"algebra": H.name, "which": args.which, "max_level": N,
-               "cached": cached}
+    payload = {"algebra": H.name, "which": args.which, "max_level": N, "cached": False}
     try:
-        if module is None and args.which in _BUILDERS:
-            module = _BUILDERS[args.which](H, N)
-        elif module is None and args.which == "rcyclic":
-            para = build_paracyclic(build_coend_coalgebra(H), N, "cyclic")
-            module, scalar, r = r_cyclic_from_simple(para, simples[args.simple])
-            payload["twist_scalar"] = repr(scalar)
-            payload["twist_order"] = r
-        elif module is None:
-            # rt and rtc read the whole coend: omega comes from its pairing
-            data = build_coend_hopf(H, simples or None)
-            rt = (build_rt_cocyclic if args.which == "rt" else build_rt_cyclic)(data, N)
-            module = rt.module
-        elif args.which in ("para", "paraco"):
-            # the cache holds only matrices; the twisted cyclicity check also
-            # needs the tensor powers of the coend's carrier, H* coadjoint
-            carrier = CoendData(H, coadjoint_module(H))
-            module.level_modules = {n: carrier.power(n + 1) for n in range(N + 1)}
-        if args.which in ("para", "paraco"):
-            extra_reports.append(twisted_cyclicity_check(module))
+        if module is not None:
+            if args.which in ("para", "paraco"):
+                # the cache holds only matrices; the twisted cyclicity check also
+                # needs the tensor powers of the coend's carrier, H* coadjoint
+                carrier = CoendData(H, coadjoint_module(H))
+                module.level_modules = {n: carrier.power(n + 1) for n in range(N + 1)}
+            rel, extra_reports = _module_checks(args.which, module)
+            # an entry that parses but fails its checks is damaged: a miss, rebuilt
+            payload["cached"] = rel.ok and all(r.ok for r in extra_reports)
+        if not payload["cached"]:
+            module, rel, extra_reports = _built_module(args, H, N, simples, payload)
     except (CoendError, CyclicModuleError, TqftError) as exc:
         payload["error"] = str(exc)
-        _emit(args, payload, False)
-        return 1
+        return _emit(args, payload, False)
 
-    if cache_file is not None and not cached:
+    if cache_file is not None and not payload["cached"]:
         _write_cache(cache_file, module_to_json(module))
-
-    rel = check_relations(module)
-    if args.which in ("rt", "rtc"):
-        sc = shape_checks(rt)
-        extra_reports.append(sc)
-        if args.which == "rt":
-            extra_reports.append(verify_main_theorem(rt, rel, sc))
     payload["levels"] = {str(n): module.dim(n) for n in range(N + 1)}
     payload["relations_checked"] = len(rel.entries)
     payload["relations_ok"] = rel.ok
@@ -292,6 +273,32 @@ def cmd_module_build(args) -> int:
     payload.update(_report_payload(*extra_reports))
     ok = rel.ok and all(r.ok for r in extra_reports)
     return _emit(args, payload, ok)
+
+
+def _module_checks(which: str, module) -> tuple[CheckReport, list[CheckReport]]:
+    """The relations report of a cached or built module of _BUILDERS and, for
+    para and paraco, its twisted cyclicity report."""
+    twisted = [twisted_cyclicity_check(module)] if which in ("para", "paraco") else []
+    return check_relations(module), twisted
+
+
+def _built_module(args, H, N: int, simples, payload: dict):
+    """The module that args names, built afresh, its relations report and its
+    other reports; rcyclic adds its twist to payload."""
+    if args.which in _BUILDERS:
+        module = _BUILDERS[args.which](H, N)
+        return (module, *_module_checks(args.which, module))
+    if args.which == "rcyclic":
+        para = build_paracyclic(build_coend_coalgebra(H), N, "cyclic")
+        module, scalar, r = r_cyclic_from_simple(para, simples[args.simple])
+        payload["twist_scalar"] = repr(scalar)
+        payload["twist_order"] = r
+        return module, check_relations(module), []
+    # rt and rtc read the whole coend: omega comes from its pairing
+    data = build_coend_hopf(H, simples or None)
+    rt = (build_rt_cocyclic if args.which == "rt" else build_rt_cyclic)(data, N)
+    rel, sc = check_relations(rt.module), shape_checks(rt)
+    return rt.module, rel, [sc, verify_main_theorem(rt, rel, sc)] if args.which == "rt" else [sc]
 
 
 def cmd_homology(args) -> int:

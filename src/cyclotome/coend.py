@@ -19,9 +19,9 @@ from .hopf import (
     trivial_module,
 )
 from .linalg import (
-    LinearMap, SubspaceBasis, TensorShape, UNIT, block_flip, invert, kernel_and_rank,
-    literal_parser, map_from_json, map_to_json, rank, stack, vector_from_json,
-    vector_to_json, whisker,
+    LinearMap, SubspaceBasis, TensorShape, UNIT, block_flip, block_map, invert,
+    kernel_and_rank, kron_sum, literal_parser, map_from_json, map_to_json, rank, stack,
+    vector_from_json, vector_to_json, whisker,
 )
 from .reports import CheckReport
 
@@ -185,34 +185,18 @@ def braided_coproduct(H: HopfAlgebraData) -> LinearMap:
     h |-> sum h_(2) a_i (x) S((b_i)_(1)) h_(1) (b_i)_(2).  The summands of
     R = sum R_ij e_i (x) e_j are grouped by j, as right multiplication by
     x_j = sum_i R_ij e_i on the first leg and ad_1(e_j) on the second, and
-    both act on Delta(h) = sum Delta_pq e_p (x) e_q read with its legs
-    exchanged, one pass over the nonzero entries with no flip composed."""
+    both act on Delta(h) read with its legs exchanged: one kron_sum with the
+    columns exchanged, composed after Delta."""
     if H.R is None:
         raise CoendError("the braided coproduct needs an R-matrix")
-    F, d = H.field, H.dim
-    mul, add = F._mul, F._add
-    entries: dict[tuple[int, int], object] = {}
+    d = H.dim
+    terms = []
     for j, ad in enumerate(coadjoint_blocks(H, 1)):
         x = [H.R[i * d + j] for i in range(d)]
-        if all(c.is_zero() for c in x):
-            continue
-        first, second = _columns(H.right_multiplication(x)), _columns(ad)
-        for (row, c), w in H.Delta.entries.items():
-            p, q = divmod(row, d)
-            for r1, v1 in first.get(q, ()):
-                y = mul(w, v1)
-                for r2, v2 in second.get(p, ()):
-                    key, prod = (r1 * d + r2, c), mul(y, v2)
-                    entries[key] = add(entries[key], prod) if key in entries else prod
-    return LinearMap.from_payloads(F, H.shape, H.shape * H.shape, entries)
-
-
-def _columns(m: LinearMap) -> dict[int, list[tuple[int, object]]]:
-    """The nonzero entries of m as (row, payload) lists by column."""
-    cols: dict[int, list[tuple[int, object]]] = {}
-    for (r, c), v in m.entries.items():
-        cols.setdefault(c, []).append((r, v))
-    return cols
+        if not all(c.is_zero() for c in x):
+            terms.append((None, H.right_multiplication(x), ad))
+    square = (H.shape, H.shape)
+    return kron_sum(H.field, square, square, terms, "columns").compose(H.Delta)
 
 
 # -- the stages of the build -------------------------------------------------------------
@@ -364,57 +348,37 @@ def build_coend_hopf(H: HopfAlgebraData,
 
 
 def _solve_antipode(F, d, m_C, unit, Delta_C, eps_C) -> LinearMap:
-    """Solve m(S (x) id)Delta = u eps = m(id (x) S)Delta for S by linear algebra."""
-    # unknowns S[r][c]; build the two convolution constraints stacked
+    """Solve m(S (x) id)Delta = u eps = m(id (x) S)Delta for S by linear algebra.
+
+    With S[r][c] the unknown at r d + c, the left side is L vec(S) for
+    L = sum_b m_b (x) Delta_b^T, m_b[o][r] = m[o][r d + b] and
+    Delta_b[a][i] = Delta[a d + b][i], and the right side is the same sum with
+    b the first slot of m and of Delta.  S is read off the kernel of
+    [L | -vec(u eps); R | -vec(u eps)] at the vector whose last coordinate is 1."""
     shape = TensorShape([d])
+    sides = []
+    for slot in (1, 0):
+        ms, deltas = [{} for _ in range(d)], [{} for _ in range(d)]
+        for (o, col), v in m_C.entries.items():
+            pair = divmod(col, d)
+            ms[pair[slot]][(o, pair[1 - slot])] = v
+        for (row, i), v in Delta_C.entries.items():
+            pair = divmod(row, d)
+            deltas[pair[slot]][(i, pair[1 - slot])] = v
+        sides.append(kron_sum(F, (shape, shape), (shape, shape), [
+            (None, LinearMap.from_payloads(F, shape, shape, a),
+             LinearMap.from_payloads(F, shape, shape, b)) for a, b in zip(ms, deltas)]))
     u_map = LinearMap.from_function(F, UNIT, shape, lambda c: enumerate(unit))
-    target = u_map.compose(eps_C).entries
-    mul, add, neg, is_zero = F._mul, F._add, F._neg, F._is_zero
-    zero = F.zero().payload
-    rows = {}
-    row = 0
-    # m o (S (x) id) o Delta at (out, in): sum over a,b: m[out,(r,b)] S[r,a] Delta[(a,b),in]
-    for out in range(d):
-        for inp in range(d):
-            t = target.get((out, inp), zero)
-            coeffs_left: dict[int, object] = {}
-            coeffs_right: dict[int, object] = {}
-            for (ab, i2), dv in Delta_C.entries.items():
-                if i2 != inp:
-                    continue
-                a, b = divmod(ab, d)
-                for (o2, rb), mv in m_C.entries.items():
-                    if o2 != out:
-                        continue
-                    r, bb = divmod(rb, d)
-                    if bb == b:
-                        key = r * d + a
-                        coeffs_left[key] = add(coeffs_left.get(key, zero), mul(mv, dv))
-                    rr, c2 = divmod(rb, d)
-                    if rr == a:
-                        key = c2 * d + b
-                        coeffs_right[key] = add(coeffs_right.get(key, zero), mul(mv, dv))
-            for coeffs in (coeffs_left, coeffs_right):
-                for k, v in coeffs.items():
-                    if not is_zero(v):
-                        rows[(row, k)] = v
-                rows[(row, d * d)] = add(rows.get((row, d * d), zero), neg(t))
-                row += 1
-    # homogeneous system in (S entries, 1); force the last coordinate to 1
-    sys_map = LinearMap.from_payloads(F, TensorShape([d * d + 1]), TensorShape([max(row, 1)]),
-                                      rows)
-    basis, _ = kernel_and_rank(sys_map)
-    solutions = [vec for vec in basis if not vec[d * d].is_zero()]
-    if len(solutions) != 1 or len(basis) != 1:
+    target = -u_map.tensor(eps_C.transpose())
+    system = block_map(F, [d * d, d * d], [d * d, 1],
+                       {(0, 0): sides[0], (1, 0): sides[1], (0, 1): target, (1, 1): target})
+    basis, _ = kernel_and_rank(system)
+    if len(basis) != 1 or basis[0][d * d].is_zero():
         raise CoendError(f"antipode solution space has dimension {len(basis)}")
-    vec = solutions[0]
+    (vec,) = basis
     scale = vec[d * d].inverse()
-    entries = {}
-    for idx in range(d * d):
-        v = vec[idx] * scale
-        if not v.is_zero():
-            entries[divmod(idx, d)] = v
-    return LinearMap(F, shape, shape, entries)
+    return LinearMap.from_rows(F, shape, shape, [[x * scale for x in vec[r * d:(r + 1) * d]]
+                                                 for r in range(d)])
 
 
 def _check_braided_hopf_axioms(data: CoendData, rep: CheckReport):

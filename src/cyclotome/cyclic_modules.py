@@ -24,8 +24,8 @@ from .hopf import (
     coadjoint_blocks, hom_basis, invariance_blocks, trivial_module, twist,
 )
 from .linalg import (
-    LinearMap, SubspaceBasis, TensorShape, UNIT, invert, literal_parser, map_from_json,
-    map_to_json, stack, vector_from_json, vector_to_json, whisker,
+    LinearMap, SubspaceBasis, TensorShape, UNIT, invert, kron_sum, literal_parser,
+    map_from_json, map_to_json, stack, vector_from_json, vector_to_json, whisker,
 )
 from .reports import CheckReport
 
@@ -232,29 +232,18 @@ def _rotation(H: HopfAlgebraData, n: int, R: Vector, ribbon: Vector,
               to_front: bool) -> LinearMap:
     """sum over the summands R_ij e_i (x) e_j of R_ij rot(ad_n(e_j) (x) ad_1(e_i ribbon))
     on H^(x)(n+1), grouped by j: ad_n(e_j) (x) ad_1(x_j ribbon) with
-    x_j = sum_i R_ij e_i, so each entry of ad_n(e_j) is multiplied once per
-    entry of the small second factor.  The rotation is applied by renumbering:
-    with to_front the rows are numbered with the last slot moved to the
-    front, otherwise the columns with the first slot moved to the back, which
+    x_j = sum_i R_ij e_i, one kron_sum.  The rotation is its exchange: with
+    to_front the rows are numbered with the last slot moved to the front,
+    otherwise the columns with the first slot moved to the back, which
     precomposes the rotation of the first slot to the back."""
-    F = H.field
-    mul, add = F._mul, F._add
-    d, D = H.dim, H.dim ** n
-    acc = {}
+    d = H.dim
+    terms = []
     for j, bulk in enumerate(coadjoint_blocks(H, n)):
         x = [R[i * d + j] for i in range(d)]
-        if all(c.is_zero() for c in x):
-            continue
-        moved = [(r2, c2, v2) for (r2, c2), v2 in
-                 coadjoint_action(H, H.multiply(x, ribbon), 1).entries.items()]
-        for (r1, c1), w in bulk.entries.items():
-            for r2, c2, v2 in moved:
-                key = ((r2 * D + r1, c1 * d + c2) if to_front
-                       else (r1 * d + r2, c2 * D + c1))
-                prod = mul(w, v2)
-                acc[key] = add(acc[key], prod) if key in acc else prod
-    shape = H.power_shape(n + 1)
-    return LinearMap.from_payloads(F, shape, shape, acc)
+        if not all(c.is_zero() for c in x):
+            terms.append((None, bulk, coadjoint_action(H, H.multiply(x, ribbon), 1)))
+    return kron_sum(H.field, (H.power_shape(n),) * 2, (H.shape, H.shape), terms,
+                    "rows" if to_front else "columns")
 
 
 def explicit_cyclic_rotation(H: HopfAlgebraData, n: int) -> LinearMap:

@@ -20,8 +20,8 @@ from typing import Callable, Sequence
 from .fields import FieldSpec, Scalar
 from .linalg import (
     LinearMap, ShapeError, SubspaceBasis, TensorShape, UNIT, _dense, _nonzero, _payloads,
-    block_flip, block_map, invert, literal_parser, map_from_json, solve, vector_from_json,
-    whisker,
+    block_flip, block_map, invert, kron_sum, literal_parser, map_from_json, solve,
+    vector_from_json, whisker,
 )
 from .reports import CheckReport
 
@@ -184,22 +184,13 @@ class HopfAlgebraData:
 
     def left_multiplication(self, a: Vector) -> LinearMap:
         """x |-> a x as a matrix."""
-        cols = {}
-        for c in range(self.dim):
-            w = self.multiply(a, self.basis_vector(c))
-            for r, v in enumerate(w):
-                if not v.is_zero():
-                    cols[(r, c)] = v
-        return LinearMap(self.field, self._shape, self._shape, cols)
+        return LinearMap.from_function(self.field, self._shape, self._shape, lambda c: enumerate(
+            self.multiply(a, self.basis_vector(c))))
 
     def right_multiplication(self, a: Vector) -> LinearMap:
-        cols = {}
-        for c in range(self.dim):
-            w = self.multiply(self.basis_vector(c), a)
-            for r, v in enumerate(w):
-                if not v.is_zero():
-                    cols[(r, c)] = v
-        return LinearMap(self.field, self._shape, self._shape, cols)
+        """x |-> x a as a matrix."""
+        return LinearMap.from_function(self.field, self._shape, self._shape, lambda c: enumerate(
+            self.multiply(self.basis_vector(c), a)))
 
     def antipode_vec(self, a: Vector) -> Vector:
         return self.S.apply(a)
@@ -418,30 +409,14 @@ def coproduct_action(H: HopfAlgebraData, left: Sequence[LinearMap],
                      right: Sequence[LinearMap], shape: TensorShape) -> list[LinearMap]:
     """The action of every e_k on X (x) Y from the actions on X and Y:
     rho(k) = sum over the nonzero Delta(e_k)_pq of Delta(e_k)_pq left[p] (x) right[q],
-    placed by index arithmetic on the nonzero entries, with no identity factor
-    or flip.  shape is the domain given to the blocks (the product of the
+    one kron_sum.  shape is the domain given to the blocks (the product of the
     factors' dimensions)."""
     F = H.field
-    mul, add = F._mul, F._add
     one = F.one().payload
-    n = right[0].domain.dim
-    rights = [[(r2, c2, v2) for (r2, c2), v2 in r.entries.items()] for r in right]
-    lefts = [[(r1 * n, c1 * n, v1) for (r1, c1), v1 in a.entries.items()] for a in left]
-    out = []
-    for terms in H._coproduct_terms():
-        acc = {}
-        for p, q, c in terms:
-            rq = rights[q]
-            if not rq:
-                continue
-            unit = c == one
-            for r0, c0, v1 in lefts[p]:
-                x = v1 if unit else mul(c, v1)
-                for r2, c2, v2 in rq:
-                    key, prod = (r0 + r2, c0 + c2), mul(x, v2)
-                    acc[key] = add(acc[key], prod) if key in acc else prod
-        out.append(LinearMap._from_clean(F, shape, shape, _nonzero(F, acc)))
-    return out
+    factors = (left[0].domain, left[0].codomain), (right[0].domain, right[0].codomain)
+    return [kron_sum(F, *factors, [(None if c == one else c, left[p], right[q])
+                                   for p, q, c in terms]).reshaped(shape, shape)
+            for terms in H._coproduct_terms()]
 
 
 def tensor_module(V: ModuleData, W: ModuleData, name: str | None = None) -> ModuleData:
@@ -597,40 +572,23 @@ def braiding(V: ModuleData, W: ModuleData) -> LinearMap:
     """c_{V,W} = flip o (action of R): V (x) W -> W (x) V."""
     if V.algebra.R is None:
         raise HopfError("braiding needs an R-matrix")
-    return _flipped_r_action(V, W, V.algebra.R, inverse=False)
+    return _flipped_r_action(V, W, V.algebra.R, "rows")
 
 
 def braiding_inverse(V: ModuleData, W: ModuleData) -> LinearMap:
     """c_{V,W}^{-1}: W (x) V -> V (x) W, from the inverse R-matrix."""
     if V.algebra.R_inv is None:
         raise HopfError("inverse braiding needs R_inv")
-    return _flipped_r_action(V, W, V.algebra.R_inv, inverse=True)
+    return _flipped_r_action(V, W, V.algebra.R_inv, "columns")
 
 
-def _flipped_r_action(V: ModuleData, W: ModuleData, R: Vector, inverse: bool) -> LinearMap:
-    """sum_ij R_ij rho_V(i) (x) rho_W(j) in one pass over the nonzero R_ij and the
-    nonzero entries of their actions, flipped by renumbering: the rows (braiding)
-    or the columns (inverse) are numbered in W (x) V instead of V (x) W."""
-    F = V.algebra.field
-    mul, add = F._mul, F._add
-    d, dv, dw = V.algebra.dim, V.dim, W.dim
-    acc = {}
-    for idx, coeff in _payloads(F, R).items():
-        i, j = divmod(idx, d)
-        right = [(r2, c2, v2) for (r2, c2), v2 in W.rho(j).entries.items()]
-        if not right:
-            continue
-        for (r1, c1), v1 in V.rho(i).entries.items():
-            x = mul(coeff, v1)
-            for r2, c2, v2 in right:
-                key = ((r1 * dw + r2, c2 * dv + c1) if inverse
-                       else (r2 * dv + r1, c1 * dw + c2))
-                prod = mul(x, v2)
-                acc[key] = add(acc[key], prod) if key in acc else prod
-    vw, wv = V.shape * W.shape, W.shape * V.shape
-    if inverse:
-        return LinearMap._from_clean(F, wv, vw, _nonzero(F, acc))
-    return LinearMap._from_clean(F, vw, wv, _nonzero(F, acc))
+def _flipped_r_action(V: ModuleData, W: ModuleData, R: Vector, exchange: str) -> LinearMap:
+    """sum_ij R_ij rho_V(i) (x) rho_W(j) over the nonzero R_ij, flipped by the
+    kron_sum exchange: the rows (braiding) or the columns (inverse) are
+    numbered in W (x) V instead of V (x) W."""
+    F, d = V.algebra.field, V.algebra.dim
+    terms = [(c, V.rho(idx // d), W.rho(idx % d)) for idx, c in _payloads(F, R).items()]
+    return kron_sum(F, (V.shape, V.shape), (W.shape, W.shape), terms, exchange)
 
 
 def twist(V: ModuleData) -> LinearMap:

@@ -284,21 +284,11 @@ class LinearMap:
         return LinearMap._from_clean(F, first.domain, self.codomain, entries)
 
     def tensor(self, other: "LinearMap") -> "LinearMap":
-        """Kronecker product; a product of two nonzeros is nonzero, so every
-        product is an entry."""
+        """Kronecker product: the one-term kron_sum."""
         if self.field != other.field:
             raise ShapeError("field mismatch")
-        F = self.field
-        mul = F._mul
-        od, ocd = other.domain.dim, other.codomain.dim
-        right = [(r2, c2, v2) for (r2, c2), v2 in other.entries.items()]
-        entries = {}
-        for (r1, c1), x in self.entries.items():
-            r0, c0 = r1 * ocd, c1 * od
-            for r2, c2, y in right:
-                entries[(r0 + r2, c0 + c2)] = mul(x, y)
-        return LinearMap._from_clean(F, self.domain * other.domain,
-                                     self.codomain * other.codomain, entries)
+        return kron_sum(self.field, (self.domain, self.codomain),
+                        (other.domain, other.codomain), [(None, self, other)])
 
     def transpose(self) -> "LinearMap":
         """Plain transpose; the matrix of the dual map in dual bases."""
@@ -441,6 +431,46 @@ def _whisker_entries(op: LinearMap, ld: int, rd: int) -> dict:
             for b in range(rd):
                 entries[(row + b, col + b)] = v
     return entries
+
+
+def kron_sum(field, first: tuple[TensorShape, TensorShape],
+             second: tuple[TensorShape, TensorShape],
+             terms: Iterable[tuple[object, LinearMap, LinearMap]],
+             exchange: str | None = None) -> LinearMap:
+    """sum c A (x) B over the terms (c, A, B), with A a map between the shapes
+    first = (domain, codomain), B one between second, and c a payload of
+    field or None for 1; no terms give the zero map.
+
+    exchange "rows" numbers the rows in B's codomain (x) A's codomain,
+    "columns" the columns in B's domain (x) A's domain, and None neither: the
+    sum composed after (or before) the flip of the two factors, with no flip
+    formed.  Entry (r1, c1) of A and (r2, c2) of B land at
+    (r1 ra + r2 rb, c1 ca + c2 cb) with the strides fixed before the loop,
+    and sums that cancel are dropped."""
+    (a_dom, a_cod), (b_dom, b_cod) = first, second
+    if exchange not in (None, "rows", "columns"):
+        raise ShapeError(f"exchange must be None, 'rows' or 'columns', got {exchange!r}")
+    ra, rb, codomain = ((1, a_cod.dim, b_cod * a_cod) if exchange == "rows"
+                        else (b_cod.dim, 1, a_cod * b_cod))
+    ca, cb, domain = ((1, a_dom.dim, b_dom * a_dom) if exchange == "columns"
+                      else (b_dom.dim, 1, a_dom * b_dom))
+    mul, add = field._mul, field._add
+    acc: dict[tuple[int, int], object] = {}
+    for c, A, B in terms:
+        if (A.domain.dim, A.codomain.dim, B.domain.dim, B.codomain.dim) != (
+                a_dom.dim, a_cod.dim, b_dom.dim, b_cod.dim):
+            raise ShapeError(f"terms {A.domain}->{A.codomain} (x) {B.domain}->{B.codomain} "
+                             f"do not fit {a_dom}->{a_cod} (x) {b_dom}->{b_cod}")
+        right = [(r2 * rb, c2 * cb, v2) for (r2, c2), v2 in B.entries.items()]
+        if not right:
+            continue
+        for (r1, c1), v1 in A.entries.items():
+            r0, c0 = r1 * ra, c1 * ca
+            x = v1 if c is None else mul(c, v1)
+            for r2, c2, v2 in right:
+                key, prod = (r0 + r2, c0 + c2), mul(x, v2)
+                acc[key] = add(acc[key], prod) if key in acc else prod
+    return LinearMap._from_clean(field, domain, codomain, _nonzero(field, acc))
 
 
 def permute_factors(field, shape: TensorShape, perm: Sequence[int]) -> LinearMap:

@@ -893,3 +893,52 @@ def test_module_entry_lacking_a_generator_or_level_is_a_miss(which, capsys):
             code, out, err = run(capsys, *argv, "--cache", tmp, "--format", "json")
         assert (code, err) == (0, ""), (kind, part, key, err)
         assert json.loads(out)["cached"] is False, (kind, part, key)
+
+
+@pytest.mark.parametrize("which", sorted(MODULE_BUILDS))
+@pytest.mark.parametrize("damage", ["emptied", "literal"])
+def test_module_entry_failing_its_checks_is_rebuilt(which, damage, capsys):
+    """A module entry that parses but no longer holds, the entries of the
+    generator delta:1:0 emptied or one of its literals changed, is a miss: the
+    module is rebuilt, its checks pass and the entry is written again."""
+    argv = MODULE_BUILDS[which]
+    entry, text = _cache_entry(argv)
+    bad = json.loads(text)
+    gen = bad["gen"]["delta:1:0"]["entries"]
+    if damage == "emptied":
+        gen.clear()
+    else:
+        gen[0][2] = "2"
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / entry).write_text(json.dumps(bad), encoding="utf-8")
+        code, out, err = run(capsys, *argv, "--cache", tmp, "--format", "json")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["cached"] is False and report["relations_ok"] is True
+        assert json.loads((Path(tmp) / entry).read_text(encoding="utf-8")) == json.loads(text)
+        code, out, _ = run(capsys, *argv, "--cache", tmp, "--format", "json")
+        assert code == 0 and json.loads(out)["cached"] is True
+
+
+# -- a coproduct with an empty sum -------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", range(len(BUNDLES["z2_semion"]["Delta"])))
+@pytest.mark.parametrize("verb", [("module", "build", "--which", "W", "-N", "1", "--no-cache"),
+                                  ("coend", "build", "--no-cache")])
+def test_coproduct_with_an_empty_sum_is_no_traceback(tmp_path, verb, k):
+    """z2_semion.json with entry k of Delta dropped; Delta of a group algebra
+    has one entry per basis element, so one Delta(e_j) has no terms and its
+    action on every tensor product is a kron_sum over none.  Nothing raises,
+    and the coend build, whose gates read the coproduct, fails them.
+    module build gates no Hopf axiom of its input, and W at N = 1 passes with
+    empty levels."""
+    obj = json.loads(json.dumps(BUNDLES["z2_semion"]))
+    del obj["Delta"][k]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*verb, "--algebra", str(bad)])
+    assert code in ((1, 2) if verb[0] == "coend" else (0, 1, 2)), out.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from cyclotome import coend, hopf, linalg
@@ -404,3 +406,29 @@ def test_stages_solve_the_maps_of_the_full_build(coends, name):
     for stage in (co, al):
         assert stage.report.ok
         assert set(stage.report.entries) < set(cd.report.entries)
+
+
+# -- the antipode solve ------------------------------------------------------------------
+
+BUNDLED = ("z2_trivial", "z2_semion", "sweedler_h4", "double_z2")
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_antipode_solve_recovers_the_antipode_of_each_bundle(name):
+    """The convolution-inverse system solved on an algebra's own m, u, Delta
+    and eps gives back the file's S.  On sweedler_h4 S is not its transpose,
+    so a solution read with its indices exchanged fails."""
+    H, _ = hopf.load_algebra(Path(hopf.__file__).parent / "data" / f"{name}.json")
+    S = coend._solve_antipode(H.field, H.dim, H.m, H.u, H.Delta, H.epsilon)
+    assert S == H.S
+    if name == "sweedler_h4":
+        assert H.S != H.S.transpose()
+
+
+def test_antipode_solve_without_a_coproduct_names_the_solution_space():
+    """With a zero coproduct both convolutions vanish, S is unconstrained and
+    u eps is never reached: the error names the d^2-dimensional solution space."""
+    H = sweedler_h4(Q)
+    zero = LinearMap.zero(Q, H.shape, H.shape * H.shape)
+    with pytest.raises(CoendError, match=f"antipode solution space has dimension {H.dim ** 2}$"):
+        coend._solve_antipode(Q, H.dim, H.m, H.u, zero, H.epsilon)

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from cyclotome.fields import Cyclotomic, FieldError, PrimeField, Rationals, Scalar
 from cyclotome.linalg import (
     UNIT, LinearMap, ShapeError, TensorShape, block_flip, block_map, invert, kernel_and_rank,
-    kernel_with_free_columns, permute_factors, rank, solve, stack, SubspaceBasis, whisker,
+    kernel_with_free_columns, kron_sum, permute_factors, rank, solve, stack, SubspaceBasis,
+    whisker,
 )
 
 Q = Rationals()
@@ -208,6 +209,69 @@ def test_whisker_matches_kronecker_with_identities(F, left, right, dom, cod, dat
     op = _drawn_map(F, dom, cod, data, dom.dim * cod.dim)
     reference = LinearMap.identity(F, left).tensor(op).tensor(LinearMap.identity(F, right))
     assert whisker(op, left, right) == reference
+
+
+small_factors = st.lists(st.integers(1, 2), max_size=2)
+
+
+def _dense_kron_sum(F, shapes, terms, exchange):
+    """sum c A (x) B as nested lists of Scalars, from the entry formula
+    K[r1 n + r2][c1 m + c2] = c A[r1][c1] B[r2][c2], then the exchange applied
+    as an explicit permutation of the row or column indices."""
+    (a_dom, a_cod), (b_dom, b_cod) = [(s.dim, t.dim) for s, t in shapes]
+    rows, cols = a_cod * b_cod, a_dom * b_dom
+    K = [[F.zero()] * cols for _ in range(rows)]
+    for c, A, B in terms:
+        coeff = F.one() if c is None else Scalar(F, c)
+        for r1 in range(a_cod):
+            for c1 in range(a_dom):
+                for r2 in range(b_cod):
+                    for c2 in range(b_dom):
+                        K[r1 * b_cod + r2][c1 * b_dom + c2] += (
+                            coeff * A.entry(r1, c1) * B.entry(r2, c2))
+    # the index of (x1, x2) in X1 (x) X2 and in the exchanged X2 (x) X1
+    row_to = [(i % b_cod) * a_cod + i // b_cod if exchange == "rows" else i
+              for i in range(rows)]
+    col_to = [(j % b_dom) * a_dom + j // b_dom if exchange == "columns" else j
+              for j in range(cols)]
+    out = [[F.zero()] * cols for _ in range(rows)]
+    for i in range(rows):
+        for j in range(cols):
+            out[row_to[i]][col_to[j]] = K[i][j]
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([Q, Cyclotomic(3)]), small_factors, small_factors, small_factors,
+       small_factors, st.sampled_from([None, "rows", "columns"]), st.data())
+def test_kron_sum_matches_the_dense_kronecker_formula(F, a_dom, a_cod, b_dom, b_cod,
+                                                      exchange, data):
+    shapes = (TensorShape(a_dom), TensorShape(a_cod)), (TensorShape(b_dom), TensorShape(b_cod))
+    zeta = F.generator() if F.kind == F.CYCLOTOMIC else F.from_int(2)
+    coefficients = st.sampled_from([None, F.one().payload, F.from_int(-1).payload,
+                                    (F.from_int(3) - zeta).payload])
+    terms = [(data.draw(coefficients), _drawn_map(F, *shapes[0], data, 6),
+              _drawn_map(F, *shapes[1], data, 6)) for _ in range(data.draw(st.integers(0, 3)))]
+    m = kron_sum(F, *shapes, terms, exchange)
+    (A_dom, A_cod), (B_dom, B_cod) = shapes
+    assert m.domain == (B_dom * A_dom if exchange == "columns" else A_dom * B_dom)
+    assert m.codomain == (B_cod * A_cod if exchange == "rows" else A_cod * B_cod)
+    dense = _dense_kron_sum(F, shapes, terms, exchange)
+    assert m == LinearMap.from_rows(F, m.domain, m.codomain, dense)
+    if not terms:
+        assert m.is_zero()
+
+
+def test_kron_sum_drops_cancelled_sums_and_rejects_misfit_terms():
+    s1, s2 = TensorShape([1]), TensorShape([2])
+    A = rand_map(s2, s2, density=1.0)
+    minus_one = Q.from_int(-1).payload
+    m = kron_sum(Q, (s2, s2), (s2, s2), [(None, A, A), (minus_one, A, A)])
+    assert m.is_zero() and not m.entries and m.domain == s2 * s2
+    with pytest.raises(ShapeError):
+        kron_sum(Q, (s2, s2), (s1, s1), [(None, A, A)])
+    with pytest.raises(ShapeError):
+        kron_sum(Q, (s2, s2), (s2, s2), [], "both")
 
 
 def _written_out(m: LinearMap) -> bool:
