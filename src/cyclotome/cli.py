@@ -363,13 +363,13 @@ def _parse_explicit_word(body: str, direction: str) -> cc.GeneratorWord:
         rest = piece[1:]
         if head in ("d", "δ"):
             idx, _, lvl = rest.partition("^")
-            tokens.append(cc.Token("coface", cc.parse_int(lvl), cc.parse_int(idx)))
+            tokens.append(cc.Token("coface", cc.parse_level(lvl), cc.parse_int(idx)))
         elif head in ("s", "σ"):
             idx, _, lvl = rest.partition("^")
-            tokens.append(cc.Token("codegeneracy", cc.parse_int(lvl), cc.parse_int(idx)))
+            tokens.append(cc.Token("codegeneracy", cc.parse_level(lvl), cc.parse_int(idx)))
         elif head in ("t", "τ"):
             lvl_txt, _, exp_txt = rest.lstrip("_").partition("^")
-            tokens.append(cc.Token("tau", cc.parse_int(lvl_txt), cc.parse_int(exp_txt or "1")))
+            tokens.append(cc.Token("tau", cc.parse_level(lvl_txt), cc.parse_int(exp_txt or "1")))
         else:
             raise InputError(f"unknown token {piece!r}")
     return cc.GeneratorWord(tokens, direction)
@@ -395,7 +395,7 @@ def cmd_cat(args) -> int:
         if len(words) != 4:
             raise InputError("expected 'count n m variant'")
         _, n, m, vname = words
-        print(cc.hom_count(cc.parse_int(n), cc.parse_int(m), _parse_variant(vname)))
+        print(cc.hom_count(cc.parse_level(n), cc.parse_level(m), _parse_variant(vname)))
         return 0
     if expr.startswith("nf "):
         word = cc.parse_word(expr[3:], variant)

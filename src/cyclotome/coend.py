@@ -623,13 +623,6 @@ def integrals(data: CoendData) -> tuple[Vector, Vector]:
     return data.integral, data.cointegral
 
 
-def pairing_inverse(data: CoendData) -> Vector:
-    """The inverse copairing, raising when the pairing is degenerate."""
-    if data.Omega is None:
-        raise CoendError("the pairing is degenerate; no inverse copairing exists")
-    return data.Omega
-
-
 def _paired_with(data: CoendData, x: Vector) -> LinearMap:
     """omega(x (x) .) : C -> 1, the pairing whiskered by the element x."""
     return data.pairing.compose(whisker(data.vector_map(x), UNIT, data.carrier.shape))

@@ -11,17 +11,17 @@ Their agreement pins every braiding and twist convention.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Sequence
+from typing import Callable
 
 from .cyclic_cat import (
     CYCLIC, PARACYCLIC, CategoryVariant, CyclicMap, GeneratorWord, RCyclic,
-    Token, normal_form, relation_instances, simplicial_word,
+    Token, dualize_L, morphism_word, reindex_Phi, relation_instances,
 )
 from .coend import CoendData, _is_intertwiner
 from .fields import Scalar
 from .hopf import (
     HopfAlgebraData, ModuleData, Vector, braided_rotation, coadjoint_action,
-    coadjoint_blocks, hom_basis, invariance_blocks, trivial_module, twist,
+    coadjoint_blocks, hom_basis, invariance_blocks, trivial_module, twist, verify_axioms,
 )
 from .linalg import (
     LinearMap, SubspaceBasis, TensorShape, UNIT, invert, kron_sum, literal_parser,
@@ -105,19 +105,24 @@ class CyclicModuleData:
         return out
 
     def token_matrix(self, tok: Token) -> LinearMap:
-        if tok.kind == "coface":
-            return self.coface(tok.level, tok.index)
-        if tok.kind == "codegeneracy":
-            return self.codegeneracy(tok.level, tok.index)
-        return self.tau_power(tok.level, tok.index)
+        if tok.kind == "tau":
+            return self.tau_power(tok.level, tok.index)
+        return self.gen[(_KEY_KIND[tok.kind], tok.level, tok.index)]
 
-    def evaluate_word(self, word: GeneratorWord, level: int | None = None) -> LinearMap:
-        """The image of a covariant generator word under the module."""
+    def evaluate_word(self, word: GeneratorWord, level: int | None = None,
+                      memo: dict | None = None) -> LinearMap:
+        """The image of a covariant generator word under the module; memo, if
+        given, holds the matrix of each token already evaluated."""
         if not word.tokens:
             if level is None:
                 raise CyclicModuleError("empty word needs a level")
             return LinearMap.identity(self._field(), TensorShape([self.dim(level)]))
-        mats = [self.token_matrix(t) for t in word.tokens]
+        if memo is None:
+            memo = {}
+        for t in word.tokens:
+            if t not in memo:
+                memo[t] = self.token_matrix(t)
+        mats = [memo[t] for t in word.tokens]
         if self.chirality == "cocyclic":
             out = mats[-1]
             for m in reversed(mats[:-1]):
@@ -130,15 +135,7 @@ class CyclicModuleData:
 
     def evaluate_morphism(self, f: CyclicMap) -> LinearMap:
         """Evaluate an arbitrary morphism via its normal form."""
-        if f.variant.kind == "simplicial":
-            word = simplicial_word(f)
-            return self.evaluate_word(word, level=f.source_n)
-        mono, rot = normal_form(f)
-        word = simplicial_word(mono)
-        tokens = list(word.tokens)
-        if rot:
-            tokens.append(Token("tau", f.source_n, rot))
-        return self.evaluate_word(GeneratorWord(tokens), level=f.source_n)
+        return self.evaluate_word(morphism_word(f), level=f.source_n)
 
     def _field(self):
         for b in self.spaces.values():
@@ -165,6 +162,11 @@ def check_relations(M: CyclicModuleData, N: int | None = None) -> CheckReport:
 
 
 # -- the generator table ----------------------------------------------------------------
+
+
+# generator key kind -> the kind of its Token in cyclic_cat's words
+_TOKEN_KIND = {"delta": "coface", "sigma": "codegeneracy", "tau": "tau"}
+_KEY_KIND = {tok: key for key, tok in _TOKEN_KIND.items()}
 
 
 def generator_keys(N: int) -> list[tuple]:
@@ -264,9 +266,13 @@ def explicit_cocyclic_rotation(H: HopfAlgebraData, n: int) -> LinearMap:
 
 def _explicit(H: HopfAlgebraData, N: int, chirality: str, face: LinearMap,
               degen: LinearMap, rotation) -> CyclicModuleData:
-    """The explicit model on the invariant tensors V_(n+1): (co)face i applies
-    face at slot i, (co)degeneracy j applies degen after slot j, and the
-    wrapping (co)face n is (co)face 0 through the rotation."""
+    """The explicit model on the invariant tensors V_(n+1), after H passes its
+    Hopf axioms: (co)face i applies face at slot i, (co)degeneracy j applies
+    degen after slot j, and the wrapping (co)face n is (co)face 0 through the
+    rotation."""
+    axioms = verify_axioms(H)
+    if not axioms.ok:
+        raise CyclicModuleError(f"Hopf axioms fail: {axioms.failures}")
     ambient: dict[tuple, LinearMap] = {}
     for key in generator_keys(N):
         kind, n, i = key[0], key[1], key[-1]
@@ -341,31 +347,35 @@ def _object_axioms(data: CoendData, chirality: str):
         raise CyclicModuleError(f"{what} axioms fail: {rep.failures}")
 
 
-def _object_generators(data: CoendData, chirality: str, N: int) -> dict[tuple, LinearMap]:
-    """The generators of the object-level module of the coend's coalgebra
-    object (chirality "cyclic") or algebra object ("cocyclic"), after its
-    axioms pass; the level modules are data.power(n + 1).  The coalgebra
-    gives a paracyclic module: face i contracts slot i by the counit,
-    degeneracy j comultiplies slot j, t_n brings the last factor to the front
-    through the inverse braiding.  The algebra gives a paracocyclic one:
-    coface i inserts the unit at slot i, codegeneracy j multiplies slots j
-    and j + 1, tau_n moves the first factor to the back."""
-    _object_axioms(data, chirality)
-    V, c = data.carrier, data.carrier.shape
+def object_faces(data: CoendData, chirality: str, N: int) -> dict[tuple, LinearMap]:
+    """The (co)faces and (co)degeneracies of the object-level module of the
+    coend's coalgebra object (chirality "cyclic") or algebra object
+    ("cocyclic"), in generator_keys order: for the coalgebra face i contracts
+    slot i by the counit and degeneracy j comultiplies slot j; for the algebra
+    coface i inserts the unit at slot i and codegeneracy j multiplies slots j
+    and j + 1."""
+    c, d = data.carrier.shape, data.carrier.dim
     if chirality == "cyclic":
         face, degen = data.counit.reshaped(c, UNIT), data.Delta.reshaped(c, c * c)
     else:
         face, degen = data.unit_map(), data.m.reshaped(c * c, c)
-    gen = {}
-    for key in generator_keys(N):
-        kind, n, i = key[0], key[1], key[-1]
-        if kind == "tau":
-            gen[key] = braided_rotation(V, data.power(n) if n else None,
-                                        chirality == "cyclic")
-        else:
-            gen[key] = whisker(face if kind == "delta" else degen,
-                               TensorShape([V.dim] * i), TensorShape([V.dim] * (n - i)))
-    return gen
+    return {key: whisker(face if key[0] == "delta" else degen, TensorShape([d] * key[2]),
+                         TensorShape([d] * (key[1] - key[2])))
+            for key in generator_keys(N) if key[0] != "tau"}
+
+
+def _object_generators(data: CoendData, chirality: str, N: int) -> dict[tuple, LinearMap]:
+    """The generators of the object-level module of the coend's coalgebra
+    object (chirality "cyclic") or algebra object ("cocyclic"), after its
+    axioms pass; the level modules are data.power(n + 1).  The coalgebra
+    gives a paracyclic module whose t_n brings the last factor to the front
+    through the inverse braiding; the algebra gives a paracocyclic one whose
+    tau_n moves the first factor to the back.  The rest are object_faces."""
+    _object_axioms(data, chirality)
+    faces = object_faces(data, chirality, N)
+    return {key: braided_rotation(data.carrier, data.power(key[1]) if key[1] else None,
+                                  chirality == "cyclic") if key[0] == "tau" else faces[key]
+            for key in generator_keys(N)}
 
 
 def _hom_of_object(data: CoendData, chirality: str, N: int) -> CyclicModuleData:
@@ -400,64 +410,40 @@ def cyclic_module_from_algebra(data: CoendData, N: int) -> CyclicModuleData:
 # -- duality and reindexing -------------------------------------------------------------
 
 
+def transport(M: CyclicModuleData, functor: Callable[[GeneratorWord], GeneratorWord],
+              chirality: str, what: str) -> CyclicModuleData:
+    """M composed with a word functor of the cyclic category, as a module of
+    the given chirality: each generator is M evaluated on the functor's image
+    of the generator's one-token word.  Each rotation power is evaluated once."""
+    if not M.variant.has_rotations:
+        raise CyclicModuleError(f"the {what} needs rotations")
+    memo: dict[Token, LinearMap] = {}
+    gen = {}
+    for key in generator_keys(M.max_level):
+        tok = Token(_TOKEN_KIND[key[0]], key[1], key[2] if len(key) > 2 else 1)
+        gen[key] = M.evaluate_word(functor(GeneratorWord([tok], "contravariant")), memo=memo)
+    return CyclicModuleData(M.variant, chirality, M.max_level, dict(M.spaces), gen,
+                            provenance=f"{what} of {M.provenance}",
+                            level_modules=dict(M.level_modules))
+
+
 def apply_cyclic_duality(M: CyclicModuleData) -> CyclicModuleData:
-    """Transport along the cyclic duality: a cocyclic module becomes cyclic and
-    conversely; generator matrices are rewritten through the duality."""
-    if M.variant.kind not in ("cyclic", "paracyclic", "rcyclic"):
-        raise CyclicModuleError("cyclic duality needs rotations")
-    gen: dict[tuple, LinearMap] = {}
-    for key in generator_keys(M.max_level):
-        kind, n, i = key[0], key[1], key[-1]
-        if kind == "tau":
-            gen[key] = M.tau_power(n, -1)
-        elif kind == "sigma":
-            gen[key] = M.coface(n + 1, i + 1)
-        elif i < n:
-            gen[key] = M.codegeneracy(n - 1, i)
-        else:
-            # the wrapping (co)face goes through the inverse rotation
-            s, t_inv = M.codegeneracy(n - 1, 0), gen[("tau", n)]
-            gen[key] = s.compose(t_inv) if M.chirality == "cocyclic" else t_inv.compose(s)
-    return CyclicModuleData(M.variant, _flip(M.chirality), M.max_level, dict(M.spaces),
-                            gen, provenance=f"cyclic dual of {M.provenance}",
-                            level_modules=dict(M.level_modules))
-
-
-def apply_cyclic_duality_inverse(M: CyclicModuleData) -> CyclicModuleData:
-    """The exact inverse of apply_cyclic_duality, recovering the original module.
-
-    Note that applying the duality transport twice is not the identity: the
-    composite is the index-shift automorphism of the cyclic category, so
-    invertibility is what can be verified on the nose.
-    """
-    gen: dict[tuple, LinearMap] = {}
-    for key in generator_keys(M.max_level):
-        kind, m, i = key[0], key[1], key[-1]
-        if kind == "tau":
-            gen[key] = M.tau_power(m, -1)
-        elif kind == "sigma":
-            gen[key] = M.coface(m + 1, i)
-        elif i:
-            gen[key] = M.codegeneracy(m - 1, i - 1)
-        elif M.chirality == "cyclic":
-            # recovering a cocyclic module: delta_0 = tau^{-1} delta_m
-            gen[key] = M.tau(m).compose(M.codegeneracy(m - 1, m - 1))
-        else:
-            # recovering a cyclic module: d_0 = d_m t^{-1}
-            gen[key] = M.codegeneracy(m - 1, m - 1).compose(M.tau(m))
-    return CyclicModuleData(M.variant, _flip(M.chirality), M.max_level, dict(M.spaces),
-                            gen, provenance=f"inverse cyclic dual of {M.provenance}",
-                            level_modules=dict(M.level_modules))
+    """Transport along the cyclic duality L (cyclic_cat.dualize_L): a cocyclic
+    module becomes cyclic and conversely."""
+    return transport(M, dualize_L, _flip(M.chirality), "cyclic dual")
 
 
 def apply_reindexing(M: CyclicModuleData) -> CyclicModuleData:
-    """The involutive reindexing transport: indices reflect, rotations invert."""
-    gen = {key: M.tau_power(key[1], -1) if key[0] == "tau"
-           else M.gen[(key[0], key[1], key[1] - key[2])]
-           for key in generator_keys(M.max_level)}
-    return CyclicModuleData(M.variant, M.chirality, M.max_level, dict(M.spaces), gen,
-                            provenance=f"reindexing of {M.provenance}",
-                            level_modules=dict(M.level_modules))
+    """Transport along the involutive reindexing Phi (cyclic_cat.reindex_Phi):
+    indices reflect, rotations invert."""
+    return transport(M, reindex_Phi, M.chirality, "reindexing")
+
+
+def apply_dual_reindexing(M: CyclicModuleData) -> CyclicModuleData:
+    """apply_cyclic_duality(apply_reindexing(M)) in one transport, along
+    Phi o L, which sends t_n to tau_n: no rotation is inverted."""
+    return transport(M, lambda word: reindex_Phi(dualize_L(word)), _flip(M.chirality),
+                     "cyclic dual of reindexing")
 
 
 # -- contracting homotopy -----------------------------------------------------------------
@@ -586,61 +572,6 @@ def r_cyclic_from_simple(M: CyclicModuleData, simple: ModuleData
     out = _hom_module(RCyclic(r), M.chirality, M.gen, N, spaces, simple.shape,
                       f"{r}-cyclic restriction of {M.provenance} along {simple.name}")
     return out, scalar, r
-
-
-def pretty_generator(M: CyclicModuleData, kind: str, n: int, i: int | None = None,
-                     labels: Sequence[str] | None = None) -> str:
-    """Render a generator matrix in labeled-basis notation, one line per basis
-    vector of the source: 'v -> combination of target basis vectors'.
-
-    labels name the tensor factors of the ambient space (defaults to e0, e1,
-    ...); basis vectors of the level spaces are shown as combinations of
-    labeled elementary tensors.
-    """
-    key = ("tau", n) if kind == "tau" else (
-        {"delta": "delta", "face": "delta", "coface": "delta",
-         "sigma": "sigma", "degeneracy": "sigma", "codegeneracy": "sigma"}[kind], n, i)
-    mat = M.gen[key]
-    src, tgt = (M.spaces[n] for n in generator_levels(M.chirality, key))
-
-    def vec_name(basis: SubspaceBasis, idx: int) -> str:
-        return _label_vector(basis.vectors[idx], basis.ambient_dim, labels)
-
-    lines = [f"{key}: {src.dim} -> {tgt.dim}"]
-    for c in range(src.dim):
-        terms = []
-        for r in range(tgt.dim):
-            v = mat.entry(r, c)
-            if v.is_zero():
-                continue
-            coeff = "" if v == mat.field.one() else f"({v!r})*"
-            terms.append(f"{coeff}[{vec_name(tgt, r)}]")
-        rhs = " + ".join(terms) if terms else "0"
-        lines.append(f"  [{vec_name(src, c)}] -> {rhs}")
-    return "\n".join(lines)
-
-
-def _label_vector(vec, ambient_dim: int, labels=None) -> str:
-    import math
-    d = len(labels) if labels else 0
-    terms = []
-    for idx, v in enumerate(vec):
-        if v.is_zero():
-            continue
-        if labels and d > 1:
-            k = round(math.log(ambient_dim, d))
-            digits = []
-            rest = idx
-            for _ in range(k):
-                digits.append(rest % d)
-                rest //= d
-            digits.reverse()
-            name = "(x)".join(labels[t] for t in digits)
-        else:
-            name = f"e{idx}"
-        coeff = "" if repr(v) == "1" else f"{v!r}*"
-        terms.append(f"{coeff}{name}")
-    return " + ".join(terms) if terms else "0"
 
 
 def module_to_json(M: CyclicModuleData) -> dict:

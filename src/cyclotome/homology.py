@@ -73,10 +73,10 @@ def connes_B(M: CyclicModuleData, n: int) -> LinearMap:
     norm = _norm_operator(M, n)
     if M.chirality == "cocyclic":
         # C^{n+1} -> C^n: norm o extra codegeneracy o (1 - signed rotation)
-        extra = M.codegeneracy(n, n).compose(M.tau_power(n + 1, 1))
+        extra = M.codegeneracy(n, n).compose(M.tau(n + 1))
         return norm.compose(extra).compose(one_top - lam_top)
     # M_n -> M_{n+1}: (1 - signed rotation) o extra degeneracy o norm
-    extra = M.tau_power(n + 1, 1).compose(M.codegeneracy(n, n))
+    extra = M.tau(n + 1).compose(M.codegeneracy(n, n))
     return (one_top - lam_top).compose(extra).compose(norm)
 
 

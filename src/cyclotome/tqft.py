@@ -17,11 +17,11 @@ from dataclasses import dataclass
 from .coend import CoendData, _pairing_matrix
 from .cyclic_cat import CYCLIC
 from .cyclic_modules import (
-    CyclicModuleData, apply_cyclic_duality, apply_reindexing,
+    CyclicModuleData, apply_dual_reindexing, apply_reindexing,
     cocyclic_module_from_coalgebra, cyclic_module_from_algebra, generator_levels,
-    invariant_tensor_basis, restrict_generators,
+    invariant_tensor_basis, object_faces, restrict_generators,
 )
-from .linalg import LinearMap, SubspaceBasis, TensorShape, UNIT, whisker
+from .linalg import LinearMap, SubspaceBasis, TensorShape, whisker
 from .reports import CheckReport
 
 
@@ -143,25 +143,11 @@ def build_rt_cyclic(data: CoendData, N: int) -> RTModuleData:
 def _closed_form_generators(data: CoendData, M: CyclicModuleData) -> dict[tuple, LinearMap]:
     """The (co)faces and (co)degeneracies of the state module M whose diagram
     values are known in closed form, as postcomposition maps on the states:
-    unit insertions and products (cocyclic), counit contractions and coproduct
-    insertions (cyclic)."""
-    d = TensorShape([data.dim])
-    if M.chirality == "cocyclic":
-        ops = {"delta": LinearMap.from_function(data.field, UNIT, d,
-                                                lambda c: enumerate(data.unit)),
-               "sigma": data.m.reshaped(d * d, d)}
-    else:
-        ops = {"delta": data.counit.reshaped(d, UNIT),
-               "sigma": data.Delta.reshaped(d, d * d)}
-    ambient = {}
-    for key in M.gen:
-        if key[0] == "tau":
-            continue
-        op, pos = ops[key[0]], key[2]
-        rest = generator_levels(M.chirality, key)[0] + 1 - pos - len(op.domain.factors)
-        ambient[key] = whisker(op, TensorShape([data.dim] * pos),
-                               TensorShape([data.dim] * rest))
-    out = restrict_generators(M.chirality, M.spaces, ambient)
+    the object-level faces of the coend's algebra object (unit insertions and
+    products, cocyclic) or coalgebra object (counit contractions and coproduct
+    insertions, cyclic), restricted to the state spaces."""
+    out = restrict_generators(M.chirality, M.spaces,
+                              object_faces(data, M.chirality, M.max_level))
     if any(g is None for g in out.values()):
         raise TqftError("postcomposition leaves the invariant subspace")
     return out
@@ -243,10 +229,12 @@ def verify_main_theorem(rt: RTModuleData, rel: CheckReport, sc: CheckReport) -> 
                   power == LinearMap.identity(power.field, power.domain))
 
     # (iii) the dual comparison: the reindexed state module and the plain coend
-    # module, both transported through the duality, are intertwined by omega
-    lhs_dual = apply_cyclic_duality(apply_reindexing(M))
+    # module, both transported through the duality, are intertwined by omega.
+    # Transporting M o Phi along L is transporting M along Phi o L, and
+    # base = reT o Phi as Phi o Phi = id on words; Phi o L sends t_n to tau_n,
+    # so neither side inverts a rotation
+    lhs_dual, rhs_dual = apply_dual_reindexing(M), apply_dual_reindexing(reT)
     base = rt.coend_module
-    rhs_dual = apply_cyclic_duality(base)
     ok = True
     for key, g in rhs_dual.gen.items():
         src, tgt = generator_levels(rhs_dual.chirality, key)

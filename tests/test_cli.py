@@ -547,13 +547,20 @@ def test_cat_expressions(capsys):
     assert code == 0 and out.splitlines()[0] == "d0^2.t_1 : 1->2"
     code, _, err = run(capsys, "cat", "nf bogus : 1->1")
     assert code == 2
+    # the hom-set of the constant map at the largest level: 1000 nested choices
+    code, out, _ = run(capsys, "cat", "count 1000 0 simplicial")
+    assert code == 0 and out.strip() == "1"
 
 
 @pytest.mark.parametrize("argv", [
     ("count 1 2",), ("count a b cyclic",), ("L d2^x",), ("nf t^2 : x->1",),
     ("--variant", "rcyclicX", "nf t"), ("count -1 2 cyclic",),
+    ("count 9 9 cyclic",), ("count 1 1 rcyclic(1000000)",), ("nf t : 20000->20000",),
+    ("L d0^1001",),
 ], ids=" ".join)
 def test_malformed_cat_expression_is_input_error(argv):
+    """Malformed expressions, levels above cyclic_cat.MAX_LEVEL and hom-sets
+    larger than cyclic_cat.MAX_HOM_COUNT end in one input-error line, at once."""
     proc = run_child("cat", *argv)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
@@ -925,14 +932,16 @@ def test_module_entry_failing_its_checks_is_rebuilt(which, damage, capsys):
 
 @pytest.mark.parametrize("k", range(len(BUNDLES["z2_semion"]["Delta"])))
 @pytest.mark.parametrize("verb", [("module", "build", "--which", "W", "-N", "1", "--no-cache"),
-                                  ("coend", "build", "--no-cache")])
+                                  ("coend", "build", "--no-cache"),
+                                  ("module", "build", "--which", "Wco", "-N", "1", "--no-cache"),
+                                  ("homology", "--chirality", "cyclic", "-N", "1")])
 def test_coproduct_with_an_empty_sum_is_no_traceback(tmp_path, verb, k):
     """z2_semion.json with entry k of Delta dropped; Delta of a group algebra
     has one entry per basis element, so one Delta(e_j) has no terms and its
-    action on every tensor product is a kron_sum over none.  Nothing raises,
-    and the coend build, whose gates read the coproduct, fails them.
-    module build gates no Hopf axiom of its input, and W at N = 1 passes with
-    empty levels."""
+    action on every tensor product is a kron_sum over none.  Nothing raises:
+    the coend build, whose gates read the coproduct, fails them, and the
+    explicit models W and Wco, which homology --chirality cyclic reads too,
+    fail the Hopf axioms (exit 1)."""
     obj = json.loads(json.dumps(BUNDLES["z2_semion"]))
     del obj["Delta"][k]
     bad = tmp_path / "bad.json"
@@ -940,5 +949,8 @@ def test_coproduct_with_an_empty_sum_is_no_traceback(tmp_path, verb, k):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([*verb, "--algebra", str(bad)])
-    assert code in ((1, 2) if verb[0] == "coend" else (0, 1, 2)), out.getvalue()
+    if verb[0] == "coend":
+        assert code in (1, 2), out.getvalue()
+    else:
+        assert code == 1 and "Hopf axioms fail" in out.getvalue() + err.getvalue()
     assert "Traceback" not in err.getvalue()

@@ -148,15 +148,6 @@ def test_character_tracelike_on_sweedler(coends):
     assert rep.ok, rep.failures
 
 
-def test_pairing_inverse_surface(coends):
-    from cyclotome.coend import pairing_inverse
-    cd = coends["double_z2"]
-    Om = pairing_inverse(cd)
-    assert len(Om) == cd.dim ** 2
-    with pytest.raises(CoendError):
-        pairing_inverse(coends["z2_trivial"])
-
-
 def test_antipode_properties(coends):
     for name, cd in coends.items():
         assert cd.antipode.compose(cd.antipode) == cd.twist_map, name

@@ -5,14 +5,14 @@ import pytest
 from cyclotome.coend import (
     CoendError, braided_coproduct, build_coend_hopf, coend_from_json, coend_to_json,
 )
-from cyclotome.cyclic_cat import CYCLIC, RCyclic
+from cyclotome.cyclic_cat import CYCLIC, RCyclic, dualize_L, reindex_Phi
 from cyclotome.cyclic_modules import (
-    CyclicModuleError, apply_cyclic_duality,
-    apply_cyclic_duality_inverse, apply_reindexing, build_paracyclic,
+    CyclicModuleError, apply_cyclic_duality, apply_dual_reindexing,
+    apply_reindexing, build_paracyclic,
     check_relations, contracting_homotopy, cocyclic_module_from_coalgebra,
     cyclic_module_from_algebra, explicit_coend_cocyclic, explicit_coend_cyclic,
     explicit_cocyclic_rotation, generator_keys, generator_levels,
-    invariant_tensor_basis, r_cyclic_from_simple, twisted_cyclicity_check,
+    invariant_tensor_basis, r_cyclic_from_simple, transport, twisted_cyclicity_check,
 )
 from cyclotome.fields import Cyclotomic, Rationals
 from cyclotome.hopf import drinfeld_double_of_cyclic, load_algebra
@@ -327,17 +327,38 @@ def test_dual_formulas_independent_implementation(coends):
             assert direct.entries == dual.coface(n, i).entries, (n, i)
 
 
-def test_duality_inverse_roundtrip(coends):
+def test_duality_twice_is_the_index_shift(coends):
+    """L o L is the index shift of the cyclic category: on L(L(M)) the
+    (co)face and the (co)degeneracy i at level n are those of M at i + 1 for
+    i < n, and the rotations are those of M."""
     cd = coends["sweedler_h4"]
-    for builder in (lambda: cyclic_module_from_algebra(cd, 2),
-                    lambda: cocyclic_module_from_coalgebra(cd, 2)):
-        M = builder()
-        back = apply_cyclic_duality_inverse(apply_cyclic_duality(M))
-        assert back.chirality == M.chirality
-        for key in back.gen:
-            assert back.gen[key].entries == M.gen[key].entries, key
-        # and the dual itself satisfies the relations
-        assert check_relations(apply_cyclic_duality(M)).ok
+    for M in (cyclic_module_from_algebra(cd, 2), cocyclic_module_from_coalgebra(cd, 2)):
+        LL = apply_cyclic_duality(apply_cyclic_duality(M))
+        assert LL.chirality == M.chirality
+        for key in generator_keys(2):
+            kind, n = key[0], key[1]
+            if kind == "tau":
+                assert LL.gen[key].entries == M.gen[key].entries, key
+            elif key[2] < n:
+                assert LL.gen[key].entries == M.gen[(kind, n, key[2] + 1)].entries, key
+        assert check_relations(LL).ok
+
+
+@pytest.mark.parametrize("name", ["z2_trivial", "z2_semion", "sweedler_h4", "double_z2"])
+def test_dual_reindexing_is_the_composite_transport(name, coends):
+    """One transport along Phi o L gives the cyclic dual of the reindexing,
+    on every generator of the cocyclic and the cyclic module of each bundle;
+    L o Phi, the other order, does not."""
+    cd = coends[name]
+    for M in (cocyclic_module_from_coalgebra(cd, 2), cyclic_module_from_algebra(cd, 2)):
+        one, two = apply_dual_reindexing(M), apply_cyclic_duality(apply_reindexing(M))
+        assert (one.chirality, one.provenance) == (two.chirality, two.provenance)
+        assert one.gen.keys() == two.gen.keys()
+        for key in two.gen:
+            assert one.gen[key].entries == two.gen[key].entries, (name, M.chirality, key)
+        swapped = transport(M, lambda word: dualize_L(reindex_Phi(word)), one.chirality,
+                            "reindexing of cyclic dual")
+        assert any(swapped.gen[key].entries != g.entries for key, g in two.gen.items())
 
 
 def test_reindexing(coends):
@@ -524,16 +545,6 @@ def test_r_cyclic_rejects_nonsimple(coends):
     from cyclotome.hopf import regular_module
     with pytest.raises(CyclicModuleError):
         r_cyclic_from_simple(P, regular_module(cd.algebra))
-
-
-def test_pretty_generator(algebras):
-    from cyclotome.cyclic_modules import pretty_generator
-    H, _ = algebras["z2_trivial"]
-    W = explicit_coend_cyclic(H, 2)
-    text = pretty_generator(W, "tau", 1, labels=H.basis_labels)
-    assert "->" in text and "(x)" in text
-    lines = text.splitlines()
-    assert len(lines) == 1 + W.dim(1)
 
 
 def test_braided_ordering_degenerate_on_bundled(algebras):

@@ -363,24 +363,36 @@ def test_linalg_builds_scalars_only_at_the_boundary():
 # -- no dead private helpers ---------------------------------------------------------------
 
 
-def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
-    """Module-level functions named `_x` (not dunders) that no file of the
-    package references: no name, attribute or import of that name anywhere
-    outside the function's own body."""
+def _module_functions(sources: dict[str, str]):
+    """The module-level functions of the package as (file, line, name), and
+    the names referenced outside the body of the function of that name: a
+    name, an attribute, an imported alias, or the `command=` string of the
+    CLI's parser, by which `cli.main` dispatches to a verb's function."""
     defined, used = [], set()
     for filename, source in sources.items():
         for stmt in ast.parse(source, filename).body:
             own = stmt.name if isinstance(stmt, FUNCTIONS) else None
-            if own and own.startswith("_") and not own.startswith("__"):
+            if own:
                 defined.append((filename, stmt.lineno, own))
             for node in ast.walk(stmt):
                 name = (node.id if isinstance(node, ast.Name)
                         else node.attr if isinstance(node, ast.Attribute)
-                        else node.name if isinstance(node, ast.alias) else None)
+                        else node.name if isinstance(node, ast.alias)
+                        else node.value.value if isinstance(node, ast.keyword)
+                        and node.arg == "command" and isinstance(node.value, ast.Constant)
+                        else None)
                 if name is not None and name != own:
                     used.add(name)
-    return [f"{filename}:{line} {name}" for filename, line, name in sorted(defined)
-            if name not in used]
+    return sorted(defined), used
+
+
+def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
+    """Module-level functions named `_x` (not dunders) that no file of the
+    package references: no name, attribute or import of that name anywhere
+    outside the function's own body."""
+    defined, used = _module_functions(sources)
+    return [f"{filename}:{line} {name}" for filename, line, name in defined
+            if name.startswith("_") and not name.startswith("__") and name not in used]
 
 
 def test_lint_flags_unreferenced_private_functions():
@@ -411,3 +423,58 @@ def test_no_unreferenced_private_functions_in_package():
                for path in sorted(PACKAGE.glob("*.py"))}
     found = unreferenced_private_functions(sources)
     assert not found, "\n".join(found)
+
+
+# -- every public function has a caller in the package, or is library API ------------------
+
+# the public functions that no function of the package calls: gates and helpers
+# that the tests and user code call, the builders of generated algebras, and the
+# elimination and action kernels that perfbench/tracer.py wraps by name
+LIBRARY_API = {
+    "apply_cyclic_duality", "character_checks", "characters_span_check",
+    "contracting_homotopy", "drinfeld_double_of_cyclic", "group_algebra_simples",
+    "hom_space", "integrals", "interpret_at", "kernel_with_free_columns",
+    "relation_suite", "right_coadjoint_power", "sbi_consistency", "sweedler_h4",
+}
+
+
+def unreferenced_public_functions(sources: dict[str, str],
+                                  api=frozenset(LIBRARY_API)) -> list[str]:
+    """Module-level functions not named `_x` that no file of the package
+    references outside the function's own body and that api does not name."""
+    defined, used = _module_functions(sources)
+    return [f"{filename}:{line} {name}" for filename, line, name in defined
+            if not name.startswith("_") and name not in used and name not in api]
+
+
+def test_lint_flags_unreferenced_public_functions():
+    a = (
+        "def dead():\n"
+        "    return 1\n"
+        "def api():\n"
+        "    return 2\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1)\n"
+        "def cmd_verb(args):\n"
+        "    return _private()\n"
+        "def _private():\n"
+        "    return 3\n"
+        "parser.set_defaults(command='cmd_verb', name='named')\n"
+        "def named():\n"
+        "    return 4\n"
+        "def imported():\n"
+        "    return 5\n"
+    )
+    b = "from .a import imported\n"
+    assert unreferenced_public_functions({"a.py": a, "b.py": b}, api={"api"}) == [
+        "a.py:1 dead", "a.py:5 recursive", "a.py:12 named"]
+
+
+def test_every_public_function_is_called_in_the_package_or_library_api():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    found = unreferenced_public_functions(sources)
+    assert not found, "\n".join(found)
+    # and LIBRARY_API names no function that is gone or has gained a caller
+    uncalled = {s.split()[-1] for s in unreferenced_public_functions(sources, api=set())}
+    assert uncalled == LIBRARY_API, sorted(LIBRARY_API - uncalled)

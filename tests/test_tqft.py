@@ -278,11 +278,11 @@ def test_main_theorem(rt_co):
     assert rep.ok, rep.failures
 
 
-def test_theorem_check_inverts_each_rotation_three_times(double, rt_co, monkeypatch):
-    """At N = 2 the theorem check inverts each level's rotation three times:
-    in the reindexing of the state module and in the two duality transports.
-    The negative control reads the inverse coend rotations from the
-    reindexed coend module instead of inverting them a fourth time."""
+def test_theorem_check_inverts_no_rotation(double, rt_co, monkeypatch):
+    """At N = 2 the theorem check solves no linear system: the coend module was
+    reindexed when the state module was built, the dual comparison transports
+    along Phi o L, which sends t_n to tau_n, and the negative control reads
+    the inverse coend rotations from the reindexed coend module."""
     from cyclotome import linalg
     solves = []
     solve_columns = linalg._solve_columns
@@ -293,7 +293,27 @@ def test_theorem_check_inverts_each_rotation_three_times(double, rt_co, monkeypa
 
     monkeypatch.setattr(linalg, "_solve_columns", counted_solve)
     assert _theorem(rt_co).ok
-    assert len(solves) <= 3 * 3
+    assert not solves
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_tqft_verify_inverts_each_rotation_once(monkeypatch, capsys, N):
+    """tqft verify -N N inverts the N + 1 rotations of the coend module once,
+    in its reindexing; the dual comparison transports along Phi o L, which
+    sends t_n to tau_n, and inverts none."""
+    from cyclotome import cli, cyclic_modules
+    calls = []
+    invert_map = cyclic_modules.invert
+
+    def counted(*args):
+        calls.append(1)
+        return invert_map(*args)
+
+    monkeypatch.setattr(cyclic_modules, "invert", counted)
+    assert cli.main(["tqft", "verify", "-N", str(N),
+                     "--algebra", str(DATA / "double_z2.json")]) == 0
+    capsys.readouterr()
+    assert len(calls) == N + 1
 
 
 def test_generators_preserve_invariance(rt_co, double):
