@@ -166,16 +166,10 @@ def normal_form(f: CyclicMap) -> tuple[CyclicMap, int]:
         raise CyclicCatError("simplicial maps are their own normal form")
     n, m = f.source_n, f.target_m
     n1, m1 = n + 1, m + 1
-    # find the window of inputs whose values land in [0, m]
-    lo = -n1 * (abs(f.values[0]) // m1 + 2)
-    hi = -lo + n1
-    y0 = None
-    for y in range(lo, hi):
-        if 0 <= f.extended(y) <= m:
-            y0 = y
-            break
-    if y0 is None:
-        raise CyclicCatError(f"no canonical window for {f}")
+    # the window starts at the first y with f(y) >= 0: on the class of s mod
+    # n + 1 that is s - (n + 1) (f(s) // (m + 1)), and f(y) <= m there, since
+    # f(y - 1) < 0 and f rises by at most m + 1 per step
+    y0 = min(s - n1 * (v // m1) for s, v in enumerate(f.values))
     window = [f.extended(y0 + k) for k in range(n1)]
     if not (0 <= window[0] <= window[-1] <= m):
         raise CyclicCatError(f"window extraction failed for {f}")
@@ -199,8 +193,8 @@ def simplicial_word(mono: CyclicMap) -> "GeneratorWord":
     if mono.variant.kind != "simplicial":
         raise CyclicCatError("epi-mono decomposition applies to simplicial maps")
     n, m = mono.source_n, mono.target_m
-    image = sorted(set(mono.values))
-    missed = [i for i in range(m + 1) if i not in set(mono.values)]
+    image = set(mono.values)
+    missed = [i for i in range(m + 1) if i not in image]
     doubled = [j for j in range(n) if mono.values[j] == mono.values[j + 1]]
     tokens: list[Token] = []
     level = m

@@ -24,7 +24,7 @@ from .hopf import (
     coadjoint_blocks, hom_basis, invariance_blocks, trivial_module, twist, verify_axioms,
 )
 from .linalg import (
-    LinearMap, SubspaceBasis, TensorShape, UNIT, invert, kron_sum, literal_parser,
+    LinearMap, SubspaceBasis, UNIT, invert, kron_sum, literal_parser,
     map_from_json, map_to_json, stack, vector_from_json, vector_to_json, whisker,
 )
 from .reports import CheckReport
@@ -116,7 +116,7 @@ class CyclicModuleData:
         if not word.tokens:
             if level is None:
                 raise CyclicModuleError("empty word needs a level")
-            return LinearMap.identity(self._field(), TensorShape([self.dim(level)]))
+            return LinearMap.identity(self._field(), self.dim(level))
         if memo is None:
             memo = {}
         for t in word.tokens:
@@ -151,8 +151,7 @@ def check_relations(M: CyclicModuleData, N: int | None = None) -> CheckReport:
     for inst in relation_instances(N, M.variant):
         lhs = M.evaluate_word(inst.lhs, level=inst.identity_level)
         if inst.identity_level is not None:
-            rhs = LinearMap.identity(lhs.field,
-                                     TensorShape([M.dim(inst.identity_level)]))
+            rhs = LinearMap.identity(lhs.field, M.dim(inst.identity_level))
         else:
             rhs = M.evaluate_word(inst.rhs)
         rep.check(f"{inst.name}@{inst.level}"
@@ -217,7 +216,7 @@ def _restricted(variant: CategoryVariant, chirality: str, N: int,
 
 
 def _hom_module(variant: CategoryVariant, chirality: str, gen: dict[tuple, LinearMap],
-                N: int, spaces: dict[int, SubspaceBasis], target: TensorShape,
+                N: int, spaces: dict[int, SubspaceBasis], target: int,
                 provenance: str, level_modules: dict | None = None) -> CyclicModuleData:
     """Hom(-, X) of an object-level module with generators gen: on T flattened
     as a vector of X (x) W, T o f is (id_X (x) f^T) T.  Hom is contravariant,
@@ -244,7 +243,7 @@ def _rotation(H: HopfAlgebraData, n: int, R: Vector, ribbon: Vector,
         x = [R[i * d + j] for i in range(d)]
         if not all(c.is_zero() for c in x):
             terms.append((None, bulk, coadjoint_action(H, H.multiply(x, ribbon), 1)))
-    return kron_sum(H.field, (H.power_shape(n),) * 2, (H.shape, H.shape), terms,
+    return kron_sum(H.field, (d ** n, d ** n), (d, d), terms,
                     "rows" if to_front else "columns")
 
 
@@ -279,9 +278,9 @@ def _explicit(H: HopfAlgebraData, N: int, chirality: str, face: LinearMap,
         if kind == "tau":
             ambient[key] = rotation(H, n)
         elif kind == "sigma":
-            ambient[key] = whisker(degen, H.power_shape(i + 1), H.power_shape(n - i))
+            ambient[key] = whisker(degen, H.dim ** (i + 1), H.dim ** (n - i))
         elif i < n:
-            ambient[key] = whisker(face, H.power_shape(i), H.power_shape(n - 1 - i))
+            ambient[key] = whisker(face, H.dim ** i, H.dim ** (n - 1 - i))
         else:
             first, tau = ambient[("delta", n, 0)], ambient[("tau", n)]
             ambient[key] = (first.compose(tau) if chirality == "cyclic"
@@ -297,7 +296,7 @@ def explicit_coend_cyclic(H: HopfAlgebraData, N: int) -> CyclicModuleData:
     degeneracies insert the unit, the cyclic operator is the braided rotation."""
     if H.R is None or H.theta is None:
         raise CyclicModuleError("the explicit cyclic model needs ribbon data")
-    u_map = LinearMap.from_function(H.field, UNIT, H.shape, lambda c: enumerate(H.u))
+    u_map = LinearMap.from_function(H.field, UNIT, H.dim, lambda c: enumerate(H.u))
     return _explicit(H, N, "cyclic", H.m, u_map, explicit_cyclic_rotation)
 
 
@@ -324,11 +323,11 @@ def _object_axioms(data: CoendData, chirality: str):
     if what is None:
         raise CyclicModuleError(f"unknown chirality {chirality!r}")
     rep = CheckReport(f"{what} axioms for {data.name}")
-    V, c = data.carrier, data.carrier.shape
+    V, c = data.carrier, data.dim
     eye = LinearMap.identity(data.field, c)
     one = trivial_module(data.algebra)
     if chirality == "cyclic":
-        co, eps = data.Delta.reshaped(c, c * c), data.counit.reshaped(c, UNIT)
+        co, eps = data.Delta, data.counit
         rep.check("coassociativity",
                   whisker(co, UNIT, c).compose(co) == whisker(co, c, UNIT).compose(co))
         rep.check("counit", whisker(eps, UNIT, c).compose(co) == eye
@@ -336,7 +335,7 @@ def _object_axioms(data: CoendData, chirality: str):
         rep.check("comultiplication is equivariant", _is_intertwiner(co, V, data.power(2)))
         rep.check("counit is equivariant", _is_intertwiner(eps, V, one))
     else:
-        m, u = data.m.reshaped(c * c, c), data.unit_map()
+        m, u = data.m, data.unit_map()
         rep.check("associativity",
                   m.compose(whisker(m, UNIT, c)) == m.compose(whisker(m, c, UNIT)))
         rep.check("unit", m.compose(whisker(u, UNIT, c)) == eye
@@ -354,13 +353,13 @@ def object_faces(data: CoendData, chirality: str, N: int) -> dict[tuple, LinearM
     slot i by the counit and degeneracy j comultiplies slot j; for the algebra
     coface i inserts the unit at slot i and codegeneracy j multiplies slots j
     and j + 1."""
-    c, d = data.carrier.shape, data.carrier.dim
+    d = data.dim
     if chirality == "cyclic":
-        face, degen = data.counit.reshaped(c, UNIT), data.Delta.reshaped(c, c * c)
+        face, degen = data.counit, data.Delta
     else:
-        face, degen = data.unit_map(), data.m.reshaped(c * c, c)
-    return {key: whisker(face if key[0] == "delta" else degen, TensorShape([d] * key[2]),
-                         TensorShape([d] * (key[1] - key[2])))
+        face, degen = data.unit_map(), data.m
+    return {key: whisker(face if key[0] == "delta" else degen, d ** key[2],
+                         d ** (key[1] - key[2]))
             for key in generator_keys(N) if key[0] != "tau"}
 
 
@@ -458,19 +457,16 @@ def contracting_homotopy(data: CoendData, M: CyclicModuleData,
     V = data.carrier
     F = data.field
     N = M.max_level if N is None else min(N, M.max_level)
-    eps = data.counit.reshaped(V.shape, UNIT)
+    eps = data.counit
     rep = CheckReport(f"contracting homotopy for {data.name}")
     rep.check("section property: counit of alpha is 1", eps.apply(alpha)[0] == F.one())
     if not rep.ok:
         raise CyclicModuleError("the supplied section does not split the counit")
 
-    alpha_map = LinearMap.from_function(F, UNIT, V.shape, lambda c: enumerate(alpha))
-
-    def vshape(k):
-        return TensorShape([V.dim] * k)
+    alpha_map = LinearMap.from_function(F, UNIT, V.dim, lambda c: enumerate(alpha))
 
     def h(n: int) -> LinearMap:
-        ins = whisker(alpha_map, UNIT, vshape(n))
+        ins = whisker(alpha_map, UNIT, V.dim ** n)
         out = M.spaces[n].restrict(ins.transpose(), M.spaces[n - 1])
         if out is None:
             raise CyclicModuleError(f"h_{n}: image leaves the invariant subspace")
@@ -479,7 +475,7 @@ def contracting_homotopy(data: CoendData, M: CyclicModuleData,
     for n in range(1, N):
         lhs = beta(M, n).compose(h(n)) + h(n + 1).compose(beta(M, n + 1))
         rep.check(f"homotopy identity at level {n}",
-                  lhs == LinearMap.identity(F, TensorShape([M.dim(n)])))
+                  lhs == LinearMap.identity(F, M.dim(n)))
     # level zero: h_1 beta_1 + (alpha eps)^* = id
     ae = alpha_map.compose(eps)
     ae_star = M.spaces[0].restrict(ae.transpose(), M.spaces[0])
@@ -487,7 +483,7 @@ def contracting_homotopy(data: CoendData, M: CyclicModuleData,
         raise CyclicModuleError("alpha-eps: image leaves the invariant subspace")
     lhs = h(1).compose(beta(M, 1)) + ae_star
     rep.check("homotopy identity at level 0",
-              lhs == LinearMap.identity(F, TensorShape([M.dim(0)])))
+              lhs == LinearMap.identity(F, M.dim(0)))
     return rep
 
 
@@ -502,9 +498,7 @@ def build_paracyclic(data: CoendData, N: int, chirality: str) -> CyclicModuleDat
     gen = _object_generators(data, chirality, N)
     spaces = {n: SubspaceBasis.standard(data.field, data.dim ** (n + 1))
               for n in range(N + 1)}
-    flat = {key: g.reshaped(TensorShape([g.domain.dim]), TensorShape([g.codomain.dim]))
-            for key, g in gen.items()}
-    return CyclicModuleData(PARACYCLIC, chirality, N, spaces, flat,
+    return CyclicModuleData(PARACYCLIC, chirality, N, spaces, gen,
                             provenance=f"para{chirality} module of {data.name}",
                             level_modules={n: data.power(n + 1) for n in range(N + 1)})
 
@@ -516,7 +510,7 @@ def twisted_cyclicity_check(M: CyclicModuleData) -> CheckReport:
         W = M.level_modules.get(n)
         if W is None:
             raise CyclicModuleError("twisted cyclicity needs object-level modules")
-        tw = twist(W).reshaped(TensorShape([W.dim]), TensorShape([W.dim]))
+        tw = twist(W)
         power = M.tau_power(n, n + 1)
         if M.chirality == "cyclic":
             # t_n^{n+1} = theta^{-1}: composing with theta gives the identity
@@ -549,7 +543,7 @@ def r_cyclic_from_simple(M: CyclicModuleData, simple: ModuleData
     F = simple.algebra.field
     tw = twist(simple)
     scalar = tw.entry(0, 0)
-    if tw != LinearMap.identity(F, simple.shape).scaled(scalar):
+    if tw != LinearMap.identity(F, simple.dim).scaled(scalar):
         raise CyclicModuleError("twist does not act by a scalar on the simple")
     power = F.one()
     r = None
@@ -569,7 +563,7 @@ def r_cyclic_from_simple(M: CyclicModuleData, simple: ModuleData
         if W is None:
             raise CyclicModuleError("r-cyclic restriction needs object-level modules")
         spaces[n] = hom_basis(W, simple)
-    out = _hom_module(RCyclic(r), M.chirality, M.gen, N, spaces, simple.shape,
+    out = _hom_module(RCyclic(r), M.chirality, M.gen, N, spaces, simple.dim,
                       f"{r}-cyclic restriction of {M.provenance} along {simple.name}")
     return out, scalar, r
 
@@ -617,10 +611,9 @@ def module_from_json(obj: dict) -> CyclicModuleData:
     for key, name in names.items():
         mdata = obj["gen"][name]
         src, tgt = (spaces[n].dim for n in generator_levels(chirality, key))
-        if (mdata["src"], mdata["tgt"]) != (src, tgt):
+        gen[key] = g = map_from_json(field, mdata["entries"], mdata["src"], mdata["tgt"], parse)
+        if (g.domain, g.codomain) != (src, tgt):
             raise CyclicModuleError(f"generator {name} of the module entry does not map "
                                     f"its level spaces")
-        gen[key] = map_from_json(field, mdata["entries"], TensorShape([src]),
-                                 TensorShape([tgt]), parse)
     return CyclicModuleData(variant, chirality, N,
                             spaces, gen, provenance=obj.get("provenance", ""))

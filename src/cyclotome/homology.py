@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from functools import cache
 
 from .cyclic_modules import CyclicModuleData
-from .linalg import LinearMap, SubspaceBasis, TensorShape, block_map, rank, stack
+from .linalg import LinearMap, SubspaceBasis, block_map, rank, stack
 from .reports import CheckReport
 
 
@@ -215,8 +215,7 @@ def cyclic_ranks(mc: MixedComplexData, maxN: int) -> list[int]:
 def _induced_rank(images: LinearMap, boundaries: LinearMap, rank_of) -> int:
     """Rank of a map induced on cohomology: the rank that the images of the
     cocycles add to the coboundaries of the target."""
-    both = block_map(images.field, [images.codomain.dim],
-                     [boundaries.domain.dim, images.domain.dim],
+    both = block_map(images.field, [images.codomain], [boundaries.domain, images.domain],
                      {(0, 0): boundaries, (0, 1): images})
     return rank_of(both) - rank_of(boundaries)
 
@@ -238,7 +237,7 @@ def sbi_consistency(M: CyclicModuleData, maxN: int) -> CheckReport:
     hc = _total_cohomology(blocks, diffs, maxN, ranked)
 
     def identity(d):
-        return LinearMap.identity(F, TensorShape([d]))
+        return LinearMap.identity(F, d)
 
     @cache
     def cocycles(m):

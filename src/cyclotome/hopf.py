@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 from .fields import FieldSpec, Scalar
 from .linalg import (
-    LinearMap, ShapeError, SubspaceBasis, TensorShape, UNIT, _dense, _nonzero, _payloads,
+    LinearMap, ShapeError, SubspaceBasis, UNIT, _dense, _nonzero, _payloads,
     block_flip, block_map, invert, kron_sum, literal_parser, map_from_json, solve,
     vector_from_json, whisker,
 )
@@ -49,19 +49,20 @@ class HopfAlgebraData:
                  name: str = "H"):
         if len(basis_labels) != dim:
             raise HopfError("need one basis label per dimension")
+        if dim < 1:
+            raise HopfError("a Hopf algebra has dimension at least 1 (its unit)")
         self.field = field
         self.dim = dim
         self.basis_labels = list(basis_labels)
         self.name = name
-        d = TensorShape([dim])
-        if m.domain != d * d or m.codomain != d:
+        if m.domain != dim * dim or m.codomain != dim:
             raise HopfError("m must map H(x)H -> H")
-        if Delta.domain != d or Delta.codomain != d * d:
+        if Delta.domain != dim or Delta.codomain != dim * dim:
             raise HopfError("Delta must map H -> H(x)H")
-        if epsilon.domain != d or epsilon.codomain.dim != 1:
+        if epsilon.domain != dim or epsilon.codomain != 1:
             raise HopfError("epsilon must map H -> k")
         for f_, nm in ((S, "S"), (S_inv, "S_inv")):
-            if f_.domain != d or f_.codomain != d:
+            if f_.domain != dim or f_.codomain != dim:
                 raise HopfError(f"{nm} must map H -> H")
         self.m, self.u, self.Delta, self.epsilon = m, list(u), Delta, epsilon
         self.S, self.S_inv = S, S_inv
@@ -69,18 +70,10 @@ class HopfAlgebraData:
         self.R_inv = list(R_inv) if R_inv is not None else None
         self.theta = list(theta) if theta is not None else None
         self.theta_inv = list(theta_inv) if theta_inv is not None else None
-        self._shape = d
         # caches, each kept with the data it was computed from
         self._prods = self._coadjoint = self._pivot = None
 
-    # -- shapes and element helpers ------------------------------------------------
-
-    @property
-    def shape(self) -> TensorShape:
-        return self._shape
-
-    def power_shape(self, n: int) -> TensorShape:
-        return TensorShape([self.dim] * n)
+    # -- element helpers -------------------------------------------------------------
 
     def basis_vector(self, k: int) -> Vector:
         zero = self.field.zero()
@@ -184,12 +177,12 @@ class HopfAlgebraData:
 
     def left_multiplication(self, a: Vector) -> LinearMap:
         """x |-> a x as a matrix."""
-        return LinearMap.from_function(self.field, self._shape, self._shape, lambda c: enumerate(
+        return LinearMap.from_function(self.field, self.dim, self.dim, lambda c: enumerate(
             self.multiply(a, self.basis_vector(c))))
 
     def right_multiplication(self, a: Vector) -> LinearMap:
         """x |-> x a as a matrix."""
-        return LinearMap.from_function(self.field, self._shape, self._shape, lambda c: enumerate(
+        return LinearMap.from_function(self.field, self.dim, self.dim, lambda c: enumerate(
             self.multiply(self.basis_vector(c), a)))
 
     def antipode_vec(self, a: Vector) -> Vector:
@@ -218,7 +211,7 @@ class HopfAlgebraData:
 def verify_axioms(H: HopfAlgebraData) -> CheckReport:
     """Associativity through the antipode axiom, each as an exact matrix identity."""
     rep = CheckReport(f"hopf axioms for {H.name}")
-    F, d = H.field, H.shape
+    F, d = H.field, H.dim
     eye = LinearMap.identity(F, d)
     m, Delta, eps, S = H.m, H.Delta, H.epsilon, H.S
 
@@ -279,7 +272,7 @@ def verify_quasitriangular_ribbon(H: HopfAlgebraData) -> CheckReport:
     rep.check("R invertible (left)", H.multiply(H.R_inv, H.R, 2) == one2)
     rep.check("R invertible (right)", H.multiply(H.R, H.R_inv, 2) == one2)
 
-    flip = block_flip(F, H.shape, H.shape)
+    flip = block_flip(F, H.dim, H.dim)
     for k in range(H.dim):
         h = H.basis_vector(k)
         dh = H.Delta.apply(h)
@@ -290,12 +283,12 @@ def verify_quasitriangular_ribbon(H: HopfAlgebraData) -> CheckReport:
             break
 
     # hexagons: (Delta (x) id)(R) = R13 R23 and (id (x) Delta)(R) = R13 R12
-    dR = whisker(H.Delta, UNIT, H.shape).apply(H.R)
+    dR = whisker(H.Delta, UNIT, H.dim).apply(H.R)
     r13 = _embed(H, H.R, (0, 2), 3)
     r23 = _embed(H, H.R, (1, 2), 3)
     r12 = _embed(H, H.R, (0, 1), 3)
     rep.check("hexagon (Delta x id)R = R13 R23", dR == H.multiply(r13, r23, 3))
-    idR = whisker(H.Delta, H.shape, UNIT).apply(H.R)
+    idR = whisker(H.Delta, H.dim, UNIT).apply(H.R)
     rep.check("hexagon (id x Delta)R = R13 R12", idR == H.multiply(r13, r12, 3))
 
     # ribbon element
@@ -330,8 +323,7 @@ class ModuleData:
         self.dim = dim
         self.action = action
         self.name = name
-        self.shape = TensorShape([dim])
-        if action.domain != algebra.shape * self.shape or action.codomain != self.shape:
+        if action.domain != algebra.dim * dim or action.codomain != dim:
             raise HopfError(f"action of {name} has wrong shape")
         if check:
             rep = self.verify()
@@ -342,13 +334,13 @@ class ModuleData:
     def verify(self) -> CheckReport:
         rep = CheckReport(f"module axioms for {self.name}")
         H, F = self.algebra, self.algebra.field
-        eye_v = LinearMap.identity(F, self.shape)
-        u_map = LinearMap.from_function(F, UNIT, H.shape, lambda c: enumerate(H.u))
+        eye_v = LinearMap.identity(F, self.dim)
+        u_map = LinearMap.from_function(F, UNIT, H.dim, lambda c: enumerate(H.u))
         rep.check("unit acts as identity",
-                  self.action.compose(whisker(u_map, UNIT, self.shape)) == eye_v)
+                  self.action.compose(whisker(u_map, UNIT, self.dim)) == eye_v)
         rep.check("action associativity",
-                  self.action.compose(whisker(H.m, UNIT, self.shape)) ==
-                  self.action.compose(whisker(self.action, H.shape, UNIT)))
+                  self.action.compose(whisker(H.m, UNIT, self.dim)) ==
+                  self.action.compose(whisker(self.action, H.dim, UNIT)))
         return rep
 
     def rho(self, k: int) -> LinearMap:
@@ -360,7 +352,7 @@ class ModuleData:
             for (r, col), v in self.action.entries.items():
                 j, c = divmod(col, self.dim)
                 parts[j][(r, c)] = v
-            self._rho = [LinearMap._from_clean(self.algebra.field, self.shape, self.shape, e)
+            self._rho = [LinearMap._from_clean(self.algebra.field, self.dim, self.dim, e)
                          for e in parts]
         return self._rho[k]
 
@@ -375,18 +367,17 @@ class ModuleData:
             for key, v in self.rho(k).entries.items():
                 prod = mul(v, x)
                 acc[key] = add(acc[key], prod) if key in acc else prod
-        return LinearMap._from_clean(F, self.shape, self.shape, _nonzero(F, acc))
+        return LinearMap._from_clean(F, self.dim, self.dim, _nonzero(F, acc))
 
     @classmethod
     def from_blocks(cls, algebra: HopfAlgebraData, blocks: Sequence[LinearMap],
                     name: str, check: bool = False) -> "ModuleData":
         """The module on which e_k acts by blocks[k]; entry (r, c) of blocks[k]
         is the action's entry at column k * dim V + c."""
-        shape = blocks[0].domain
-        row = block_map(algebra.field, [shape.dim], [shape.dim] * len(blocks),
+        dim = blocks[0].domain
+        row = block_map(algebra.field, [dim], [dim] * len(blocks),
                         {(0, k): block for k, block in enumerate(blocks)})
-        V = cls(algebra, shape.dim, row.reshaped(algebra.shape * shape, shape),
-                name=name, check=check)
+        V = cls(algebra, dim, row, name=name, check=check)
         V._rho = list(blocks)
         return V
 
@@ -395,9 +386,7 @@ class ModuleData:
 
 
 def trivial_module(H: HopfAlgebraData) -> ModuleData:
-    action = LinearMap.from_function(
-        H.field, H.shape * TensorShape([1]), TensorShape([1]),
-        lambda c: [(0, H.epsilon.entry(0, c))])
+    action = LinearMap.from_function(H.field, H.dim, 1, lambda c: [(0, H.epsilon.entry(0, c))])
     return ModuleData(H, 1, action, name="1")
 
 
@@ -406,16 +395,15 @@ def regular_module(H: HopfAlgebraData) -> ModuleData:
 
 
 def coproduct_action(H: HopfAlgebraData, left: Sequence[LinearMap],
-                     right: Sequence[LinearMap], shape: TensorShape) -> list[LinearMap]:
+                     right: Sequence[LinearMap]) -> list[LinearMap]:
     """The action of every e_k on X (x) Y from the actions on X and Y:
     rho(k) = sum over the nonzero Delta(e_k)_pq of Delta(e_k)_pq left[p] (x) right[q],
-    one kron_sum.  shape is the domain given to the blocks (the product of the
-    factors' dimensions)."""
+    one kron_sum."""
     F = H.field
     one = F.one().payload
     factors = (left[0].domain, left[0].codomain), (right[0].domain, right[0].codomain)
     return [kron_sum(F, *factors, [(None if c == one else c, left[p], right[q])
-                                   for p, q, c in terms]).reshaped(shape, shape)
+                                   for p, q, c in terms])
             for terms in H._coproduct_terms()]
 
 
@@ -423,8 +411,7 @@ def tensor_module(V: ModuleData, W: ModuleData, name: str | None = None) -> Modu
     """V (x) W with the coproduct action."""
     H = V.algebra
     blocks = coproduct_action(H, [V.rho(k) for k in range(H.dim)],
-                              [W.rho(k) for k in range(H.dim)],
-                              TensorShape([V.dim * W.dim]))
+                              [W.rho(k) for k in range(H.dim)])
     return ModuleData.from_blocks(H, blocks, name or f"({V.name}(x){W.name})")
 
 
@@ -468,7 +455,7 @@ def coadjoint_blocks(H: HopfAlgebraData, n: int) -> list[LinearMap]:
                for k in range(H.dim)]
         ad1 = []
         for terms in H._coproduct_terms():
-            op = LinearMap.zero(F, H.shape, H.shape)
+            op = LinearMap.zero(F, H.dim, H.dim)
             for p, q, c in terms:
                 op = op + H.right_multiplication(H.basis_vector(q)).compose(
                     H.left_multiplication(H.antipode_vec(H.basis_vector(p)))
@@ -477,8 +464,7 @@ def coadjoint_blocks(H: HopfAlgebraData, n: int) -> list[LinearMap]:
         cached = H._coadjoint = (maps, [ad0, ad1])
     levels = cached[1]
     while len(levels) <= n:
-        levels.append(coproduct_action(H, levels[-1], levels[1],
-                                       H.power_shape(len(levels))))
+        levels.append(coproduct_action(H, levels[-1], levels[1]))
     return levels[n]
 
 
@@ -487,7 +473,7 @@ def coadjoint_action(H: HopfAlgebraData, y: Vector, n: int) -> LinearMap:
     if len(y) != H.dim:
         raise ShapeError(f"element length {len(y)} != algebra dim {H.dim}")
     one = H.field.one()
-    out = LinearMap.zero(H.field, H.power_shape(n), H.power_shape(n))
+    out = LinearMap.zero(H.field, H.dim ** n, H.dim ** n)
     for a, x in zip(coadjoint_blocks(H, n), y):
         if not x.is_zero():
             out = out + (a if x == one else a.scaled(x))
@@ -504,8 +490,7 @@ def right_coadjoint_power(H: HopfAlgebraData, n: int) -> LinearMap:
     for k, a in enumerate(coadjoint_blocks(H, n)):
         for (r, c), v in a.entries.items():
             entries[(r, c * d + k)] = v
-    return LinearMap._from_clean(H.field, H.power_shape(n) * H.shape, H.power_shape(n),
-                                 entries)
+    return LinearMap._from_clean(H.field, d ** (n + 1), d ** n, entries)
 
 
 # -- hom spaces ----------------------------------------------------------------------
@@ -517,7 +502,7 @@ def invariance_blocks(rho: Callable[[int], LinearMap], eps: LinearMap) -> list[L
     {x : rho(k) x = eps(e_k) x for every k}.  Transposed blocks cut out the
     functionals f with f o rho(k) = eps(e_k) f."""
     blocks = []
-    for k in range(eps.domain.dim):
+    for k in range(eps.domain):
         r, e = rho(k), eps.entry(0, k)
         blocks.append(r if e.is_zero() else r + LinearMap.identity(r.field, r.domain).scaled(-e))
     return blocks
@@ -551,15 +536,14 @@ def hom_basis(V: ModuleData, W: ModuleData) -> SubspaceBasis:
             for c in range(dv):
                 key = (base + a * dv + c, b * dv + c)
                 entries[key] = add(entries[key], v) if key in entries else v
-    system = LinearMap.from_payloads(F, TensorShape([size]),
-                                     TensorShape([V.algebra.dim * size]), entries)
+    system = LinearMap.from_payloads(F, size, V.algebra.dim * size, entries)
     return SubspaceBasis.from_kernel(F, system)
 
 
 def hom_space(V: ModuleData, W: ModuleData) -> list[LinearMap]:
     """The basis of hom_basis(V, W) as maps V -> W."""
     F = V.algebra.field
-    return [LinearMap(F, V.shape, W.shape,
+    return [LinearMap(F, V.dim, W.dim,
                       {divmod(idx, V.dim): val for idx, val in enumerate(vec)
                        if not val.is_zero()})
             for vec in hom_basis(V, W).vectors]
@@ -588,7 +572,7 @@ def _flipped_r_action(V: ModuleData, W: ModuleData, R: Vector, exchange: str) ->
     numbered in W (x) V instead of V (x) W."""
     F, d = V.algebra.field, V.algebra.dim
     terms = [(c, V.rho(idx // d), W.rho(idx % d)) for idx, c in _payloads(F, R).items()]
-    return kron_sum(F, (V.shape, V.shape), (W.shape, W.shape), terms, exchange)
+    return kron_sum(F, (V.dim, V.dim), (W.dim, W.dim), terms, exchange)
 
 
 def twist(V: ModuleData) -> LinearMap:
@@ -616,8 +600,8 @@ def braided_rotation(V: ModuleData, Vpow: ModuleData | None, to_front: bool) -> 
     if Vpow is None:
         return tw
     if to_front:
-        return whisker(tw, UNIT, Vpow.shape).compose(braiding_inverse(V, Vpow))
-    return whisker(tw, Vpow.shape, UNIT).compose(braiding(V, Vpow))
+        return whisker(tw, UNIT, Vpow.dim).compose(braiding_inverse(V, Vpow))
+    return whisker(tw, Vpow.dim, UNIT).compose(braiding(V, Vpow))
 
 
 def drinfeld_element(H: HopfAlgebraData) -> Vector:
@@ -661,7 +645,7 @@ def quantum_trace(V: ModuleData, f: LinearMap) -> Scalar:
 
 
 def qdim(V: ModuleData) -> Scalar:
-    return quantum_trace(V, LinearMap.identity(V.algebra.field, V.shape))
+    return quantum_trace(V, LinearMap.identity(V.algebra.field, V.dim))
 
 
 def _character(V: ModuleData) -> dict[int, object]:
@@ -752,7 +736,7 @@ def modular_data(H: HopfAlgebraData, simples: list[ModuleData]) -> ModularData:
         Y = {a: value(chi_j, row) for a, row in rows.items()}
         for i, chi_i in enumerate(chars):
             entries[(i, j)] = value(chi_i, Y)
-    s_matrix = LinearMap.from_payloads(F, TensorShape([n]), TensorShape([n]), entries)
+    s_matrix = LinearMap.from_payloads(F, n, n, entries)
 
     dplus = F.zero()
     dminus = F.zero()
@@ -834,14 +818,11 @@ def group_algebra(field: FieldSpec, orders: Sequence[int],
     for i, e in enumerate(elems):
         for j, f in enumerate(elems):
             m_entries[(index[add(e, f)], i * d + j)] = one
-    shape = TensorShape([d])
-    m = LinearMap(field, shape * shape, shape, m_entries)
+    m = LinearMap(field, d * d, d, m_entries)
     u = [one if all(x == 0 for x in e) else field.zero() for e in elems]
-    Delta = LinearMap(field, shape, shape * shape,
-                      {(i * d + i, i): one for i in range(d)})
-    epsilon = LinearMap(field, shape, UNIT,
-                        {(0, i): one for i in range(d)})
-    S = LinearMap(field, shape, shape,
+    Delta = LinearMap(field, d, d * d, {(i * d + i, i): one for i in range(d)})
+    epsilon = LinearMap(field, d, UNIT, {(0, i): one for i in range(d)})
+    S = LinearMap(field, d, d,
                   {(index[neg(e)], i): one for i, e in enumerate(elems)})
     S_inv = S
 
@@ -924,7 +905,7 @@ def group_algebra_simples(H: HopfAlgebraData, orders: Sequence[int]) -> list[Mod
         for i, a in enumerate(elems):
             e = sum(s[j] * a[j] * scale[j] for j in range(k)) % L
             entries[(0, i)] = zeta ** e
-        action = LinearMap(field, H.shape * TensorShape([1]), TensorShape([1]), entries)
+        action = LinearMap(field, H.dim, 1, entries)
         out.append(ModuleData(H, 1, action, name=f"chi{''.join(map(str, s))}"))
     return out
 
@@ -939,7 +920,6 @@ def sweedler_h4(field: FieldSpec) -> HopfAlgebraData:
     zero = field.zero()
     labels = ["1", "g", "x", "gx"]
     d = 4
-    shape = TensorShape([4])
     # multiplication table: label indices 0..3 for 1, g, x, gx
     table = {
         (0, 0): (0, 1), (0, 1): (1, 1), (0, 2): (2, 1), (0, 3): (3, 1),
@@ -953,7 +933,7 @@ def sweedler_h4(field: FieldSpec) -> HopfAlgebraData:
             continue
         tgt, sgn = val
         m_entries[(tgt, i * d + j)] = one if sgn > 0 else -one
-    m = LinearMap(field, shape * shape, shape, m_entries)
+    m = LinearMap(field, d * d, d, m_entries)
     u = [one, zero, zero, zero]
 
     def pair(i, j):
@@ -965,14 +945,12 @@ def sweedler_h4(field: FieldSpec) -> HopfAlgebraData:
         (pair(2, 0), 2): one, (pair(1, 2), 2): one,
         (pair(3, 1), 3): one, (pair(0, 3), 3): one,
     }
-    Delta = LinearMap(field, shape, shape * shape, delta_entries)
-    epsilon = LinearMap(field, shape, UNIT, {(0, 0): one, (0, 1): one})
+    Delta = LinearMap(field, d, d * d, delta_entries)
+    epsilon = LinearMap(field, d, UNIT, {(0, 0): one, (0, 1): one})
     # S: 1 -> 1, g -> g, x -> -gx, gx -> x
-    S = LinearMap(field, shape, shape,
-                  {(0, 0): one, (1, 1): one, (3, 2): -one, (2, 3): one})
+    S = LinearMap(field, d, d, {(0, 0): one, (1, 1): one, (3, 2): -one, (2, 3): one})
     # S_inv: 1 -> 1, g -> g, x -> gx?  S(gx) = x so S_inv(x) = gx; S(x) = -gx so S_inv(gx) = -x
-    S_inv = LinearMap(field, shape, shape,
-                      {(0, 0): one, (1, 1): one, (3, 2): one, (2, 3): -one})
+    S_inv = LinearMap(field, d, d, {(0, 0): one, (1, 1): one, (3, 2): one, (2, 3): -one})
     R = [zero] * 16
     R[pair(0, 0)] = half
     R[pair(0, 1)] = half
@@ -1001,19 +979,19 @@ def algebra_from_json(obj: dict) -> tuple[HopfAlgebraData, list[ModuleData]]:
     field = FieldSpec.from_json(obj["field"])
     parse = literal_parser(field)
     d = obj["dim"]
-    shape = TensorShape([d])
 
     def vec(key, size):
         return vector_from_json(field, obj.get(key), size, parse)
 
-    m = map_from_json(field, obj["m"], shape * shape, shape, parse)
-    Delta = map_from_json(field, obj["Delta"], shape, shape * shape, parse)
-    S = map_from_json(field, obj["S"], shape, shape, parse)
-    S_inv = map_from_json(field, obj["S_inv"], shape, shape, parse)
+    # S first: its reader rejects a dim that is not an int before d * d is formed
+    S = map_from_json(field, obj["S"], d, d, parse)
+    m = map_from_json(field, obj["m"], d * d, d, parse)
+    Delta = map_from_json(field, obj["Delta"], d, d * d, parse)
+    S_inv = map_from_json(field, obj["S_inv"], d, d, parse)
     # the unit and the counit are required; the ribbon data is optional
     u = vector_from_json(field, obj["u"], d, parse)
     eps_vec = vector_from_json(field, obj["epsilon"], d, parse)
-    epsilon = LinearMap(field, shape, UNIT,
+    epsilon = LinearMap(field, d, UNIT,
                         {(0, i): v for i, v in enumerate(eps_vec) if not v.is_zero()})
     H = HopfAlgebraData(field, d, obj["basis"], m, u, Delta, epsilon,
                         S, S_inv, vec("R", d * d), vec("R_inv", d * d),
@@ -1022,8 +1000,7 @@ def algebra_from_json(obj: dict) -> tuple[HopfAlgebraData, list[ModuleData]]:
     simples = []
     for i, sdata in enumerate(obj.get("simples", [])):
         v = sdata["dim"]
-        action = map_from_json(field, sdata["action"], shape * TensorShape([v]),
-                               TensorShape([v]), parse)
+        action = map_from_json(field, sdata["action"], d * v, v, parse)
         simples.append(ModuleData(H, v, action, name=sdata.get("name", f"simple{i}")))
     return H, simples
 

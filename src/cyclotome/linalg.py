@@ -1,9 +1,12 @@
-"""Shape-aware exact linear algebra: sparse matrices between tensor products of based spaces.
+"""Exact linear algebra: sparse matrices between tensor products of based spaces.
 
-A LinearMap carries its domain and codomain as TensorShapes (ordered factor
-dimensions); composition, tensor product, factor permutation, transpose and
-exact kernel/rank/solve are provided.  TensorShape and LinearMap are
-immutable after construction; all arithmetic is exact.
+A LinearMap carries the dimensions of its domain and codomain as ints; a
+tensor product X1 (x) ... (x) Xk is indexed row-major, the leftmost factor
+most significant, and the maps that act on factors (whisker, kron_sum,
+permute_factors) are given the factor dimensions.  Composition, tensor
+product, factor permutation, transpose and exact kernel/rank/solve are
+provided.  A LinearMap is immutable after construction; all arithmetic is
+exact.
 
 A map's entries are the nonzero payloads of its field's elements (ints and
 tuples of ints, laid out by fields and opaque here), not Scalars.  Payloads
@@ -20,7 +23,7 @@ dense vectors only when asked for them.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, product
 from typing import Callable, Iterable, Sequence
 
 from .fields import FieldError, FieldSpec, Scalar
@@ -34,56 +37,27 @@ class Cancelled(RuntimeError):
     """Raised when a caller-supplied cancellation hook fires mid-reduction."""
 
 
-class TensorShape:
-    """Ordered factor dimensions of a tensor product; total dim is their product.
+class _Dim(int):
+    """A dimension that also answers .dim with itself.  Every map stores its
+    domain and codomain as these only because the benchmark's tracer
+    (perfbench/tracer.py) reads m.domain.dim and m.codomain.dim; delete this
+    class once the tracer reads the ints."""
 
-    Index convention is row-major with the leftmost factor most significant,
-    matching the left-associated product X1 (x) X2 (x) ... (x) Xk.
-    """
+    __slots__ = ()
 
-    __slots__ = ("factors", "dim")
-
-    def __init__(self, factors: Sequence[int]):
-        factors = tuple(factors)
-        if any(type(f) is not int or f < 0 for f in factors):
-            raise ShapeError(f"factor dimensions must be nonnegative integers, got {factors}")
-        object.__setattr__(self, "factors", factors)
-        d = 1
-        for f in factors:
-            d *= f
-        object.__setattr__(self, "dim", d)
-
-    def __setattr__(self, *args):
-        raise AttributeError("TensorShape is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, TensorShape) and self.factors == other.factors
-
-    def __hash__(self):
-        return hash(self.factors)
-
-    def __repr__(self):
-        return "x".join(map(str, self.factors)) if self.factors else "1"
-
-    def __mul__(self, other: "TensorShape") -> "TensorShape":
-        return TensorShape(self.factors + other.factors)
-
-    def index_of(self, multi: Sequence[int]) -> int:
-        assert len(multi) == len(self.factors)
-        idx = 0
-        for i, f in zip(multi, self.factors):
-            idx = idx * f + i
-        return idx
-
-    def multi_index(self, idx: int) -> tuple[int, ...]:
-        out = []
-        for f in reversed(self.factors):
-            out.append(idx % f)
-            idx //= f
-        return tuple(reversed(out))
+    @property
+    def dim(self) -> int:
+        return int(self)
 
 
-UNIT = TensorShape(())
+def _dims(*dims) -> Iterable[_Dim]:
+    """The dimensions, each checked to be a nonnegative int (not a bool)."""
+    if any(not isinstance(d, int) or isinstance(d, bool) or d < 0 for d in dims):
+        raise ShapeError(f"dimensions must be nonnegative integers, got {dims}")
+    return map(_Dim, dims)
+
+
+UNIT = 1   # the dimension of the unit object, the ground field
 
 
 class LinearMap:
@@ -101,8 +75,9 @@ class LinearMap:
 
     __slots__ = ("field", "domain", "codomain", "entries", "_whisker")
 
-    def __init__(self, field: FieldSpec, domain: TensorShape, codomain: TensorShape,
+    def __init__(self, field: FieldSpec, domain: int, codomain: int,
                  entries: dict[tuple[int, int], Scalar]):
+        domain, codomain = _dims(domain, codomain)
         clean = {}
         is_zero = field._is_zero
         for (r, c), v in entries.items():
@@ -110,8 +85,8 @@ class LinearMap:
                 raise ShapeError("entries must be Scalars")
             if v.field is not field and v.field != field:
                 raise ShapeError("entry field differs from map field")
-            if not (0 <= r < codomain.dim and 0 <= c < domain.dim):
-                raise ShapeError(f"entry ({r},{c}) out of bounds {codomain.dim}x{domain.dim}")
+            if not (0 <= r < codomain and 0 <= c < domain):
+                raise ShapeError(f"entry ({r},{c}) out of bounds {codomain}x{domain}")
             p = v.payload
             if not is_zero(p):
                 clean[(r, c)] = p
@@ -122,16 +97,16 @@ class LinearMap:
         object.__setattr__(self, "_whisker", None)
 
     @classmethod
-    def _from_clean(cls, field: FieldSpec, domain: TensorShape, codomain: TensorShape,
+    def _from_clean(cls, field: FieldSpec, domain: int, codomain: int,
                     entries: dict[tuple[int, int], object] | None,
                     whiskered: tuple | None = None) -> "LinearMap":
         """The map with these entries, which the caller knows to be nonzero
-        payloads of field at positions inside the shapes; nothing is checked.
-        A whisker passes its record and no entries."""
+        payloads of field at positions inside the dimensions; nothing is
+        checked.  A whisker passes its record and no entries."""
         m = object.__new__(cls)
         object.__setattr__(m, "field", field)
-        object.__setattr__(m, "domain", domain)
-        object.__setattr__(m, "codomain", codomain)
+        object.__setattr__(m, "domain", _Dim(domain))
+        object.__setattr__(m, "codomain", _Dim(codomain))
         if entries is not None:
             object.__setattr__(m, "entries", entries)
         object.__setattr__(m, "_whisker", whiskered)
@@ -152,29 +127,29 @@ class LinearMap:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def from_payloads(cls, field: FieldSpec, domain: TensorShape, codomain: TensorShape,
+    def from_payloads(cls, field: FieldSpec, domain: int, codomain: int,
                       entries: dict[tuple[int, int], object]) -> "LinearMap":
         """The map with these payloads of field's elements at (row, col), such
-        as sums accumulated with the field's _mul and _add: positions are
-        checked against the shapes and the zeros dropped, as the constructor
-        does; the payloads themselves are taken to be field's."""
+        as sums accumulated with the field's _mul and _add: the dimensions and
+        positions are checked and the zeros dropped, as the constructor does;
+        the payloads themselves are taken to be field's."""
+        domain, codomain = _dims(domain, codomain)
         for r, c in entries:
-            if not (0 <= r < codomain.dim and 0 <= c < domain.dim):
-                raise ShapeError(f"entry ({r},{c}) out of bounds {codomain.dim}x{domain.dim}")
+            if not (0 <= r < codomain and 0 <= c < domain):
+                raise ShapeError(f"entry ({r},{c}) out of bounds {codomain}x{domain}")
         return cls._from_clean(field, domain, codomain, _nonzero(field, entries))
 
     @staticmethod
-    def zero(field, domain: TensorShape, codomain: TensorShape) -> "LinearMap":
+    def zero(field, domain: int, codomain: int) -> "LinearMap":
         return LinearMap._from_clean(field, domain, codomain, {})
 
     @staticmethod
-    def identity(field, shape: TensorShape) -> "LinearMap":
+    def identity(field, dim: int) -> "LinearMap":
         one = field.one().payload
-        return LinearMap._from_clean(field, shape, shape,
-                                     {(i, i): one for i in range(shape.dim)})
+        return LinearMap._from_clean(field, dim, dim, {(i, i): one for i in range(dim)})
 
     @staticmethod
-    def from_rows(field, domain: TensorShape, codomain: TensorShape,
+    def from_rows(field, domain: int, codomain: int,
                   rows: Sequence[Sequence[Scalar]]) -> "LinearMap":
         entries = {}
         for r, row in enumerate(rows):
@@ -184,11 +159,11 @@ class LinearMap:
         return LinearMap(field, domain, codomain, entries)
 
     @staticmethod
-    def from_function(field, domain: TensorShape, codomain: TensorShape,
+    def from_function(field, domain: int, codomain: int,
                       fn: Callable[[int], Iterable[tuple[int, Scalar]]]) -> "LinearMap":
         """Build column by column: fn(col) yields (row, scalar) pairs."""
         entries: dict[tuple[int, int], Scalar] = {}
-        for c in range(domain.dim):
+        for c in range(domain):
             for r, v in fn(c):
                 if v.is_zero():
                     continue
@@ -238,7 +213,7 @@ class LinearMap:
         if self.field != other.field:
             raise ShapeError("field mismatch")
         if self.domain != other.domain or self.codomain != other.codomain:
-            raise ShapeError(f"shape mismatch: {self.domain}->{self.codomain} vs "
+            raise ShapeError(f"dimension mismatch: {self.domain}->{self.codomain} vs "
                              f"{other.domain}->{other.codomain}")
 
     def compose(self, first: "LinearMap") -> "LinearMap":
@@ -254,7 +229,7 @@ class LinearMap:
         """
         if self.field != first.field:
             raise ShapeError("field mismatch")
-        if first.codomain.dim != self.domain.dim:
+        if first.codomain != self.domain:
             raise ShapeError(f"cannot compose {self.domain}->{self.codomain} "
                              f"after {first.domain}->{first.codomain}")
         F = self.field
@@ -295,17 +270,9 @@ class LinearMap:
         return LinearMap._from_clean(self.field, self.codomain, self.domain,
                                      {(c, r): v for (r, c), v in self.entries.items()})
 
-    def reshaped(self, domain: TensorShape, codomain: TensorShape) -> "LinearMap":
-        """Reinterpret factor structure without touching coordinates."""
-        if domain.dim != self.domain.dim or codomain.dim != self.codomain.dim:
-            raise ShapeError("reshape must preserve total dimensions")
-        if self._whisker is not None:
-            return LinearMap._from_clean(self.field, domain, codomain, None, self._whisker)
-        return LinearMap._from_clean(self.field, domain, codomain, self.entries)
-
     def apply(self, vec: Sequence[Scalar]) -> list[Scalar]:
-        if len(vec) != self.domain.dim:
-            raise ShapeError(f"vector length {len(vec)} != domain dim {self.domain.dim}")
+        if len(vec) != self.domain:
+            raise ShapeError(f"vector length {len(vec)} != domain dim {self.domain}")
         F = self.field
         mul, add = F._mul, F._add
         xs = _payloads(F, vec)
@@ -315,7 +282,7 @@ class LinearMap:
             if x is not None:
                 p = mul(v, x)
                 acc[r] = add(acc[r], p) if r in acc else p
-        return _dense(F, self.codomain.dim, _nonzero(F, acc))
+        return _dense(F, self.codomain, _nonzero(F, acc))
 
     def entry(self, r: int, c: int) -> Scalar:
         p = self.entries.get((r, c))
@@ -375,7 +342,7 @@ def _whisker_after(record: tuple, first: LinearMap) -> dict:
     cols: dict[int, list[tuple[int, object]]] = {}
     for (r, c), v in op.entries.items():
         cols.setdefault(c, []).append((r * rd, v))
-    block_in, block_out = op.domain.dim * rd, op.codomain.dim * rd
+    block_in, block_out = op.domain * rd, op.codomain * rd
     acc: dict[tuple[int, int], object] = {}
     for (m, c), x in first.entries.items():
         i, rest = divmod(m, block_in)
@@ -397,7 +364,7 @@ def _after_whisker(second: LinearMap, record: tuple) -> dict:
     rows: dict[int, list[tuple[int, object]]] = {}
     for (r, c), v in op.entries.items():
         rows.setdefault(r, []).append((c * rd, v))
-    block_in, block_out = op.domain.dim * rd, op.codomain.dim * rd
+    block_in, block_out = op.domain * rd, op.codomain * rd
     acc: dict[tuple[int, int], object] = {}
     for (r, m), y in second.entries.items():
         i, rest = divmod(m, block_out)
@@ -410,20 +377,19 @@ def _after_whisker(second: LinearMap, record: tuple) -> dict:
     return _nonzero(F, acc)
 
 
-def whisker(op: LinearMap, left: TensorShape, right: TensorShape) -> LinearMap:
-    """id_left (x) op (x) id_right: no identity factor is built and no entry is
-    multiplied.  The map keeps the record (op, left.dim, right.dim); compose
-    works from it, and its left.dim x nnz(op) x right.dim entries are placed
-    by index arithmetic only when something else reads them (restrict, +, ==,
-    apply, tensor)."""
+def whisker(op: LinearMap, left: int, right: int) -> LinearMap:
+    """id_left (x) op (x) id_right, left and right the dimensions of the
+    identity factors: no identity factor is built and no entry is multiplied.
+    The map keeps the record (op, left, right); compose works from it, and its
+    left x nnz(op) x right entries are placed by index arithmetic only when
+    something else reads them (restrict, +, ==, apply, tensor)."""
     return LinearMap._from_clean(op.field, left * op.domain * right,
-                                 left * op.codomain * right, None,
-                                 (op, left.dim, right.dim))
+                                 left * op.codomain * right, None, (op, left, right))
 
 
 def _whisker_entries(op: LinearMap, ld: int, rd: int) -> dict:
     """The entries of id_ld (x) op (x) id_rd, each a placed entry of op."""
-    od, ocd = op.domain.dim, op.codomain.dim
+    od, ocd = op.domain, op.codomain
     entries = {}
     for (r, c), v in op.entries.items():
         for a in range(ld):
@@ -433,13 +399,12 @@ def _whisker_entries(op: LinearMap, ld: int, rd: int) -> dict:
     return entries
 
 
-def kron_sum(field, first: tuple[TensorShape, TensorShape],
-             second: tuple[TensorShape, TensorShape],
+def kron_sum(field, first: tuple[int, int], second: tuple[int, int],
              terms: Iterable[tuple[object, LinearMap, LinearMap]],
              exchange: str | None = None) -> LinearMap:
-    """sum c A (x) B over the terms (c, A, B), with A a map between the shapes
-    first = (domain, codomain), B one between second, and c a payload of
-    field or None for 1; no terms give the zero map.
+    """sum c A (x) B over the terms (c, A, B), with A a map between the
+    dimensions first = (domain, codomain), B one between second, and c a
+    payload of field or None for 1; no terms give the zero map.
 
     exchange "rows" numbers the rows in B's codomain (x) A's codomain,
     "columns" the columns in B's domain (x) A's domain, and None neither: the
@@ -450,15 +415,12 @@ def kron_sum(field, first: tuple[TensorShape, TensorShape],
     (a_dom, a_cod), (b_dom, b_cod) = first, second
     if exchange not in (None, "rows", "columns"):
         raise ShapeError(f"exchange must be None, 'rows' or 'columns', got {exchange!r}")
-    ra, rb, codomain = ((1, a_cod.dim, b_cod * a_cod) if exchange == "rows"
-                        else (b_cod.dim, 1, a_cod * b_cod))
-    ca, cb, domain = ((1, a_dom.dim, b_dom * a_dom) if exchange == "columns"
-                      else (b_dom.dim, 1, a_dom * b_dom))
+    ra, rb = (1, a_cod) if exchange == "rows" else (b_cod, 1)
+    ca, cb = (1, a_dom) if exchange == "columns" else (b_dom, 1)
     mul, add = field._mul, field._add
     acc: dict[tuple[int, int], object] = {}
     for c, A, B in terms:
-        if (A.domain.dim, A.codomain.dim, B.domain.dim, B.codomain.dim) != (
-                a_dom.dim, a_cod.dim, b_dom.dim, b_cod.dim):
+        if (A.domain, A.codomain, B.domain, B.codomain) != (a_dom, a_cod, b_dom, b_cod):
             raise ShapeError(f"terms {A.domain}->{A.codomain} (x) {B.domain}->{B.codomain} "
                              f"do not fit {a_dom}->{a_cod} (x) {b_dom}->{b_cod}")
         right = [(r2 * rb, c2 * cb, v2) for (r2, c2), v2 in B.entries.items()]
@@ -470,33 +432,33 @@ def kron_sum(field, first: tuple[TensorShape, TensorShape],
             for r2, c2, v2 in right:
                 key, prod = (r0 + r2, c0 + c2), mul(x, v2)
                 acc[key] = add(acc[key], prod) if key in acc else prod
-    return LinearMap._from_clean(field, domain, codomain, _nonzero(field, acc))
+    return LinearMap._from_clean(field, a_dom * b_dom, a_cod * b_cod, _nonzero(field, acc))
 
 
-def permute_factors(field, shape: TensorShape, perm: Sequence[int]) -> LinearMap:
-    """The map sending x_0 (x) ... (x) x_{k-1} to x_{perm[0]} (x) ... (x) x_{perm[k-1]}.
+def permute_factors(field, factors: Sequence[int], perm: Sequence[int]) -> LinearMap:
+    """The map sending x_0 (x) ... (x) x_{k-1} to x_{perm[0]} (x) ... (x) x_{perm[k-1]},
+    x_i in a space of dimension factors[i].
 
-    perm lists source factor positions in target order; the target shape
-    permutes the factor dimensions accordingly.
+    perm lists source factor positions in target order: source factor
+    perm[i] moves to slot i, whose stride is the product of the target
+    dimensions after it.
     """
-    k = len(shape.factors)
+    k = len(factors)
     if sorted(perm) != list(range(k)):
         raise ShapeError(f"not a permutation of {k} factors: {perm}")
-    target = TensorShape([shape.factors[p] for p in perm])
+    stride, s = [0] * k, 1
+    for i in reversed(range(k)):
+        stride[perm[i]] = s
+        s *= factors[perm[i]]
     one = field.one()
-    entries = {}
-    for idx in range(shape.dim):
-        multi = shape.multi_index(idx)
-        entries[(target.index_of([multi[p] for p in perm]), idx)] = one
-    return LinearMap(field, shape, target, entries)
+    entries = {(sum(x * t for x, t in zip(multi, stride)), idx): one
+               for idx, multi in enumerate(product(*map(range, factors)))}
+    return LinearMap(field, s, s, entries)
 
 
-def block_flip(field, left: TensorShape, right: TensorShape) -> LinearMap:
+def block_flip(field, left: int, right: int) -> LinearMap:
     """Flip of the two blocks: left (x) right -> right (x) left."""
-    shape = left * right
-    n_left = len(left.factors)
-    perm = list(range(n_left, len(shape.factors))) + list(range(n_left))
-    return permute_factors(field, shape, perm)
+    return permute_factors(field, [left, right], [1, 0])
 
 
 # -- the sparse JSON form ------------------------------------------------------------------
@@ -506,7 +468,7 @@ def map_to_json(m: LinearMap) -> dict:
     """The total dimensions and the sorted [row, col, scalar] triples of a map,
     each scalar rendered as its Scalar's repr is."""
     render = m.field.render
-    return {"src": m.domain.dim, "tgt": m.codomain.dim,
+    return {"src": m.domain, "tgt": m.codomain,
             "entries": sorted([[r, c, render(v)] for (r, c), v in m.entries.items()])}
 
 
@@ -526,7 +488,7 @@ def literal_parser(field) -> Callable[[object], Scalar]:
     return parse
 
 
-def map_from_json(field, entries, domain: TensorShape, codomain: TensorShape,
+def map_from_json(field, entries, domain: int, codomain: int,
                   parse: Callable[[object], Scalar]) -> LinearMap:
     """The map with these [row, col, scalar] triples, each scalar read by parse,
     a literal_parser of field.  They come from outside the program, so their
@@ -572,7 +534,7 @@ def block_map(field, rows: Sequence[int], cols: Sequence[int],
     entries = {}
     for (i, j), block in placed.items():
         if not (0 <= i < nrows and 0 <= j < ncols
-                and block.codomain.dim == rows[i] and block.domain.dim == cols[j]):
+                and block.codomain == rows[i] and block.domain == cols[j]):
             raise ShapeError(f"a map {block.domain}->{block.codomain} does not fit block "
                              f"({i}, {j}) of a map from {list(cols)} to {list(rows)}")
         if block.field != field:
@@ -580,15 +542,14 @@ def block_map(field, rows: Sequence[int], cols: Sequence[int],
         r0, c0 = row_at[i], col_at[j]
         for (r, c), v in block.entries.items():
             entries[r0 + r, c0 + c] = v
-    return LinearMap._from_clean(field, TensorShape([col_at[-1]]),
-                                 TensorShape([row_at[-1]]), entries)
+    return LinearMap._from_clean(field, col_at[-1], row_at[-1], entries)
 
 
 def stack(blocks: Sequence[LinearMap]) -> LinearMap:
     """The maps out of one space stacked into a single map to the direct sum of
     their codomains; its kernel is the intersection of their kernels."""
-    return block_map(blocks[0].field, [b.codomain.dim for b in blocks],
-                     [blocks[0].domain.dim], {(i, 0): b for i, b in enumerate(blocks)})
+    return block_map(blocks[0].field, [b.codomain for b in blocks],
+                     [blocks[0].domain], {(i, 0): b for i, b in enumerate(blocks)})
 
 
 # -- exact elimination -------------------------------------------------------------
@@ -625,8 +586,8 @@ def _reduce(m: LinearMap, extra: LinearMap | None = None, back: bool = True,
     """
     F = m.field
     mul, add, neg, inv, is_zero = F._mul, F._add, F._neg, F._inv, F._is_zero
-    ncols = m.domain.dim
-    rows: list[dict[int, object]] = [dict() for _ in range(m.codomain.dim)]
+    ncols = m.domain
+    rows: list[dict[int, object]] = [dict() for _ in range(m.codomain)]
     for (r, c), v in m.entries.items():
         rows[r][c] = v
     if extra is not None:
@@ -679,7 +640,7 @@ def kernel_with_free_columns(m: LinearMap,
     every other free column, so coordinates in this basis can be read off.
     """
     basis, free_cols, rank = _kernel(m, should_cancel)
-    return [_dense(m.field, m.domain.dim, vec) for vec in basis], free_cols, rank
+    return [_dense(m.field, m.domain, vec) for vec in basis], free_cols, rank
 
 
 def kernel_and_rank(m: LinearMap,
@@ -687,14 +648,14 @@ def kernel_and_rank(m: LinearMap,
                     ) -> tuple[list[list[Scalar]], int]:
     """Exact kernel basis and rank; rank + kernel dim = domain dim."""
     basis, _, rank = _kernel(m, should_cancel)
-    return [_dense(m.field, m.domain.dim, vec) for vec in basis], rank
+    return [_dense(m.field, m.domain, vec) for vec in basis], rank
 
 
 def _kernel(m: LinearMap, should_cancel=None):
     """The kernel basis as nonzero payloads by column, the free columns and the rank."""
     rows, pivots = _reduce(m, should_cancel=should_cancel)
     neg, one = m.field._neg, m.field.one().payload
-    free_cols = [c for c in range(m.domain.dim) if c not in pivots]
+    free_cols = [c for c in range(m.domain) if c not in pivots]
     basis = []
     for fc in free_cols:
         # a row of the reduced form has no entry left of its pivot, so the
@@ -715,7 +676,7 @@ def _solve_columns(m: LinearMap, rhs: LinearMap) -> LinearMap | None:
     every free coordinate 0, or None when there is none.  The identity
     m X = rhs is checked exactly, so an inconsistent system cannot pass."""
     rows, pivots = _reduce(m, rhs)
-    F, n = m.field, m.domain.dim
+    F, n = m.field, m.domain
     entries = {}
     for col, i in pivots.items():
         for c, v in rows[i].items():
@@ -727,18 +688,18 @@ def _solve_columns(m: LinearMap, rhs: LinearMap) -> LinearMap | None:
 
 def solve(m: LinearMap, b: Sequence[Scalar]) -> list[Scalar] | None:
     """A particular solution of m x = b, or None if inconsistent."""
-    if len(b) != m.codomain.dim:
+    if len(b) != m.codomain:
         raise ShapeError("right-hand side length mismatch")
     rhs = LinearMap(m.field, UNIT, m.codomain, {(r, 0): v for r, v in enumerate(b)})
     x = _solve_columns(m, rhs)
-    return None if x is None else [x.entry(c, 0) for c in range(m.domain.dim)]
+    return None if x is None else [x.entry(c, 0) for c in range(m.domain)]
 
 
 def invert(m: LinearMap) -> LinearMap | None:
-    """Exact two-sided inverse, or None if singular (requires square shape dims).
+    """Exact two-sided inverse, or None if singular (requires a square map).
 
     One reduction of [m | I]; the result is certified by m X = I."""
-    if m.domain.dim != m.codomain.dim:
+    if m.domain != m.codomain:
         raise ShapeError("only square maps can be inverted")
     return _solve_columns(m, LinearMap.identity(m.field, m.codomain))
 
@@ -793,7 +754,7 @@ class SubspaceBasis:
     @staticmethod
     def from_kernel(field, m: LinearMap) -> "SubspaceBasis":
         basis, free_cols, _ = _kernel(m)
-        return SubspaceBasis._from_sparse(field, m.domain.dim, basis, free_cols)
+        return SubspaceBasis._from_sparse(field, m.domain, basis, free_cols)
 
     @property
     def vectors(self) -> list[list[Scalar]]:
@@ -845,7 +806,7 @@ class SubspaceBasis:
         basis, or None if the image of some basis vector leaves the target span.
         Each image is formed from the columns of ambient at the basis vector's
         nonzero entries."""
-        if ambient.domain.dim != self.ambient_dim or ambient.codomain.dim != target.ambient_dim:
+        if ambient.domain != self.ambient_dim or ambient.codomain != target.ambient_dim:
             raise ShapeError(f"cannot restrict a map {ambient.domain}->{ambient.codomain} "
                              f"to subspaces of {self.ambient_dim} and {target.ambient_dim}")
         F = ambient.field
@@ -863,21 +824,21 @@ class SubspaceBasis:
                     p = mul(v, x)
                     image[r] = add(image[r], p) if r in image else p
             images.append(_nonzero(F, image))
-        return target._coordinate_columns(images, TensorShape([self.dim]))
+        return target._coordinate_columns(images, self.dim)
 
     def coordinates_of(self, m: LinearMap, renumber: Sequence[int]) -> LinearMap | None:
         """The matrix whose column c holds the coordinates in this basis of
         column c of m, row r of m read as ambient row renumber[r], or None if
         a column leaves the span."""
-        if m.codomain.dim != self.ambient_dim or m.field != self.field:
+        if m.codomain != self.ambient_dim or m.field != self.field:
             raise ShapeError(f"cannot read a map into {m.codomain} in this subspace")
-        columns: list[dict[int, object]] = [{} for _ in range(m.domain.dim)]
+        columns: list[dict[int, object]] = [{} for _ in range(m.domain)]
         for (r, c), v in m.entries.items():
             columns[c][renumber[r]] = v
         return self._coordinate_columns(columns, m.domain)
 
     def _coordinate_columns(self, columns: Iterable[dict[int, object]],
-                            domain: TensorShape) -> LinearMap | None:
+                            domain: int) -> LinearMap | None:
         """The map out of domain whose column c holds the coordinates of the
         c-th vector of columns, given by its nonzero payloads, or None if one
         leaves the span."""
@@ -889,11 +850,11 @@ class SubspaceBasis:
                 return None
             for k, p in coords.items():
                 entries[(k, c)] = p
-        return LinearMap._from_clean(F, domain, TensorShape([self.dim]), entries)
+        return LinearMap._from_clean(F, domain, self.dim, entries)
 
     def matrix(self) -> LinearMap:
         """Inclusion of the subspace into the ambient space (columns = basis vectors)."""
         F = self.field
         return LinearMap._from_clean(
-            F, TensorShape([self.dim]), TensorShape([self.ambient_dim]),
+            F, self.dim, self.ambient_dim,
             {(r, c): p for c, vec in enumerate(self._sparse) for r, p in vec.items()})

@@ -21,7 +21,7 @@ from .cyclic_modules import (
     cocyclic_module_from_coalgebra, cyclic_module_from_algebra, generator_levels,
     invariant_tensor_basis, object_faces, restrict_generators,
 )
-from .linalg import LinearMap, SubspaceBasis, TensorShape, whisker
+from .linalg import LinearMap, SubspaceBasis, whisker
 from .reports import CheckReport
 
 
@@ -49,9 +49,9 @@ def _onion(M: LinearMap, n: int, vectors: LinearMap, target: SubspaceBasis,
     applied one slot at a time, as n + 1 whiskers of M^T at (n+1)d products
     per nonzero instead of d^(n+1), with the slot reversal P_rev as a
     renumbering of the rows."""
-    Mt, d = M.transpose(), M.domain.dim
+    Mt, d = M.transpose(), M.domain
     for k in range(n + 1):
-        vectors = whisker(Mt, TensorShape([d] * k), TensorShape([d] * (n - k))).compose(vectors)
+        vectors = whisker(Mt, d ** k, d ** (n - k)).compose(vectors)
     return target.coordinates_of(vectors, reversal)
 
 
@@ -76,13 +76,13 @@ def _conjugation(data: CoendData, M: CyclicModuleData, states: dict[int, Subspac
     N_(W^-1), and omega^-n restricts N_(W^-1)^T; W^-1 is the inverse
     copairing Omega[a d + b] = W^-1[a][b] that build_coend_hopf certifies.
     omega^-0 o omega^0 = id is checked exactly."""
-    F, c, d, N = data.field, data.carrier.shape, data.dim, M.max_level
+    F, d, N = data.field, data.dim, M.max_level
     W = _pairing_matrix(data)
-    Winv = LinearMap(F, c, c, {divmod(i, d): v for i, v in enumerate(data.Omega)})
-    rev, lifts, omega, omega_inv = {}, {}, {}, {}
+    Winv = LinearMap(F, d, d, {divmod(i, d): v for i, v in enumerate(data.Omega)})
+    rev, lifts, omega, omega_inv = {-1: [0]}, {}, {}, {}
     for n in range(N + 1):
-        s = TensorShape([d] * (n + 1))
-        rev[n] = [s.index_of(s.multi_index(i)[::-1]) for i in range(s.dim)]
+        # index a d^n + x reversed is (x reversed) d + a
+        rev[n] = [x * d + a for a in range(d) for x in rev[n - 1]]
         lifts[n] = M.spaces[n].matrix()
         omega[n] = _onion(W, n, states[n].matrix(), M.spaces[n], rev[n])
         omega_inv[n] = _onion(Winv, n, lifts[n], states[n], rev[n])

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -110,7 +111,24 @@ def _null_unit(src):
     src["u"] = None
 
 
-@pytest.mark.parametrize("edit", [_drop_counit, _unit_index_out_of_range, _null_unit])
+def _zero_dimensional(src):
+    """Every map and vector empty at dim 0: consistent, but no Hopf algebra
+    (coend build raised IndexError on it)."""
+    for key in ("basis", "m", "Delta", "S", "S_inv", "u", "epsilon", "simples",
+                "R", "R_inv", "theta", "theta_inv"):
+        src[key] = []
+    src["dim"] = 0
+
+
+def _dim(value):
+    def edit(src):
+        src["dim"] = value
+    edit.__name__ = f"_dim_{value}"
+    return edit
+
+
+@pytest.mark.parametrize("edit", [_drop_counit, _unit_index_out_of_range, _null_unit,
+                                  _dim(True), _dim(1.5), _dim(-1), _zero_dimensional])
 def test_missing_counit_or_bad_vector_is_input_error(tmp_path, edit):
     src = json.loads((DATA / "z2_trivial.json").read_text())
     edit(src)
@@ -168,9 +186,21 @@ def test_cache_that_is_a_file_is_rejected_before_the_build(tmp_path, capsys, mon
     assert len(err.strip().splitlines()) == 1
 
 
+def _first_map_src(text, size):
+    """The entry with the "src" of its first map, in sorted key order,
+    replaced by size(src); a module entry holds its maps under "gen"."""
+    obj = json.loads(text)
+    maps = obj.get("gen", obj)
+    first = next(maps[k] for k in sorted(maps) if isinstance(maps[k], dict) and "src" in maps[k])
+    first["src"] = size(first["src"])
+    return json.dumps(obj)
+
+
 DAMAGE = {"truncated": lambda text: text[:len(text) // 2],
           "schema-only": lambda text: '{"schema": 1}',
-          "deeply-nested": lambda text: "[" * 100000 + "]" * 100000}
+          "deeply-nested": lambda text: "[" * 100000 + "]" * 100000,
+          "float-src": lambda text: _first_map_src(text, float),
+          "wrong-src": lambda text: _first_map_src(text, lambda n: n + 1)}
 
 
 @pytest.mark.parametrize("damage", sorted(DAMAGE))
@@ -294,26 +324,44 @@ def write_algebra(H, path, simples=()):
     path.write_text(json.dumps(obj), encoding="utf-8")
 
 
-def test_explicit_models_run_where_the_coend_gates_fail(tmp_path, capsys):
-    """D(Z3) fails two gates of the coend's integral formula, so coend build
-    exits 1.  W, Wco and cyclic homology never build the coend, and cocyclic
-    homology and the object-level builders build only its algebra or
-    coalgebra stage, whose gates hold: all of them pass."""
+def test_explicit_models_run_where_the_coend_gates_fail(tmp_path, capsys, monkeypatch):
+    """W, Wco and cyclic homology read only the structure constants of H and
+    never build the coend: with the coend's carrier stage made to fail, they
+    still pass on D(Z3), while every verb that reads the coend exits 1."""
     alg = tmp_path / "double_z3.json"
     H = drinfeld_double_of_cyclic(Cyclotomic(3), 3)
     write_algebra(H, alg, group_algebra_simples(H, [3, 3]))
-    code, _, err = run(capsys, "coend", "build", "--no-cache", "--algebra", str(alg))
-    assert code == 1 and "integral formula" in err
+
+    def failing_carrier(H):
+        raise coend.CoendError("the carrier stage is disabled")
+
+    monkeypatch.setattr(coend, "coend_carrier", failing_carrier)
     for argv in (("module", "build", "--which", "W", "-N", "2"),
                  ("module", "build", "--which", "Wco", "-N", "2"),
-                 ("homology", "--chirality", "cyclic", "-N", "1"),
-                 ("homology", "-N", "1"),
-                 *[("module", "build", "--which", which, "-N", "1")
-                   for which in ("generic", "genericco", "para", "paraco", "rcyclic")]):
+                 ("homology", "--chirality", "cyclic", "-N", "1")):
         code, out, err = run(capsys, *argv, "--no-cache", "--format", "json",
                              "--algebra", str(alg))
         assert (code, err) == (0, ""), argv
         assert json.loads(out)["ok"] is True
+    for argv in (("coend", "build"), ("homology", "-N", "1"), ("tqft", "verify", "-N", "1"),
+                 *[("module", "build", "--which", which, "-N", "1")
+                   for which in ("generic", "genericco", "para", "paraco", "rcyclic")]):
+        code, out, err = run(capsys, *argv, "--no-cache", "--algebra", str(alg))
+        assert code == 1 and "the carrier stage is disabled" in out + err, argv
+
+
+def test_d_z3_passes_the_coend_build_and_the_theorem(tmp_path, capsys):
+    """With the antipode on leg 0 of the integral formula, D(Z3), whose
+    antipode does not fix its basis, passes every coend gate and the
+    comparison theorem at level 1."""
+    alg = tmp_path / "double_z3.json"
+    H = drinfeld_double_of_cyclic(Cyclotomic(3), 3)
+    write_algebra(H, alg, group_algebra_simples(H, [3, 3]))
+    for argv in (("coend", "build"), ("tqft", "verify", "-N", "1")):
+        code, out, err = run(capsys, *argv, "--no-cache", "--format", "json",
+                             "--algebra", str(alg))
+        assert (code, err) == (0, ""), argv
+        assert json.loads(out)["ok"] is True, argv
 
 
 @pytest.mark.parametrize("argv,where", [
@@ -386,7 +434,7 @@ def test_failed_coalgebra_gate_fails_cocyclic_homology(capsys, monkeypatch):
 
     def doubled_coproduct(stage, rhs, arity):
         phi = factor(stage, rhs, arity)
-        if arity == 1 and phi.codomain.dim == stage.carrier.dim ** 2:
+        if arity == 1 and phi.codomain == stage.carrier.dim ** 2:
             return phi.scaled(phi.field.from_int(2))
         return phi
 
@@ -550,6 +598,16 @@ def test_cat_expressions(capsys):
     # the hom-set of the constant map at the largest level: 1000 nested choices
     code, out, _ = run(capsys, "cat", "count 1000 0 simplicial")
     assert code == 0 and out.strip() == "1"
+
+
+@pytest.mark.parametrize("exponent", ["9999999", "-9999999"])
+def test_paracyclic_normal_form_of_a_large_rotation_is_immediate(capsys, exponent):
+    """The normal form's window is read off the values, not scanned for, so
+    its cost does not grow with the rotation's exponent."""
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "cat", "--variant", "paracyclic", f"nf t^{exponent} : 3->3")
+    assert time.perf_counter() - start < 0.1
+    assert code == 0 and out.splitlines()[0] == f"t_3^{exponent} : 3->3"
 
 
 @pytest.mark.parametrize("argv", [

@@ -59,8 +59,8 @@ def test_dinaturality_against_intertwiner(coends):
     W = coadjoint_module(H)
     i_V = dinatural_component(H, V, cd.carrier)
     i_W = dinatural_component(H, W, cd.carrier)
-    eyeV = LinearMap.identity(Q, V.shape)
-    eyeW = LinearMap.identity(Q, W.shape)
+    eyeV = LinearMap.identity(Q, V.dim)
+    eyeW = LinearMap.identity(Q, W.dim)
     for f in hom_space(V, W):
         lhs = i_V.compose(f.transpose().tensor(eyeV))
         rhs = i_W.compose(eyeW.tensor(f))
@@ -72,7 +72,7 @@ def test_factor_through_identity(coends):
     H = cd.algebra
     stage = coend_carrier(H)
     phi = factor_through_coend(stage, stage.i_H, 1)
-    assert phi == LinearMap.identity(Q, cd.carrier.shape)
+    assert phi == LinearMap.identity(Q, cd.dim)
 
 
 def test_factor_through_counit(coends):
@@ -151,7 +151,7 @@ def test_character_tracelike_on_sweedler(coends):
 def test_antipode_properties(coends):
     for name, cd in coends.items():
         assert cd.antipode.compose(cd.antipode) == cd.twist_map, name
-        eye = LinearMap.identity(cd.field, cd.carrier.shape)
+        eye = LinearMap.identity(cd.field, cd.dim)
         assert cd.pairing.compose(cd.antipode.tensor(eye)) == \
             cd.pairing.compose(eye.tensor(cd.antipode)), name
 
@@ -165,13 +165,6 @@ def test_inconsistent_diagram_rejected(coends):
                          {(0, 3): Q.one(), (0, 5): Q.one()})
     with pytest.raises(CoendError):
         factor_through_coend(coend_carrier(H), shuffled, 1)
-
-
-# the two gates of the integral formula that D(Z3) fails today; the build
-# must raise on these alone, or pass once the formula is fixed
-D_Z3_KNOWN_FAILURES = ("coend integral/pairing gates failed: ['integral formula "
-                       "reproduces the inverse copairing', 'integral composite equals "
-                       "omega(Lambda,Lambda) id']")
 
 
 def test_compose_reads_few_entries_per_product_on_the_d_z3_coend(monkeypatch):
@@ -202,11 +195,7 @@ def test_compose_reads_few_entries_per_product_on_the_d_z3_coend(monkeypatch):
     monkeypatch.setattr(FieldSpec, "_mul", counted_mul)
     monkeypatch.setattr(linalg, "_whisker_entries", counted_written_out)
     monkeypatch.setattr(LinearMap, "compose", counted_compose)
-    H = drinfeld_double_of_cyclic(Cyclotomic(3), 3)
-    try:
-        build_coend_hopf(H)
-    except CoendError as exc:
-        assert str(exc) == D_Z3_KNOWN_FAILURES
+    build_coend_hopf(drinfeld_double_of_cyclic(Cyclotomic(3), 3))
     assert counts["products"] > 0
     assert counts["read"] <= 2 * counts["products"], counts
 
@@ -223,7 +212,7 @@ def dense_dinatural(H, V, carrier):
                 val = V.rho(k).entry(a, b)
                 if not val.is_zero():
                     entries[(k, a * V.dim + b)] = val
-    return LinearMap(H.field, V.shape * V.shape, carrier.shape, entries)
+    return LinearMap(H.field, V.dim * V.dim, carrier.dim, entries)
 
 
 def dense_coev_right(V):
@@ -235,7 +224,7 @@ def dense_coev_right(V):
             v = gi.entry(r, j)
             if not v.is_zero():
                 entries[(j * d + r, 0)] = v
-    return LinearMap(V.algebra.field, UNIT, V.shape * V.shape, entries)
+    return LinearMap(V.algebra.field, UNIT, d * d, entries)
 
 
 def dense_pairing_value(cd, x, y):
@@ -266,8 +255,7 @@ def dense_contractions(cd, Om):
             left[(b, c)] = left.get((b, c), F.zero()) + w * v
             w = cd.pairing.entry(0, b * d + c)
             right[(a, c)] = right.get((a, c), F.zero()) + v * w
-    return (LinearMap(F, cd.carrier.shape, cd.carrier.shape, left),
-            LinearMap(F, cd.carrier.shape, cd.carrier.shape, right))
+    return LinearMap(F, d, d, left), LinearMap(F, d, d, right)
 
 
 def modules_of(cd):
@@ -314,36 +302,58 @@ def test_character_functional_matches_the_dense_reference(coends):
 def test_copairing_contractions_match_the_dense_reference(coends):
     """The two side conditions of the copairing are whiskers of the pairing."""
     for name, cd in coends.items():
-        F, c = cd.field, cd.carrier.shape
+        F, c = cd.field, cd.dim
         Om = [F.from_int((k * 7) % 5 - 2) for k in range(cd.dim ** 2)]
         om_map = LinearMap.from_function(F, UNIT, c * c, lambda _: enumerate(Om))
         left, right = dense_contractions(cd, Om)
         assert whisker(cd.pairing, UNIT, c).compose(whisker(om_map, c, UNIT)) == left, name
         assert whisker(cd.pairing, c, UNIT).compose(whisker(om_map, UNIT, c)) == right, name
     cd = coends["double_z2"]
-    eye = LinearMap.identity(cd.field, cd.carrier.shape)
+    eye = LinearMap.identity(cd.field, cd.dim)
     assert dense_contractions(cd, cd.Omega) == (eye, eye)
 
 
 def test_integral_formula_matches_the_dense_reference(coends):
-    """(id (x) w (x) id)(DL (x) DL) is whisker(w, C, C) on DL (x) DL, and the
-    copairing is the inverse pairing matrix read as an element of C (x) C."""
+    """(S (x) w (x) id)(DL (x) DL) is whisker(w, C, C) after whisker(S, 1, C^3)
+    on DL (x) DL, and the copairing is the inverse pairing matrix read as an
+    element of C (x) C."""
     cd = coends["double_z2"]
-    F, d, c = cd.field, cd.dim, cd.carrier.shape
+    F, d = cd.field, cd.dim
     dL = cd.Delta.apply(cd.integral)
     om_raw = [F.zero()] * (d * d)
     for ab, v1 in enumerate(dL):
         a, b = divmod(ab, d)
         for ef, v2 in enumerate(dL):
             e, f = divmod(ef, d)
-            om_raw[a * d + f] = om_raw[a * d + f] + v1 * v2 * cd.pairing.entry(0, b * d + e)
+            for s in range(d):
+                om_raw[s * d + f] += (cd.antipode.entry(s, a) * v1 * v2
+                                      * cd.pairing.entry(0, b * d + e))
     assert any(not v.is_zero() for v in om_raw)
     dL_map = cd.Delta.compose(cd.vector_map(cd.integral))
-    assert whisker(cd.pairing, c, c).compose(dL_map.tensor(dL_map)).apply([F.one()]) == om_raw
+    composite = whisker(cd.pairing, d, d).compose(whisker(cd.antipode, UNIT, d ** 3))
+    assert composite.compose(dL_map.tensor(dL_map)).apply([F.one()]) == om_raw
     scale = pairing_value(cd, cd.integral, cd.integral).inverse()
     assert [scale * v for v in om_raw] == cd.Omega
     Winv = linalg.invert(coend._pairing_matrix(cd))
     assert cd.Omega == [Winv.entry(a, b) for a in range(d) for b in range(d)]
+
+
+def test_integral_formula_needs_the_antipode_on_d_z3():
+    """The antipode of D(Z3)'s coend is not the identity: the integral formula
+    gives the inverse copairing with S on leg 0 and not without it, and the
+    build passes every gate."""
+    H = drinfeld_double_of_cyclic(Cyclotomic(3), 3)
+    cd = build_coend_hopf(H, group_algebra_simples(H, [3, 3]))
+    assert cd.report.ok and cd.report.entries
+    F, d = cd.field, cd.dim
+    assert cd.antipode != LinearMap.identity(F, d)
+    dL = cd.Delta.compose(cd.vector_map(cd.integral))
+    scale = pairing_value(cd, cd.integral, cd.integral).inverse()
+    middle = whisker(cd.pairing, d, d)
+    with_s = middle.compose(whisker(cd.antipode, UNIT, d ** 3)).compose(dL.tensor(dL))
+    without_s = middle.compose(dL.tensor(dL))
+    assert with_s.scaled(scale).apply([F.one()]) == cd.Omega
+    assert without_s.scaled(scale).apply([F.one()]) != cd.Omega
 
 
 def test_coend_build_inverts_the_pairing_matrix_once(coends, monkeypatch):
@@ -353,7 +363,7 @@ def test_coend_build_inverts_the_pairing_matrix_once(coends, monkeypatch):
     invert = linalg.invert
 
     def counted(m):
-        calls.append(m.domain.dim)
+        calls.append(m.domain)
         return invert(m)
 
     monkeypatch.setattr(coend, "invert", counted)
@@ -420,6 +430,6 @@ def test_antipode_solve_without_a_coproduct_names_the_solution_space():
     """With a zero coproduct both convolutions vanish, S is unconstrained and
     u eps is never reached: the error names the d^2-dimensional solution space."""
     H = sweedler_h4(Q)
-    zero = LinearMap.zero(Q, H.shape, H.shape * H.shape)
+    zero = LinearMap.zero(Q, H.dim, H.dim * H.dim)
     with pytest.raises(CoendError, match=f"antipode solution space has dimension {H.dim ** 2}$"):
         coend._solve_antipode(Q, H.dim, H.m, H.u, zero, H.epsilon)

@@ -224,3 +224,26 @@ def test_normal_form_roundtrip_random(n, m, data):
     mono, rot = normal_form(f)
     lifted = CyclicMap(n, m, mono.values, CYCLIC)
     assert compose(lifted, rotation(n, CYCLIC, rot)) == f
+
+
+def _scanned_window_start(f):
+    """The first y with f(y) in [0, m], found by scanning the integers one by
+    one from far enough below (the search normal_form made before)."""
+    n1, m1 = f.source_n + 1, f.target_m + 1
+    lo = -n1 * (abs(f.values[0]) // m1 + 2)
+    return next(y for y in range(lo, -lo + n1) if 0 <= f.extended(y) <= f.target_m)
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(-60, 60),
+       st.sampled_from([PARACYCLIC, CYCLIC, RCyclic(3)]), st.data())
+def test_normal_form_window_matches_the_scan(n, m, e, variant, data):
+    """The window start read off the values by floor division is the first
+    y with f(y) in [0, m], as a scan finds it, on maps mono o t^e."""
+    mono = data.draw(st.sampled_from(list(enumerate_hom(n, m, SIMPLICIAL))))
+    f = compose(CyclicMap(n, m, mono.values, variant), rotation(n, variant, e))
+    y0 = _scanned_window_start(f)
+    window, rot = normal_form(f)
+    assert window.values == tuple(f.extended(y0 + k) for k in range(n + 1))
+    mod = variant.rotation_modulus(n)
+    assert rot == (y0 if mod is None else y0 % mod)

@@ -15,7 +15,7 @@ from cyclotome.homology import (
     hochschild_ranks, mixed_complex, mixed_identities, sbi_consistency,
 )
 from cyclotome.hopf import load_algebra
-from cyclotome.linalg import LinearMap, TensorShape, kernel_and_rank
+from cyclotome.linalg import LinearMap, kernel_and_rank
 
 Q = Rationals()
 DATA = Path(__file__).resolve().parents[1] / "src" / "cyclotome" / "data"
@@ -228,7 +228,6 @@ def _dense_bicomplex_hc_oracle(M, maxN):
     mats = {}
     for m in range(top + 1):
         dims[m] = sum(M.dim(q) for _, q in comp_dims(m))
-    from cyclotome.linalg import TensorShape
     for m in range(top):
         entries = {}
         src_off = {}
@@ -251,8 +250,7 @@ def _dense_bicomplex_hc_oracle(M, maxN):
             for r, c in h.entries:
                 key = (tgt_off[p + 1] + r, src_off[p] + c)
                 entries[key] = entries.get(key, F.zero()) + h.entry(r, c)
-        mats[m] = LinearMap(F, TensorShape([dims[m]]), TensorShape([dims[m + 1]]),
-                            entries)
+        mats[m] = LinearMap(F, dims[m], dims[m + 1], entries)
     for m in range(top - 1):
         assert mats[m + 1].compose(mats[m]).is_zero(), f"oracle d^2 != 0 at {m}"
     out = []
@@ -292,8 +290,7 @@ def _connes_quotient_hc_oracle(M, maxN):
         I = one_minus_lam(n - 1)
         for r, c in I.entries:
             entries[(r, M.dim(n) + c)] = I.entry(r, c)
-        side = LinearMap(F, TensorShape([M.dim(n) + M.dim(n - 1)]),
-                         TensorShape([M.dim(n - 1)]), entries)
+        side = LinearMap(F, M.dim(n) + M.dim(n - 1), M.dim(n - 1), entries)
         return rank(side) - rank(I)
 
     return [M.dim(n) - rank(one_minus_lam(n)) - quotient_b_rank(n) - quotient_b_rank(n + 1)

@@ -16,7 +16,7 @@ from cyclotome.hopf import (
     verify_quasitriangular_ribbon,
 )
 from cyclotome.linalg import (
-    UNIT, ShapeError, TensorShape, block_flip, invert, kernel_and_rank, permute_factors,
+    UNIT, ShapeError, block_flip, invert, kernel_and_rank, permute_factors,
     stack, whisker,
 )
 
@@ -43,7 +43,7 @@ def test_bundled_pass_all_axioms(bundled):
 
 def test_corrupted_antipode_fails():
     H = sweedler_h4(Q)
-    H.S = LinearMap.identity(Q, H.shape)
+    H.S = LinearMap.identity(Q, H.dim)
     rep = verify_axioms(H)
     assert not rep.ok
     assert any("antipode" in f for f in rep.failures)
@@ -75,7 +75,7 @@ def test_sweedler_iterate():
 def test_sweedler_placement_irrelevant():
     # coassociativity: expanding the last slot equals expanding the first
     H = sweedler_h4(Q)
-    eye = LinearMap.identity(Q, H.shape)
+    eye = LinearMap.identity(Q, H.dim)
     for k in range(H.dim):
         x = H.basis_vector(k)
         last_first = H.sweedler_iterate(x, 3)
@@ -91,7 +91,7 @@ def test_coadjoint_action_values():
     col = [rho_g.entry(r, 2) for r in range(4)]
     assert col == [Q.zero(), Q.zero(), Q.from_int(-1), Q.zero()]
     # the unit acts as the identity
-    assert C.rho_of(H.u) == LinearMap.identity(Q, C.shape)
+    assert C.rho_of(H.u) == LinearMap.identity(Q, C.dim)
 
 
 def test_coadjoint_trivial_for_commutative(bundled):
@@ -99,7 +99,7 @@ def test_coadjoint_trivial_for_commutative(bundled):
     C = coadjoint_module(H)
     for k in range(H.dim):
         eps = H.epsilon.entry(0, k)
-        assert C.rho(k) == LinearMap.identity(Q, C.shape).scaled(eps)
+        assert C.rho(k) == LinearMap.identity(Q, C.dim).scaled(eps)
 
 
 def test_right_coadjoint_power_is_right_action():
@@ -123,7 +123,7 @@ def test_right_action_collapses_for_commutative(bundled):
     for k in range(H.dim):
         op = coadjoint_action(H, H.basis_vector(k), 1)
         eps = H.epsilon.entry(0, k)
-        assert op == LinearMap.identity(H.field, H.shape).scaled(eps)
+        assert op == LinearMap.identity(H.field, H.dim).scaled(eps)
 
 
 def test_hom_space_examples(bundled):
@@ -170,8 +170,8 @@ def test_hom_basis_is_the_kernel_each_hom_space_had(bundled):
             assert _is_kernel_basis(invs) and _is_kernel_basis(funcs), (name, V.name)
         for V in modules:
             for W in simples:
-                blocks = [whisker(V.rho(k).transpose(), W.shape, UNIT)
-                          - whisker(W.rho(k), UNIT, V.shape) for k in range(H.dim)]
+                blocks = [whisker(V.rho(k).transpose(), W.dim, UNIT)
+                          - whisker(W.rho(k), UNIT, V.dim) for k in range(H.dim)]
                 basis = hom_basis(V, W)
                 assert basis.vectors == kernel_and_rank(stack(blocks))[0], (name, V.name)
                 assert _is_kernel_basis(basis), (name, V.name, W.name)
@@ -209,8 +209,8 @@ def test_braiding_hexagons_on_modules():
     U, V, W = simples[1], simples[2], simples[3]
     VW = tensor_module(V, W)
     lhs = braiding(U, VW)
-    eyeV = LinearMap.identity(Q, V.shape)
-    eyeW = LinearMap.identity(Q, W.shape)
+    eyeV = LinearMap.identity(Q, V.dim)
+    eyeW = LinearMap.identity(Q, W.dim)
     rhs = eyeV.tensor(braiding(U, W)).compose(braiding(U, V).tensor(eyeW))
     assert lhs.entries == rhs.entries
 
@@ -228,7 +228,7 @@ def test_twist_condition(bundled):
 
 def test_twist_of_trivial_module(bundled):
     for name, (H, _) in bundled.items():
-        assert twist(trivial_module(H)) == LinearMap.identity(H.field, TensorShape([1]))
+        assert twist(trivial_module(H)) == LinearMap.identity(H.field, 1)
 
 
 # -- the one-pass braiding against the composite it replaced --------------------------
@@ -247,12 +247,12 @@ def _bundle_modules(name):
 def _composite_braiding(V, W, inverse):
     """flip o sum coeff rho(a) (x) rho(b), or the sum after the flip for the inverse."""
     H, F = V.algebra, V.algebra.field
-    r_act = LinearMap.zero(F, V.shape * W.shape, V.shape * W.shape)
+    r_act = LinearMap.zero(F, V.dim * W.dim, V.dim * W.dim)
     for a, b, coeff in (H.r_inv_pairs() if inverse else H.r_pairs()):
         r_act = r_act + V.rho_of(a).tensor(W.rho_of(b)).scaled(coeff)
     if inverse:
-        return r_act.compose(block_flip(F, W.shape, V.shape))
-    return block_flip(F, V.shape, W.shape).compose(r_act)
+        return r_act.compose(block_flip(F, W.dim, V.dim))
+    return block_flip(F, V.dim, W.dim).compose(r_act)
 
 
 @settings(max_examples=40, deadline=None)
@@ -263,7 +263,7 @@ def test_braiding_equals_the_composite(name, i, j):
     c, c_inv = braiding(V, W), braiding_inverse(V, W)
     assert c == _composite_braiding(V, W, inverse=False)
     assert c_inv == _composite_braiding(V, W, inverse=True)
-    assert c_inv.compose(c) == LinearMap.identity(V.algebra.field, V.shape * W.shape)
+    assert c_inv.compose(c) == LinearMap.identity(V.algebra.field, V.dim * W.dim)
 
 
 @pytest.mark.parametrize("inverse", [False, True])
@@ -430,7 +430,7 @@ def _dense_rho(V, h) -> LinearMap:
         for r, v in enumerate(w):
             if not v.is_zero():
                 entries[(r, c)] = v
-    return LinearMap(F, V.shape, V.shape, entries)
+    return LinearMap(F, V.dim, V.dim, entries)
 
 
 @settings(max_examples=60, deadline=None)
@@ -499,7 +499,7 @@ def _iterated_coproduct(H, x, n):
     """The reference iterate: id^(k-1) (x) Delta applied as whole maps."""
     out = list(x)
     for k in range(1, n):
-        step = LinearMap.identity(H.field, H.power_shape(k - 1)).tensor(H.Delta)
+        step = LinearMap.identity(H.field, H.dim ** (k - 1)).tensor(H.Delta)
         out = step.apply(out)
     return out
 
@@ -509,10 +509,9 @@ def _three_map_action(V, W):
     o (Delta (x) id_V (x) id_W)."""
     H, F = V.algebra, V.algebra.field
     eye = LinearMap.identity
-    step1 = H.Delta.tensor(eye(F, V.shape)).tensor(eye(F, W.shape))
-    step2 = eye(F, H.shape).tensor(block_flip(F, H.shape, V.shape)).tensor(eye(F, W.shape))
-    vw = TensorShape([V.dim * W.dim])
-    return V.action.tensor(W.action).compose(step2).compose(step1).reshaped(H.shape * vw, vw)
+    step1 = H.Delta.tensor(eye(F, V.dim)).tensor(eye(F, W.dim))
+    step2 = eye(F, H.dim).tensor(block_flip(F, H.dim, V.dim)).tensor(eye(F, W.dim))
+    return V.action.tensor(W.action).compose(step2).compose(step1)
 
 
 def _digit_coadjoint(H, k, n):
@@ -521,7 +520,7 @@ def _digit_coadjoint(H, k, n):
     slots' operators are Kronecker multiplied."""
     F, d = H.field, H.dim
     sw = _iterated_coproduct(H, H.basis_vector(k), 2 * n)
-    out = LinearMap.zero(F, H.power_shape(n), H.power_shape(n))
+    out = LinearMap.zero(F, H.dim ** n, H.dim ** n)
     for idx, coeff in enumerate(sw):
         if coeff.is_zero():
             continue
@@ -534,7 +533,7 @@ def _digit_coadjoint(H, k, n):
                 w = H.m.apply(_kron(H.m.apply(_kron(sp, H.basis_vector(c))),
                                     H.basis_vector(digits[2 * s + 1])))
                 cols.update({(r, c): v for r, v in enumerate(w) if not v.is_zero()})
-            op = LinearMap(F, H.shape, H.shape, cols)
+            op = LinearMap(F, H.dim, H.dim, cols)
             term = op if term is None else term.tensor(op)
         out = out + term.scaled(coeff)
     return out
@@ -569,7 +568,7 @@ def test_coadjoint_action_is_sum_of_blocks(bundled):
     H, _ = bundled["sweedler_h4"]
     y = [Q.from_int(2), Q.zero(), Q.from_int(-1), Q.from_int(3)]
     for n in (0, 1, 2):
-        expected = LinearMap.zero(Q, H.power_shape(n), H.power_shape(n))
+        expected = LinearMap.zero(Q, H.dim ** n, H.dim ** n)
         for k, a in enumerate(coadjoint_blocks(H, n)):
             expected = expected + a.scaled(y[k])
         assert coadjoint_action(H, y, n) == expected
@@ -587,7 +586,7 @@ def power_multiplications(bundled):
             mm = H.m
             for _ in range(n - 1):
                 mm = mm.tensor(H.m)
-            inter = permute_factors(H.field, H.power_shape(2 * n), perm)
+            inter = permute_factors(H.field, [H.dim] * (2 * n), perm)
             out[name, n] = mm.compose(inter)
     return out
 
@@ -767,7 +766,7 @@ def _braiding_route(H, simples):
             s = quantum_trace(tensor_module(V, W), braiding(W, V).compose(braiding(V, W)))
             if not s.is_zero():
                 entries[(i, j)] = s
-    s_matrix = LinearMap(F, TensorShape([n]), TensorShape([n]), entries)
+    s_matrix = LinearMap(F, n, n, entries)
     q = [qdim(V) for V in simples]
     dim_B = sum((x * x for x in q), F.zero())
     dplus = sum((x * quantum_trace(V, twist(V)) for x, V in zip(q, simples)), F.zero())

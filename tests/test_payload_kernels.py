@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from cyclotome.fields import Cyclotomic, PrimeField, Rationals
 from cyclotome.linalg import (
-    LinearMap, SubspaceBasis, TensorShape, invert, kernel_and_rank, solve,
+    LinearMap, SubspaceBasis, invert, kernel_and_rank, solve,
 )
 
 FIELDS = (Rationals(), PrimeField(7), Cyclotomic(4))
@@ -30,7 +30,7 @@ def maps(draw, F, rows, cols, min_size=0):
     cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
     raw = draw(st.dictionaries(cells, st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
                                min_size=min(min_size, rows * cols), max_size=rows * cols))
-    return LinearMap(F, TensorShape([cols]), TensorShape([rows]),
+    return LinearMap(F, cols, rows,
                      {k: _scalar(F, a, b) for k, (a, b) in raw.items()})
 
 
@@ -49,7 +49,7 @@ sizes = st.integers(1, 4)
 
 
 def dense(m: LinearMap):
-    rows = [[m.field.zero()] * m.domain.dim for _ in range(m.codomain.dim)]
+    rows = [[m.field.zero()] * m.domain for _ in range(m.codomain)]
     for r, c in m.entries:
         rows[r][c] = m.entry(r, c)
     return rows
@@ -107,10 +107,10 @@ def test_compose_matches_dense_product(F, r, m, c, data):
     a, b = data.draw(maps(F, r, m)), data.draw(maps(F, m, c))
     assert_clean_and_equal(a.compose(b), ref_mul(dense(a), dense(b), F))
     # [a | a] after [b ; -b] is a b - a b: every product cancels
-    twice = LinearMap(F, TensorShape([2 * m]), a.codomain,
+    twice = LinearMap(F, 2 * m, a.codomain,
                       {(i, k + j): a.entry(i, j) for i, j in a.entries for k in (0, m)})
     minus = -b
-    signed = LinearMap(F, b.domain, TensorShape([2 * m]),
+    signed = LinearMap(F, b.domain, 2 * m,
                        {**{key: b.entry(*key) for key in b.entries},
                         **{(m + i, j): minus.entry(i, j) for i, j in minus.entries}})
     assert_clean_and_equal(twice.compose(signed), [[F.zero()] * c for _ in range(r)])
@@ -223,10 +223,9 @@ def test_restrict_matches_dense_span_test(F, n, data):
     image out of the target span."""
     source = SubspaceBasis.from_kernel(F, data.draw(maps(F, data.draw(sizes), n)))
     target = SubspaceBasis.from_kernel(F, data.draw(maps(F, data.draw(sizes), n, min_size=2)))
-    shape = TensorShape([n])
-    coords = LinearMap(F, shape, TensorShape([source.dim]),
+    coords = LinearMap(F, n, source.dim,
                        {(k, c): F.one() for k, c in enumerate(source.indicator_cols)})
-    ambient = LinearMap.zero(F, shape, shape)
+    ambient = LinearMap.zero(F, n, n)
     if source.dim and target.dim:
         x = data.draw(maps(F, target.dim, source.dim))
         ambient = target.matrix().compose(x).compose(coords)
@@ -237,7 +236,7 @@ def test_restrict_matches_dense_span_test(F, n, data):
 
 def test_restrict_rejects_images_that_agree_only_at_the_indicator_columns():
     F = Rationals()
-    m = LinearMap.from_rows(F, TensorShape([3]), TensorShape([2]),
+    m = LinearMap.from_rows(F, 3, 2,
                             [[F.one(), F.zero(), -F.one()], [F.zero(), F.one(), F.zero()]])
     basis = SubspaceBasis.from_kernel(F, m)
     three = F.from_int(3)
@@ -245,4 +244,4 @@ def test_restrict_rejects_images_that_agree_only_at_the_indicator_columns():
                   {(0, 0): three, (1, 0): F.one(), (2, 2): three},
                   {(0, 0): F.one(), (2, 2): three},
                   {(0, 0): three, (2, 2): three}):
-        check_restrict(basis, LinearMap(F, TensorShape([3]), TensorShape([3]), image), basis)
+        check_restrict(basis, LinearMap(F, 3, 3, image), basis)

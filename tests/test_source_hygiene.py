@@ -13,6 +13,9 @@ too, so the values of `.entries.items()` and `.entries.values()` count), so
 a change of representation stays inside `fields`.  A sixth keeps `linalg`'s
 maps on payloads: `linalg.py` calls `Scalar(...)` only in the functions that
 hand entries out as Scalars, so a wrap that re-enters a kernel loop fails.
+A seventh keeps a map's dimensions plain ints inside the package: no module
+reads `.dim` off a `.domain` or a `.codomain`, so `linalg._Dim` serves only
+the benchmark's tracer and can be deleted once the tracer reads the ints.
 
 Only single-name targets count; names bound by tuple unpacking, loop targets,
 `_`, and names declared global or nonlocal are exempt.  A read anywhere in the
@@ -214,6 +217,30 @@ def test_unchecked_constructor_stays_in_linalg_and_the_hopf_packers():
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         found += unchecked_constructions(path.read_text(encoding="utf-8"), path.name)
+    assert not found, "\n".join(found)
+
+
+def dim_reads_off_maps(source: str, filename: str = "<string>") -> list[str]:
+    """`.dim` read off an attribute named domain or codomain."""
+    return [f"{filename}:{node.lineno}" for node in ast.walk(ast.parse(source, filename))
+            if isinstance(node, ast.Attribute) and node.attr == "dim"
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr in ("domain", "codomain")]
+
+
+def test_lint_flags_dim_reads_off_a_domain_or_codomain():
+    src = (
+        "def f(m, V):\n"
+        "    a = m.domain.dim * m.codomain\n"
+        "    return a, V.dim, m.codomain.dim, m.domain\n"
+    )
+    assert dim_reads_off_maps(src) == ["<string>:2", "<string>:3"]
+
+
+def test_no_dim_read_off_a_domain_or_codomain_in_package():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += dim_reads_off_maps(path.read_text(encoding="utf-8"), path.name)
     assert not found, "\n".join(found)
 
 

@@ -7,7 +7,7 @@ from cyclotome.cyclic_modules import check_relations, invariant_tensor_basis
 from cyclotome.fields import Rationals
 from cyclotome.hopf import load_algebra
 from cyclotome.cyclic_modules import generator_levels
-from cyclotome.linalg import LinearMap, TensorShape, invert, kernel_and_rank, permute_factors
+from cyclotome.linalg import LinearMap, invert, kernel_and_rank, permute_factors
 from cyclotome.tqft import (
     TqftError, build_rt_cocyclic, build_rt_cyclic, rt_state_space, shape_checks,
     verify_main_theorem,
@@ -41,9 +41,8 @@ def _theorem(rt):
 def _pairing(double):
     """The pairing matrix W[a][b] = omega(e_a (x) e_b), read off the pairing."""
     d = double.dim
-    C = TensorShape([d])
-    return LinearMap(Q, C, C, {divmod(ab, d): double.pairing.entry(0, ab)
-                                for _, ab in double.pairing.entries})
+    return LinearMap(Q, d, d, {divmod(ab, d): double.pairing.entry(0, ab)
+                               for _, ab in double.pairing.entries})
 
 
 def _onion_matrix(M, n):
@@ -52,8 +51,7 @@ def _onion_matrix(M, n):
     power = M
     for _ in range(n):
         power = power.tensor(M)
-    shape = TensorShape([M.domain.dim] * (n + 1))
-    return power.compose(permute_factors(Q, shape, list(range(n, -1, -1))))
+    return power.compose(permute_factors(Q, [M.domain] * (n + 1), list(range(n, -1, -1))))
 
 
 def test_state_space_dims(double):
@@ -150,15 +148,16 @@ def test_state_space_dim_z2():
 
 def test_nested_pairing_invertible(double):
     W = _pairing(double)
-    d = W.domain.dim
+    d = W.domain
     for n in range(3):
         N_W = _onion_matrix(W, n)
-        assert kernel_and_rank(N_W)[1] == N_W.domain.dim
+        assert kernel_and_rank(N_W)[1] == N_W.domain
         if n <= 1:   # the test's dense reference entry by entry
-            shape = TensorShape([d] * (n + 1))
-            for y in range(shape.dim):
-                for x in range(shape.dim):
-                    ys, xs, value = shape.multi_index(y), shape.multi_index(x), Q.one()
+            def digits(i):
+                return [i // d ** (n - k) % d for k in range(n + 1)]
+            for y in range(d ** (n + 1)):
+                for x in range(d ** (n + 1)):
+                    ys, xs, value = digits(y), digits(x), Q.one()
                     for k in range(n + 1):
                         value = value * W.entry(ys[k], xs[n - k])
                     assert N_W.entry(y, x) == value
@@ -327,7 +326,7 @@ def test_generators_preserve_invariance(rt_co, double):
     C3 = module_power(double.carrier, 3)
     for k in range(double.algebra.dim):
         eps_k = double.algebra.epsilon.entry(0, k)
-        acted = C3.rho(k).reshaped(amb.codomain, amb.codomain).apply(img)
+        acted = C3.rho(k).apply(img)
         assert acted == [eps_k * v for v in img]
 
 

@@ -86,3 +86,36 @@ def test_every_traced_name_is_reached_from_the_package():
     names |= set(tracer.AFTER)
     orphans = {n for n in names if not _references_outside_own_def(n)}
     assert orphans == {"hopf.right_coadjoint_power", "linalg.kernel_with_free_columns"}
+
+
+def test_after_hooks_count_the_cells_and_nonzeros_of_real_maps():
+    """The tracer's counters read m.domain.dim and m.codomain.dim
+    (linalg._Dim): its AFTER hooks, run from its source on maps built by
+    every kind of constructor, count rows x columns and the nonzeros."""
+    from collections import defaultdict
+
+    from cyclotome.fields import Rationals
+    from cyclotome.hopf import braiding, regular_module, sweedler_h4
+    from cyclotome.linalg import (
+        LinearMap, SubspaceBasis, block_flip, kron_sum, stack, whisker,
+    )
+    tracer = _tracer()
+    Q = Rationals()
+    H = sweedler_h4(Q)
+    V = regular_module(H)
+    a = LinearMap(Q, 3, 2, {(0, 1): Q.one(), (1, 2): Q.from_int(5)})
+    maps = [a, a.transpose(), LinearMap.identity(Q, 4), LinearMap.zero(Q, 2, 0),
+            whisker(a, 2, 3), a.tensor(a), kron_sum(Q, (3, 2), (3, 2), [(None, a, a)]),
+            block_flip(Q, 2, 3), stack([a, a]), SubspaceBasis.from_kernel(Q, a).matrix(),
+            H.m, H.Delta.compose(H.m), braiding(V, V)]
+    for m in maps:
+        rows, cols = m.codomain, m.domain
+        for name in ("linalg.solve", "linalg.kernel_and_rank",
+                     "linalg.kernel_with_free_columns"):
+            counts = defaultdict(int)
+            tracer.AFTER[name](counts, (m,), None)
+            assert counts == {"linalg.elim.cells": rows * cols,
+                              "linalg.elim.nnz": len(m.entries)}, (name, m)
+        counts = defaultdict(int)
+        tracer.AFTER["linalg.LinearMap.tensor"](counts, (m, a), m.tensor(a))
+        assert counts == {"linalg.tensor.nnz_out": len(m.entries) * len(a.entries)}, m
