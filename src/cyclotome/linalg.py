@@ -248,6 +248,12 @@ class LinearMap:
             by_mid.setdefault(c, []).append((r, v))
         entries: dict[tuple[int, int], object] = {}
         for c, mids in by_col.items():
+            if len(mids) == 1:
+                # products of nonzeros in distinct rows: nothing to sum or drop
+                m, x = mids[0]
+                for r, y in by_mid.get(m, ()):
+                    entries[(r, c)] = mul(y, x)
+                continue
             col: dict[int, object] = {}
             for m, x in mids:
                 for r, y in by_mid.get(m, ()):
@@ -555,14 +561,20 @@ def stack(blocks: Sequence[LinearMap]) -> LinearMap:
 # -- exact elimination -------------------------------------------------------------
 
 
-def _subtract(row: dict[int, object], factor, pivot: dict[int, object], mul, add, is_zero):
-    """row += factor * pivot on payloads, dropping the entries that cancel;
-    the caller passes the negated multiplier."""
-    for c, v in pivot.items():
+def _eliminate(rows: list[dict[int, object]], i: int, col: int, piv: dict[int, object],
+               index: list[list[int]], indexed: int, mul, add, neg, is_zero):
+    """rows[i] -= rows[i][col] * piv on payloads, piv being 1 at col, dropping
+    the entries that cancel (col among them).  Each column c < indexed that
+    the row gains by fill-in gets i appended to index[c]."""
+    row = rows[i]
+    factor = neg(row[col])
+    for c, v in piv.items():
         p = mul(factor, v)
         cur = row.get(c)
         if cur is None:
             row[c] = p
+            if c < indexed:
+                index[c].append(i)
             continue
         s = add(cur, p)
         if is_zero(s):
@@ -576,35 +588,45 @@ def _reduce(m: LinearMap, extra: LinearMap | None = None, back: bool = True,
     """Sparse Gaussian elimination of the rows of m, each extended on the right
     by the same row of extra when given, on the entries' payloads.
 
-    Pivots are taken among the columns of m only and scaled to 1.  Returns
-    (rows, pivots): rows as {column: nonzero payload}, and pivots mapping each
-    pivot column, in increasing order, to the index of its row in rows.  With
-    back=True every pivot column is also cleared above its pivot, which gives
-    the reduced echelon form: it depends only on the row space and the column
-    order, not on the order or the multiplicity of the rows, nor on the pivot
-    choices made on the way.
+    Pivots are taken among the columns of m only, in increasing order, and
+    scaled to 1.  A column's pivot is the shortest row holding it that is not
+    already a pivot, the lowest row index among rows of equal length
+    (Markowitz's rule with the row count alone).  The rows holding a column
+    are found through a column index: the rows each column of m holds entries
+    in, built as the rows are read and appended to on fill-in.  A listed row
+    that lost the column by cancellation fails a membership test and is
+    skipped, so the work per column follows its nonzeros, not the number of
+    rows.  Returns (rows, pivots): rows as {column: nonzero payload}, and
+    pivots mapping each pivot column, in increasing order, to the index of its
+    row in rows.  With back=True every pivot column is also cleared above its
+    pivot, the last pivot column first, which gives the reduced echelon form:
+    it depends only on the row space and the column order, not on the order or
+    the multiplicity of the rows, nor on the pivot choices made on the way.
     """
     F = m.field
     mul, add, neg, inv, is_zero = F._mul, F._add, F._neg, F._inv, F._is_zero
     ncols = m.domain
     rows: list[dict[int, object]] = [dict() for _ in range(m.codomain)]
+    index: list[list[int]] = [[] for _ in range(ncols)]
     for (r, c), v in m.entries.items():
         rows[r][c] = v
+        index[c].append(r)
     if extra is not None:
         if extra.field != F:
             raise ShapeError("field mismatch")
         for (r, c), v in extra.entries.items():
             rows[r][ncols + c] = v
     pivots: dict[int, int] = {}
-    work = [i for i, row in enumerate(rows) if row]
+    taken = set()
     for col in range(ncols):
         if should_cancel is not None and should_cancel():
             raise Cancelled("elimination cancelled")
-        best = None
-        for i in work:
-            if col in rows[i]:
-                if best is None or len(rows[i]) < len(rows[best]):
-                    best = i
+        best, size = None, 0
+        for i in index[col]:
+            if col in rows[i] and i not in taken:
+                n = len(rows[i])
+                if best is None or n < size or (n == size and i < best):
+                    best, size = i, n
         if best is None:
             continue
         piv = rows[best]
@@ -612,22 +634,21 @@ def _reduce(m: LinearMap, extra: LinearMap | None = None, back: bool = True,
         for c in list(piv):
             piv[c] = mul(piv[c], scale)
         pivots[col] = best
-        work.remove(best)
-        for i in list(work):
-            factor = rows[i].get(col)
-            if factor is not None:
-                _subtract(rows[i], neg(factor), piv, mul, add, is_zero)
-                if not rows[i]:
-                    work.remove(i)
+        taken.add(best)
+        for i in index[col]:
+            if col in rows[i] and i not in taken:
+                _eliminate(rows, i, col, piv, index, ncols, mul, add, neg, is_zero)
     if back:
-        piv_cols = list(pivots)
-        for idx in range(len(piv_cols) - 1, 0, -1):
-            col = piv_cols[idx]
-            piv = rows[pivots[col]]
-            for earlier in piv_cols[:idx]:
-                factor = rows[pivots[earlier]].get(col)
-                if factor is not None:
-                    _subtract(rows[pivots[earlier]], neg(factor), piv, mul, add, is_zero)
+        # a pivot row has no entry left of its pivot, and the forward pass left
+        # none in m's columns outside the pivot rows, so the rows listed for a
+        # pivot column that still hold it are pivot rows of earlier columns;
+        # the fill-in here lands only in free columns and in extra
+        for col in reversed(pivots):
+            here = pivots[col]
+            piv = rows[here]
+            for i in index[col]:
+                if i != here and col in rows[i]:
+                    _eliminate(rows, i, col, piv, index, 0, mul, add, neg, is_zero)
     return rows, pivots
 
 

@@ -129,6 +129,13 @@ def test_invariant_dims_h4_against_dense_oracle(algebras):
         assert _dense_invariant_dim_oracle(H, n) == dim
 
 
+def test_invariant_dims_h4_through_level_5(algebras):
+    """Frozen values up to level 5, whose system stacks four 1024 x 1024
+    blocks: the W/Wco models at N = 4 rest on them."""
+    H, _ = algebras["sweedler_h4"]
+    assert [invariant_tensor_basis(H, n).dim for n in range(1, 6)] == [1, 5, 18, 68, 264]
+
+
 def test_invariant_tensors_multiply_only_nonzero_blocks(monkeypatch):
     """On a fresh sweedler_h4, the invariants of H^(x)3 cost about 90 products
     for ad_1, one product per pair of nonzero entries that the tensor rule

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from cyclotome.fields import Cyclotomic, FieldError, PrimeField, Rationals, Scalar
 from cyclotome.linalg import (
-    UNIT, LinearMap, ShapeError, block_flip, block_map, invert, kernel_and_rank,
+    UNIT, LinearMap, ShapeError, _reduce, block_flip, block_map, invert, kernel_and_rank,
     kernel_with_free_columns, kron_sum, permute_factors, rank, solve, stack, SubspaceBasis,
     whisker,
 )
@@ -427,6 +427,107 @@ def test_kernel_basis_independent_of_row_order(A, data):
     shuffled = [rows[i] for i in order] + [rows[i] for i in dups]
     restacked = stack([stack(shuffled[:cut])] + shuffled[cut:])
     assert kernel_with_free_columns(restacked) == kernel_with_free_columns(A)
+
+
+# -- the pivot rule, pinned against the scanning elimination it replaced --------------
+
+REDUCE_FIELDS = (Q, PrimeField(5), Cyclotomic(3))
+
+
+def _scanning_reduce(m, extra=None, back=True):
+    """The row reduction before the column index: every live row is probed for
+    each column's pivot and again to clear it.  Kept as the reference for the
+    pivot rule (shortest live row, lowest index among equals) and the order of
+    the back substitution."""
+    F = m.field
+    mul, add, neg, inv, is_zero = F._mul, F._add, F._neg, F._inv, F._is_zero
+
+    def subtract(row, factor, pivot):
+        for c, v in pivot.items():
+            p = mul(factor, v)
+            if c not in row:
+                row[c] = p
+            elif is_zero(s := add(row[c], p)):
+                del row[c]
+            else:
+                row[c] = s
+
+    ncols = m.domain
+    rows = [dict() for _ in range(m.codomain)]
+    for (r, c), v in m.entries.items():
+        rows[r][c] = v
+    if extra is not None:
+        for (r, c), v in extra.entries.items():
+            rows[r][ncols + c] = v
+    pivots = {}
+    work = [i for i, row in enumerate(rows) if row]
+    for col in range(ncols):
+        best = None
+        for i in work:
+            if col in rows[i] and (best is None or len(rows[i]) < len(rows[best])):
+                best = i
+        if best is None:
+            continue
+        piv = rows[best]
+        scale = inv(piv[col])
+        for c in list(piv):
+            piv[c] = mul(piv[c], scale)
+        pivots[col] = best
+        work.remove(best)
+        for i in list(work):
+            if col in rows[i]:
+                subtract(rows[i], neg(rows[i][col]), piv)
+                if not rows[i]:
+                    work.remove(i)
+    if back:
+        piv_cols = list(pivots)
+        for idx in range(len(piv_cols) - 1, 0, -1):
+            piv = rows[pivots[piv_cols[idx]]]
+            for earlier in piv_cols[:idx]:
+                row = rows[pivots[earlier]]
+                if piv_cols[idx] in row:
+                    subtract(row, neg(row[piv_cols[idx]]), piv)
+    return rows, pivots
+
+
+@st.composite
+def tall_stacks(draw):
+    """A sparse system of at most 12 rows over at most 5 columns, with repeated
+    rows (some scaled), and an extra block beside it as solve and invert pass
+    one, or none.  The entries are stored in a drawn order, as a stacked or
+    Kronecker-built map stores them, so that the rows are not met in index
+    order."""
+    F = draw(st.sampled_from(REDUCE_FIELDS))
+    cols = draw(st.integers(1, 5))
+    entry = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    base = draw(st.lists(st.dictionaries(st.integers(0, cols - 1), entry, max_size=cols),
+                         min_size=1, max_size=8))
+    repeats = draw(st.lists(st.tuples(st.integers(0, len(base) - 1), st.integers(1, 2)),
+                            max_size=12 - len(base)))
+    order = draw(st.permutations(base + [{c: (a * k, b * k) for c, (a, b) in base[i].items()}
+                                         for i, k in repeats]))
+    cells = draw(st.permutations([(r, c, a, b) for r, row in enumerate(order)
+                                  for c, (a, b) in row.items()]))
+    m = LinearMap(F, cols, len(order), {(r, c): _scalar(F, a, b) for r, c, a, b in cells})
+    width = draw(st.integers(0, 3))
+    if not width:
+        return m, None
+    spots = st.tuples(st.integers(0, len(order) - 1), st.integers(0, width - 1))
+    raw = draw(st.dictionaries(spots, entry, max_size=len(order) * width))
+    return m, LinearMap(F, width, len(order),
+                        {k: _scalar(F, a, b) for k, (a, b) in raw.items()})
+
+
+@settings(max_examples=300, deadline=None)
+@given(tall_stacks(), st.booleans())
+def test_reduce_keeps_the_scanning_pivot_rule(system, back):
+    """The column index finds the same pivots as a scan of every live row, so
+    the rows come out identical, down to the order of each row's entries."""
+    m, extra = system
+    rows, pivots = _reduce(m, extra, back)
+    ref_rows, ref_pivots = _scanning_reduce(m, extra, back)
+    assert list(pivots.items()) == list(ref_pivots.items())
+    assert [list(row.items()) for row in rows] == [list(row.items()) for row in ref_rows]
 
 
 def test_stack_rejects_mismatched_domains():

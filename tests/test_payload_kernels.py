@@ -116,6 +116,33 @@ def test_compose_matches_dense_product(F, r, m, c, data):
     assert_clean_and_equal(twice.compose(signed), [[F.zero()] * c for _ in range(r)])
 
 
+@settings(max_examples=80, deadline=None)
+@given(fields_, sizes, sizes, st.data())
+def test_compose_after_one_entry_columns_matches_dense_product(F, r, m, data):
+    """A column of first with one nonzero writes its products straight into
+    the result, with no sum and no zero filter: a permutation times nonzero
+    scalars, and such columns beside a two-entry column whose products cancel."""
+    nonzero = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(
+        lambda ab: not _scalar(F, *ab).is_zero())
+    a = data.draw(maps(F, r, m))
+    perm = data.draw(st.permutations(range(m)))
+    scales = data.draw(st.lists(nonzero, min_size=m, max_size=m))
+    mono = LinearMap(F, m, m, {(perm[j], j): _scalar(F, *scales[j]) for j in range(m)})
+    assert_clean_and_equal(a.compose(mono), ref_mul(dense(a), dense(mono), F))
+    # [a | a] after a map whose last column is x at j and -x at m + j: that
+    # column's two products cancel, the one-entry columns' products do not
+    twice = LinearMap(F, 2 * m, r,
+                      {(i, k + j): a.entry(i, j) for i, j in a.entries for k in (0, m)})
+    hits = data.draw(st.lists(st.integers(0, 2 * m - 1), min_size=m, max_size=m))
+    j, x = data.draw(st.integers(0, m - 1)), _scalar(F, *data.draw(nonzero))
+    mixed = LinearMap(F, m + 1, 2 * m,
+                      {**{(hits[c], c): _scalar(F, *scales[c]) for c in range(m)},
+                       (j, m): x, (m + j, m): -x})
+    product = twice.compose(mixed)
+    assert_clean_and_equal(product, ref_mul(dense(twice), dense(mixed), F))
+    assert not any(c == m for _, c in product.entries)
+
+
 @settings(max_examples=60, deadline=None)
 @given(fields_, sizes, sizes, sizes, sizes, st.data())
 def test_tensor_matches_dense_kronecker(F, r1, c1, r2, c2, data):
