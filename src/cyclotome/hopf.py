@@ -504,7 +504,15 @@ def invariance_blocks(rho: Callable[[int], LinearMap], eps: LinearMap) -> list[L
     blocks = []
     for k in range(eps.domain):
         r, e = rho(k), eps.entry(0, k)
-        blocks.append(r if e.is_zero() else r + LinearMap.identity(r.field, r.domain).scaled(-e))
+        if e.is_zero():
+            blocks.append(r)
+            continue
+        # -eps(e_k) added on the diagonal; from_payloads drops what cancels
+        F, shift = r.field, (-e).payload
+        entries = dict(r.entries)
+        for i in range(r.domain):
+            entries[i, i] = F._add(entries[i, i], shift) if (i, i) in entries else shift
+        blocks.append(LinearMap.from_payloads(F, r.domain, r.codomain, entries))
     return blocks
 
 

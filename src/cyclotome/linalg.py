@@ -731,7 +731,9 @@ class SubspaceBasis:
     The k-th vector is 1 at the k-th indicator column and 0 at the others, as
     a kernel basis is (from_kernel), so the coordinates of a vector are its
     entries at those columns; they are accepted only when they reconstruct
-    the vector exactly.
+    the vector exactly.  A basis whose indicator columns are every column in
+    order is the standard basis of its ambient space (whole): there the
+    coordinates are the entries and nothing needs reconstructing.
     """
 
     def __init__(self, field, ambient_dim: int, vectors: list[list[Scalar]],
@@ -743,8 +745,18 @@ class SubspaceBasis:
             if len(vec) != ambient_dim:
                 raise ShapeError(f"basis vector of length {len(vec)} in a space of "
                                  f"dimension {ambient_dim}")
-        self._setup(field, ambient_dim, [_payloads(field, vec) for vec in vectors],
-                    indicator_cols)
+        if not all(isinstance(c, int) and 0 <= c < ambient_dim for c in indicator_cols):
+            raise ShapeError(f"indicator columns {indicator_cols} outside a space of "
+                             f"dimension {ambient_dim}")
+        sparse = [_payloads(field, vec) for vec in vectors]
+        self._setup(field, ambient_dim, sparse, indicator_cols)
+        slot, one = self._slot, field.one().payload
+        if len(slot) != len(indicator_cols):
+            raise ShapeError(f"repeated indicator columns in {indicator_cols}")
+        for k, (col, vec) in enumerate(zip(indicator_cols, sparse)):
+            if vec.get(col) != one or any(c in slot for c in vec if c != col):
+                raise ShapeError(f"basis vector {k} is not 1 at its indicator column "
+                                 f"and 0 at the others")
         self._vectors = vectors
 
     @classmethod
@@ -764,6 +776,7 @@ class SubspaceBasis:
         self._sparse = sparse
         self._slot = {c: k for k, c in enumerate(indicator_cols)}
         self._vectors = None
+        self.whole = indicator_cols == list(range(ambient_dim))
 
     @staticmethod
     def standard(field, ambient_dim: int) -> "SubspaceBasis":
@@ -825,7 +838,8 @@ class SubspaceBasis:
     def restrict(self, ambient: LinearMap, target: "SubspaceBasis") -> LinearMap | None:
         """The matrix of an ambient-space map from this basis to the target
         basis, or None if the image of some basis vector leaves the target span.
-        Each image is formed from the columns of ambient at the basis vector's
+        Between two whole bases it is ambient itself, as a plain map; otherwise
+        each image is formed from the columns of ambient at the basis vector's
         nonzero entries."""
         if ambient.domain != self.ambient_dim or ambient.codomain != target.ambient_dim:
             raise ShapeError(f"cannot restrict a map {ambient.domain}->{ambient.codomain} "
@@ -833,6 +847,8 @@ class SubspaceBasis:
         F = ambient.field
         if F != self.field or F != target.field:
             raise ShapeError("field mismatch")
+        if self.whole and target.whole:
+            return LinearMap._from_clean(F, self.dim, target.dim, ambient.entries)
         mul, add = F._mul, F._add
         columns: dict[int, list[tuple[int, object]]] = {}
         for (r, c), v in ambient.entries.items():
@@ -850,9 +866,14 @@ class SubspaceBasis:
     def coordinates_of(self, m: LinearMap, renumber: Sequence[int]) -> LinearMap | None:
         """The matrix whose column c holds the coordinates in this basis of
         column c of m, row r of m read as ambient row renumber[r], or None if
-        a column leaves the span."""
+        a column leaves the span.  In a whole basis the coordinates are the
+        renumbered entries."""
         if m.codomain != self.ambient_dim or m.field != self.field:
             raise ShapeError(f"cannot read a map into {m.codomain} in this subspace")
+        if self.whole:
+            return LinearMap._from_clean(self.field, m.domain, self.dim,
+                                         {(renumber[r], c): v
+                                          for (r, c), v in m.entries.items()})
         columns: list[dict[int, object]] = [{} for _ in range(m.domain)]
         for (r, c), v in m.entries.items():
             columns[c][renumber[r]] = v

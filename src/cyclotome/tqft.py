@@ -90,13 +90,12 @@ def _conjugation(data: CoendData, M: CyclicModuleData, states: dict[int, Subspac
             raise TqftError(f"omega^{n} does not map the states onto the functionals")
     if omega_inv[0].compose(omega[0]) != LinearMap.identity(F, omega[0].domain):
         raise TqftError("omega^-0 o omega^0 is not the identity: Omega does not invert W")
-    # a standard functional basis lifts by the identity: skip those products
-    standard = {n for n, lift in lifts.items() if lift == LinearMap.identity(F, lift.codomain)}
     gen = {}
     for key, g in M.gen.items():
         src, tgt = generator_levels(M.chirality, key)
         moved = g.compose(omega[src])
-        if tgt not in standard:
+        # a whole functional basis lifts by the identity: skip the product
+        if not M.spaces[tgt].whole:
             moved = lifts[tgt].compose(moved)
         gen[key] = _onion(Winv, tgt, moved, states[tgt], rev[tgt])
     return omega, omega_inv, gen

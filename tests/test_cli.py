@@ -263,6 +263,26 @@ def test_cached_module_without_indicator_columns_is_rebuilt(tmp_path, capsys):
     assert code == 0 and hit == first.replace('"cached": false', '"cached": true')
 
 
+def test_cached_basis_off_its_indicator_columns_is_rebuilt(tmp_path, capsys):
+    """A cached level space whose vector is nonzero at another vector's
+    indicator column is not a basis the coordinates can be read in: the
+    entry is a miss, and the rebuilt report is the first one byte for byte."""
+    args = ("module", "build", "--algebra", str(DATA / "sweedler_h4.json"), "--which", "W",
+            "-N", "2", "--cache", str(tmp_path), "--format", "json")
+    code, first, _ = run(capsys, *args)
+    assert code == 0 and json.loads(first)["cached"] is False
+    [entry] = tmp_path.glob("module-*.json")
+    obj = json.loads(entry.read_text(encoding="utf-8"))
+    space = obj["spaces"]["2"]
+    ind = space["indicator_cols"]
+    space["vectors"][0].append([ind[1], "5"])
+    entry.write_text(json.dumps(obj), encoding="utf-8")
+    code, rebuilt, _ = run(capsys, *args)
+    assert code == 0 and rebuilt == first
+    code, hit, _ = run(capsys, *args)
+    assert code == 0 and hit == first.replace('"cached": false', '"cached": true')
+
+
 @pytest.mark.parametrize("which", ["W", "para"])
 def test_module_cache_hit_skips_the_coend(tmp_path, capsys, monkeypatch, which):
     args = ("module", "build", "--algebra", str(DATA / "z2_trivial.json"),

@@ -136,6 +136,21 @@ def test_invariant_dims_h4_through_level_5(algebras):
     assert [invariant_tensor_basis(H, n).dim for n in range(1, 6)] == [1, 5, 18, 68, 264]
 
 
+def test_commutative_invariants_are_whole_tensor_powers(algebras, coends):
+    """For a commutative H the coadjoint action is eps(h) x, so the invariants
+    of H^(x)n are the whole tensor power in its standard basis, and so are
+    the states Hom(1, C^(x)n) of double_z2; sweedler_h4's are proper."""
+    for name in ("z2_trivial", "z2_semion", "double_z2"):
+        H, _ = algebras[name]
+        for n in range(1, 5):
+            assert invariant_tensor_basis(H, n).whole, (name, n)
+    H, _ = algebras["sweedler_h4"]
+    for n in range(1, 4):
+        assert not invariant_tensor_basis(H, n).whole, n
+    for n in (1, 2):
+        assert coends["double_z2"].invariant_basis(n).whole, n
+
+
 def test_invariant_tensors_multiply_only_nonzero_blocks(monkeypatch):
     """On a fresh sweedler_h4, the invariants of H^(x)3 cost about 90 products
     for ad_1, one product per pair of nonzero entries that the tensor rule

@@ -190,6 +190,55 @@ def test_restrict_checks_every_nonzero_of_the_image():
         basis.restrict(LinearMap.identity(Q, 2), basis)
 
 
+def test_subspace_basis_rejects_vectors_off_their_indicator_columns():
+    """The constructor, which a cached module is read back through, holds a
+    basis to the indicator property that coordinates and restrict rely on."""
+    o, z, two = Q.one(), Q.zero(), Q.from_int(2)
+    vs = [[o, z, o], [z, o, o]]
+    assert SubspaceBasis(Q, 3, vs, [0, 1]).indicator_cols == [0, 1]
+    for vectors, cols in ((vs, [0, 0]),                          # a repeated column
+                          (vs, [0, 3]),                          # one out of range
+                          ([[two, z, o], [z, o, o]], [0, 1]),    # 2 at its own column
+                          ([[o, o, o], [z, o, o]], [0, 1])):     # 1 at another's
+        with pytest.raises(ShapeError):
+            SubspaceBasis(Q, 3, vectors, cols)
+
+
+def test_whole_bases_are_the_standard_bases_in_order():
+    eye = [[Q.one() if i == j else Q.zero() for j in range(3)] for i in range(3)]
+    assert SubspaceBasis.standard(Q, 3).whole
+    assert SubspaceBasis.from_kernel(Q, LinearMap.zero(Q, 3, 2)).whole
+    assert SubspaceBasis(Q, 3, eye, [0, 1, 2]).whole
+    assert not SubspaceBasis(Q, 3, eye[:2], [0, 1]).whole
+    assert not SubspaceBasis(Q, 3, [eye[1], eye[0], eye[2]], [1, 0, 2]).whole
+    assert not SubspaceBasis.from_kernel(Q, LinearMap.identity(Q, 3)).whole
+
+
+def test_whole_bases_restrict_and_read_coordinates_without_products(monkeypatch):
+    """Between whole bases restrict is the ambient map, and coordinates in a
+    whole basis are the renumbered entries: no product is formed."""
+    from cyclotome.fields import FieldSpec
+    s3, s2 = 3, 2
+    ambient, m = rand_map(s3, s2, density=0.8), rand_map(s2, s3, density=0.8)
+    source, target = SubspaceBasis.standard(Q, 3), SubspaceBasis.standard(Q, 2)
+    renumber = [2, 0, 1]
+    calls = []
+    mul = FieldSpec._mul
+
+    def counted(self, a, b):
+        calls.append(1)
+        return mul(self, a, b)
+
+    monkeypatch.setattr(FieldSpec, "_mul", counted)
+    restricted = source.restrict(ambient, target)
+    coords = source.coordinates_of(m, renumber)
+    assert not calls
+    monkeypatch.undo()
+    assert restricted == ambient and restricted._whisker is None
+    assert coords == LinearMap(Q, s2, s3, {(renumber[r], c): m.entry(r, c)
+                                           for r, c in m.entries})
+
+
 WHISKER_FIELDS = (Q, PrimeField(7), Cyclotomic(4))
 factor_lists = st.lists(st.integers(1, 3), max_size=2)
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from cyclotome.fields import Cyclotomic, PrimeField, Rationals
 from cyclotome.linalg import (
-    LinearMap, SubspaceBasis, invert, kernel_and_rank, solve,
+    LinearMap, SubspaceBasis, invert, kernel_and_rank, solve, whisker,
 )
 
 FIELDS = (Rationals(), PrimeField(7), Cyclotomic(4))
@@ -241,24 +241,70 @@ def check_restrict(source: SubspaceBasis, ambient: LinearMap, target: SubspaceBa
             assert recon == img
 
 
-@settings(max_examples=80, deadline=None)
+@st.composite
+def subspaces(draw, F, n, min_size=0):
+    """The kernel of a random map, or a whole basis of the n-dimensional
+    space: the standard one or the kernel of a zero map."""
+    kind = draw(st.sampled_from(("kernel", "standard", "zero kernel")))
+    if kind == "standard":
+        return SubspaceBasis.standard(F, n)
+    rows = draw(sizes)
+    m = LinearMap.zero(F, n, rows) if kind == "zero kernel" else draw(maps(F, rows, n, min_size))
+    return SubspaceBasis.from_kernel(F, m)
+
+
+@st.composite
+def whiskers(draw, F, n):
+    """id_left (x) op (x) id_right on the n-dimensional space, its entries unset."""
+    left = draw(st.sampled_from([a for a in range(1, n + 1) if n % a == 0]))
+    right = draw(st.sampled_from([b for b in range(1, n // left + 1) if n // left % b == 0]))
+    k = n // left // right
+    return whisker(draw(maps(F, k, k)), left, right)
+
+
+@settings(max_examples=120, deadline=None)
 @given(fields_, st.integers(1, 5), st.data())
 def test_restrict_matches_dense_span_test(F, n, data):
-    """Subspaces are kernels of random maps.  The ambient map is one that
-    preserves them (inclusion after a random X after the indicator
-    coordinates), sometimes plus a random perturbation that may push an
-    image out of the target span."""
-    source = SubspaceBasis.from_kernel(F, data.draw(maps(F, data.draw(sizes), n)))
-    target = SubspaceBasis.from_kernel(F, data.draw(maps(F, data.draw(sizes), n, min_size=2)))
+    """Subspaces are kernels of random maps, or whole bases.  The ambient map
+    is one that preserves them (inclusion after a random X after the
+    indicator coordinates), sometimes plus a random perturbation that may
+    push an image out of the target span, or a whisker."""
+    source = data.draw(subspaces(F, n))
+    target = data.draw(subspaces(F, n, min_size=2))
     coords = LinearMap(F, n, source.dim,
                        {(k, c): F.one() for k, c in enumerate(source.indicator_cols)})
     ambient = LinearMap.zero(F, n, n)
     if source.dim and target.dim:
         x = data.draw(maps(F, target.dim, source.dim))
         ambient = target.matrix().compose(x).compose(coords)
-    if data.draw(st.booleans()):
+    change = data.draw(st.sampled_from(("none", "perturb", "whisker")))
+    if change == "perturb":
         ambient = ambient + data.draw(maps(F, n, n, min_size=1))
+    elif change == "whisker":
+        ambient = data.draw(whiskers(F, n))
     check_restrict(source, ambient, target)
+
+
+@settings(max_examples=80, deadline=None)
+@given(fields_, st.integers(1, 5), sizes, st.data())
+def test_coordinates_of_in_a_whole_basis_matches_the_general_path(F, n, cols, data):
+    """Coordinates in a whole basis, under a drawn renumbering of the rows,
+    are the renumbered entries: they reconstruct each renumbered column
+    against the dense reference and agree with the membership test that
+    every other basis takes."""
+    basis = data.draw(subspaces(F, n).filter(lambda b: b.whole))
+    m = data.draw(maps(F, n, cols))
+    renumber = data.draw(st.permutations(range(n)))
+    got = basis.coordinates_of(m, renumber)
+    columns = [{} for _ in range(cols)]
+    for (r, c), v in m.entries.items():
+        columns[c][renumber[r]] = v
+    assert got == basis._coordinate_columns(columns, cols)
+    assert all(not got.entry(r, c).is_zero() for r, c in got.entries)
+    renumbered = [[F.zero()] * cols for _ in range(n)]
+    for r, row in enumerate(dense(m)):
+        renumbered[renumber[r]] = row
+    assert ref_mul(columns_of(basis.vectors), dense(got), F) == renumbered
 
 
 def test_restrict_rejects_images_that_agree_only_at_the_indicator_columns():
