@@ -40,10 +40,22 @@ class CyclicModuleError(ValueError):
 def invariant_tensor_basis(H: HopfAlgebraData, n: int) -> SubspaceBasis:
     """Basis of the twisted-conjugation invariants
     {X in H^(x)n : X <| h = eps(h) X for all h}: the kernel of the stacked
-    blocks ad_n(e_k) - eps(e_k) id."""
+    blocks ad_n(e_k) - eps(e_k) id.
+
+    When every ad_1(e_k) is eps(e_k) id and (eps (x) eps) Delta = eps, as for
+    a commutative H, the level is whole: ad_n(e_k) = sum Delta(e_k)_pq
+    ad_(n-1)(e_p) (x) ad_1(e_q) is then eps(e_k) id at every level by
+    induction from ad_0(e_k) = eps(e_k), the basis is the standard basis of
+    H^(x)n, and ad_n is not built."""
     if n < 1:
         raise CyclicModuleError("invariant tensors need n >= 1")
-    blocks = invariance_blocks(coadjoint_blocks(H, n).__getitem__, H.epsilon)
+    eps = H.epsilon
+    blocks = invariance_blocks(coadjoint_blocks(H, 1).__getitem__, eps)
+    if (all(not b.entries for b in blocks)
+            and eps.compose(whisker(eps, H.dim, UNIT).compose(H.Delta)) == eps):
+        return SubspaceBasis.standard(H.field, H.dim ** n)
+    if n > 1:
+        blocks = invariance_blocks(coadjoint_blocks(H, n).__getitem__, eps)
     return SubspaceBasis.from_kernel(H.field, stack(blocks))
 
 

@@ -71,7 +71,7 @@ class HopfAlgebraData:
         self.theta = list(theta) if theta is not None else None
         self.theta_inv = list(theta_inv) if theta_inv is not None else None
         # caches, each kept with the data it was computed from
-        self._prods = self._coadjoint = self._pivot = None
+        self._prods = self._coadjoint = self._pivot = self._trivial = None
 
     # -- element helpers -------------------------------------------------------------
 
@@ -117,32 +117,55 @@ class HopfAlgebraData:
         return self._prods[1]
 
     def multiply(self, a: Vector, b: Vector, n: int = 1) -> Vector:
-        """Product of two elements of H^(x)n, slot by slot: nonzero entries a_I
-        and b_J contribute a_I b_J m(e_I1 e_J1) (x) ... (x) m(e_In e_Jn), which
-        takes n structure-constant lookups."""
+        """Product of two elements of H^(x)n, one tensor slot at a time: with
+        a = sum_i e_i (x) a_i and b = sum_j e_j (x) b_j over the first slot,
+        ab = sum_ij m(e_i e_j) (x) a_i b_j, and each a_i b_j in H^(x)(n-1) is
+        formed once per pair (i, j) whose product m(e_i e_j) is nonzero.  The
+        product x y of two entry payloads is formed once per pair of values in
+        one call: the entries of R, theta and their products take few values."""
         d, size = self.dim, self.dim ** n
         if len(a) != size or len(b) != size:
             raise ShapeError(f"factor lengths {len(a)}, {len(b)} != dim H^(x){n} = {size}")
-        prods = self._products()
         F = self.field
-        mul, add = F._mul, F._add
-
-        def support(v):
-            return [([i // d ** (n - 1 - s) % d for s in range(n)], x)
-                    for i, x in _payloads(F, v).items()]
-
-        out: dict[int, object] = {}
-        sb = support(b)
-        for ia, x in support(a):
-            for jb, y in sb:
-                terms = [(0, mul(x, y))]
-                for i, j in zip(ia, jb):
-                    col = prods[i * d + j]
-                    terms = [(idx * d + r, v if c is None else mul(v, c))
-                             for idx, v in terms for r, c in col]
-                for idx, v in terms:
-                    out[idx] = add(out[idx], v) if idx in out else v
+        out = self._product(_payloads(F, a), _payloads(F, b), size // d, {})
         return _dense(F, size, _nonzero(F, out))
+
+    def _product(self, a: dict, b: dict, block: int, memo: dict) -> dict:
+        """The payloads of ab for a, b given by their nonzero payloads in H^(x)n,
+        block = d^(n-1) the length of the slots after the first, memo the
+        products of payload pairs formed so far; sums that cancel are kept."""
+        d, prods = self.dim, self._products()
+        mul, add = self.field._mul, self.field._add
+        out: dict[int, object] = {}
+        if block == 1:
+            for i, x in a.items():
+                for j, y in b.items():
+                    col = prods[i * d + j]
+                    if col:
+                        v = memo.get((x, y))
+                        if v is None:
+                            v = memo[x, y] = mul(x, y)
+                        for r, c in col:
+                            p = v if c is None else mul(v, c)
+                            out[r] = add(out[r], p) if r in out else p
+            return out
+        parts_a, parts_b = {}, {}
+        for v, parts in ((a, parts_a), (b, parts_b)):
+            for idx, x in v.items():
+                i, rest = divmod(idx, block)
+                parts.setdefault(i, {})[rest] = x
+        for i, ai in parts_a.items():
+            for j, bj in parts_b.items():
+                col = prods[i * d + j]
+                if not col:
+                    continue
+                tail = self._product(ai, bj, block // d, memo).items()
+                for r, c in col:
+                    base = r * block
+                    for idx, v in tail:
+                        key, p = base + idx, v if c is None else mul(v, c)
+                        out[key] = add(out[key], p) if key in out else p
+        return out
 
     def unit_power(self, n: int) -> Vector:
         out = self.u
@@ -176,14 +199,29 @@ class HopfAlgebraData:
         return _dense(F, d ** n, _nonzero(F, support))
 
     def left_multiplication(self, a: Vector) -> LinearMap:
-        """x |-> a x as a matrix."""
-        return LinearMap.from_function(self.field, self.dim, self.dim, lambda c: enumerate(
-            self.multiply(a, self.basis_vector(c))))
+        """x |-> a x as a matrix, read off m in one pass: entry (r, c) is
+        sum_i a_i m[r][i d + c]."""
+        return self._multiplication(a, self.dim, 1)
 
     def right_multiplication(self, a: Vector) -> LinearMap:
-        """x |-> x a as a matrix."""
-        return LinearMap.from_function(self.field, self.dim, self.dim, lambda c: enumerate(
-            self.multiply(self.basis_vector(c), a)))
+        """x |-> x a as a matrix, read off m in one pass: entry (r, c) is
+        sum_j a_j m[r][c d + j]."""
+        return self._multiplication(a, 1, self.dim)
+
+    def _multiplication(self, a: Vector, step: int, col_step: int) -> LinearMap:
+        """The map with entry (r, c) = sum_i a_i m[r][i step + c col_step]."""
+        d, F, prods = self.dim, self.field, self._products()
+        if len(a) != d:
+            raise ShapeError(f"element length {len(a)} != algebra dim {d}")
+        mul, add = F._mul, F._add
+        support = _payloads(F, a).items()
+        entries: dict[tuple[int, int], object] = {}
+        for c in range(d):
+            for i, x in support:
+                for r, v in prods[i * step + c * col_step]:
+                    p = x if v is None else mul(x, v)
+                    entries[r, c] = add(entries[r, c], p) if (r, c) in entries else p
+        return LinearMap.from_payloads(F, d, d, entries)
 
     def antipode_vec(self, a: Vector) -> Vector:
         return self.S.apply(a)
@@ -294,9 +332,7 @@ def verify_quasitriangular_ribbon(H: HopfAlgebraData) -> CheckReport:
     # ribbon element
     rep.check("theta invertible", H.multiply(H.theta, H.theta_inv) ==
               H.u and H.multiply(H.theta_inv, H.theta) == H.u)
-    central = all(H.multiply(H.theta, H.basis_vector(k)) ==
-                  H.multiply(H.basis_vector(k), H.theta) for k in range(H.dim))
-    rep.check("theta central", central)
+    rep.check("theta central", H.left_multiplication(H.theta) == H.right_multiplication(H.theta))
     r21 = flip.apply(H.R)
     r21r = H.multiply(r21, H.R, 2)
     r_inv21 = flip.apply(H.R_inv)
@@ -386,8 +422,15 @@ class ModuleData:
 
 
 def trivial_module(H: HopfAlgebraData) -> ModuleData:
-    action = LinearMap.from_function(H.field, H.dim, 1, lambda c: [(0, H.epsilon.entry(0, c))])
-    return ModuleData(H, 1, action, name="1")
+    """k with e_k acting by eps(e_k), built and verified once and cached on H
+    while m, epsilon and u are unchanged (u compared by value).  Callers share
+    the module and must not change it."""
+    key = (H.m, H.epsilon, tuple(H.u))
+    if H._trivial is None or H._trivial[0] != key:
+        action = LinearMap.from_function(H.field, H.dim, 1,
+                                         lambda c: [(0, H.epsilon.entry(0, c))])
+        H._trivial = (key, ModuleData(H, 1, action, name="1"))
+    return H._trivial[1]
 
 
 def regular_module(H: HopfAlgebraData) -> ModuleData:

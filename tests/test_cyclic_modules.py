@@ -15,8 +15,10 @@ from cyclotome.cyclic_modules import (
     invariant_tensor_basis, r_cyclic_from_simple, transport, twisted_cyclicity_check,
 )
 from cyclotome.fields import Cyclotomic, Rationals
-from cyclotome.hopf import drinfeld_double_of_cyclic, load_algebra
-from cyclotome.linalg import LinearMap, permute_factors
+from cyclotome.hopf import (
+    coadjoint_blocks, drinfeld_double_of_cyclic, invariance_blocks, load_algebra,
+)
+from cyclotome.linalg import LinearMap, SubspaceBasis, permute_factors, stack
 
 Q = Rationals()
 K4 = Cyclotomic(4)
@@ -149,6 +151,40 @@ def test_commutative_invariants_are_whole_tensor_powers(algebras, coends):
         assert not invariant_tensor_basis(H, n).whole, n
     for n in (1, 2):
         assert coends["double_z2"].invariant_basis(n).whole, n
+
+
+def _kernel_route(H, n):
+    return SubspaceBasis.from_kernel(
+        H.field, stack(invariance_blocks(coadjoint_blocks(H, n).__getitem__, H.epsilon)))
+
+
+def test_invariant_levels_match_the_kernel_route(algebras):
+    """The whole levels of the commutative bundles, and sweedler_h4's proper
+    ones, are the kernels of the stacked blocks ad_n(e_k) - eps(e_k) id."""
+    for name, (H, _) in algebras.items():
+        for n in range(1, 5):
+            basis, kernel = invariant_tensor_basis(H, n), _kernel_route(H, n)
+            assert basis.vectors == kernel.vectors, (name, n)
+            assert basis.indicator_cols == kernel.indicator_cols, (name, n)
+
+
+def test_commutative_levels_build_no_coadjoint_level_above_one():
+    for name in ("z2_trivial", "z2_semion", "double_z2"):
+        H, _ = load_algebra(DATA / f"{name}.json")
+        for n in range(1, 5):
+            assert invariant_tensor_basis(H, n).whole, (name, n)
+        assert len(H._coadjoint[1]) == 2, name    # ad_0 and ad_1 only
+
+
+def test_doubled_counit_takes_the_kernel_route():
+    """With eps doubled on z2_trivial, ad_1(e_k) = id is no longer eps(e_k) id:
+    the levels are the kernel of -id stacked, which is zero."""
+    H, _ = load_algebra(DATA / "z2_trivial.json")
+    H.epsilon = H.epsilon.scaled(H.field.from_int(2))
+    for n in range(1, 4):
+        basis, kernel = invariant_tensor_basis(H, n), _kernel_route(H, n)
+        assert basis.dim == 0 and basis.vectors == kernel.vectors, n
+    assert len(H._coadjoint[1]) == 4
 
 
 def test_invariant_tensors_multiply_only_nonzero_blocks(monkeypatch):

@@ -1,5 +1,6 @@
 import functools
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -608,6 +609,102 @@ def test_multiply_rejects_wrong_length(bundled):
         H.multiply(H.u, H.unit_power(2), 2)
     with pytest.raises(ShapeError):
         H.multiply(H.u + [Q.zero()], H.u)
+
+
+def _pair_multiply(H, a, b, n):
+    """The product as it was computed before the slot-by-slot recursion: every
+    pair of nonzero entries a_I, b_J contributes
+    a_I b_J m(e_I1 e_J1) (x) ... (x) m(e_In e_Jn), its terms expanded slot by slot."""
+    d, F = H.dim, H.field
+    cols = [[] for _ in range(d * d)]
+    for (r, col), _ in H.m.entries.items():
+        cols[col].append((r, H.m.entry(r, col)))
+
+    def support(v):
+        return [([i // d ** (n - 1 - s) % d for s in range(n)], x)
+                for i, x in enumerate(v) if not x.is_zero()]
+
+    out = [F.zero()] * d ** n
+    for ia, x in support(a):
+        for jb, y in support(b):
+            terms = [(0, x * y)]
+            for i, j in zip(ia, jb):
+                terms = [(idx * d + r, v * c) for idx, v in terms for r, c in cols[i * d + j]]
+            for idx, v in terms:
+                out[idx] = out[idx] + v
+    return out
+
+
+@pytest.fixture(scope="module")
+def product_algebras(bundled):
+    """A non-commutative algebra with structure constant -1 and two
+    commutative ones, one over Q(i)."""
+    return {name: bundled[name][0] for name in ("sweedler_h4", "double_z2", "z2_semion")}
+
+
+def _element(F, data, size):
+    """An element of length size: a dense one, or one on a drawn sparse support."""
+    if data.draw(st.booleans()):
+        return _scalars(F, data, size)
+    support = data.draw(st.sets(st.integers(0, size - 1), max_size=4))
+    gen = F.generator() if F.kind == F.CYCLOTOMIC else F.from_fraction(Fraction(1, 2))
+    return [F.from_int(data.draw(st.integers(-2, 2))) + gen if i in support else F.zero()
+            for i in range(size)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_multiply_matches_the_pair_expansion(product_algebras, data):
+    H = product_algebras[data.draw(st.sampled_from(sorted(product_algebras)))]
+    n = data.draw(st.integers(1, 3))
+    a = _element(H.field, data, H.dim ** n)
+    b = _element(H.field, data, H.dim ** n)
+    assert H.multiply(a, b, n) == _pair_multiply(H, a, b, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_multiplication_maps_match_multiply_by_columns(product_algebras, data):
+    H = product_algebras[data.draw(st.sampled_from(sorted(product_algebras)))]
+    F, d = H.field, H.dim
+    a = _element(F, data, d)
+    left = LinearMap.from_function(F, d, d, lambda c: enumerate(H.multiply(a, H.basis_vector(c))))
+    right = LinearMap.from_function(F, d, d, lambda c: enumerate(H.multiply(H.basis_vector(c), a)))
+    assert H.left_multiplication(a) == left
+    assert H.right_multiplication(a) == right
+
+
+def test_multiplication_maps_reject_wrong_length(product_algebras):
+    for H in product_algebras.values():
+        for a in (H.u + [H.field.zero()], H.u[:-1]):
+            with pytest.raises(ShapeError):
+                H.left_multiplication(a)
+            with pytest.raises(ShapeError):
+                H.right_multiplication(a)
+
+
+def test_trivial_module_is_built_once_until_its_data_change(monkeypatch):
+    import cyclotome.hopf as hopf
+    H = sweedler_h4(Q)
+    built = []
+    real = hopf.ModuleData.verify
+
+    def counted(self):
+        built.append(self.name)
+        return real(self)
+
+    monkeypatch.setattr(hopf.ModuleData, "verify", counted)
+    one = trivial_module(H)
+    assert all(trivial_module(H) is one for _ in range(3))
+    assert built == ["1"]
+    # a new counit gives a fresh module; an in-place edit of the unit is seen
+    H.epsilon = LinearMap(Q, H.dim, UNIT, {(0, 0): Q.one(), (0, 1): -Q.one()})
+    fresh = trivial_module(H)
+    assert fresh is not one and fresh.action == H.epsilon
+    assert trivial_module(H) is fresh and len(built) == 2
+    H.u[1] = Q.one()     # 1 + g acts on the new module by 1 + eps(g) = 0
+    with pytest.raises(HopfError):
+        trivial_module(H)
 
 
 def test_sweedler_iterate_matches_whole_map_iterate(bundled):

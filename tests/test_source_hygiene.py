@@ -16,6 +16,10 @@ hand entries out as Scalars, so a wrap that re-enters a kernel loop fails.
 A seventh keeps a map's dimensions plain ints inside the package: no module
 reads `.dim` off a `.domain` or a `.codomain`, so `linalg._Dim` serves only
 the benchmark's tracer and can be deleted once the tracer reads the ints.
+An eighth keeps products in one kernel: no column function handed to
+`LinearMap.from_function` in the package calls `multiply`, since a map of
+products is read off the structure constants in one pass
+(`HopfAlgebraData.left_multiplication` and `right_multiplication`).
 
 Only single-name targets count; names bound by tuple unpacking, loop targets,
 `_`, and names declared global or nonlocal are exempt.  A read anywhere in the
@@ -241,6 +245,53 @@ def test_no_dim_read_off_a_domain_or_codomain_in_package():
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         found += dim_reads_off_maps(path.read_text(encoding="utf-8"), path.name)
+    assert not found, "\n".join(found)
+
+
+def _called_name(call) -> str | None:
+    f = call.func
+    return f.attr if isinstance(f, ast.Attribute) else f.id if isinstance(f, ast.Name) else None
+
+
+def products_in_column_functions(source: str, filename: str = "<string>") -> list[str]:
+    """Calls of `.from_function(...)` whose column function, a lambda or a
+    function of that name defined in the same source, calls `multiply`."""
+    tree = ast.parse(source, filename)
+    defs = {fn.name: fn for fn in ast.walk(tree) if isinstance(fn, FUNCTIONS)}
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "from_function"):
+            continue
+        for fn in [*node.args[3:4], *(k.value for k in node.keywords if k.arg == "fn")]:
+            if isinstance(fn, ast.Name):
+                fn = defs.get(fn.id)
+            if fn is not None and any(isinstance(n, ast.Call) and _called_name(n) == "multiply"
+                                      for n in ast.walk(fn)):
+                found.append(f"{filename}:{node.lineno}")
+    return found
+
+
+def test_lint_flags_products_in_column_functions():
+    src = (
+        "def f(H, F, d, a):\n"
+        "    return LinearMap.from_function(F, d, d, lambda c: enumerate(H.multiply(a, e(c))))\n"
+        "def g(H, F, d, a):\n"
+        "    def col(c):\n"
+        "        return enumerate(multiply(a, e(c)))\n"
+        "    return LinearMap.from_function(F, d, d, col)\n"
+        "def h(H, F, d, a):\n"
+        "    return LinearMap.from_function(F, d, d, fn=lambda c: [(0, a[c])]), H.multiply(a, a)\n"
+        "def k(H, F, d, a):\n"
+        "    return LinearMap.from_function(F, d, d, fn=lambda c: enumerate(H.multiply(a, a)))\n"
+    )
+    assert products_in_column_functions(src) == ["<string>:2", "<string>:6", "<string>:10"]
+
+
+def test_no_products_in_column_functions_in_package():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += products_in_column_functions(path.read_text(encoding="utf-8"), path.name)
     assert not found, "\n".join(found)
 
 
